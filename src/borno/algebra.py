@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DescriptorMismatch, NumericalFailure, UnsupportedDisk
 
@@ -480,6 +479,17 @@ def _flatten_disk(disk, mult=1.0):
             return ("ball", left[1] + right[1])
         return ("hull", left[1] + right[1])
     raise TypeError(f"not a disk: {disk!r}")
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call.
+
+    Only the hull-gauge LPs need scipy, and importing its optimizer costs
+    more than the rest of ``import borno``.  Later calls find the module in
+    ``sys.modules``; the repeated import costs about a microsecond.
+    """
+    from scipy.optimize import linprog as solve
+    return solve(*args, **kwargs)
 
 
 def _hull_gauge_single(generators, x):

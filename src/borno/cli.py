@@ -34,10 +34,11 @@ from .finrank import (
     GaugeModel,
     OperatorFamily,
     OperatorModel,
+    RankBudgetError,
     local_approx_property_check,
     pointwise_vs_uniform_check,
 )
-from .fixtures import fixture_catalog
+from .fixtures import fixture
 from .isoradial import SamplerConfig, isoradial_certificate
 from .jsr import jsr_estimate, submultiplicative_hull
 from .maps import Homomorphism
@@ -136,14 +137,9 @@ def _run_hull(payload, cfg):
     }
 
 
-def _resolve_map(payload, want="map"):
-    if "fixture" in payload:
-        name = payload["fixture"]
-        catalog = fixture_catalog()
-        if name not in catalog:
-            raise SchemaError(f"unknown fixture {name!r}")
-        return catalog[name]
-    return None
+def _resolve_map(payload):
+    """The named built-in fixture, built alone, or None for an inline map."""
+    return fixture(payload["fixture"]) if "fixture" in payload else None
 
 
 def _run_isoradial(payload, cfg):
@@ -281,7 +277,7 @@ def _run_approx(payload, cfg):
         prop = local_approx_property_check(box, gauge, tol)
         prop_dict = prop.as_dict()
         prop_verdict = "pass"
-    except Exception as exc:  # rank budget
+    except RankBudgetError as exc:
         prop_dict = {"error": str(exc)}
         prop_verdict = "fail"
     return ({"uniform": check["uniform"].verdict,

@@ -34,14 +34,6 @@ def _frac(x):
 # polylogarithm-style sums: sum_{t>=T} t^p y^t, exact for rational |y| < 1
 # ---------------------------------------------------------------------------
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
 def _poly_eval(coeffs, y):
     acc = Fraction(0)
     for c in reversed(coeffs):

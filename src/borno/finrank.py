@@ -24,7 +24,7 @@ from .closedforms import (
     geom_poly_sup,
     sum_shift_poly_geom,
 )
-from .errors import EquiboundednessError, InvariantViolation
+from .errors import BornoError, EquiboundednessError, InvariantViolation
 
 SUP = "sup"
 L1 = "l1"
@@ -473,7 +473,7 @@ class ApproxPropertyReport:
                 "tolerance": self.tolerance}
 
 
-class RankBudgetError(Exception):
+class RankBudgetError(BornoError):
     def __init__(self, budget, required):
         self.budget = budget
         self.required = required

@@ -22,6 +22,7 @@ from .algebra import (
     AlgebraElement,
     grid_element,
 )
+from .errors import SchemaError
 from .maps import Homomorphism, LinearMap
 
 SCALAR = MatrixAlgebra(1)
@@ -33,10 +34,6 @@ def scalar_grid_algebra(grid):
 
 def grid_function(desc, values):
     return grid_element(desc, [[[v]] for v in values])
-
-
-def grid_values(element):
-    return np.array([child.data[0, 0] for child in element.data])
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +258,23 @@ def trig_interpolation_map(degree, points=None):
     return LinearMap(source, target, action)
 
 
+# name -> builder, in catalog order; each name is its fixture's ``.name``
+FIXTURE_BUILDERS = {
+    "trig-grid-d3": trig_grid_fixture,
+    "matrix-tower-2-6": matrix_tower_fixture,
+    "interval-restriction": interval_restriction_fixture,
+    "trig-fejer": trig_fejer_fixture,
+    "tower-compression": tower_compression_fixture,
+}
+
+
+def fixture(name):
+    """Build the one ready-made fixture called ``name``."""
+    if name not in FIXTURE_BUILDERS:
+        raise SchemaError(f"unknown fixture {name!r}")
+    return FIXTURE_BUILDERS[name]()
+
+
 def fixture_catalog():
-    """Named ready-made fixtures, keyed by name."""
-    entries = [
-        trig_grid_fixture(),
-        matrix_tower_fixture(),
-        interval_restriction_fixture(),
-        trig_fejer_fixture(),
-        tower_compression_fixture(),
-    ]
-    return {e.name: e for e in entries}
+    """Every ready-made fixture, keyed by name."""
+    return {name: build() for name, build in FIXTURE_BUILDERS.items()}

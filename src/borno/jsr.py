@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra
 from .algebra import (
     AlgebraElement,
     BoundedSet,

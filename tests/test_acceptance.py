@@ -34,7 +34,7 @@ from borno.finrank import (
     OperatorModel,
     uniform_convergence_on_set,
 )
-from borno.fixtures import fixture_catalog
+from borno.fixtures import fixture, fixture_catalog
 from borno.isoradial import SamplerConfig, isoradial_certificate
 from borno.jsr import check_specrad_identities, jsr_estimate, jsr_grid_max
 from borno.maps import LinearMap
@@ -138,12 +138,11 @@ def test_criterion_4_pointwise_max_formula():
 
 
 def test_criterion_5_isoradial_fixtures():
-    catalog = fixture_catalog()
     cfg = SamplerConfig(per_size=8)
-    rep_a = isoradial_certificate(catalog["trig-grid-d3"].map, cfg, depth=6)
-    rep_b = isoradial_certificate(catalog["matrix-tower-2-6"].map, cfg,
+    rep_a = isoradial_certificate(fixture("trig-grid-d3").map, cfg, depth=6)
+    rep_b = isoradial_certificate(fixture("matrix-tower-2-6").map, cfg,
                                   depth=6)
-    rep_c = isoradial_certificate(catalog["interval-restriction"].map, cfg,
+    rep_c = isoradial_certificate(fixture("interval-restriction").map, cfg,
                                   depth=6)
     ok = (rep_a.verdict == "pass" and abs(rep_a.worst_ratio - 1) <= 1e-2
           and rep_b.verdict == "pass" and abs(rep_b.worst_ratio - 1) <= 1e-2
@@ -220,14 +219,13 @@ def test_criterion_7_homotopy_soundness():
 
 
 def test_criterion_8_sigma_rates():
-    catalog = fixture_catalog()
-    fej = catalog["trig-fejer"]
+    fej = fixture("trig-fejer")
     rep = sigma_approximation_check(fej.map, fej.sigmas,
                                     bounded_set(fej.family), NormBall(1.0),
                                     modulus=fej.modulus)
     fejer_ok = (rep.nonincreasing and rep.rates[63] <= 1e-2
                 and rep.modulus_bound_ok)
-    tow = catalog["tower-compression"]
+    tow = fixture("tower-compression")
     rep_t = sigma_approximation_check(tow.map, tow.sigmas,
                                       bounded_set(tow.family), NormBall(1.0))
     tower_ok = all(r == 0.0 for r in rep_t.rates[3:])

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -168,6 +171,33 @@ class TestGauge:
         # e1 + e2 = 1*e1 + 1*e2 with per-hull budget 1 each
         assert gauge(d, matrix_element(np.eye(2))) == pytest.approx(1.0,
                                                                     abs=1e-8)
+
+    def test_import_defers_scipy_until_first_hull_gauge(self):
+        import borno
+
+        code = (
+            "import sys\n"
+            "import borno, borno.cli\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "import numpy as np\n"
+            "from borno import FiniteHull, gauge, matrix_element\n"
+            "e1 = matrix_element(np.diag([1.0, 0.0]))\n"
+            "e2 = matrix_element(np.diag([0.0, 1.0]))\n"
+            "print(repr(gauge(FiniteHull((e1, e2)),"
+            " matrix_element(np.eye(2)))))\n"
+        )
+        src = os.path.dirname(os.path.dirname(borno.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        loaded, value = out.stdout.split()
+        assert loaded == "False"
+        e1 = matrix_element(np.diag([1.0, 0.0]))
+        e2 = matrix_element(np.diag([0.0, 1.0]))
+        assert float(value) == gauge(FiniteHull((e1, e2)),
+                                     matrix_element(np.eye(2)))
 
     def test_mixed_sum_rejected(self):
         e1 = matrix_element(np.diag([1.0, 0.0]))

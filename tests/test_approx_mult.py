@@ -21,7 +21,7 @@ from borno.approx_mult import (
     linear_homotopy_certificate,
     sigma_approximation_check,
 )
-from borno.fixtures import corner_embedding, fixture_catalog
+from borno.fixtures import corner_embedding, fixture
 from borno.isoradial import SamplerConfig
 from borno.maps import Homomorphism, LinearMap
 
@@ -117,7 +117,7 @@ class TestSigmaApproximation:
         assert rep.converged
 
     def test_fejer_rates_match_closed_form(self):
-        fix = fixture_catalog()["trig-fejer"]
+        fix = fixture("trig-fejer")
         rep = sigma_approximation_check(fix.map, fix.sigmas,
                                         bounded_set(fix.family),
                                         NormBall(1.0), modulus=fix.modulus)
@@ -128,7 +128,7 @@ class TestSigmaApproximation:
         assert rep.modulus_bound_ok
 
     def test_tower_compression_vanishes_at_support(self):
-        fix = fixture_catalog()["tower-compression"]
+        fix = fixture("tower-compression")
         rep = sigma_approximation_check(fix.map, fix.sigmas,
                                         bounded_set(fix.family),
                                         NormBall(1.0))
@@ -201,7 +201,7 @@ class TestAppleCertificate:
         assert out["verdict"] == "pass"
 
     def test_trig_fejer_fixture_passes(self):
-        fix = fixture_catalog()["trig-fejer"]
+        fix = fixture("trig-fejer")
         h = Homomorphism.identity(fix.map.target)
         out = apple_certificate(fix.map, list(fix.sigmas), h,
                                 bounded_set(fix.family), sampler=FAST,
@@ -210,7 +210,7 @@ class TestAppleCertificate:
         assert out["homotopy"].sup_bound < 1.0
 
     def test_negative_control_fails_at_isoradial_stage(self):
-        fix = fixture_catalog()["interval-restriction"]
+        fix = fixture("interval-restriction")
         h = Homomorphism.identity(fix.map.target)
         sigma = LinearMap.zero(fix.map.target, fix.map.source)
         from borno.algebra import identity as alg_identity

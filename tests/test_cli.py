@@ -3,6 +3,7 @@ import json
 import pytest
 
 from borno.cli import builtin_instances, main, run_instance
+from borno.errors import SchemaError
 from borno.serialize import instance_digest
 
 
@@ -82,6 +83,15 @@ class TestErrors:
         bad.write_text(json.dumps(inst))
         assert run_cli(["run", "--input", str(bad)]) == 3
 
+    def test_unknown_map_fixture_exits_three(self, tmp_path):
+        inst = builtin_instances()["trig-grid"]
+        inst["payload"]["fixture"] = "nope"
+        with pytest.raises(SchemaError):
+            run_instance(inst, {})
+        path = tmp_path / "nope.json"
+        path.write_text(json.dumps(inst))
+        assert run_cli(["run", "--input", str(path)]) == 3
+
     def test_missing_input_exits_three(self):
         assert run_cli(["run"]) == 3
 
@@ -104,6 +114,23 @@ class TestErrors:
         path = tmp_path / "hull.json"
         path.write_text(json.dumps(hull_inst))
         assert run_cli(["run", "--input", str(path)]) == 4
+
+
+class TestApproxProperty:
+    def test_rank_budget_gives_fail(self):
+        inst = builtin_instances()["approx-truncation"]
+        inst["payload"]["tol"] = "1/1" + "0" * 45  # below 2^-128
+        report = run_instance(inst, {})
+        assert report["verdicts"]["approximation_property"] == "fail"
+        assert "rank budget" in report["results"]["property"]["error"]
+
+    def test_kernel_bug_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("kernel bug")
+
+        monkeypatch.setattr("borno.cli.local_approx_property_check", broken)
+        with pytest.raises(ZeroDivisionError):
+            run_instance(builtin_instances()["approx-truncation"], {})
 
 
 class TestDeterminism:

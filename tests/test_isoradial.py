@@ -11,7 +11,9 @@ from borno.algebra import (
     unvec,
 )
 from borno.fixtures import (
+    FIXTURE_BUILDERS,
     corner_embedding,
+    fixture,
     fixture_catalog,
     grid_function,
     trig_interpolation_map,
@@ -95,8 +97,8 @@ class TestIsoradialCertificate:
         assert abs(rep.worst_ratio - 1.0) <= 1e-2
 
     def test_negative_control_fails_with_ratio_two(self):
-        fixture = fixture_catalog()["interval-restriction"]
-        rep = isoradial_certificate(fixture.map, FAST, depth=6)
+        rep = isoradial_certificate(fixture("interval-restriction").map,
+                                    FAST, depth=6)
         assert rep.verdict == "fail"
         assert rep.worst_ratio >= 1.9
 
@@ -124,13 +126,20 @@ class TestIsoradialCertificate:
 
 class TestFixtureCatalog:
     def test_expected_verdicts(self):
-        cat = fixture_catalog()
-        assert cat["trig-grid-d3"].expected == "pass"
-        assert cat["matrix-tower-2-6"].expected == "pass"
-        assert cat["interval-restriction"].expected == "fail"
+        assert fixture("trig-grid-d3").expected == "pass"
+        assert fixture("matrix-tower-2-6").expected == "pass"
+        assert fixture("interval-restriction").expected == "fail"
+
+    def test_table_builds_each_fixture_under_its_name(self):
+        catalog = fixture_catalog()
+        assert list(catalog) == list(FIXTURE_BUILDERS) == [
+            "trig-grid-d3", "matrix-tower-2-6", "interval-restriction",
+            "trig-fejer", "tower-compression"]
+        for name, fix in catalog.items():
+            assert fix.name == name
 
     def test_trig_grid_passes(self):
-        rep = isoradial_certificate(fixture_catalog()["trig-grid-d3"].map,
+        rep = isoradial_certificate(fixture("trig-grid-d3").map,
                                     FAST, depth=4)
         assert rep.verdict == "pass"
         assert abs(rep.worst_ratio - 1.0) <= 1e-2
