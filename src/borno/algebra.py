@@ -492,15 +492,17 @@ def linprog(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-def _hull_gauge_single(generators, x):
-    """min sum |lambda_i| with sum lambda_i g_i = x over real lambda."""
-    target = _real_coords(x)
-    cols = np.stack([_real_coords(g) for g in generators], axis=1)
+def _hull_gauge_lp(cols, target):
+    """min sum |lambda_i| with cols @ lambda = target over real lambda.
+
+    ``cols`` holds the hull generators' real coordinates as columns.  Returns
+    ``(value, lambda)``, or ``(inf, None)`` when the target is off their span.
+    """
     # rank test: is x in the real span of the generators?
     sol, residual, _rank, _sv = np.linalg.lstsq(cols, target, rcond=None)
     fit = cols @ sol
     if np.linalg.norm(fit - target) > RANK_TOL * (1.0 + np.linalg.norm(target)):
-        return math.inf
+        return math.inf, None
     n = cols.shape[1]
     # lambda = p - q with p, q >= 0; minimize 1.(p + q)
     a_eq = np.concatenate([cols, -cols], axis=1)
@@ -509,7 +511,13 @@ def _hull_gauge_single(generators, x):
                   method="highs")
     if not res.success:
         raise NumericalFailure(f"gauge LP failed: {res.message}")
-    return float(res.fun)
+    return float(res.fun), res.x[:n] - res.x[n:]
+
+
+def _hull_gauge_single(generators, x):
+    """min sum |lambda_i| with sum lambda_i g_i = x over real lambda."""
+    cols = np.stack([_real_coords(g) for g in generators], axis=1)
+    return _hull_gauge_lp(cols, _real_coords(x))[0]
 
 
 def _hull_gauge_groups(groups, x):

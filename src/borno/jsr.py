@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    RANK_TOL,
     AlgebraElement,
     BoundedSet,
     FiniteHull,
@@ -34,8 +35,10 @@ from .algebra import (
     norm,
     scale,
     spectral_radius_single,
+    _hull_gauge_lp,
+    _real_coords,
 )
-from .errors import CapExceeded, InvariantViolation
+from .errors import CapExceeded, InvariantViolation, NumericalFailure
 
 CERTIFIED = "certified"
 DEPTH_LIMITED = "depth-limited"
@@ -248,6 +251,51 @@ def check_specrad_identities(s, c, n, depth, gap_target=1e-6):
 
 _DECAY_CUT = 1e-12
 _INSIDE_TOL = 1e-12
+# an unsolved pair is skipped once its bound is this far (relative) below the
+# running maximum: far above the LP solver's error, so the skip is safe
+_BOUND_MARGIN = 1e-6
+
+
+def _closure_max(generators):
+    """max(1, the largest hull gauge of a pairwise product of the generators).
+
+    The same float as ``max(1, max gauge(hull, a * b))`` over all pairs, but an
+    LP is solved only for the pairs that could still set the maximum.  Each
+    solved LP's primal names a basis B of generators (the rank-many with the
+    largest |lambda|).  Where B reproduces a product x, its coefficients z are
+    a feasible decomposition of x, so ||z||_1 bounds the gauge of x.  Pairs
+    whose bound falls below the running maximum are never solved; a gauge <= 1
+    cannot change the clamped defect, so the maximum starts at 1.  Products
+    off the generators' span keep an infinite bound and get their LP, which
+    reports inf.
+    """
+    cols = np.stack([_real_coords(g) for g in generators], axis=1)
+    targets = [_real_coords(multiply(a, b)) for a in generators for b in generators]
+    prods = np.stack(targets, axis=1)
+    tol = RANK_TOL * (1.0 + np.linalg.norm(prods, axis=0))
+    rank = np.linalg.lstsq(cols, prods, rcond=None)[2]
+    upper = np.full(len(targets), math.inf)
+    best = 1.0
+    while True:
+        p = int(np.argmax(upper))
+        if upper[p] < best - _BOUND_MARGIN * (1.0 + best):
+            return best
+        upper[p] = -math.inf
+        value, lam = _hull_gauge_lp(cols, targets[p])
+        if value == math.inf:
+            return value
+        if np.linalg.norm(cols @ lam - targets[p]) > tol[p]:
+            raise NumericalFailure(
+                f"closure LP primal misses its product by more than {tol[p]:.1e}"
+            )
+        best = max(best, value)
+        basis = cols[:, np.argsort(-np.abs(lam), kind="stable")[:rank]]
+        coeffs = np.linalg.lstsq(basis, prods, rcond=None)[0]
+        # half the span tolerance: a product B fits is one the LP's own span
+        # test also accepts, so no skipped pair could have read inf
+        fits = np.linalg.norm(basis @ coeffs - prods, axis=0) <= 0.5 * tol
+        np.minimum(upper, np.where(fits, np.abs(coeffs).sum(axis=0), math.inf),
+                   out=upper)
 
 
 def submultiplicative_hull(s, r, max_products=512):
@@ -301,11 +349,7 @@ def submultiplicative_hull(s, r, max_products=512):
         frontier = new_frontier
 
     hull = FiniteHull(tuple(generators))
-    defect = 0.0
-    for a in generators:
-        for b in generators:
-            defect = max(defect, gauge(hull, multiply(a, b)) - 1.0)
-    defect = max(0.0, defect)
+    defect = max(0.0, _closure_max(generators) - 1.0)
     containment = max(gauge(hull, g) for g in scaled_gens)
     if containment > 1.0 + _INSIDE_TOL:
         raise InvariantViolation("hull does not absorb (1/r) S")

@@ -145,5 +145,10 @@ class Homomorphism(LinearMap):
 
     @staticmethod
     def identity(descriptor):
-        d = linear_dim(descriptor)
-        return Homomorphism(descriptor, descriptor, np.eye(d))
+        # f(e_i e_j) and f(e_i) f(e_j) are the same product of the same
+        # elements, so the defect is exactly 0.0 and the d^2 check is skipped
+        hom = Homomorphism.__new__(Homomorphism)
+        LinearMap.__init__(hom, descriptor, descriptor,
+                           np.eye(linear_dim(descriptor)))
+        object.__setattr__(hom, "mult_defect", 0.0)
+        return hom

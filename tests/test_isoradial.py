@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from borno.algebra import (
+    DirectSum,
     MatrixAlgebra,
     NormBall,
     bounded_set,
@@ -25,7 +26,7 @@ from borno.isoradial import (
     local_density_probe,
 )
 from borno.jsr import jsr_estimate
-from borno.maps import Homomorphism, LinearMap
+from borno.maps import Homomorphism, LinearMap, multiplicativity_defect
 
 FAST = SamplerConfig(per_size=4)
 
@@ -34,6 +35,23 @@ class TestCheckMultiplicative:
     def test_identity_defect_zero(self):
         f = Homomorphism.identity(MatrixAlgebra(2))
         assert check_multiplicative(f).defect == 0.0
+
+    @pytest.mark.parametrize("target", ["M3", "sum", "trig-fejer"])
+    def test_identity_defect_equals_full_check(self, target):
+        desc = {"M3": lambda: MatrixAlgebra(3),
+                "sum": lambda: DirectSum((MatrixAlgebra(2),
+                                          MatrixAlgebra(1, "maxrow"))),
+                "trig-fejer": lambda: fixture("trig-fejer").map.target}[target]()
+        defect = Homomorphism.identity(desc).mult_defect
+        assert defect == multiplicativity_defect(LinearMap.identity(desc))
+        assert defect == 0.0
+
+    def test_explicit_action_keeps_its_check(self):
+        desc = MatrixAlgebra(2)
+        swap = np.eye(4)[[0, 2, 1, 3]]  # the transpose on row-major coordinates
+        with pytest.raises(ValueError):
+            Homomorphism(desc, desc, swap)
+        assert Homomorphism(desc, desc, np.eye(4)).mult_defect == 0.0
 
     def test_corner_embedding_defect_zero(self):
         f = corner_embedding(2, 3)

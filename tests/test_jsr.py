@@ -1,8 +1,12 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import borno.algebra
 from borno.algebra import (
     GridFunctionAlgebra,
     GridSpec,
@@ -13,13 +17,14 @@ from borno.algebra import (
     multiply,
     scale,
 )
-from borno.errors import CapExceeded
+from borno.errors import CapExceeded, NumericalFailure
 from borno.jsr import (
     check_specrad_identities,
     direct_union_liminf,
     jsr_estimate,
     jsr_grid_max,
     kronecker_bound_check,
+    _closure_max,
     pad_to,
     submultiplicative_hull,
 )
@@ -28,6 +33,54 @@ PHI = (1 + math.sqrt(5)) / 2
 
 GOLDEN = [matrix_element([[1, 1], [0, 1]]),
           matrix_element([[1, 0], [1, 1]])]
+
+
+def stable_matmul(a, b):
+    """Sequential rank-one accumulation, mirroring the kernel's size-stable
+    product discipline."""
+    out = np.zeros_like(a)
+    for k in range(a.shape[0]):
+        out += a[:, k, None] * b[None, k, :]
+    return out
+
+
+def real_coords(m):
+    v = np.asarray(m, dtype=np.complex128).reshape(-1)
+    return np.concatenate([v.real, v.imag])
+
+
+def all_pairs_closure_max(mats):
+    """max(1, max over pairs of the hull gauge of a b): one plain LP a pair.
+
+    Independent of the kernel's bound-and-solve loop: every product gets its
+    own scipy LP over the hull's real coordinates, and an infeasible LP (a
+    product off the generators' span) reads inf.
+    """
+    from scipy.optimize import linprog
+
+    cols = np.stack([real_coords(m) for m in mats], axis=1)
+    n = cols.shape[1]
+    best = 1.0
+    for a in mats:
+        for b in mats:
+            res = linprog(np.ones(2 * n),
+                          A_eq=np.concatenate([cols, -cols], axis=1),
+                          b_eq=real_coords(stable_matmul(a, b)),
+                          bounds=[(0, None)] * (2 * n), method="highs")
+            best = max(best, float(res.fun) if res.success else math.inf)
+    return best
+
+
+@functools.lru_cache(maxsize=None)
+def hull_family(seed):
+    """(estimate, hull certificate) of a seeded 2 x (2x2) complex family."""
+    rng = np.random.default_rng(seed)
+    mats = [matrix_element((rng.standard_normal((2, 2))
+                            + 1j * rng.standard_normal((2, 2))) / 3)
+            for _ in range(2)]
+    s = bounded_set(mats)
+    est = jsr_estimate(s, depth=8, gap_target=1e-6)
+    return est, submultiplicative_hull(s, r=1.1 * est.upper, max_products=512)
 
 
 def exhaustive_jsr(mats, depth, gap, norm_kind="op2"):
@@ -43,14 +96,6 @@ def exhaustive_jsr(mats, depth, gap, norm_kind="op2"):
         u, s, vh = np.linalg.svd(p)
         return float(s[0]) if s.size else 0.0
 
-    def mat_prod(a, b):
-        # sequential rank-one accumulation, mirroring the kernel's
-        # size-stable product discipline
-        out = np.zeros_like(a)
-        for k in range(a.shape[0]):
-            out += a[:, k, None] * b[None, k, :]
-        return out
-
     lower, upper, witness, explored = 0.0, math.inf, (), 0
     level = [((), None)]
     for ell in range(1, depth + 1):
@@ -58,7 +103,7 @@ def exhaustive_jsr(mats, depth, gap, norm_kind="op2"):
         nxt, level_max = [], 0.0
         for word, prod in level:
             for i, m in enumerate(mats):
-                p = m.copy() if prod is None else mat_prod(prod, m)
+                p = m.copy() if prod is None else stable_matmul(prod, m)
                 nrm = mat_norm(p)
                 rate = nrm ** (1.0 / ell) if nrm else 0.0
                 level_max = max(level_max, rate)
@@ -214,15 +259,94 @@ class TestHull:
     @pytest.mark.parametrize("seed", range(5))
     def test_certificate_implies_radius_bound(self, seed):
         # T.T inside (1+d)T and S inside r T force rho(S) <= r (1+d)
-        rng = np.random.default_rng(400 + seed)
-        mats = [matrix_element((rng.standard_normal((2, 2))
-                                + 1j * rng.standard_normal((2, 2))) / 3)
-                for _ in range(2)]
-        s = bounded_set(mats)
-        est = jsr_estimate(s, depth=8, gap_target=1e-6)
-        r = 1.1 * est.upper
-        cert = submultiplicative_hull(s, r=r, max_products=512)
+        est, cert = hull_family(400 + seed)
         assert est.lower <= cert.scale * (1 + cert.closure_defect) + 1e-9
+
+
+class TestClosureDifferential:
+    """The bound-and-solve closure loop against a plain all-pairs LP loop."""
+
+    @staticmethod
+    def matrices(cert):
+        return [g.data for g in cert.hull.generators]
+
+    @pytest.mark.parametrize("seed", [411, 407, 400])
+    def test_hull_family_defect(self, seed):
+        _est, cert = hull_family(seed)
+        oracle = all_pairs_closure_max(self.matrices(cert))
+        assert oracle > 1.0
+        assert cert.closure_defect == oracle - 1.0
+
+    def test_golden_pair_defect(self):
+        s = bounded_set([scale(0.5, g) for g in GOLDEN])
+        cert = submultiplicative_hull(s, r=1.0, max_products=256)
+        oracle = all_pairs_closure_max(self.matrices(cert))
+        assert cert.closure_defect == max(0.0, oracle - 1.0)
+
+    def test_real_pair_spans_half_the_coordinates(self):
+        rng = np.random.default_rng(6)
+        s = bounded_set([matrix_element(rng.standard_normal((2, 2)) / 2)
+                         for _ in range(2)])
+        est = jsr_estimate(s, depth=8, gap_target=1e-6)
+        cert = submultiplicative_hull(s, r=1.1 * est.upper, max_products=512)
+        mats = self.matrices(cert)
+        coords = np.stack([real_coords(m) for m in mats], axis=1)
+        assert np.linalg.matrix_rank(coords) == 4
+        oracle = all_pairs_closure_max(mats)
+        assert oracle > 1.0
+        assert cert.closure_defect == oracle - 1.0
+
+    def test_product_off_the_span_is_infinite(self):
+        gens = [matrix_element([[0, 1], [0, 0]]), matrix_element([[0, 0], [1, 0]])]
+        assert all_pairs_closure_max([g.data for g in gens]) == math.inf
+        assert _closure_max(gens) == math.inf
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
+           count=st.integers(2, 9),
+           kind=st.sampled_from(["complex", "real", "triangular", "diagonal"]))
+    def test_arbitrary_generator_lists(self, seed, dim, count, kind):
+        rng = np.random.default_rng(seed)
+        mats = []
+        for _ in range(count):
+            m = rng.standard_normal((dim, dim))
+            if kind == "complex":
+                m = m + 1j * rng.standard_normal((dim, dim))
+            elif kind == "triangular":
+                m = np.triu(m)
+            elif kind == "diagonal":
+                m = np.diag(np.diag(m))
+            mats.append(matrix_element(m))
+        assert _closure_max(mats) == all_pairs_closure_max(
+            [g.data for g in mats])
+
+    def test_inaccurate_primal_raises(self, monkeypatch):
+        solve = borno.algebra.linprog
+
+        def skewed(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            res.x = res.x * (1 + 1e-6)
+            return res
+
+        monkeypatch.setattr(borno.algebra, "linprog", skewed)
+        with pytest.raises(NumericalFailure):
+            _closure_max([matrix_element([[2.0]]), matrix_element([[3.0]])])
+
+    def test_closure_solves_few_lps(self, monkeypatch):
+        # the bound screen must stay on: at most a quarter of the n^2 pairs
+        _est, cert = hull_family(411)
+        gens = cert.hull.generators
+        solve = borno.algebra.linprog
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(borno.algebra, "linprog", counting)
+        best = _closure_max(gens)
+        assert cert.closure_defect == max(0.0, best - 1.0)
+        assert 0 < len(calls) <= len(gens) ** 2 / 4
 
 
 class TestGridMax:
