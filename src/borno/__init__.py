@@ -52,7 +52,7 @@ from .approx_mult import (
     linear_homotopy_certificate,
     sigma_approximation_check,
 )
-from .closedforms import EpsForm, WeightForm
+from .closedforms import CoordForm, EpsForm, WeightForm
 from .seqspace import (
     CoordinateMap,
     DiskForm,
@@ -72,7 +72,6 @@ from .seqspace import (
 )
 from .finrank import (
     CompactSetModel,
-    CoordForm,
     GaugeModel,
     OperatorFamily,
     OperatorModel,

@@ -1,7 +1,8 @@
 """Exact rational closed forms used by the sequence-space and finite-rank
-modules: weights c*b^k*(k+1)^p, geometric-polynomial series sums, null
-sequence descriptors closed under square roots, and nonnegative envelope
-sequences with an eventual-domination comparator.
+modules: weights c*b^k*(k+1)^p, coordinate forms with their sups and tail
+sums, geometric-polynomial series sums, null sequence descriptors closed
+under square roots, and nonnegative envelope sequences with an
+eventual-domination comparator.
 
 Everything here is Fraction arithmetic; no decision ever goes through a
 float.  Square roots of descriptors are handled by tracking a power-of-two
@@ -16,17 +17,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 INF = math.inf
+SUP = "sup"
 
 
 def _frac(x):
+    """The exact rational value of x; a float keeps its binary value."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, (int, float, str)):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12)
     raise TypeError(f"cannot make an exact rational from {x!r}")
 
 
@@ -75,13 +74,14 @@ def sum_poly_geom(power, y, start):
     return full - head
 
 
-def sum_shift_poly_geom(power, shift, y, start):
-    """sum_{t >= start} (t + shift)^power y^t, exact."""
+def sum_shift_poly_geom(power, shift, y, start, stride=1):
+    """sum_{t >= start} (stride t + shift)^power y^t, exact."""
     y = _frac(y)
     shift = _frac(shift)
     total = Fraction(0)
     for i in range(power + 1):
-        total += math.comb(power, i) * shift ** (power - i) * sum_poly_geom(i, y, start)
+        total += (math.comb(power, i) * shift ** (power - i) * stride**i
+                  * sum_poly_geom(i, y, start))
     return total
 
 
@@ -113,8 +113,63 @@ def geom_poly_sup(c, b, p, start):
 
 
 # ---------------------------------------------------------------------------
-# weights
+# coordinate forms and weights
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CoordForm:
+    """k -> coeff * ratio^k * (k+1)^power, ratio >= 0, power any integer."""
+
+    coeff: Fraction
+    ratio: Fraction = Fraction(1)
+    power: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeff", _frac(self.coeff))
+        object.__setattr__(self, "ratio", _frac(self.ratio))
+        if self.ratio < 0:
+            raise ValueError("coordinate forms use nonnegative ratios")
+
+    def value(self, k):
+        return self.coeff * self.ratio**k * Fraction(k + 1) ** self.power
+
+    def __mul__(self, other):
+        return CoordForm(self.coeff * other.coeff, self.ratio * other.ratio,
+                         self.power + other.power)
+
+    def abs_form(self):
+        return CoordForm(abs(self.coeff), self.ratio, self.power)
+
+    def sup_from(self, start):
+        """Exact sup_{k >= start} value(k) for coeff >= 0, or inf."""
+        if self.power >= 0:
+            return geom_poly_sup(self.coeff, self.ratio, self.power, start)[0]
+        if self.ratio > 1:
+            return INF
+        return self.value(start)  # nonincreasing from the start
+
+    def tail_sum(self, start):
+        """Certified upper bound for sum_{k >= start} value(k), or inf; exact
+        when the power is nonnegative, an integral bound otherwise."""
+        if self.coeff == 0:
+            return Fraction(0)
+        if self.coeff < 0:
+            raise ValueError("tail sums are for nonnegative forms")
+        if self.ratio >= 1:
+            p = -self.power
+            if self.ratio > 1 or p < 2:
+                return INF
+            # sum_{k>=K} (k+1)^-p <= K^(1-p)/(p-1) for K >= 1
+            k0 = max(start, 1)
+            head = sum((self.value(k) for k in range(start, k0)), Fraction(0))
+            return head + self.coeff * Fraction(k0) ** (1 - p) / (p - 1)
+        if self.power >= 0:
+            return self.coeff * sum_shift_poly_geom(self.power, 1, self.ratio,
+                                                    start)
+        # decaying ratio, negative power: drop the decaying polynomial factor
+        return (self.coeff * Fraction(start + 1) ** self.power
+                * self.ratio**start / (1 - self.ratio))
+
 
 @dataclass(frozen=True)
 class WeightForm:
@@ -314,18 +369,6 @@ class Envelope:
         if self.infinite:
             return INF
         return sum((t.value(m) for t in self.terms), Fraction(0))
-
-    def __add__(self, other):
-        if self.infinite or other.infinite:
-            return Envelope((), True)
-        return Envelope(self.terms + other.terms)
-
-    def scaled(self, c):
-        c = _frac(c)
-        if self.infinite:
-            return self
-        return Envelope(tuple(EnvTerm(t.coeff * c, t.ratio, t.shift, t.power)
-                              for t in self.terms))
 
     def dominated_from(self, eps, m_start, scan_cap=4096):
         """Smallest M >= m_start with value(m) <= eps(m) for all m >= M.

@@ -17,85 +17,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .closedforms import (
-    INF,
-    WeightForm,
-    _frac,
-    geom_poly_sup,
-    sum_shift_poly_geom,
-)
+from .closedforms import INF, SUP, CoordForm, WeightForm, _frac
 from .errors import BornoError, EquiboundednessError, InvariantViolation
 
-SUP = "sup"
 L1 = "l1"
 L2 = "l2"
-
-
-# ---------------------------------------------------------------------------
-# closed-form coordinate sequences c * ratio^k * (k+1)^power  (power in Z)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CoordForm:
-    coeff: Fraction
-    ratio: Fraction = Fraction(1)
-    power: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", _frac(self.coeff))
-        object.__setattr__(self, "ratio", _frac(self.ratio))
-        if self.ratio < 0:
-            raise ValueError("coordinate forms use nonnegative ratios")
-
-    def value(self, k):
-        return self.coeff * self.ratio**k * Fraction(k + 1) ** self.power
-
-    def __mul__(self, other):
-        return CoordForm(self.coeff * other.coeff, self.ratio * other.ratio,
-                         self.power + other.power)
-
-    def abs_form(self):
-        return CoordForm(abs(self.coeff), self.ratio, self.power)
-
-    def powered(self, q):
-        return CoordForm(self.coeff**q, self.ratio**q, self.power * q)
-
-
-def tail_sum_bound(form, start):
-    """Certified upper bound for sum_{k >= start} form(k); exact when the
-    polynomial power is nonnegative, integral bound otherwise."""
-    if form.coeff == 0:
-        return Fraction(0)
-    if form.coeff < 0:
-        raise ValueError("tail sums are for nonnegative forms")
-    if form.ratio >= 1:
-        if form.ratio > 1 or form.power >= 0:
-            return INF
-        # ratio 1, negative power: integral comparison
-        p = -form.power
-        if p < 2:
-            return INF
-        # sum_{k>=K}(k+1)^-p <= (K)^(1-p)/(p-1) for K >= 1
-        k0 = max(start, 1)
-        head = sum((form.value(k) for k in range(start, k0)), Fraction(0))
-        return head + form.coeff * Fraction(k0) ** (1 - p) / (p - 1)
-    if form.power >= 0:
-        return form.coeff * sum_shift_poly_geom(form.power, 1, form.ratio,
-                                                start)
-    # decaying ratio with negative power: drop the decaying polynomial factor
-    bound_coeff = form.coeff * Fraction(start + 1) ** form.power
-    return bound_coeff * form.ratio**start / (1 - form.ratio) \
-        if start >= 0 else INF
-
-
-def form_sup_bound(form, start):
-    """Certified upper bound for sup_{k >= start} form(k)."""
-    if form.power >= 0:
-        sup, _ = geom_poly_sup(form.coeff, form.ratio, form.power, start)
-        return sup
-    if form.ratio > 1:
-        return INF
-    return form.value(start)  # nonincreasing from the start
 
 
 # ---------------------------------------------------------------------------
@@ -138,24 +64,18 @@ class GaugeModel:
     def of_magnitudes(self, forms, start=0):
         """Certified bound for the gauge of |x_k| = sum of nonnegative forms."""
         if self.kind == SUP:
-            return sum(form_sup_bound(self.weight_form() * f, start)
-                       for f in forms)
+            return sum((self.weight_form() * f).sup_from(start) for f in forms)
         if self.kind == L1:
-            return sum(tail_sum_bound(self.weight_form() * f, start)
-                       for f in forms)
+            return sum((self.weight_form() * f).tail_sum(start) for f in forms)
         # l2: expand the square exactly
-        radicand = self.squared_of_magnitudes(forms, start)
-        if radicand == INF:
-            return INF
-        return radicand
+        return self.squared_of_magnitudes(forms, start)
 
     def squared_of_magnitudes(self, forms, start=0):
         """Exact rational sum_k w_k (sum forms)^2 from start, or inf."""
         total = Fraction(0)
         for f in forms:
             for g in forms:
-                term = self.weight_form() * f * g
-                s = tail_sum_bound(term, start)
+                s = (self.weight_form() * f * g).tail_sum(start)
                 if s == INF:
                     return INF
                 total += s
@@ -181,16 +101,13 @@ class GaugeModel:
 
 def precompactness_check(s, gauge):
     """Envelope summability surrogate: the box is gauge-compact."""
-    w = gauge.weight_form()
     a = s.envelope.abs_form()
-    if gauge.kind in (L1, L2):
-        term = (w * a) if gauge.kind == L1 else (w * a * a)
-        return tail_sum_bound(term, 0) != INF
-    total = form_sup_bound(w * a, 0)
-    if total == INF:
-        return False
-    # sup-type also needs w_k a_k -> 0
-    prod = w * a
+    prod = gauge.weight_form() * a
+    if gauge.kind == L1:
+        return prod.tail_sum(0) != INF
+    if gauge.kind == L2:
+        return (prod * a).tail_sum(0) != INF
+    # sup-type needs w_k a_k -> 0, which also makes the sup finite
     return prod.ratio < 1 or (prod.ratio == 1 and prod.power < 0)
 
 
@@ -278,12 +195,13 @@ def _diagonal_form(op):
 
 def _difference_magnitude_forms(f_n, f_inf, s):
     """Nonnegative closed forms whose sum bounds sup_{x in box} |(F-f)x|_k,
-    together with the index where the forms become exact (truncations make
-    the difference vanish below the cutoff).  Matching diagonal closed forms
-    subtract exactly, so identical operators give a zero rate."""
+    the index where the forms become exact (truncations make the difference
+    vanish below the cutoff), and the last index of a two-truncation
+    difference (None otherwise).  Matching diagonal closed forms subtract
+    exactly, so identical operators give a zero rate."""
     if {f_n.kind, f_inf.kind} == {"truncation", "identity"}:
         cut = f_n.cutoff if f_n.kind == "truncation" else f_inf.cutoff
-        return [s.envelope.abs_form()], cut + 1
+        return [s.envelope.abs_form()], cut + 1, None
     if f_n.kind == "truncation" and f_inf.kind == "truncation":
         lo, hi = sorted((f_n.cutoff, f_inf.cutoff))
         return [s.envelope.abs_form()], lo + 1, hi
@@ -294,7 +212,7 @@ def _difference_magnitude_forms(f_n, f_inf, s):
         delta = CoordForm(abs(diag_n.coeff - diag_inf.coeff),
                           diag_n.ratio if diag_n.coeff else diag_inf.ratio,
                           diag_n.power if diag_n.coeff else diag_inf.power)
-        return [delta * s.envelope.abs_form()], 0
+        return [delta * s.envelope.abs_form()], 0, None
     offsets = sorted(set(f_n.offsets()) | set(f_inf.offsets()))
     forms = []
     for d in offsets:
@@ -320,7 +238,7 @@ def _difference_magnitude_forms(f_n, f_inf, s):
             s.envelope.ratio, s.envelope.power)
         for g in forms_d:
             forms.append(g.abs_form() * shifted_env.abs_form())
-    return forms, 0
+    return forms, 0, None
 
 
 # ---------------------------------------------------------------------------
@@ -340,24 +258,18 @@ class RateSequence:
 
 def _rate_of_pair(f_n, f_inf, s, t_gauge):
     """(certified raw rate, exact flag); raw is the radicand for l2 gauges."""
-    spec = _difference_magnitude_forms(f_n, f_inf, s)
-    if len(spec) == 3:
-        forms, start, hi = spec
+    forms, start, hi = _difference_magnitude_forms(f_n, f_inf, s)
+    if hi is not None:
         # difference of two truncations lives on [start, hi]
-        if t_gauge.kind == L2:
-            total = t_gauge.squared_of_magnitudes(forms, start)
-            beyond = t_gauge.squared_of_magnitudes(forms, hi + 1)
-            raw = total - beyond if total != INF and beyond != INF else INF
-            return raw, True
         total = t_gauge.of_magnitudes(forms, start)
         beyond = t_gauge.of_magnitudes(forms, hi + 1)
+        if t_gauge.kind == L2:
+            raw = total - beyond if total != INF and beyond != INF else INF
+            return raw, True
         if t_gauge.kind == L1 and total != INF and beyond != INF:
             return total - beyond, True
         return total, False  # sup over a superset: upper bound only
-    forms, start = spec
     exact = len(forms) <= 1  # single closed form: sup attained at the envelope
-    if t_gauge.kind == L2:
-        return t_gauge.squared_of_magnitudes(forms, start), exact
     return t_gauge.of_magnitudes(forms, start), exact
 
 
@@ -406,10 +318,10 @@ def operator_gauge_bound(op, gauge):
     if op.kind == "zero":
         return Fraction(0)
     if op.kind == "diagonal":
-        return form_sup_bound(op.form.abs_form(), 0)
+        return op.form.abs_form().sup_from(0)
     total = Fraction(0)
     for _off, form in op.bands:
-        b = form_sup_bound(form.abs_form(), 0)
+        b = form.abs_form().sup_from(0)
         if b == INF:
             return INF
         total += b
@@ -512,9 +424,6 @@ def local_approx_property_check(s, t_gauge, tolerance, rank_budget=128):
                 required = n + 1
                 break
         raise RankBudgetError(rank_budget, required)
-    scale = t_gauge.finalize(
-        t_gauge.squared_of_magnitudes([s.envelope.abs_form()], 0)
-        if t_gauge.kind == L2
-        else t_gauge.of_magnitudes([s.envelope.abs_form()], 0))
+    scale = t_gauge.finalize(t_gauge.of_magnitudes([s.envelope.abs_form()], 0))
     return ApproxPropertyReport(rank, tuple(t_gauge.finalize(r) for r in raws),
                                 scale, float(tol))

@@ -17,6 +17,8 @@ from fractions import Fraction
 
 from .closedforms import (
     INF,
+    SUP,
+    CoordForm,
     Envelope,
     EnvTerm,
     EpsForm,
@@ -28,7 +30,6 @@ from .closedforms import (
 from .errors import NotDecided, UnboundedMap
 
 SUM = "sum"
-SUP = "sup"
 
 _SCAN_CAP = 512
 
@@ -143,10 +144,7 @@ class SeqVector:
         if u == 0:
             raise ValueError("diagonal ratio must be nonzero")
         pref = {k: c * u**k * v for k, v in self.prefix.items()}
-        if abs(u) == 1:
-            tails = tuple((c * a, s * u) for a, s in self.tails)
-        else:
-            tails = tuple((c * a, s * u) for a, s in self.tails)
+        tails = tuple((c * a, s * u) for a, s in self.tails)
         return SeqVector(pref, tails, self.tail_start)
 
     def coordinate_sum(self):
@@ -162,12 +160,6 @@ class SeqVector:
     @property
     def finitely_supported(self):
         return not self.tails
-
-    def support_bound(self):
-        """Exclusive upper bound of the support for finitely supported vectors."""
-        if self.tails:
-            return None
-        return max(self.prefix, default=-1) + 1
 
     def __eq__(self, other):
         if not isinstance(other, SeqVector):
@@ -253,16 +245,6 @@ def _sign_stable_index(alphas):
             raise NotDecided("sign stabilization scan exceeded its cap")
 
 
-def _shifted_poly_sum(power, shift0, stride, y, start):
-    """sum_{t >= start} (shift0 + stride t)^power y^t, exact, |y| < 1."""
-    total = Fraction(0)
-    for i in range(power + 1):
-        total += (math.comb(power, i) * Fraction(shift0) ** (power - i)
-                  * Fraction(stride) ** i
-                  * sum_shift_poly_geom(i, 0, y, start))
-    return total
-
-
 def gauge_value(disk, x):
     """Exact gauge of a SeqVector; a Fraction, or math.inf."""
     w = disk.weight
@@ -283,8 +265,8 @@ def gauge_value(disk, x):
             for rho, alpha in alphas:
                 y_i = w.base**stride * rho
                 total += (sign * alpha * w.coeff * w.base**offset
-                          * _shifted_poly_sum(w.power, offset + 1, stride,
-                                              y_i, t_star))
+                          * sum_shift_poly_geom(w.power, offset + 1, y_i,
+                                                t_star, stride))
         return total / disk.scale
 
     best = Fraction(0)
@@ -516,12 +498,6 @@ class SequenceModel:
                 acc = acc.add(t.vector.scale(t.coeff))
         return acc
 
-    def has_growing_terms(self):
-        return any(t.ratio == 1 and t.power > 0 and not t.vector.is_zero
-                   for t in self.geo_terms) or any(
-            abs(t.ratio) > 1 and not t.vector.is_zero
-            for t in self.window_terms)
-
     def deviation_envelope(self, disk):
         """(Envelope E, valid_from): gauge(x_n - limit) <= E(n) for n >= valid_from."""
         terms = []
@@ -594,22 +570,11 @@ def absorption_constant(target, source):
     b = wt.base / ws.base
     p = wt.power - ws.power
     if source.kind == SUP and target.kind == SUM:
-        # unit ball of the sup gauge spreads over all coordinates
-        if b >= 1:
-            return INF
-        q = max(p, 0)  # drop decaying factors: sound upper bound
-        return c * sum_shift_poly_geom(q, 1, b, 0)
+        # unit ball of the sup gauge spreads over all coordinates; dropping
+        # decaying polynomial factors keeps the bound sound
+        return CoordForm(c, b, max(p, 0)).tail_sum(0)
     # concentrated unit vectors dominate in the remaining pairings
-    if b > 1:
-        return INF
-    if b == 1:
-        if p > 0:
-            return INF
-        return c  # p <= 0: ratio maximal at k = 0
-    if p <= 0:
-        return c
-    sup, _ = geom_poly_sup(c, b, p, 0)
-    return sup
+    return CoordForm(c, b, p).sup_from(0)
 
 
 def directedness_check(space):
@@ -662,13 +627,9 @@ def _env_sup_from(env, n0):
         return INF
     total = Fraction(0)
     for t in env.terms:
-        if t.ratio >= 1:
-            if t.ratio > 1 or t.power > 0:
-                return INF
-            total += t.coeff
-            continue
-        sup, _ = geom_poly_sup(t.coeff * Fraction(max(t.shift, 1)) ** t.power,
-                               t.ratio, t.power, n0)
+        # (m + shift)^p <= shift^p (m + 1)^p for shift >= 1
+        sup = CoordForm(t.coeff * Fraction(max(t.shift, 1)) ** t.power,
+                        t.ratio, t.power).sup_from(n0)
         if sup == INF:
             return INF
         total += sup
@@ -841,8 +802,8 @@ def dominating_eps(envelope, valid_from, floor=Fraction(1, 2)):
         q = max(ratio_max, floor)
     amp = Fraction(0)
     for t in envelope.terms:
-        sup, _ = geom_poly_sup(t.coeff * Fraction(max(t.shift, 1)) ** t.power,
-                               t.ratio / q, t.power, 0)
+        sup = CoordForm(t.coeff * Fraction(max(t.shift, 1)) ** t.power,
+                        t.ratio / q, t.power).sup_from(0)
         if sup == INF:
             return None
         amp += sup
@@ -1150,7 +1111,7 @@ class Completion:
         self.ambient = ModelSpace(space.disks, space.horizon, True)
 
     def embed(self, v):
-        if not space_admits(self.space, v):
+        if not self.space.contains(v):
             raise ValueError("embed takes elements of the underlying space")
         return CompletionElement(SequenceModel.constant(v), 0,
                                  EpsForm.geometric(1, Fraction(1, 2)), self)
@@ -1184,10 +1145,6 @@ class Completion:
     def gauge_in_quotient(self, a, disk_index):
         """Limiting gauge of the representative closed form."""
         return gauge_value(self.space.disk(disk_index), a.limit_vector())
-
-
-def space_admits(space, v):
-    return space.contains(v)
 
 
 def _combine_eps(e1, e2):
@@ -1232,9 +1189,6 @@ class CoordinateMap:
         object.__setattr__(self, "coeff", _frac(self.coeff))
         object.__setattr__(self, "ratio", _frac(self.ratio))
 
-    def multiplier_magnitude(self, k):
-        return abs(self.coeff) * abs(self.ratio) ** k * Fraction(k + 1) ** self.power
-
 
 def coordinate_map_bound(f, source_disk, target_disk):
     """sup_k gauge_target(f e_k) / gauge_source(e_k), exactly or inf."""
@@ -1242,34 +1196,17 @@ def coordinate_map_bound(f, source_disk, target_disk):
     if f.kind == "summation":
         # target gauge of f(e_k) is |1| under the scalar gauge wt(0)
         c = wt.value(0) / target_disk.scale * source_disk.scale / ws.coeff
-        b = 1 / ws.base
-        p = -ws.power
-        if b > 1 or (b == 1 and p > 0):
-            return INF
-        return c  # decaying or constant ratio: maximum at k = 0
+        return CoordForm(c, 1 / ws.base, -ws.power).sup_from(0)
     if f.kind == "shift":
         # f(e_k) = e_{k-1} for k >= 1
         c = (wt.coeff / ws.coeff) * (source_disk.scale / target_disk.scale)
-        b = wt.base / ws.base
-        sup, _ = geom_poly_sup_signed(c / wt.base, b, wt.power - ws.power, 1)
-        return sup
+        return CoordForm(c / wt.base, wt.base / ws.base,
+                         wt.power - ws.power).sup_from(1)
     # diagonal
     c = (abs(f.coeff) * wt.coeff / ws.coeff
          * source_disk.scale / target_disk.scale)
-    b = abs(f.ratio) * wt.base / ws.base
-    p = f.power + wt.power - ws.power
-    sup, _ = geom_poly_sup_signed(c, b, p, 0)
-    return sup
-
-
-def geom_poly_sup_signed(c, b, p, start):
-    """sup_{k >= start} c b^k (k+1)^p allowing negative powers."""
-    if p >= 0:
-        return geom_poly_sup(c, b, p, start)
-    if b > 1:
-        return INF, False
-    # decaying polynomial factor and non-growing base: maximum at the start
-    return c * b**start * Fraction(start + 1) ** p, True
+    return CoordForm(c, abs(f.ratio) * wt.base / ws.base,
+                     f.power + wt.power - ws.power).sup_from(0)
 
 
 def apply_coordinate_map(f, v):

@@ -1,0 +1,110 @@
+"""The shared closed-form layer: CoordForm sups and tail sums, shifted
+series sums, and exact conversion of inputs, checked against brute-force
+windows."""
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from borno.closedforms import CoordForm, _frac, sum_shift_poly_geom
+
+INF = math.inf
+
+coeffs = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
+# 0 <= r <= 9/10: c r^k (k+1)^p with p <= 4 peaks below k = 40
+decaying = st.builds(lambda n, d: Fraction(n, d),
+                     st.integers(0, 9), st.integers(10, 12))
+growing = st.builds(lambda n, d: Fraction(n, d) + 1,
+                    st.integers(1, 5), st.integers(1, 5))
+starts = st.integers(0, 20)
+WINDOW = 200
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def window(form, start, length=WINDOW):
+    return [form.value(k) for k in range(start, start + length)]
+
+
+class TestSupFrom:
+    @SETTINGS
+    @given(c=coeffs, r=decaying, p=st.integers(0, 4), start=starts)
+    def test_matches_window_past_the_peak(self, c, r, p, start):
+        form = CoordForm(c, r, p)
+        assert form.sup_from(start) == max(window(form, start))
+
+    @SETTINGS
+    @given(c=coeffs, r=st.one_of(decaying, st.just(Fraction(1))),
+           p=st.integers(-4, -1), start=starts)
+    def test_negative_power_peaks_at_the_start(self, c, r, p, start):
+        form = CoordForm(c, r, p)
+        assert form.sup_from(start) == form.value(start)
+        assert form.value(start) == max(window(form, start))
+
+    @SETTINGS
+    @given(c=coeffs, r=growing, p=st.integers(-4, 4), start=starts)
+    def test_growing_ratio_is_unbounded(self, c, r, p, start):
+        assert CoordForm(c, r, p).sup_from(start) == INF
+        assert CoordForm(c, r, p).tail_sum(start) == INF
+
+    @SETTINGS
+    @given(c=coeffs, p=st.integers(1, 4), start=starts)
+    def test_unit_ratio_with_growing_power_is_unbounded(self, c, p, start):
+        assert CoordForm(c, 1, p).sup_from(start) == INF
+
+    def test_unit_ratio_constant_and_zero_form(self):
+        assert CoordForm(Fraction(3, 2)).sup_from(7) == Fraction(3, 2)
+        assert CoordForm(0, 2, 3).sup_from(0) == 0
+        assert CoordForm(0, 2, 3).tail_sum(0) == 0
+
+
+class TestTailSum:
+    @SETTINGS
+    @given(c=coeffs, r=decaying, p=st.integers(0, 4), start=starts,
+           n=st.integers(0, 30))
+    def test_exact_tail_identity(self, c, r, p, start, n):
+        form = CoordForm(c, r, p)
+        head = sum(window(form, start, n + 1), Fraction(0))
+        assert form.tail_sum(start) - head == form.tail_sum(start + n + 1)
+
+    @SETTINGS
+    @given(c=coeffs, p=st.integers(-1, 4), start=starts)
+    def test_unit_ratio_without_fast_decay_diverges(self, c, p, start):
+        assert CoordForm(c, 1, p).tail_sum(start) == INF
+
+    @SETTINGS
+    @given(c=coeffs, r=st.one_of(decaying, st.just(Fraction(1))),
+           p=st.integers(-4, -2), start=starts)
+    def test_negative_power_bound_dominates_the_window(self, c, r, p, start):
+        form = CoordForm(c, r, p)
+        assert form.tail_sum(start) >= sum(window(form, start), Fraction(0))
+
+
+class TestShiftedSums:
+    @SETTINGS
+    @given(p=st.integers(0, 4), shift=st.integers(0, 5),
+           y=st.builds(Fraction, st.integers(-9, 9), st.just(10)),
+           start=starts, n=st.integers(0, 30), stride=st.sampled_from([1, 2]))
+    def test_exact_tail_identity(self, p, shift, y, start, n, stride):
+        head = sum((Fraction(stride * t + shift) ** p * y**t
+                    for t in range(start, start + n + 1)), Fraction(0))
+        assert (sum_shift_poly_geom(p, shift, y, start, stride) - head
+                == sum_shift_poly_geom(p, shift, y, start + n + 1, stride))
+
+    def test_stride_two_closed_form(self):
+        # sum_{t>=0} (2t + 1) (1/4)^t = 2 (4/9) + 4/3 = 20/9
+        total = sum_shift_poly_geom(1, 1, Fraction(1, 4), 0, 2)
+        assert total == Fraction(20, 9)
+
+
+class TestExactInputs:
+    def test_floats_keep_their_binary_value(self):
+        assert _frac(1e-13) == Fraction(1e-13) != 0
+        assert _frac(1 / 3) == Fraction(1 / 3) != Fraction(1, 3)
+        assert _frac(0.5) == Fraction(1, 2)
+
+    def test_tiny_float_form_is_not_zero(self):
+        form = CoordForm(1e-13, 0.5)
+        assert form.coeff == Fraction(1e-13)
+        assert form.sup_from(0) == Fraction(1e-13)

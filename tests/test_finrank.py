@@ -78,6 +78,17 @@ class TestUniformConvergence:
         assert all(rates.rates[i + 1] <= rates.rates[i]
                    for i in range(len(rates.rates) - 1))
 
+    def test_tiny_float_box_keeps_its_exact_value(self):
+        # the box coordinates are 1e-13 * 2^-k, the float's own binary value
+        box = CompactSetModel(CoordForm(1e-13, 0.5))
+        fam = [OperatorModel.truncation(n) for n in range(3)]
+        rates, raws = uniform_convergence_on_set(fam, OperatorModel.identity(),
+                                                 box, SUP)
+        a = Fraction(1e-13)
+        assert raws == [a / 2, a / 4, a / 8]
+        assert rates.rates == tuple(float(r) for r in raws)
+        assert all(r > 0 for r in rates.rates) and rates.exact
+
     def test_banded_difference_bound(self):
         shift = OperatorModel.banded([(1, CoordForm(1))])
         rates, _ = uniform_convergence_on_set([shift], OperatorModel.zero(),

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from borno.closedforms import EpsForm, WeightForm, sum_shift_poly_geom
+from borno.closedforms import EnvTerm, EpsForm, WeightForm, sum_shift_poly_geom
 from borno.errors import UnboundedMap
 from borno.seqspace import (
     CoordinateMap,
@@ -14,6 +14,7 @@ from borno.seqspace import (
     SequenceModel,
     WindowTerm,
     absorption_constant,
+    apply_coordinate_map,
     cauchy_check,
     completeness_check,
     completion_construct,
@@ -22,6 +23,7 @@ from borno.seqspace import (
     extend_map_to_completion,
     gauge_value,
     metrizability_scalars,
+    pair_deviation_envelope,
     strengthened_series_check,
 )
 
@@ -147,6 +149,24 @@ class TestCauchyCheck:
         eps = EpsForm.geometric(4, HALF).sqrt()  # 2 * (1/sqrt2)^m
         assert cauchy_check(geometric_seq(), L1, 0, eps).holds
 
+    def test_polynomial_times_decaying_term(self):
+        # x_n = n^2 2^-n e_0 rises to 9/8 at n = 3; the pair envelope
+        # 2 (m+1)^2 2^-m is nonincreasing from m = 2, where (1/2)(4/3)^2 <= 1
+        x = SequenceModel(
+            geo_terms=(GeoTerm(1, HALF, SeqVector.unit(0, 1), 2),))
+        env, valid_from = pair_deviation_envelope(x, L1.disk(0))
+        assert env.terms == (EnvTerm(Fraction(2), HALF, 1, 2),)
+        assert valid_from == 2
+        rep = cauchy_check(x, L1, 0, EpsForm.geometric(8, Fraction(3, 4)))
+        assert rep.holds and rep.witness["certified_from"] == 7
+        for m in range(40):
+            for n in range(m + 1, 60):
+                g = gauge_value(L1.disk(0), x.at(n).subtract(x.at(m)))
+                assert g <= 8 * Fraction(3, 4) ** m
+        # |x_7 - x_2| = 1 - 49/128 exceeds 2 * 2^-2
+        tight = cauchy_check(x, L1, 0, EpsForm.geometric(2, HALF))
+        assert tight.violating_pair == (2, 7)
+
 
 class TestConvergenceCheck:
     def test_geometric_approach(self):
@@ -217,6 +237,21 @@ class TestMetrizability:
                                         EpsForm.geometric(1, Fraction(1, 4)))
         assert out["verdict"] == "bounded"
         assert out["bound"] == Fraction(1, 3)
+
+    def test_strengthened_series_root_tower_exact(self):
+        # sqrt(9 * 9^-n) = 3 * 3^-n; bisection lands on 3 and 1/3 exactly,
+        # so the bound is sum_{n>=1} 3^(1-n) = 3/2
+        eps = EpsForm.geometric(9, Fraction(1, 9)).sqrt()
+        out = strengthened_series_check(L1, 0, eps)
+        assert out["verdict"] == "bounded"
+        assert out["bound"] == Fraction(3, 2)
+
+    def test_strengthened_series_root_tower_upper(self):
+        # sqrt(4^-n) = 2^-n sums to 1; the rational root is 1/2 + 2^-21
+        eps = EpsForm.geometric(1, Fraction(1, 4)).sqrt()
+        out = strengthened_series_check(L1, 0, eps)
+        assert out["bound"] == Fraction(2**20 + 1, 2**20 - 1)
+        assert 1 < out["bound"] < 1 + Fraction(1, 10**5)
 
     def test_strengthened_series_fails_for_constant_eps(self):
         # sup-gauge with growing weights against a non-decaying eps: the
@@ -333,6 +368,20 @@ class TestMapExtension:
         ext = extend_map_to_completion(CoordinateMap("summation"), self.comp)
         image = ext(self.comp, a)
         assert image.limit_vector().value(0) == 2
+
+    def test_diagonal_on_a_vector_with_tails(self):
+        # (f v)_k = 3 3^-k v_k: the prefix scales by 3 and the tail 2^-k
+        # becomes 3 * 6^-k
+        v = SeqVector({0: 1}, ((1, HALF),), 1)
+        third = CoordinateMap("diagonal", 3, Fraction(1, 3))
+        image = apply_coordinate_map(third, v)
+        assert image.prefix == {0: 3}
+        assert image.tails == ((3, Fraction(1, 6)),) and image.tail_start == 1
+        assert image.value(2) == Fraction(1, 12)
+        flip = apply_coordinate_map(CoordinateMap("diagonal", 2, -1),
+                                    SeqVector.geometric(1, HALF))
+        assert flip.tails == ((2, -HALF),)
+        assert flip.value(3) == Fraction(-1, 4)
 
     def test_null_maps_to_null(self):
         null = SequenceModel(geo_terms=(
