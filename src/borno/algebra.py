@@ -4,12 +4,17 @@ function algebras, plus disks and their gauge semi-norms.
 All values are complex, all containers immutable after construction, all
 operations pure.  Norm kinds: ``op2`` (largest singular value) and ``maxrow``
 (maximum absolute row sum).  Both are submultiplicative.
+
+An element is one complex coordinate vector.  Its descriptor's ``runs`` cut
+that vector into stacks of equal matrix blocks, and products, norms and
+spectral radii act on whole stacks at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,9 +47,6 @@ class GridSpec:
         if len(self.distances) != n or any(len(r) != n for r in self.distances):
             raise ValueError("distance table shape does not match point list")
 
-    def distance(self, i, j):
-        return self.distances[i][j]
-
     @staticmethod
     def from_points(points, metric):
         pts = tuple(points)
@@ -75,8 +77,27 @@ class GridSpec:
         return GridSpec.from_points(pts, lambda a, b: abs(a - b))
 
 
+class _Layout:
+    """Block layout of the descriptors below, computed once per descriptor."""
+
+    @cached_property
+    def runs(self):
+        """``(start, stop, count, dim, norm_kind)`` per run of consecutive
+        equal matrix blocks in :func:`vec` order.  Coordinates ``start:stop``
+        reshape to a ``(count, dim, dim)`` stack."""
+        runs, start = [], 0
+        for dim, kind in _blocks(self):
+            stop = start + dim * dim
+            if runs and runs[-1][3:] == (dim, kind):
+                runs[-1] = (runs[-1][0], stop, runs[-1][2] + 1, dim, kind)
+            else:
+                runs.append((start, stop, 1, dim, kind))
+            start = stop
+        return tuple(runs)
+
+
 @dataclass(frozen=True)
-class MatrixAlgebra:
+class MatrixAlgebra(_Layout):
     dim: int
     norm_kind: str = OP2
 
@@ -91,7 +112,7 @@ class MatrixAlgebra:
 
 
 @dataclass(frozen=True)
-class DirectSum:
+class DirectSum(_Layout):
     summands: tuple
 
     def __post_init__(self):
@@ -103,7 +124,7 @@ class DirectSum:
 
 
 @dataclass(frozen=True)
-class GridFunctionAlgebra:
+class GridFunctionAlgebra(_Layout):
     grid: GridSpec
     fiber: object
 
@@ -113,77 +134,101 @@ class GridFunctionAlgebra:
 
 def linear_dim(desc):
     """Complex coordinate dimension of an algebra descriptor."""
-    if isinstance(desc, MatrixAlgebra):
-        return desc.dim * desc.dim
+    if not isinstance(desc, _Layout):
+        raise TypeError(f"not a descriptor: {desc!r}")
+    return desc.runs[-1][1]
+
+
+def components(desc):
+    """The descriptors a direct sum or a grid algebra is built from, in
+    :func:`vec` order."""
     if isinstance(desc, DirectSum):
-        return sum(linear_dim(s) for s in desc.summands)
+        return desc.summands
     if isinstance(desc, GridFunctionAlgebra):
-        return len(desc.grid.points) * linear_dim(desc.fiber)
+        return (desc.fiber,) * len(desc.grid.points)
     raise TypeError(f"not a descriptor: {desc!r}")
+
+
+def _blocks(desc):
+    """``(dim, norm_kind)`` of each matrix block, in :func:`vec` order."""
+    if isinstance(desc, MatrixAlgebra):
+        return [(desc.dim, desc.norm_kind)]
+    return [block for sub in components(desc) for block in _blocks(sub)]
 
 
 # ---------------------------------------------------------------------------
 # elements
 # ---------------------------------------------------------------------------
 
+def _coords(desc, data, context="element"):
+    """Coordinates in :func:`vec` order of ``data``: an element of ``desc``,
+    the ``(d, d)`` matrix of a :class:`MatrixAlgebra` element, or one such
+    item per component of a :class:`DirectSum` / :class:`GridFunctionAlgebra`.
+    """
+    if isinstance(data, AlgebraElement):
+        if data.descriptor != desc:
+            raise DescriptorMismatch(data.descriptor, desc, context)
+        return data.coords
+    if isinstance(desc, MatrixAlgebra):
+        mat = np.asarray(data, dtype=np.complex128)
+        if mat.shape != (desc.dim, desc.dim):
+            raise ValueError(f"data shape {mat.shape} does not match {desc}")
+        return mat.reshape(-1)
+    parts, items = components(desc), tuple(data)
+    if len(items) != len(parts):
+        raise ValueError(f"{desc}: arity mismatch")
+    return np.concatenate([_coords(sub, item, f"{desc} component")
+                           for sub, item in zip(parts, items)])
+
+
 class AlgebraElement:
     """A concrete element of a model algebra.
 
-    ``data`` is a complex matrix for :class:`MatrixAlgebra` and a tuple of
-    child elements for :class:`DirectSum` / :class:`GridFunctionAlgebra`.
+    ``coords`` is the element's read-only complex coordinate vector, in the
+    order of :func:`vec`.  The constructor copies either ``coords`` or the
+    ``data`` that :func:`_coords` reads.
     """
 
-    __slots__ = ("descriptor", "data")
+    __slots__ = ("descriptor", "coords")
 
-    def __init__(self, descriptor, data):
-        if isinstance(descriptor, MatrixAlgebra):
-            mat = np.array(data, dtype=np.complex128, order="C")
-            if mat.shape != (descriptor.dim, descriptor.dim):
-                raise ValueError(
-                    f"data shape {mat.shape} does not match {descriptor}"
-                )
-            if not np.all(np.isfinite(mat)):
-                raise ValueError("non-finite entry in algebra element")
-            mat.flags.writeable = False
-            object.__setattr__(self, "data", mat)
-        elif isinstance(descriptor, DirectSum):
-            children = tuple(data)
-            if len(children) != len(descriptor.summands):
-                raise ValueError("direct-sum arity mismatch")
-            for child, sub in zip(children, descriptor.summands):
-                if child.descriptor != sub:
-                    raise DescriptorMismatch(child.descriptor, sub, "direct-sum slot")
-            object.__setattr__(self, "data", children)
-        elif isinstance(descriptor, GridFunctionAlgebra):
-            children = tuple(data)
-            if len(children) != len(descriptor.grid.points):
-                raise ValueError("grid arity mismatch")
-            for child in children:
-                if child.descriptor != descriptor.fiber:
-                    raise DescriptorMismatch(child.descriptor, descriptor.fiber, "grid fiber")
-            object.__setattr__(self, "data", children)
-        else:
-            raise TypeError(f"not a descriptor: {descriptor!r}")
+    def __init__(self, descriptor, data=None, *, coords=None):
+        coords = np.array(_coords(descriptor, data) if coords is None else coords,
+                          dtype=np.complex128)
+        if coords.shape != (linear_dim(descriptor),):
+            raise ValueError("coordinate vector has wrong length")
+        if not np.isfinite(coords).all():
+            raise ValueError("non-finite entry in algebra element")
+        coords.flags.writeable = False
+        object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "descriptor", descriptor)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
 
+    @property
+    def data(self):
+        """The ``(d, d)`` matrix of a :class:`MatrixAlgebra` element; other
+        elements have none, as their descriptors have no ``dim``."""
+        dim = self.descriptor.dim
+        return self.coords.reshape(dim, dim)
+
     def __repr__(self):
-        return f"AlgebraElement({self.descriptor}, {self.data!r})"
+        return f"AlgebraElement({self.descriptor}, coords={self.coords!r})"
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        if self.descriptor != other.descriptor:
-            return False
-        if isinstance(self.descriptor, MatrixAlgebra):
-            return bool(np.array_equal(self.data, other.data))
-        return self.data == other.data
+        return (self.descriptor == other.descriptor
+                and bool(np.array_equal(self.coords, other.coords)))
 
     def __hash__(self):
-        return hash((self.descriptor, self.data.tobytes()
-                     if isinstance(self.descriptor, MatrixAlgebra) else self.data))
+        return hash((self.descriptor, self.coords.tobytes()))
+
+
+def _stacks(desc, coords):
+    """``(stack, norm_kind)`` per block run, as ``(count, dim, dim)`` views."""
+    return [(coords[start:stop].reshape(count, dim, dim), kind)
+            for start, stop, count, dim, kind in desc.runs]
 
 
 def matrix_element(data, norm_kind=OP2):
@@ -195,36 +240,18 @@ def scalar_element(value, norm_kind=OP2):
     return matrix_element([[value]], norm_kind)
 
 
-def grid_element(descriptor, values):
-    """Build a grid-algebra element from per-point fiber data."""
-    fiber = descriptor.fiber
-    children = []
-    for v in values:
-        if isinstance(v, AlgebraElement):
-            children.append(v)
-        else:
-            children.append(AlgebraElement(fiber, v))
-    return AlgebraElement(descriptor, children)
+grid_element = AlgebraElement  # from per-point fiber data or elements
 
 
 def zero(descriptor):
-    if isinstance(descriptor, MatrixAlgebra):
-        return AlgebraElement(descriptor, np.zeros((descriptor.dim, descriptor.dim)))
-    if isinstance(descriptor, DirectSum):
-        return AlgebraElement(descriptor, tuple(zero(s) for s in descriptor.summands))
-    return AlgebraElement(
-        descriptor, tuple(zero(descriptor.fiber) for _ in descriptor.grid.points)
-    )
+    return AlgebraElement(descriptor, coords=np.zeros(linear_dim(descriptor)))
 
 
 def identity(descriptor):
-    if isinstance(descriptor, MatrixAlgebra):
-        return AlgebraElement(descriptor, np.eye(descriptor.dim))
-    if isinstance(descriptor, DirectSum):
-        return AlgebraElement(descriptor, tuple(identity(s) for s in descriptor.summands))
-    return AlgebraElement(
-        descriptor, tuple(identity(descriptor.fiber) for _ in descriptor.grid.points)
-    )
+    coords = np.zeros(linear_dim(descriptor))
+    for stack, _kind in _stacks(descriptor, coords):
+        stack[:] = np.eye(stack.shape[-1])
+    return AlgebraElement(descriptor, coords=coords)
 
 
 def _check_same(a, b, context):
@@ -232,51 +259,42 @@ def _check_same(a, b, context):
         raise DescriptorMismatch(a.descriptor, b.descriptor, context)
 
 
-def _matmul_stable(a, b):
-    """Matrix product with a size-stable accumulation order.
+def _matmul_stable(a, b, out):
+    """Add the matrix products of the stacks ``a`` and ``b`` into ``out``.
 
     Sequential rank-one updates over the inner index: zero-padded corners
     then reproduce the unpadded product bit for bit, which BLAS kernels
-    (whose fused accumulation depends on the matrix size) do not guarantee.
+    (whose fused accumulation depends on the matrix size) do not guarantee,
+    and each matrix of a stack gets the bits it gets on its own.
     """
-    out = np.zeros_like(a)
-    for k in range(a.shape[0]):
-        out += a[:, k, None] * b[None, k, :]
-    return out
+    for k in range(a.shape[-1]):
+        out += a[..., :, k, None] * b[..., None, k, :]
 
 
 def multiply(a, b):
     """Algebra product: block matrix product, pointwise on grids."""
     _check_same(a, b, "multiply")
-    if isinstance(a.descriptor, MatrixAlgebra):
-        return AlgebraElement(a.descriptor, _matmul_stable(a.data, b.data))
-    return AlgebraElement(
-        a.descriptor, tuple(multiply(x, y) for x, y in zip(a.data, b.data))
-    )
+    desc = a.descriptor
+    out = np.zeros_like(a.coords)
+    for (x, _), (y, _), (z, _) in zip(_stacks(desc, a.coords),
+                                      _stacks(desc, b.coords),
+                                      _stacks(desc, out)):
+        _matmul_stable(x, y, z)
+    return AlgebraElement(desc, coords=out)
 
 
 def add(a, b):
     _check_same(a, b, "add")
-    if isinstance(a.descriptor, MatrixAlgebra):
-        return AlgebraElement(a.descriptor, a.data + b.data)
-    return AlgebraElement(
-        a.descriptor, tuple(add(x, y) for x, y in zip(a.data, b.data))
-    )
+    return AlgebraElement(a.descriptor, coords=a.coords + b.coords)
 
 
 def subtract(a, b):
     _check_same(a, b, "subtract")
-    if isinstance(a.descriptor, MatrixAlgebra):
-        return AlgebraElement(a.descriptor, a.data - b.data)
-    return AlgebraElement(
-        a.descriptor, tuple(subtract(x, y) for x, y in zip(a.data, b.data))
-    )
+    return AlgebraElement(a.descriptor, coords=a.coords - b.coords)
 
 
 def scale(c, a):
-    if isinstance(a.descriptor, MatrixAlgebra):
-        return AlgebraElement(a.descriptor, c * a.data)
-    return AlgebraElement(a.descriptor, tuple(scale(c, x) for x in a.data))
+    return AlgebraElement(a.descriptor, coords=c * a.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +307,6 @@ def _power_iteration_bracket(mat, max_iter=2000, tol=NORM_TOL):
     Returns (estimate, converged, bracket).
     """
     n = mat.shape[0]
-    if n == 0:
-        return 0.0, True, (0.0, 0.0)
     upper = float(np.linalg.norm(mat, "fro"))
     if upper == 0.0:
         return 0.0, True, (0.0, 0.0)
@@ -313,6 +329,7 @@ def _power_iteration_bracket(mat, max_iter=2000, tol=NORM_TOL):
 
 
 def _op2_norm(mat):
+    """Largest singular value of one matrix, residual-checked."""
     try:
         u, s, vh = np.linalg.svd(mat)
     except np.linalg.LinAlgError:
@@ -320,7 +337,7 @@ def _op2_norm(mat):
         if ok:
             return est
         raise NumericalFailure("operator-2-norm iteration did not converge", bracket)
-    sigma = float(s[0]) if s.size else 0.0
+    sigma = float(s[0])
     if sigma == 0.0:
         return 0.0
     # residual certificate for the leading singular triple
@@ -334,14 +351,42 @@ def _op2_norm(mat):
     return sigma
 
 
+def _op2_norm_max(stack):
+    """max of :func:`_op2_norm` over a ``(count, d, d)`` stack.
+
+    One batched SVD gives each matrix the bits of its own SVD.  The batched
+    residuals differ from :func:`_op2_norm`'s by rounding only, so a matrix
+    whose residual is below half the limit passes its check too.  Any other
+    matrix, a lone matrix and the matrices of a stack whose SVD fails go
+    through :func:`_op2_norm` itself.
+    """
+    if len(stack) == 1:
+        return _op2_norm(stack[0])
+    try:
+        u, s, vh = np.linalg.svd(stack)
+    except np.linalg.LinAlgError:
+        return max(_op2_norm(mat) for mat in stack)
+    sigma, left, right = s[:, 0], u[:, :, 0], vh[:, 0, :].conj()
+    r1 = np.linalg.norm(np.einsum("nij,nj->ni", stack, right)
+                        - sigma[:, None] * left, axis=1)
+    r2 = np.linalg.norm(np.einsum("nji,nj->ni", stack.conj(), left)
+                        - sigma[:, None] * right, axis=1)
+    limit = NORM_TOL * sigma + 1e-13 * np.linalg.norm(stack, axis=(1, 2))
+    clear = (sigma == 0.0) | (np.maximum(r1, r2) <= limit / 2)
+    return max(float(sig) if ok else _op2_norm(mat)
+               for mat, sig, ok in zip(stack, sigma, clear))
+
+
 def norm(a):
-    """Algebra norm of an element; submultiplicative for both norm kinds."""
-    desc = a.descriptor
-    if isinstance(desc, MatrixAlgebra):
-        if desc.norm_kind == MAXROW:
-            return float(np.max(np.sum(np.abs(a.data), axis=1)))
-        return _op2_norm(a.data)
-    return max(norm(x) for x in a.data)
+    """Algebra norm of an element; submultiplicative for both norm kinds.
+
+    The maximum over blocks, so over grid points and summands.
+    """
+    best = 0.0
+    for stack, kind in _stacks(a.descriptor, a.coords):
+        best = max(best, _op2_norm_max(stack) if kind == OP2
+                   else float(np.max(np.sum(np.abs(stack), axis=2))))
+    return best
 
 
 def _gelfand_bracket(mat, kind, kmax=64):
@@ -359,17 +404,25 @@ def _gelfand_bracket(mat, kind, kmax=64):
     return (0.0, best_upper)
 
 
+def _eig_radius(stack, kind):
+    """Largest eigenvalue modulus over a stack.  A batched ``eigvals`` gives
+    each matrix the bits of its own; a failing stack is redone matrix by
+    matrix, and a failing matrix raises with its Gelfand bracket."""
+    try:
+        return float(np.max(np.abs(np.linalg.eigvals(stack))))
+    except np.linalg.LinAlgError:
+        if len(stack) > 1:
+            return max(_eig_radius(mat[None], kind) for mat in stack)
+        raise NumericalFailure("eigenvalue iteration failed",
+                               _gelfand_bracket(stack[0], kind))
+
+
 def spectral_radius_single(a):
     """Classical spectral radius: maximum eigenvalue modulus, blockwise max."""
-    desc = a.descriptor
-    if isinstance(desc, MatrixAlgebra):
-        try:
-            eigs = np.linalg.eigvals(a.data)
-        except np.linalg.LinAlgError:
-            bracket = _gelfand_bracket(a.data, desc.norm_kind)
-            raise NumericalFailure("eigenvalue iteration failed", bracket)
-        return float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    return max(spectral_radius_single(x) for x in a.data)
+    best = 0.0
+    for stack, kind in _stacks(a.descriptor, a.coords):
+        best = max(best, _eig_radius(stack, kind))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -377,35 +430,18 @@ def spectral_radius_single(a):
 # ---------------------------------------------------------------------------
 
 def vec(a):
-    """Flatten an element to a complex coordinate vector (row-major, in order)."""
-    if isinstance(a.descriptor, MatrixAlgebra):
-        return a.data.reshape(-1).copy()
-    return np.concatenate([vec(x) for x in a.data])
+    """The element's read-only complex coordinate vector (row-major blocks)."""
+    return a.coords
 
 
 def unvec(descriptor, coords):
     """Inverse of :func:`vec`."""
-    coords = np.asarray(coords, dtype=np.complex128)
-    if coords.shape != (linear_dim(descriptor),):
-        raise ValueError("coordinate vector has wrong length")
-    if isinstance(descriptor, MatrixAlgebra):
-        return AlgebraElement(descriptor, coords.reshape(descriptor.dim, descriptor.dim))
-    children = []
-    offset = 0
-    subs = (descriptor.summands if isinstance(descriptor, DirectSum)
-            else [descriptor.fiber] * len(descriptor.grid.points))
-    for sub in subs:
-        d = linear_dim(sub)
-        children.append(unvec(sub, coords[offset:offset + d]))
-        offset += d
-    return AlgebraElement(descriptor, tuple(children))
+    return AlgebraElement(descriptor, coords=coords)
 
 
 def basis(descriptor):
     """Canonical coordinate basis as elements, ordered consistently with vec()."""
-    d = linear_dim(descriptor)
-    eye = np.eye(d, dtype=np.complex128)
-    return [unvec(descriptor, eye[k]) for k in range(d)]
+    return [unvec(descriptor, row) for row in np.eye(linear_dim(descriptor))]
 
 
 # ---------------------------------------------------------------------------
@@ -569,17 +605,6 @@ def gauge(disk, x):
     return _hull_gauge_groups(groups, x)
 
 
-def disk_descriptor(disk):
-    """Descriptor a hull-backed disk lives in, or None for pure norm balls."""
-    if isinstance(disk, FiniteHull):
-        return disk.generators[0].descriptor
-    if isinstance(disk, Scaled):
-        return disk_descriptor(disk.inner)
-    if isinstance(disk, SumDisk):
-        return disk_descriptor(disk.left) or disk_descriptor(disk.right)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # bounded sets
 # ---------------------------------------------------------------------------
@@ -622,4 +647,7 @@ class BoundedSet:
 
 
 def bounded_set(elements, interpretation=FINITE_SET):
+    """A BoundedSet of ``elements``; a BoundedSet is returned as it is."""
+    if isinstance(elements, BoundedSet):
+        return elements
     return BoundedSet(tuple(elements), interpretation)

@@ -25,6 +25,7 @@ from .algebra import (
     multiply,
     norm,
     subtract,
+    vec,
 )
 from .errors import DescriptorMismatch
 from .jsr import jsr_estimate
@@ -53,8 +54,7 @@ class CurvatureSet:
 
 
 def curvature(g, s):
-    if not isinstance(s, BoundedSet):
-        s = bounded_set(s)
+    s = bounded_set(s)
     if s.descriptor != g.source:
         raise DescriptorMismatch(s.descriptor, g.source, "curvature set")
     gens = s.generators
@@ -112,8 +112,7 @@ def sigma_approximation_check(f, sigmas, s, t_disk, threshold=1e-2,
     When a Lipschitz ``modulus`` is declared for the family, the classical
     smoothing bound eps_n <= modulus * pi / (n + 1) is verified as well.
     """
-    if not isinstance(s, BoundedSet):
-        s = bounded_set(s)
+    s = bounded_set(s)
     rates = []
     for sigma in sigmas:
         approx = f.compose(sigma)
@@ -229,7 +228,7 @@ def _segment_bound(coeffs, scalar, a, b, anchor_norms):
     """
     if scalar:
         return max(
-            _scalar_quadratic_sup(c0.data[0, 0], c1.data[0, 0], c2.data[0, 0], a, b)
+            _scalar_quadratic_sup(vec(c0)[0], vec(c1)[0], vec(c2)[0], a, b)
             for c0, c1, c2 in coeffs
         )
     bound = 0.0
@@ -252,8 +251,7 @@ def linear_homotopy_certificate(h0, h1, s, t_points=None, depth=6,
     """
     if (h0.source, h0.target) != (h1.source, h1.target):
         raise DescriptorMismatch(h0.source, h1.source, "homotopy endpoints")
-    if not isinstance(s, BoundedSet):
-        s = bounded_set(s)
+    s = bounded_set(s)
     grid = tuple(t_points) if t_points is not None else chebyshev_grid()
     coeffs = _homotopy_coefficients(h0, h1, s)
     scalar = algebra.linear_dim(h0.target) == 1
@@ -303,8 +301,7 @@ def apple_certificate(f, sigmas, h, s, t_disk=None, depth=6, t_points=None,
     verdict asserts the hypotheses were verified at desk scale, never the
     infinitary conclusion itself.
     """
-    if not isinstance(s, BoundedSet):
-        s = bounded_set(s)
+    s = bounded_set(s)
     iso = isoradial_certificate(f, sampler or SamplerConfig(), depth=depth, tol=tol)
 
     h_mult = is_approximately_multiplicative(h, s, depth)

@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .algebra import bounded_set, matrix_element
+from .algebra import bounded_set, identity, matrix_element
 from .approx_mult import apple_certificate
 from .closedforms import EpsForm, WeightForm
 from .errors import (
@@ -44,6 +44,7 @@ from .jsr import jsr_estimate, submultiplicative_hull
 from .maps import Homomorphism
 from .seqspace import (
     DiskForm,
+    SeqVector,
     SequenceModel,
     cauchy_check,
     completeness_check,
@@ -163,11 +164,7 @@ def _run_apple(payload, cfg):
         hom = fixture.map
         sigmas = list(fixture.sigmas)
         h = Homomorphism.identity(hom.target)
-        if fixture.family:
-            family = bounded_set(fixture.family)
-        else:
-            from .algebra import identity as algebra_identity
-            family = bounded_set([algebra_identity(hom.target)])
+        family = bounded_set(fixture.family or [identity(hom.target)])
     else:
         hom = map_from_json(serialize._req(payload, "map", "apple payload"))
         sigmas = [map_from_json(m, homomorphism=False, context="sigma")
@@ -307,9 +304,8 @@ def builtin_instances():
     golden = bounded_set([matrix_element([[1, 1], [0, 1]]),
                           matrix_element([[1, 0], [1, 1]])])
     nilpotent = bounded_set([matrix_element([[0, 1], [0, 0]])])
-    geo_seq = SequenceModel.geometric_multiple(
-        __import__("borno.seqspace", fromlist=["SeqVector"])
-        .SeqVector.unit(1, 1), 1, Fraction(1, 2))
+    geo_seq = SequenceModel.geometric_multiple(SeqVector.unit(1, 1), 1,
+                                               Fraction(1, 2))
     instances = {
         "golden-pair": {
             "command": "jsr",

@@ -103,6 +103,8 @@ def precompactness_check(s, gauge):
     """Envelope summability surrogate: the box is gauge-compact."""
     a = s.envelope.abs_form()
     prod = gauge.weight_form() * a
+    if prod.coeff == 0:
+        return True  # the zero box, compact under every gauge
     if gauge.kind == L1:
         return prod.tail_sum(0) != INF
     if gauge.kind == L2:

@@ -19,10 +19,11 @@ from .algebra import (
     GridFunctionAlgebra,
     GridSpec,
     MatrixAlgebra,
-    AlgebraElement,
-    grid_element,
+    matrix_element,
+    unvec,
 )
 from .errors import SchemaError
+from .jsr import pad_to
 from .maps import Homomorphism, LinearMap
 
 SCALAR = MatrixAlgebra(1)
@@ -32,8 +33,7 @@ def scalar_grid_algebra(grid):
     return GridFunctionAlgebra(grid, SCALAR)
 
 
-def grid_function(desc, values):
-    return grid_element(desc, [[[v]] for v in values])
+grid_function = unvec  # a scalar grid's coordinates are its values
 
 
 # ---------------------------------------------------------------------------
@@ -43,36 +43,25 @@ def grid_function(desc, values):
 def pullback_map(source_desc, target_desc, point_map):
     """f(x)(t) = x(point_map(t)), as a 0/1 selection on coordinates."""
     m_t = len(target_desc.grid.points)
-    m_s = len(source_desc.grid.points)
-    action = np.zeros((m_t, m_s))
-    for t_idx in range(m_t):
-        action[t_idx, point_map(t_idx)] = 1.0
+    action = np.zeros((m_t, len(source_desc.grid.points)))
+    action[range(m_t), [point_map(t_idx) for t_idx in range(m_t)]] = 1.0
     return Homomorphism(source_desc, target_desc, action)
 
 
 def corner_embedding(k, n, norm_kind="op2"):
-    """M_k into the top-left corner of M_n."""
-    source = MatrixAlgebra(k, norm_kind)
-    target = MatrixAlgebra(n, norm_kind)
-
-    def embed(e):
-        out = np.zeros((n, n), dtype=np.complex128)
-        out[:k, :k] = e.data
-        return AlgebraElement(target, out)
-
-    return Homomorphism.from_callable(source, target, embed)
+    """M_k into the top-left corner of M_n, as a 0/1 selection on coordinates."""
+    action = np.zeros((n * n, k * k))
+    action[[i * n + j for i in range(k) for j in range(k)], range(k * k)] = 1.0
+    return Homomorphism(MatrixAlgebra(k, norm_kind), MatrixAlgebra(n, norm_kind),
+                        action)
 
 
 def corner_compression(n, k, norm_kind="op2"):
     """Compression of M_n onto its top-left M_k corner, padded back into M_n."""
     desc = MatrixAlgebra(n, norm_kind)
-
-    def compress(e):
-        out = np.zeros((n, n), dtype=np.complex128)
-        out[:k, :k] = e.data[:k, :k]
-        return AlgebraElement(desc, out)
-
-    return LinearMap.from_callable(desc, desc, compress)
+    corner = np.zeros((n, n))
+    corner[:k, :k] = 1.0
+    return LinearMap(desc, desc, np.diag(corner.reshape(-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +149,9 @@ def interval_restriction_fixture():
     """
     source = scalar_grid_algebra(GridSpec.interval(0.0, 2.0, 9))
     target = scalar_grid_algebra(GridSpec.interval(0.0, 1.0, 5))
-    m_s = len(source.grid.points)
-    m_t = len(target.grid.points)
-    action = np.zeros((m_t, m_s))
-    for t_idx, t in enumerate(target.grid.points):
-        s_idx = source.grid.points.index(t)
-        action[t_idx, s_idx] = 1.0
-    hom = Homomorphism(source, target, action)
+    points = source.grid.points  # every target point is a source point
+    hom = pullback_map(source, target,
+                       lambda t_idx: points.index(target.grid.points[t_idx]))
     return MapFixture(
         name="interval-restriction",
         map=hom,
@@ -223,11 +208,8 @@ def tower_compression_fixture(n=8, support=4, orders=range(1, 9),
     sigmas = tuple(corner_compression(n, k, norm_kind) for k in orders)
     rng = np.random.default_rng(0xB00C)
     block = rng.standard_normal((support, support))
-    mat = np.zeros((n, n), dtype=np.complex128)
-    mat[:support, :support] = block
-    corner_unit = np.zeros((n, n), dtype=np.complex128)
-    corner_unit[:support, :support] = np.eye(support)
-    family = (AlgebraElement(desc, mat), AlgebraElement(desc, corner_unit))
+    family = tuple(pad_to(matrix_element(m, norm_kind), n)
+                   for m in (block, np.eye(support)))
     return MapFixture(
         name="tower-compression",
         map=hom,

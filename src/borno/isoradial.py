@@ -106,11 +106,9 @@ def _random_element(desc, rng):
 def _ramp_element(desc):
     """A deterministic probe that separates unequal grid fibers."""
     if isinstance(desc, GridFunctionAlgebra):
-        children = []
-        for p in desc.grid.points:
-            coord = float(p if np.isscalar(p) else np.linalg.norm(p))
-            children.append(scale(coord, identity(desc.fiber)))
-        return AlgebraElement(desc, tuple(children))
+        ramp = [float(p if np.isscalar(p) else np.linalg.norm(p))
+                for p in desc.grid.points]
+        return unvec(desc, np.outer(ramp, vec(identity(desc.fiber))).ravel())
     if isinstance(desc, MatrixAlgebra):
         diag = np.diag(np.arange(1, desc.dim + 1, dtype=np.float64) / desc.dim)
         return AlgebraElement(desc, diag)

@@ -25,7 +25,6 @@ import numpy as np
 from .algebra import (
     RANK_TOL,
     AlgebraElement,
-    BoundedSet,
     FiniteHull,
     GridFunctionAlgebra,
     MatrixAlgebra,
@@ -35,6 +34,8 @@ from .algebra import (
     norm,
     scale,
     spectral_radius_single,
+    unvec,
+    vec,
     _hull_gauge_lp,
     _real_coords,
 )
@@ -120,8 +121,7 @@ def jsr_estimate(s, depth, gap_target=1e-3):
     all reductions are order-independent, so the result does not depend on
     how the work is scheduled.
     """
-    if not isinstance(s, BoundedSet):
-        s = bounded_set(s)
+    s = bounded_set(s)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not gap_target > 0:
@@ -207,8 +207,7 @@ def check_specrad_identities(s, c, n, depth, gap_target=1e-6):
     the identical estimate.  Raises InvariantViolation on any inconsistency,
     which would indicate a kernel bug rather than a property of the input.
     """
-    if not isinstance(s, BoundedSet):
-        s = bounded_set(s)
+    s = bounded_set(s)
     if n not in (2, 3):
         raise ValueError("power identity is checked for n in {2, 3}")
     base = jsr_estimate(s, depth, gap_target)
@@ -307,8 +306,7 @@ def submultiplicative_hull(s, r, max_products=512):
     closure defect is measured directly on all pairwise products of the final
     generators, so the certificate does not depend on the expansion strategy.
     """
-    if not isinstance(s, BoundedSet):
-        s = bounded_set(s)
+    s = bounded_set(s)
     if not r > 0:
         raise ValueError("scale r must be positive")
     scaled_gens = [scale(1.0 / r, g) for g in s.generators]
@@ -366,14 +364,14 @@ def jsr_grid_max(s, depth, gap_target=1e-3):
     The global interval must intersect [max lower, max upper] of the profile;
     this is the pointwise-max formula for spectral radii of function sets.
     """
-    if not isinstance(s, BoundedSet):
-        s = bounded_set(s)
+    s = bounded_set(s)
     desc = s.descriptor
     if not isinstance(desc, GridFunctionAlgebra):
         raise TypeError("jsr_grid_max requires a grid-function algebra")
+    fibers = [vec(g).reshape(len(desc.grid.points), -1) for g in s.generators]
     profile = []
     for i in range(len(desc.grid.points)):
-        fiber_set = bounded_set([g.data[i] for g in s.generators])
+        fiber_set = bounded_set([unvec(desc.fiber, f[i]) for f in fibers])
         profile.append(jsr_estimate(fiber_set, depth, gap_target))
     global_est = jsr_estimate(s, depth, gap_target)
     max_lower = max(p.lower for p in profile)
@@ -394,10 +392,8 @@ def jsr_grid_max(s, depth, gap_target=1e-3):
 
 def kronecker_bound_check(s_a, s_b, depth, gap_target=1e-3):
     """rho of the set of Kronecker products obeys rho(A (x) B) <= rho(A) rho(B)."""
-    if not isinstance(s_a, BoundedSet):
-        s_a = bounded_set(s_a)
-    if not isinstance(s_b, BoundedSet):
-        s_b = bounded_set(s_b)
+    s_a = bounded_set(s_a)
+    s_b = bounded_set(s_b)
     da, db = s_a.descriptor, s_b.descriptor
     if not (isinstance(da, MatrixAlgebra) and isinstance(db, MatrixAlgebra)):
         raise TypeError("kronecker_bound_check requires matrix algebras")

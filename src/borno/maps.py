@@ -75,18 +75,19 @@ class LinearMap:
         return LinearMap(source, target, np.zeros((linear_dim(target),
                                                    linear_dim(source))))
 
-    @staticmethod
-    def from_images(source, target, images):
-        """Map determined by the images of the canonical source basis."""
+    @classmethod
+    def from_images(cls, source, target, images, **kwargs):
+        """Map determined by the images of the canonical source basis;
+        ``kwargs`` go to the constructor, e.g. a homomorphism's tolerance."""
         cols = [vec(img) for img in images]
         if len(cols) != linear_dim(source):
             raise ValueError("need one image per source basis element")
-        return LinearMap(source, target, np.stack(cols, axis=1))
+        return cls(source, target, np.stack(cols, axis=1), **kwargs)
 
-    @staticmethod
-    def from_callable(source, target, fn):
-        return LinearMap.from_images(source, target,
-                                     [fn(e) for e in basis(source)])
+    @classmethod
+    def from_callable(cls, source, target, fn, **kwargs):
+        return cls.from_images(source, target, [fn(e) for e in basis(source)],
+                               **kwargs)
 
 
 def multiplicativity_defect(f):
@@ -131,17 +132,6 @@ class Homomorphism(LinearMap):
                 "construct a LinearMap instead"
             )
         object.__setattr__(self, "mult_defect", defect)
-
-    @staticmethod
-    def from_images(source, target, images, tolerance=HOM_DEFECT_TOL):
-        cols = [vec(img) for img in images]
-        return Homomorphism(source, target, np.stack(cols, axis=1), tolerance)
-
-    @staticmethod
-    def from_callable(source, target, fn, tolerance=HOM_DEFECT_TOL):
-        return Homomorphism.from_images(source, target,
-                                        [fn(e) for e in basis(source)],
-                                        tolerance)
 
     @staticmethod
     def identity(descriptor):

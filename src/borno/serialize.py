@@ -25,6 +25,9 @@ from .algebra import (
     NormBall,
     Scaled,
     SumDisk,
+    components,
+    linear_dim,
+    vec,
 )
 from .closedforms import EpsForm, WeightForm  # WeightForm re-exported for schema users
 from .errors import SchemaError
@@ -120,23 +123,29 @@ def _matrix_from_json(rows, context):
                      for row in rows], dtype=np.complex128)
 
 
+def _coords_to_json(desc, coords):
+    if isinstance(desc, MatrixAlgebra):
+        return _matrix_to_json(coords.reshape(desc.dim, desc.dim))
+    parts = components(desc)
+    cuts = np.cumsum([linear_dim(p) for p in parts])[:-1]
+    return [_coords_to_json(p, c) for p, c in zip(parts, np.split(coords, cuts))]
+
+
 def element_data_to_json(element):
-    if isinstance(element.descriptor, MatrixAlgebra):
-        return _matrix_to_json(element.data)
-    return [element_data_to_json(child) for child in element.data]
+    return _coords_to_json(element.descriptor, vec(element))
+
+
+def _data_from_json(desc, data, context):
+    if isinstance(desc, MatrixAlgebra):
+        return _matrix_from_json(data, context)
+    parts = components(desc)
+    if not isinstance(data, list) or len(data) != len(parts):
+        raise SchemaError(f"{context}: component count mismatch")
+    return [_data_from_json(s, d, context) for s, d in zip(parts, data)]
 
 
 def element_data_from_json(desc, data, context="element"):
-    if isinstance(desc, MatrixAlgebra):
-        return AlgebraElement(desc, _matrix_from_json(data, context))
-    if isinstance(desc, DirectSum):
-        subs = desc.summands
-    else:
-        subs = [desc.fiber] * len(desc.grid.points)
-    if not isinstance(data, list) or len(data) != len(subs):
-        raise SchemaError(f"{context}: component count mismatch")
-    return AlgebraElement(desc, tuple(
-        element_data_from_json(s, d, context) for s, d in zip(subs, data)))
+    return AlgebraElement(desc, _data_from_json(desc, data, context))
 
 
 def element_to_json(element):

@@ -63,7 +63,7 @@ class TestMultiply:
         f = grid_element(desc, [[[1.0]], [[2.0]], [[3.0]]])
         g = grid_element(desc, [[[4.0]], [[5.0]], [[6.0]]])
         prod = multiply(f, g)
-        assert [c.data[0, 0] for c in prod.data] == [4.0, 10.0, 18.0]
+        assert list(vec(prod)) == [4.0, 10.0, 18.0]
 
     def test_rejects_nonfinite_entries(self):
         with pytest.raises(ValueError):

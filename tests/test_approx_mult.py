@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from borno.algebra import (
+    DirectSum,
+    GridFunctionAlgebra,
+    GridSpec,
     MatrixAlgebra,
     NormBall,
     bounded_set,
@@ -163,6 +166,17 @@ class TestLinearHomotopy:
         cert3 = linear_homotopy_certificate(h0, h1, scaled)
         assert cert3.verdict == "fail"
         assert cert3.sup_bound == pytest.approx(2.25, abs=1e-6)
+
+    def test_every_one_dimensional_target_gets_the_scalar_bound(self):
+        # a 1-point grid over M1 and DirectSum((M1,)) are the scalars too
+        bounds = []
+        for desc in (SCALAR, GridFunctionAlgebra(GridSpec.circle(1), SCALAR),
+                     DirectSum((SCALAR,))):
+            cert = linear_homotopy_certificate(
+                LinearMap.identity(desc), LinearMap(desc, desc, [[0.5]]),
+                bounded_set([unvec(desc, [0.3])]))
+            bounds.append(cert.sup_bound)
+        assert bounds[0] == bounds[1] == bounds[2]
 
     @pytest.mark.parametrize("kappa", [0.3, 0.45, 0.8, 1.0, 1.7])
     def test_certified_sup_matches_closed_form(self, kappa):

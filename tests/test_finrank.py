@@ -36,6 +36,13 @@ class TestPrecompactness:
         assert not precompactness_check(box, L1)
         assert not precompactness_check(box, SUP)  # coordinates do not decay
 
+    def test_zero_box_is_compact_under_every_gauge(self):
+        box = CompactSetModel(CoordForm(0))
+        for gauge in (SUP, L1, L2):
+            assert precompactness_check(box, gauge)
+            assert local_approx_property_check(box, gauge,
+                                               Fraction(1, 100)).rank == 0
+
     def test_inverse_poly_box(self):
         box = CompactSetModel.inverse_poly(1, 2)
         assert precompactness_check(box, L1)
