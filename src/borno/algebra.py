@@ -222,12 +222,15 @@ class AlgebraElement:
                 and bool(np.array_equal(self.coords, other.coords)))
 
     def __hash__(self):
-        return hash((self.descriptor, self.coords.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which __eq__ already calls equal
+        return hash((self.descriptor, (self.coords + 0.0).tobytes()))
 
 
 def _stacks(desc, coords):
-    """``(stack, norm_kind)`` per block run, as ``(count, dim, dim)`` views."""
-    return [(coords[start:stop].reshape(count, dim, dim), kind)
+    """``(stack, norm_kind)`` per block run of ``(..., L)`` coordinates, as
+    ``(..., count, dim, dim)`` arrays; views of a single vector's runs."""
+    return [(coords[..., start:stop].reshape(coords.shape[:-1] + (count, dim, dim)),
+             kind)
             for start, stop, count, dim, kind in desc.runs]
 
 
@@ -271,16 +274,23 @@ def _matmul_stable(a, b, out):
         out += a[..., :, k, None] * b[..., None, k, :]
 
 
+def products(desc, a, b):
+    """Algebra products of coordinate rows: ``a`` and ``b`` are ``(..., L)``
+    arrays that broadcast together, and each product gets the bits
+    :func:`multiply` gives it alone."""
+    runs = []
+    for (x, _), (y, _) in zip(_stacks(desc, a), _stacks(desc, b)):
+        z = np.zeros(np.broadcast(x, y).shape, dtype=np.complex128)
+        _matmul_stable(x, y, z)
+        runs.append(z.reshape(z.shape[:-3] + (-1,)))
+    return runs[0] if len(runs) == 1 else np.concatenate(runs, axis=-1)
+
+
 def multiply(a, b):
     """Algebra product: block matrix product, pointwise on grids."""
     _check_same(a, b, "multiply")
-    desc = a.descriptor
-    out = np.zeros_like(a.coords)
-    for (x, _), (y, _), (z, _) in zip(_stacks(desc, a.coords),
-                                      _stacks(desc, b.coords),
-                                      _stacks(desc, out)):
-        _matmul_stable(x, y, z)
-    return AlgebraElement(desc, coords=out)
+    return AlgebraElement(a.descriptor,
+                          coords=products(a.descriptor, a.coords, b.coords))
 
 
 def add(a, b):
@@ -351,21 +361,23 @@ def _op2_norm(mat):
     return sigma
 
 
-def _op2_norm_max(stack):
-    """max of :func:`_op2_norm` over a ``(count, d, d)`` stack.
+def _matrix_norms(stack, kind):
+    """The ``kind`` norm of each matrix of a ``(count, d, d)`` stack.
 
-    One batched SVD gives each matrix the bits of its own SVD.  The batched
-    residuals differ from :func:`_op2_norm`'s by rounding only, so a matrix
-    whose residual is below half the limit passes its check too.  Any other
-    matrix, a lone matrix and the matrices of a stack whose SVD fails go
-    through :func:`_op2_norm` itself.
+    For ``op2``, one batched SVD gives each matrix the bits of its own SVD.
+    The batched residuals differ from :func:`_op2_norm`'s by rounding only,
+    so a matrix whose residual is below half the limit passes its check too.
+    Any other matrix, a lone matrix and the matrices of a stack whose SVD
+    fails go through :func:`_op2_norm` itself.
     """
+    if kind == MAXROW:
+        return np.max(np.sum(np.abs(stack), axis=2), axis=1)
     if len(stack) == 1:
-        return _op2_norm(stack[0])
+        return np.array([_op2_norm(stack[0])])
     try:
         u, s, vh = np.linalg.svd(stack)
     except np.linalg.LinAlgError:
-        return max(_op2_norm(mat) for mat in stack)
+        return np.array([_op2_norm(mat) for mat in stack])
     sigma, left, right = s[:, 0], u[:, :, 0], vh[:, 0, :].conj()
     r1 = np.linalg.norm(np.einsum("nij,nj->ni", stack, right)
                         - sigma[:, None] * left, axis=1)
@@ -373,8 +385,26 @@ def _op2_norm_max(stack):
                         - sigma[:, None] * right, axis=1)
     limit = NORM_TOL * sigma + 1e-13 * np.linalg.norm(stack, axis=(1, 2))
     clear = (sigma == 0.0) | (np.maximum(r1, r2) <= limit / 2)
-    return max(float(sig) if ok else _op2_norm(mat)
-               for mat, sig, ok in zip(stack, sigma, clear))
+    for i in np.flatnonzero(~clear):
+        sigma[i] = _op2_norm(stack[i])
+    return sigma
+
+
+def _row_max(desc, rows, per_matrix):
+    """The maximum over each row's matrix blocks of ``per_matrix(stack,
+    norm_kind)``, which maps a ``(count, d, d)`` stack to one value a matrix;
+    ``rows`` is an ``(n, L)`` coordinate array."""
+    best = None
+    for stack, kind in _stacks(desc, rows):
+        per = per_matrix(stack.reshape((-1,) + stack.shape[-2:]), kind)
+        per = per.reshape(stack.shape[:2]).max(axis=1)
+        best = per if best is None else np.maximum(best, per)
+    return best
+
+
+def norms(desc, rows):
+    """:func:`norm` of each row of an ``(n, L)`` coordinate array."""
+    return _row_max(desc, rows, _matrix_norms)
 
 
 def norm(a):
@@ -382,11 +412,7 @@ def norm(a):
 
     The maximum over blocks, so over grid points and summands.
     """
-    best = 0.0
-    for stack, kind in _stacks(a.descriptor, a.coords):
-        best = max(best, _op2_norm_max(stack) if kind == OP2
-                   else float(np.max(np.sum(np.abs(stack), axis=2))))
-    return best
+    return float(norms(a.descriptor, a.coords[None])[0])
 
 
 def _gelfand_bracket(mat, kind, kmax=64):
@@ -404,25 +430,28 @@ def _gelfand_bracket(mat, kind, kmax=64):
     return (0.0, best_upper)
 
 
-def _eig_radius(stack, kind):
-    """Largest eigenvalue modulus over a stack.  A batched ``eigvals`` gives
-    each matrix the bits of its own; a failing stack is redone matrix by
-    matrix, and a failing matrix raises with its Gelfand bracket."""
+def _eig_radii(stack, kind):
+    """Largest eigenvalue modulus of each matrix of a stack.  A batched
+    ``eigvals`` gives each matrix the bits of its own; a failing stack is
+    redone matrix by matrix, and a failing matrix raises with its Gelfand
+    bracket."""
     try:
-        return float(np.max(np.abs(np.linalg.eigvals(stack))))
+        return np.max(np.abs(np.linalg.eigvals(stack)), axis=1)
     except np.linalg.LinAlgError:
         if len(stack) > 1:
-            return max(_eig_radius(mat[None], kind) for mat in stack)
+            return np.concatenate([_eig_radii(mat[None], kind) for mat in stack])
         raise NumericalFailure("eigenvalue iteration failed",
                                _gelfand_bracket(stack[0], kind))
 
 
+def spectral_radii(desc, rows):
+    """:func:`spectral_radius_single` of each row of an ``(n, L)`` array."""
+    return _row_max(desc, rows, _eig_radii)
+
+
 def spectral_radius_single(a):
     """Classical spectral radius: maximum eigenvalue modulus, blockwise max."""
-    best = 0.0
-    for stack, kind in _stacks(a.descriptor, a.coords):
-        best = max(best, _eig_radius(stack, kind))
-    return best
+    return float(spectral_radii(a.descriptor, a.coords[None])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,12 @@ class EnvTerm:
     shift: int = 1
     power: int = 0
 
+    def __post_init__(self):
+        # dominated_from's ratio certificate needs terms that never grow
+        # faster than ratio^m
+        if self.power < 0:
+            raise ValueError("envelope powers are nonnegative")
+
     def value(self, m):
         return self.coeff * self.ratio**m * Fraction(m + self.shift) ** self.power
 

@@ -32,8 +32,10 @@ from .algebra import (
     gauge,
     multiply,
     norm,
+    norms,
+    products,
     scale,
-    spectral_radius_single,
+    spectral_radii,
     unvec,
     vec,
     _hull_gauge_lp,
@@ -48,6 +50,10 @@ DEPTH_LIMITED = "depth-limited"
 # with the exponent carried separately; power-of-two scaling is bit-exact
 _RESCALE_HI = math.ldexp(1.0, 500)
 _RESCALE_LO = math.ldexp(1.0, -500)
+
+# children per batched product, SVD and eigvals call: nearly as fast as a
+# whole level at once, without a whole level's temporaries in memory
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -92,15 +98,6 @@ def _rate(value, exponent, length):
     return _exp2((math.log2(value) + exponent) / length)
 
 
-class _Node:
-    __slots__ = ("word", "element", "exponent")
-
-    def __init__(self, word, element, exponent):
-        self.word = word
-        self.element = element
-        self.exponent = exponent
-
-
 def _optimistic_rate(child_norm, exponent, length, log2_gen_max, depth):
     """Best norm rate any descendant of this word could reach within depth."""
     if child_norm == 0.0:
@@ -117,52 +114,67 @@ def _optimistic_rate(child_norm, exponent, length, log2_gen_max, depth):
 def jsr_estimate(s, depth, gap_target=1e-3):
     """Certified interval for the spectral radius of a bounded set.
 
-    Deterministic: exploration order is lexicographic in generator index and
-    all reductions are order-independent, so the result does not depend on
-    how the work is scheduled.
+    Each level is expanded in chunks of about ``_CHUNK`` children: one
+    product, one SVD and one ``eigvals`` call per chunk give every child the
+    bits it gets alone.  A scalar pass then visits the chunk's children in
+    lexicographic order of their words and updates the lower bound child by
+    child, so pruning, witnesses and ties do not depend on the chunking.
     """
     s = bounded_set(s)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not gap_target > 0:
         raise ValueError("gap target must be positive")
-    gens = s.generators
-    gen_norms = [norm(g) for g in gens]
-    gen_max = max(gen_norms)
+    desc = s.descriptor
+    gens = np.stack([g.coords for g in s.generators])
+    k = len(gens)
+    gen_max = float(np.max(norms(desc, gens)))
     log2_gen_max = math.log2(gen_max) if gen_max > 0 else -math.inf
     slack = gap_target / 2.0
+    step = max(1, _CHUNK // k)
 
     lower = 0.0
     upper = math.inf
     witness = ()
     explored = 0
 
-    alive = [_Node((), None, 0)]
+    # the surviving words, their products' coordinate rows (none for the
+    # empty word) and the power-of-two exponents the rows are scaled by
+    words, rows, exponents = [()], None, [0]
     for level in range(1, depth + 1):
         explored = level
-        next_alive = []
+        kept_words, kept_rows, kept_exponents = [], [], []
         level_max = 0.0
         overflowed = False
-        for node in alive:
-            for idx, g in enumerate(gens):
-                if node.element is None:
-                    child = g
-                else:
-                    child = multiply(node.element, g)
-                exponent = node.exponent
-                child_norm = norm(child)
+        for first in range(0, len(words), step):
+            if rows is None:
+                coords = gens.copy()
+            else:
+                coords = products(desc, rows[first:first + step, None], gens)
+                coords = coords.reshape(-1, gens.shape[1])
+                if not np.isfinite(coords).all():
+                    raise ValueError("non-finite entry in algebra element")
+            child_norms = norms(desc, coords).tolist()
+            child_exponents = [e for e in exponents[first:first + step]
+                               for _ in range(k)]
+            for j, child_norm in enumerate(child_norms):
+                if (child_norm != 0.0 and math.isfinite(child_norm)
+                        and not _RESCALE_LO <= child_norm <= _RESCALE_HI):
+                    shift = int(math.floor(math.log2(child_norm)))
+                    coords[j] = math.ldexp(1.0, -shift) * coords[j]
+                    child_exponents[j] += shift
+                    child_norms[j] = float(norms(desc, coords[j:j + 1])[0])
+            finite = np.isfinite(child_norms)
+            rhos = np.zeros(len(coords))
+            rhos[finite] = spectral_radii(desc, coords[finite])
+            keep = []
+            for j, (child_norm, exponent, rho) in enumerate(
+                    zip(child_norms, child_exponents, rhos.tolist())):
                 if not math.isfinite(child_norm):
                     overflowed = True
                     continue
-                if child_norm != 0.0 and not (_RESCALE_LO <= child_norm <= _RESCALE_HI):
-                    shift = int(math.floor(math.log2(child_norm)))
-                    child = scale(math.ldexp(1.0, -shift), child)
-                    exponent += shift
-                    child_norm = norm(child)
-                word = node.word + (idx,)
-                nrate = _rate(child_norm, exponent, level)
-                level_max = max(level_max, nrate)
-                rho = spectral_radius_single(child)
+                word = words[first + j // k] + (j % k,)
+                level_max = max(level_max, _rate(child_norm, exponent, level))
                 rrate = _rate(rho, exponent, level)
                 if rrate > lower:
                     lower = rrate
@@ -171,12 +183,15 @@ def jsr_estimate(s, depth, gap_target=1e-3):
                                        log2_gen_max, depth)
                 if opt <= lower - slack:
                     continue
-                next_alive.append(_Node(word, child, exponent))
+                keep.append(j)
+                kept_words.append(word)
+                kept_exponents.append(exponent)
+            kept_rows.append(coords[keep])
         if overflowed:
             return RadiusEstimate(lower, math.inf, witness, explored, DEPTH_LIMITED)
         upper = min(upper, level_max)
-        alive = next_alive
-        if upper - lower <= gap_target or not alive:
+        words, rows, exponents = kept_words, np.concatenate(kept_rows), kept_exponents
+        if upper - lower <= gap_target or not words:
             break
 
     status = CERTIFIED if upper - lower <= gap_target else DEPTH_LIMITED

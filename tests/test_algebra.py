@@ -20,10 +20,14 @@ from borno.algebra import (
     basis,
     gauge,
     grid_element,
+    linear_dim,
     matrix_element,
     multiply,
     norm,
+    norms,
+    products,
     scale,
+    spectral_radii,
     spectral_radius_single,
     unvec,
     vec,
@@ -237,6 +241,47 @@ class TestCoordinates:
         for k, e in enumerate(basis(desc)):
             v = vec(e)
             assert v[k] == 1.0 and np.count_nonzero(v) == 1
+
+
+class TestEquality:
+    def test_signed_zeros_hash_alike(self):
+        desc = GridFunctionAlgebra(GridSpec.circle(2), MatrixAlgebra(1))
+        pairs = [
+            (matrix_element([[0.0]]), matrix_element([[-0.0]])),
+            (matrix_element([[complex(1, 0.0)]]),
+             matrix_element([[complex(1, -0.0)]])),
+            (unvec(desc, [complex(-0.0, -0.0), 2]), unvec(desc, [0, 2])),
+        ]
+        for a, b in pairs:
+            assert a == b
+            assert hash(a) == hash(b)
+            assert len({a, b}) == 1
+
+
+class TestRowKernels:
+    """Each row of a batch gets the bits the per-element kernel gives it."""
+
+    @pytest.mark.parametrize("desc", [
+        MatrixAlgebra(1), MatrixAlgebra(3), MatrixAlgebra(3, "maxrow"),
+        GridFunctionAlgebra(GridSpec.circle(4), MatrixAlgebra(2)),
+        GridFunctionAlgebra(GridSpec.circle(2),
+                            DirectSum((MatrixAlgebra(2),
+                                       MatrixAlgebra(1, "maxrow")))),
+    ], ids=str)
+    def test_rows_match_elements(self, desc):
+        rng = np.random.default_rng(8)
+        dim = linear_dim(desc)
+        rows = rng.standard_normal((6, dim)) + 1j * rng.standard_normal((6, dim))
+        rows[1] = 0.0
+        gens = rows[:3]
+        elems = [unvec(desc, r) for r in rows]
+        prods = products(desc, rows[:, None], gens)
+        for i, a in enumerate(elems):
+            for j, g in enumerate(elems[:3]):
+                assert prods[i, j].tobytes() == multiply(a, g).coords.tobytes()
+        assert norms(desc, rows).tolist() == [norm(a) for a in elems]
+        assert (spectral_radii(desc, rows).tolist()
+                == [spectral_radius_single(a) for a in elems])
 
 
 class TestBoundedSet:

@@ -8,7 +8,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borno.closedforms import CoordForm, _frac, sum_shift_poly_geom
+import pytest
+
+from borno.closedforms import (CoordForm, EnvTerm, Envelope, EpsForm, _frac,
+                               sum_shift_poly_geom)
 
 INF = math.inf
 
@@ -108,3 +111,17 @@ class TestExactInputs:
         form = CoordForm(1e-13, 0.5)
         assert form.coeff == Fraction(1e-13)
         assert form.sup_from(0) == Fraction(1e-13)
+
+
+class TestEnvTerm:
+    def test_negative_power_is_rejected(self):
+        # (m + 1)^-5 2^-m has a smaller ratio than 0.45^m early on, which
+        # would certify domination from 0, yet it exceeds 0.45^m from m = 265
+        m = 265
+        assert Fraction(1, 2) ** m * Fraction(m + 1) ** -5 > Fraction(45, 100) ** m
+        with pytest.raises(ValueError, match="nonnegative"):
+            EnvTerm(Fraction(1), Fraction(1, 2), 1, -5)
+
+    def test_zero_power_dominates_as_before(self):
+        env = Envelope([EnvTerm(Fraction(1), Fraction(1, 3), 1, 0)])
+        assert env.dominated_from(EpsForm.geometric(1, Fraction(1, 2)), 0) == 0

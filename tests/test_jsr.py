@@ -7,18 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import borno.algebra
+from borno import jsr
 from borno.algebra import (
+    DirectSum,
     GridFunctionAlgebra,
     GridSpec,
+    MatrixAlgebra,
     bounded_set,
     gauge,
     grid_element,
     matrix_element,
     multiply,
+    norm,
     scale,
+    spectral_radius_single,
 )
 from borno.errors import CapExceeded, NumericalFailure
 from borno.jsr import (
+    RadiusEstimate,
     check_specrad_identities,
     direct_union_liminf,
     jsr_estimate,
@@ -452,3 +458,123 @@ class TestUpperBoundSoundness:
             from borno.algebra import spectral_radius_single
             rate = spectral_radius_single(prod) ** (1.0 / len(word))
             assert rate <= est.upper * (1 + 1e-10)
+
+
+def per_node_jsr(s, depth, gap_target, trace=None):
+    """The search one node at a time through the per-element kernels.
+
+    Each child is its own ``multiply``, ``norm`` and
+    ``spectral_radius_single`` call, in lexicographic order, with the same
+    rescaling, rates and pruning rule as the kernel.  ``trace`` collects, per
+    level, the number of children and the indices of the pruned ones.
+    """
+    gens = s.generators
+    gen_max = max(norm(g) for g in gens)
+    log2_gen_max = math.log2(gen_max) if gen_max > 0 else -math.inf
+    slack = gap_target / 2.0
+    lower, upper, witness, explored = 0.0, math.inf, (), 0
+    alive = [((), None, 0)]
+    for level in range(1, depth + 1):
+        explored = level
+        nxt, level_max, overflowed, pruned = [], 0.0, False, []
+        for word, element, parent_exponent in alive:
+            for idx, g in enumerate(gens):
+                child = g if element is None else multiply(element, g)
+                exponent = parent_exponent
+                child_norm = norm(child)
+                if not math.isfinite(child_norm):
+                    overflowed = True
+                    continue
+                if child_norm != 0.0 and not (
+                        jsr._RESCALE_LO <= child_norm <= jsr._RESCALE_HI):
+                    shift = int(math.floor(math.log2(child_norm)))
+                    child = scale(math.ldexp(1.0, -shift), child)
+                    exponent += shift
+                    child_norm = norm(child)
+                level_max = max(level_max, jsr._rate(child_norm, exponent, level))
+                rrate = jsr._rate(spectral_radius_single(child), exponent, level)
+                if rrate > lower:
+                    lower, witness = rrate, word + (idx,)
+                if jsr._optimistic_rate(child_norm, exponent, level,
+                                        log2_gen_max, depth) <= lower - slack:
+                    pruned.append(len(nxt) + len(pruned))
+                    continue
+                nxt.append((word + (idx,), child, exponent))
+        if trace is not None:
+            trace.append((len(nxt) + len(pruned), pruned))
+        if overflowed:
+            return RadiusEstimate(lower, math.inf, witness, explored, "depth-limited")
+        upper = min(upper, level_max)
+        alive = nxt
+        if upper - lower <= gap_target or not alive:
+            break
+    status = "certified" if upper - lower <= gap_target else "depth-limited"
+    return RadiusEstimate(lower, upper, witness, explored, status)
+
+
+def random_elements(desc, count, rng, factor=1.0):
+    dim = borno.algebra.linear_dim(desc)
+    return [borno.algebra.unvec(desc, factor * (rng.standard_normal(dim)
+                                                + 1j * rng.standard_normal(dim)))
+            for _ in range(count)]
+
+
+class TestBatchedSearch:
+    """The chunked level expansion against :func:`per_node_jsr`, bit for bit."""
+
+    @pytest.mark.parametrize("desc, count, depth", [
+        (GridFunctionAlgebra(GridSpec.circle(5), MatrixAlgebra(2)), 3, 6),
+        # the blocks alternate between the summands' shapes: six runs
+        (GridFunctionAlgebra(GridSpec.circle(3),
+                             DirectSum((MatrixAlgebra(2),
+                                        MatrixAlgebra(3, "maxrow")))), 2, 7),
+        (MatrixAlgebra(3, "maxrow"), 3, 6),
+    ], ids=["grid", "grid-over-direct-sum", "maxrow"])
+    def test_matches_per_node_search(self, desc, count, depth):
+        s = bounded_set(random_elements(desc, count, np.random.default_rng(3),
+                                        0.4))
+        for gap in (1e-2, 1e-9):
+            assert jsr_estimate(s, depth, gap) == per_node_jsr(s, depth, gap)
+
+    def test_pruning_across_chunk_boundaries(self, monkeypatch):
+        # the witness has length 7: the lower bound still rises inside the
+        # last, multi-chunk levels, which moves later prunes
+        rng = np.random.default_rng(30)
+        s = bounded_set([matrix_element((rng.standard_normal((3, 3))
+                                         + 1j * rng.standard_normal((3, 3)))
+                                        / 2.5) for _ in range(3)])
+        trace = []
+        ref = per_node_jsr(s, 7, 1e-2, trace)
+        per_chunk = (jsr._CHUNK // 3) * 3
+        # some level spans several chunks and prunes children in more than one
+        assert any(n > per_chunk and len({i // per_chunk for i in pruned}) > 1
+                   for n, pruned in trace)
+        assert len(ref.witness_word) == 7
+        # safe pruning leaves the estimate alone, so count the children the
+        # search evaluates: a prune missed or misplaced changes the count
+        evaluated = []
+        radii = jsr.spectral_radii
+        monkeypatch.setattr(jsr, "spectral_radii", lambda desc, rows: (
+            evaluated.append(len(rows)) or radii(desc, rows)))
+        for chunk in (jsr._CHUNK, 1, 7):
+            monkeypatch.setattr(jsr, "_CHUNK", chunk)
+            evaluated.clear()
+            assert jsr_estimate(s, 7, 1e-2) == ref
+            assert sum(evaluated) == sum(n for n, _pruned in trace)
+
+    @pytest.mark.parametrize("exponent", [300, -300])
+    def test_rescaled_products_keep_the_interval(self, exponent):
+        # depth-2 products cross 2^(+-500), so the search renormalizes them
+        factor = math.ldexp(1.0, exponent)
+        rng = np.random.default_rng(21)
+        mats = [(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+                / 2 for _ in range(2)]
+        plain = bounded_set([matrix_element(m) for m in mats])
+        scaled = bounded_set([matrix_element(factor * m) for m in mats])
+        assert not 2.0 ** -500 <= norm(multiply(*scaled.generators)) <= 2.0 ** 500
+        base = jsr_estimate(plain, 6, 1e-9)
+        est = jsr_estimate(scaled, 6, 1e-9 * factor)
+        assert est == per_node_jsr(scaled, 6, 1e-9 * factor)
+        assert est.depth == base.depth == 6
+        assert est.lower / factor == pytest.approx(base.lower, rel=1e-12)
+        assert est.upper / factor == pytest.approx(base.upper, rel=1e-12)
