@@ -311,7 +311,7 @@ def scale(c, a):
 # norms and spectral radius of a single element
 # ---------------------------------------------------------------------------
 
-def _power_iteration_bracket(mat, max_iter=2000, tol=NORM_TOL):
+def _power_iteration_bracket(mat):
     """Largest singular value by power iteration on A^H A.
 
     Returns (estimate, converged, bracket).
@@ -323,41 +323,60 @@ def _power_iteration_bracket(mat, max_iter=2000, tol=NORM_TOL):
     gram = mat.conj().T @ mat
     v = np.ones(n, dtype=np.complex128) / math.sqrt(n)
     sigma = 0.0
-    for _ in range(max_iter):
+    for _ in range(2000):
         w = gram @ v
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             return 0.0, True, (0.0, upper)
         v_new = w / nw
         sigma_new = math.sqrt(nw)
-        if abs(sigma_new - sigma) <= tol * max(sigma_new, 1e-300):
+        if abs(sigma_new - sigma) <= NORM_TOL * max(sigma_new, 1e-300):
             resid = float(np.linalg.norm(gram @ v_new - nw * v_new))
-            if resid <= math.sqrt(tol) * nw:
+            if resid <= math.sqrt(NORM_TOL) * nw:
                 return sigma_new, True, (sigma_new, upper)
         sigma, v = sigma_new, v_new
     return sigma, False, (sigma, upper)
 
 
+# with entries up to 2^250 no norm the residual check or the power iteration
+# takes overflows (the iteration squares sigma^2) for matrices of side < 2^6
+_SQUARE_SAFE = math.ldexp(1.0, 250)
+
+
+def _bracket(mat_s, exp, failure):
+    """The power-iteration estimate for ``mat_s``, scaled back by 2^exp."""
+    est, ok, bracket = _power_iteration_bracket(mat_s)
+    if not ok:
+        raise NumericalFailure(failure, tuple(math.ldexp(b, exp) for b in bracket))
+    return math.ldexp(est, exp)
+
+
 def _op2_norm(mat):
-    """Largest singular value of one matrix, residual-checked."""
+    """Largest singular value of one matrix, residual-checked.
+
+    A matrix with an entry above ``_SQUARE_SAFE`` is checked and bracketed
+    as its copy scaled by the power of two that brings its entries below
+    one.  Such scaling commutes with every rounding here, so a matrix whose
+    norms do not overflow gets the verdict it gets unscaled.
+    """
+    peak = float(np.max(np.abs(mat)))
+    exp = math.frexp(peak)[1] if _SQUARE_SAFE < peak < math.inf else 0
+    mat_s = math.ldexp(1.0, -exp) * mat if exp else mat
     try:
         u, s, vh = np.linalg.svd(mat)
     except np.linalg.LinAlgError:
-        est, ok, bracket = _power_iteration_bracket(mat)
-        if ok:
-            return est
-        raise NumericalFailure("operator-2-norm iteration did not converge", bracket)
+        return _bracket(mat_s, exp, "operator-2-norm iteration did not converge")
     sigma = float(s[0])
     if sigma == 0.0:
         return 0.0
     # residual certificate for the leading singular triple
-    r1 = float(np.linalg.norm(mat @ vh[0].conj() - sigma * u[:, 0]))
-    r2 = float(np.linalg.norm(mat.conj().T @ u[:, 0] - sigma * vh[0].conj()))
-    if max(r1, r2) > NORM_TOL * sigma + 1e-13 * float(np.linalg.norm(mat, "fro")):
-        est, ok, bracket = _power_iteration_bracket(mat)
-        if ok:
-            return est
-        raise NumericalFailure("operator-2-norm residual check failed", bracket)
+    sigma_s = math.ldexp(sigma, -exp)
+    r1 = float(np.linalg.norm(mat_s @ vh[0].conj() - sigma_s * u[:, 0]))
+    r2 = float(np.linalg.norm(mat_s.conj().T @ u[:, 0]
+                              - sigma_s * vh[0].conj()))
+    fro = float(np.linalg.norm(mat_s, "fro"))
+    if max(r1, r2) > NORM_TOL * sigma_s + 1e-13 * fro:
+        return _bracket(mat_s, exp, "operator-2-norm residual check failed")
     return sigma
 
 
@@ -367,13 +386,14 @@ def _matrix_norms(stack, kind):
     For ``op2``, one batched SVD gives each matrix the bits of its own SVD.
     The batched residuals differ from :func:`_op2_norm`'s by rounding only,
     so a matrix whose residual is below half the limit passes its check too.
-    Any other matrix, a lone matrix and the matrices of a stack whose SVD
-    fails go through :func:`_op2_norm` itself.
+    Any other matrix, a lone matrix, a stack with an entry above
+    ``_SQUARE_SAFE`` and the matrices of a stack whose SVD fails go through
+    :func:`_op2_norm` itself.
     """
     if kind == MAXROW:
         return np.max(np.sum(np.abs(stack), axis=2), axis=1)
-    if len(stack) == 1:
-        return np.array([_op2_norm(stack[0])])
+    if len(stack) == 1 or float(np.max(np.abs(stack))) > _SQUARE_SAFE:
+        return np.array([_op2_norm(mat) for mat in stack])
     try:
         u, s, vh = np.linalg.svd(stack)
     except np.linalg.LinAlgError:

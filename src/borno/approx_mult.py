@@ -29,6 +29,7 @@ from .algebra import (
 )
 from .errors import DescriptorMismatch
 from .jsr import jsr_estimate
+from .maps import omega
 from .isoradial import (
     FAIL,
     INCONCLUSIVE,
@@ -62,19 +63,19 @@ def curvature(g, s):
     entries = []
     for i, x in enumerate(gens):
         for j, y in enumerate(gens):
-            omega = subtract(g(multiply(x, y)), multiply(images[i], images[j]))
-            entries.append(((i, j), omega))
+            entries.append(((i, j),
+                            omega(g, multiply(x, y), images[i], images[j])))
     return CurvatureSet(tuple(entries),
                         bounded_set([e for _, e in entries]))
 
 
-def curvature_radius(g, s, depth=6, gap_target=1e-6):
-    return jsr_estimate(curvature(g, s).set, depth, gap_target)
+def curvature_radius(g, s, depth=6):
+    return jsr_estimate(curvature(g, s).set, depth, 1e-6)
 
 
-def is_approximately_multiplicative(g, s, depth=6, gap_target=1e-6):
+def is_approximately_multiplicative(g, s, depth=6):
     """yes iff the certified curvature radius is < 1, no iff certified >= 1."""
-    est = curvature_radius(g, s, depth, gap_target)
+    est = curvature_radius(g, s, depth)
     if est.upper < 1.0:
         return YES
     if est.lower >= 1.0:
@@ -104,11 +105,11 @@ class RateReport:
         }
 
 
-def sigma_approximation_check(f, sigmas, s, t_disk, threshold=1e-2,
-                              modulus=None):
+def sigma_approximation_check(f, sigmas, s, t_disk, modulus=None):
     """Rates eps_n = max_s gauge(T, (f o sigma_n - id)(s)) over the generators.
 
-    Instantiates uniform convergence on the set: (f_n - id)(S) inside eps_n T.
+    Instantiates uniform convergence on the set: (f_n - id)(S) inside eps_n T,
+    converged when the rates do not increase and the last is at most 1e-2.
     When a Lipschitz ``modulus`` is declared for the family, the classical
     smoothing bound eps_n <= modulus * pi / (n + 1) is verified as well.
     """
@@ -120,6 +121,7 @@ def sigma_approximation_check(f, sigmas, s, t_disk, threshold=1e-2,
         for gen in s.generators:
             worst = max(worst, gauge(t_disk, subtract(approx(gen), gen)))
         rates.append(worst)
+    threshold = 1e-2
     slack = 1e-12
     nonincreasing = all(rates[i + 1] <= rates[i] + slack
                         for i in range(len(rates) - 1))
@@ -155,7 +157,6 @@ def chebyshev_grid(n=65):
 
 @dataclass(frozen=True)
 class HomotopyCertificate:
-    endpoints: tuple  # (h0, h1)
     t_grid: tuple
     per_t: tuple  # RadiusEstimate per grid point
     segment_bounds: tuple  # one bound per grid interval
@@ -188,7 +189,7 @@ def _homotopy_coefficients(h0, h1, s):
     for i, x in enumerate(gens):
         for j, y in enumerate(gens):
             xy = multiply(x, y)
-            c0 = subtract(h0(xy), multiply(h0_img[i], h0_img[j]))
+            c0 = omega(h0, xy, h0_img[i], h0_img[j])
             c1 = subtract(subtract(delta(xy), multiply(d_img[i], h0_img[j])),
                           multiply(h0_img[i], d_img[j]))
             c2 = algebra.scale(-1.0, multiply(d_img[i], d_img[j]))
@@ -219,48 +220,48 @@ def _scalar_quadratic_sup(c0, c1, c2, a, b):
     return max(abs(p(t)) for t in candidates)
 
 
-def _segment_bound(coeffs, scalar, a, b, anchor_norms):
+def _segment_bound(coeffs, coeff_norms, a, b, anchor_norms):
     """Upper bound for sup over [a, b] of the curvature radius.
 
-    Scalar targets get the exact quartic maximum; otherwise the level-one
-    norm bound around the nearer anchor, padded by the exact coefficient
-    norms |t - s| C1 + |t^2 - s^2| C2.
+    Scalar targets (``coeff_norms`` None) get the exact quartic maximum;
+    otherwise the level-one norm bound around the nearer anchor, padded by
+    the exact coefficient norms |t - s| C1 + |t^2 - s^2| C2.
     """
-    if scalar:
+    if coeff_norms is None:
         return max(
             _scalar_quadratic_sup(vec(c0)[0], vec(c1)[0], vec(c2)[0], a, b)
             for c0, c1, c2 in coeffs
         )
     bound = 0.0
-    for idx, (c0, c1, c2) in enumerate(coeffs):
-        n1, n2 = norm(c1), norm(c2)
+    for idx, (n1, n2) in enumerate(coeff_norms):
         from_a = anchor_norms[0][idx] + (b - a) * n1 + (b * b - a * a) * n2
         from_b = anchor_norms[1][idx] + (b - a) * n1 + (b * b - a * a) * n2
         bound = max(bound, min(from_a, from_b))
     return bound
 
 
-def linear_homotopy_certificate(h0, h1, s, t_points=None, depth=6,
-                                gap_target=1e-6):
+def linear_homotopy_certificate(h0, h1, s, t_points=None, depth=6):
     """Certified sup over [0, 1] of |h_t|_omega along the linear homotopy.
 
     Grid points get full radius estimates; between grid points the quadratic
     coefficient norms control the variation, so the certificate covers the
-    whole interval, not just the grid.  Endpoints are evaluated through the
-    plain curvature path so they agree bit-for-bit with curvature_radius.
+    whole interval, not just the grid.  At t = 0 the entries are C0, which
+    is curvature(h0, s) to the bit; t = 1 goes through the plain curvature
+    path, so both endpoints agree bit-for-bit with curvature_radius.
     """
     if (h0.source, h0.target) != (h1.source, h1.target):
         raise DescriptorMismatch(h0.source, h1.source, "homotopy endpoints")
     s = bounded_set(s)
     grid = tuple(t_points) if t_points is not None else chebyshev_grid()
     coeffs = _homotopy_coefficients(h0, h1, s)
-    scalar = algebra.linear_dim(h0.target) == 1
+    coeff_norms = (None if algebra.linear_dim(h0.target) == 1
+                   else [(norm(c1), norm(c2)) for _, c1, c2 in coeffs])
 
     per_t = []
     per_t_entry_norms = []
     for t in grid:
         if t == 0.0:
-            entries = curvature(h0, s).set.generators
+            entries = tuple(c0 for c0, _, _ in coeffs)
         elif t == 1.0:
             entries = curvature(h1, s).set.generators
         else:
@@ -269,13 +270,13 @@ def linear_homotopy_certificate(h0, h1, s, t_points=None, depth=6,
                                             algebra.scale(t * t, c2)))
                 for c0, c1, c2 in coeffs
             )
-        per_t.append(jsr_estimate(bounded_set(entries), depth, gap_target))
+        per_t.append(jsr_estimate(bounded_set(entries), depth, 1e-6))
         per_t_entry_norms.append([norm(e) for e in entries])
 
     segment_bounds = []
     for k in range(len(grid) - 1):
         segment_bounds.append(
-            _segment_bound(coeffs, scalar, grid[k], grid[k + 1],
+            _segment_bound(coeffs, coeff_norms, grid[k], grid[k + 1],
                            (per_t_entry_norms[k], per_t_entry_norms[k + 1]))
         )
     sup_bound = max(
@@ -283,7 +284,7 @@ def linear_homotopy_certificate(h0, h1, s, t_points=None, depth=6,
         max(segment_bounds) if segment_bounds else 0.0,
     )
     verdict = PASS if sup_bound < 1.0 else FAIL
-    return HomotopyCertificate((h0, h1), grid, tuple(per_t),
+    return HomotopyCertificate(grid, tuple(per_t),
                                tuple(segment_bounds), sup_bound, verdict)
 
 
@@ -291,8 +292,8 @@ def linear_homotopy_certificate(h0, h1, s, t_points=None, depth=6,
 # the combined apple check
 # ---------------------------------------------------------------------------
 
-def apple_certificate(f, sigmas, h, s, t_disk=None, depth=6, t_points=None,
-                      sampler=None, tol=1e-2):
+def apple_certificate(f, sigmas, h, s, depth=6, t_points=None, sampler=None,
+                      tol=1e-2):
     """Hypothesis check for "isoradial + approximation implies apple".
 
     Stages: the isoradial certificate for f, the smoothing rates of the
@@ -315,8 +316,8 @@ def apple_certificate(f, sigmas, h, s, t_disk=None, depth=6, t_points=None,
     for a in h_img:
         for b in h_img:
             pushed.append(multiply(a, b))
-    disk = t_disk if t_disk is not None else NormBall(1.0)
-    rates = sigma_approximation_check(f, sigmas, bounded_set(pushed), disk)
+    rates = sigma_approximation_check(f, sigmas, bounded_set(pushed),
+                                      NormBall(1.0))
 
     homotopy = None
     stages_pass = (iso.verdict == PASS and rates.converged and h_mult == YES)

@@ -82,8 +82,7 @@ def _load_instance(path):
     if obj.get("schema") != SCHEMA:
         raise SchemaError(f"expected schema {SCHEMA!r}")
     command = serialize._req(obj, "command", "instance")
-    if command not in ("jsr", "hull", "isoradial", "apple", "cauchy",
-                       "complete", "approx"):
+    if command not in _HANDLERS:
         raise SchemaError(f"unknown command {command!r}")
     return obj
 
@@ -348,7 +347,7 @@ def builtin_instances():
             "command": "cauchy",
             "payload": {
                 "space": {"disks": [DiskForm("sum").as_dict()],
-                          "horizon": 64, "tails_admitted": True},
+                          "tails_admitted": True},
                 "sequence": serialize.sequence_to_json(geo_seq),
                 "disk": 0,
                 "eps": EpsForm.geometric(2, Fraction(1, 2)).as_dict(),
@@ -359,7 +358,7 @@ def builtin_instances():
         "completion-demo": {
             "command": "complete",
             "payload": {"space": {"disks": [DiskForm("sum").as_dict()],
-                                  "horizon": 64, "tails_admitted": True}},
+                                  "tails_admitted": True}},
             "config": {},
         },
         "approx-truncation": {

@@ -376,13 +376,15 @@ class Envelope:
             return INF
         return sum((t.value(m) for t in self.terms), Fraction(0))
 
-    def dominated_from(self, eps, m_start, scan_cap=4096):
+    def dominated_from(self, eps, m_start):
         """Smallest M >= m_start with value(m) <= eps(m) for all m >= M.
 
         Certifies by per-term ratio domination: beyond M every term shrinks
         at least as fast as eps does, and the value at M already fits.
-        Returns None when no such certificate exists within the scan cap.
+        Returns None when no such certificate exists within 4,096 steps of
+        m_start.
         """
+        scan_cap = 4096
         if self.infinite:
             return None
         if not self.terms:

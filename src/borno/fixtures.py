@@ -99,45 +99,37 @@ class MapFixture:
     name: str
     map: LinearMap
     expected: str  # "pass" or "fail" under the isoradial certificate
-    notes: str = ""
     sigmas: tuple = ()
     family: tuple = ()  # declared bounded family in the target, for rates
     modulus: object = None  # Lipschitz constant wrt the grid metric, if declared
 
 
-def trig_grid_fixture(degree=3, points=None):
+def trig_grid_fixture():
     """Coarse circle-grid functions inside a finer grid, by nearest-point pullback.
 
-    The coarse grid has 2d+1 points (the sample count that determines a
-    degree-d trig polynomial); the fine grid doubles it, satisfying the
-    m >= 4d rule of thumb.
+    The coarse grid has 2d+1 = 7 points for degree d = 3 (the sample count
+    that determines a degree-d trig polynomial); the fine grid doubles it,
+    satisfying the m >= 4d rule of thumb.
     """
-    coarse_n = 2 * degree + 1
-    fine_n = points if points is not None else 2 * coarse_n
-    if fine_n % coarse_n != 0:
-        raise ValueError("fine grid must refine the coarse grid")
-    ratio = fine_n // coarse_n
-    source = scalar_grid_algebra(GridSpec.circle(coarse_n))
-    target = scalar_grid_algebra(GridSpec.circle(fine_n))
+    source = scalar_grid_algebra(GridSpec.circle(7))
+    target = scalar_grid_algebra(GridSpec.circle(14))
 
     def nearest(t_idx):
-        return int((t_idx + ratio // 2) // ratio) % coarse_n
+        return (t_idx + 1) // 2 % 7
 
-    hom = pullback_map(source, target, nearest)
     return MapFixture(
-        name=f"trig-grid-d{degree}",
-        map=hom,
+        name="trig-grid-d3",
+        map=pullback_map(source, target, nearest),
         expected="pass",
-        notes="coarse-in-fine circle grid, isometric pullback",
     )
 
 
-def matrix_tower_fixture(k=2, n=6, norm_kind="op2"):
+def matrix_tower_fixture():
+    """M_2 in the top-left corner of M_6: norms and eigenvalues are kept."""
     return MapFixture(
-        name=f"matrix-tower-{k}-{n}",
-        map=corner_embedding(k, n, norm_kind),
+        name="matrix-tower-2-6",
+        map=corner_embedding(2, 6),
         expected="pass",
-        notes="corner embedding preserves norms and eigenvalues",
     )
 
 
@@ -156,17 +148,19 @@ def interval_restriction_fixture():
         name="interval-restriction",
         map=hom,
         expected="fail",
-        notes="sup over [0,2] doubles the sup over [0,1] on the ramp probe",
     )
 
 
-def trig_fejer_fixture(m=16, orders=range(1, 65), amplitude=0.5):
-    """Half-step rotation pullback on the m-point circle grid plus Fejer maps.
+def trig_fejer_fixture():
+    """Half-step rotation pullback on the 16-point circle grid plus Fejer maps.
 
     f relabels grid values along the rotated grid (an exact isomorphism); the
-    smoothing maps sigma_n are chosen so that f o sigma_n is the order-n Fejer
-    mean, which converges to the identity on the declared Lipschitz family.
+    smoothing maps sigma_n, n = 1..64, are chosen so that f o sigma_n is the
+    order-n Fejer mean, which converges to the identity on the declared
+    Lipschitz family.
     """
+    m = 16
+    amplitude = 0.5
     half_step = math.pi / m
     fine = GridSpec.circle(m)
     rotated = GridSpec.from_points(
@@ -178,7 +172,7 @@ def trig_fejer_fixture(m=16, orders=range(1, 65), amplitude=0.5):
     target = scalar_grid_algebra(fine)
     hom = Homomorphism(source, target, np.eye(m))
     sigmas = tuple(
-        LinearMap(target, source, fejer_matrix(m, n)) for n in orders
+        LinearMap(target, source, fejer_matrix(m, n)) for n in range(1, 65)
     )
     angles = np.array(fine.points)
     family = (
@@ -189,32 +183,28 @@ def trig_fejer_fixture(m=16, orders=range(1, 65), amplitude=0.5):
         name="trig-fejer",
         map=hom,
         expected="pass",
-        notes="rotation pullback with Fejer smoothing family",
         sigmas=sigmas,
         family=family,
         modulus=amplitude,  # |sin|, |cos| are 1-Lipschitz; family scales them
     )
 
 
-def tower_compression_fixture(n=8, support=4, orders=range(1, 9),
-                              norm_kind="op2"):
-    """Identity on M_n with corner compressions as the smoothing family.
+def tower_compression_fixture():
+    """Identity on M_8 with corner compressions of ranks 1..8 as the
+    smoothing family.
 
-    For sets supported in the top-left support x support corner the rates
-    vanish as soon as the compression rank reaches the support size.
+    The family is supported in the top-left 4 x 4 corner, so the rates vanish
+    as soon as the compression rank reaches 4.
     """
-    desc = MatrixAlgebra(n, norm_kind)
-    hom = Homomorphism.identity(desc)
-    sigmas = tuple(corner_compression(n, k, norm_kind) for k in orders)
+    hom = Homomorphism.identity(MatrixAlgebra(8))
+    sigmas = tuple(corner_compression(8, k) for k in range(1, 9))
     rng = np.random.default_rng(0xB00C)
-    block = rng.standard_normal((support, support))
-    family = tuple(pad_to(matrix_element(m, norm_kind), n)
-                   for m in (block, np.eye(support)))
+    block = rng.standard_normal((4, 4))
+    family = tuple(pad_to(matrix_element(m), 8) for m in (block, np.eye(4)))
     return MapFixture(
         name="tower-compression",
         map=hom,
         expected="pass",
-        notes="corner compressions fix corner-supported sets",
         sigmas=sigmas,
         family=family,
     )

@@ -76,18 +76,22 @@ class LinearMap:
                                                    linear_dim(source))))
 
     @classmethod
-    def from_images(cls, source, target, images, **kwargs):
-        """Map determined by the images of the canonical source basis;
-        ``kwargs`` go to the constructor, e.g. a homomorphism's tolerance."""
+    def from_images(cls, source, target, images):
+        """Map determined by the images of the canonical source basis."""
         cols = [vec(img) for img in images]
         if len(cols) != linear_dim(source):
             raise ValueError("need one image per source basis element")
-        return cls(source, target, np.stack(cols, axis=1), **kwargs)
+        return cls(source, target, np.stack(cols, axis=1))
 
     @classmethod
-    def from_callable(cls, source, target, fn, **kwargs):
-        return cls.from_images(source, target, [fn(e) for e in basis(source)],
-                               **kwargs)
+    def from_callable(cls, source, target, fn):
+        return cls.from_images(source, target, [fn(e) for e in basis(source)])
+
+
+def omega(g, xy, gx, gy):
+    """The curvature omega_g(x, y) = g(xy) - g(x) g(y), from the product xy
+    and the images gx = g(x), gy = g(y)."""
+    return subtract(g(xy), multiply(gx, gy))
 
 
 def multiplicativity_defect(f):
@@ -97,25 +101,23 @@ def multiplicativity_defect(f):
     worst = 0.0
     for i, ei in enumerate(elems):
         for j, ej in enumerate(elems):
-            lhs = f(multiply(ei, ej))
-            rhs = multiply(images[i], images[j])
-            worst = max(worst, norm(subtract(lhs, rhs)))
+            defect = omega(f, multiply(ei, ej), images[i], images[j])
+            worst = max(worst, norm(defect))
     return worst
 
 
 @dataclass(frozen=True)
 class MultReport:
     defect: float
-    tolerance: float
 
     @property
     def multiplicative(self):
-        return self.defect <= self.tolerance
+        return self.defect <= HOM_DEFECT_TOL
 
 
-def check_multiplicative(f, tolerance=HOM_DEFECT_TOL):
+def check_multiplicative(f):
     """Recompute the multiplicativity defect of any linear map."""
-    return MultReport(multiplicativity_defect(f), tolerance)
+    return MultReport(multiplicativity_defect(f))
 
 
 class Homomorphism(LinearMap):
@@ -123,12 +125,13 @@ class Homomorphism(LinearMap):
 
     __slots__ = ("mult_defect",)
 
-    def __init__(self, source, target, action, tolerance=HOM_DEFECT_TOL):
+    def __init__(self, source, target, action):
         super().__init__(source, target, action)
         defect = multiplicativity_defect(self)
-        if defect > tolerance:
+        if defect > HOM_DEFECT_TOL:
             raise ValueError(
-                f"multiplicativity defect {defect:.3e} exceeds {tolerance:.1e}; "
+                f"multiplicativity defect {defect:.3e} exceeds "
+                f"{HOM_DEFECT_TOL:.1e}; "
                 "construct a LinearMap instead"
             )
         object.__setattr__(self, "mult_defect", defect)

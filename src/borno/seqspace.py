@@ -545,11 +545,10 @@ def _reindexed_term(e, stride, offset, c, extra_ratio=Fraction(1)):
 
 @dataclass(frozen=True)
 class ModelSpace:
-    """A countable-disk model: weighted gauges, a working horizon for prefix
-    enumeration, and the declared tail discipline for elements."""
+    """A countable-disk model: weighted gauges and the declared tail
+    discipline for elements."""
 
     disks: tuple
-    horizon: int = 64
     tails_admitted: bool = True
 
     def disk(self, index):
@@ -787,8 +786,10 @@ def pair_deviation_envelope(x, disk):
     return Envelope(terms), valid_from
 
 
-def dominating_eps(envelope, valid_from, floor=Fraction(1, 2)):
-    """A geometric EpsForm with eps(m) >= envelope(m) for all m >= 0."""
+def dominating_eps(envelope, valid_from):
+    """A geometric EpsForm with eps(m) >= envelope(m) for all m >= 0, with
+    ratio at least 1/2."""
+    floor = Fraction(1, 2)
     if envelope.infinite:
         return None
     if not envelope.terms:
@@ -896,7 +897,6 @@ class MetrizabilityReport:
     absorbing_index: int = None
     epsilons: tuple = ()
     bound: Fraction = None
-    certificate: dict = field(default_factory=dict)
 
     def as_dict(self):
         return {
@@ -911,7 +911,8 @@ def metrizability_scalars(space, disk_indices):
     """Closed-form epsilons with all partial sums of eps_n S_n in one disk.
 
     Searches the family for an absorbing disk M; gauge_M(sum eps_n x_n) <=
-    sum eps_n kappa_n <= sum 2^-n = 1 is the recorded symbolic certificate.
+    sum eps_n kappa_n <= sum 2^-n = 1 is the certificate, and ``bound`` is
+    the middle sum.
     An inconclusive outcome means the family is too small to absorb, which
     is reported, not asserted as a property of the abstract space.
     """
@@ -927,20 +928,15 @@ def metrizability_scalars(space, disk_indices):
                 (e * max(k, Fraction(1)) for e, k in zip(epsilons, kappas)),
                 Fraction(0),
             )
-            cert = {
-                "absorption_constants": [str(k) for k in kappas],
-                "partial_sum_bound": str(bound),
-                "argument": "gauge_M(sum eps_n x_n) <= sum eps_n kappa_n",
-            }
-            return MetrizabilityReport("bounded", m_idx, epsilons, bound, cert)
+            return MetrizabilityReport("bounded", m_idx, epsilons, bound)
     return MetrizabilityReport("not-within-family")
 
 
-def _rational_root_upper(x, tower, tol=Fraction(1, 10**6)):
-    """A rational u >= x^(1/2^tower), within tol, for rational x > 0."""
+def _rational_root_upper(x, tower):
+    """A rational u >= x^(1/2^tower), within 10^-6, for rational x > 0."""
     x = _frac(x)
     lo, hi = (x, Fraction(1)) if x < 1 else (Fraction(1), x)
-    while hi - lo > tol:
+    while hi - lo > Fraction(1, 10**6):
         mid = (lo + hi) / 2
         if mid ** (2 ** tower) >= x:
             hi = mid
@@ -1008,7 +1004,6 @@ def _witness_eps(space, disk_index):
 class CompletenessVerdict:
     disk_index: int
     complete: bool
-    target_index: int = None
     witness: object = None
     justification: str = ""
 
@@ -1031,7 +1026,7 @@ def completeness_check(space, condition="iii"):
         if condition == "iii":
             if space.tails_admitted:
                 verdicts.append(CompletenessVerdict(
-                    idx, True, target_index=idx,
+                    idx, True,
                     justification="closed-form limits keep finite gauge "
                                   "(coordinatewise Fatou)"))
             else:
@@ -1047,7 +1042,7 @@ def completeness_check(space, condition="iii"):
             in_space = space.contains(limit)
             if not cauchy.holds:
                 verdicts.append(CompletenessVerdict(
-                    idx, True, target_index=idx,
+                    idx, True,
                     justification="witness not Cauchy at this gauge; "
                                   "no counterexample"))
                 continue
@@ -1061,7 +1056,7 @@ def completeness_check(space, condition="iii"):
                                      eps.scaled(2), limit)
             bounded = gauge_value(space.disk(idx), limit) != INF
             verdicts.append(CompletenessVerdict(
-                idx, conv.holds and bounded, target_index=idx,
+                idx, conv.holds and bounded,
                 justification="direct check on the canonical family"))
         else:
             raise ValueError("condition must be 'iii' or 'iv'")
@@ -1104,11 +1099,9 @@ class Completion:
     """
 
     def __init__(self, space):
-        if not all(v.complete for v in completeness_check(
-                ModelSpace(space.disks, space.horizon, True), "iii")):
-            raise ValueError("ambient weighted model must be subcomplete")
+        # the ambient space admits tails, so condition iii makes it complete
         self.space = space
-        self.ambient = ModelSpace(space.disks, space.horizon, True)
+        self.ambient = ModelSpace(space.disks, True)
 
     def embed(self, v):
         if not self.space.contains(v):
@@ -1166,7 +1159,7 @@ def _combine_eps(e1, e2):
 
 def completion_construct(space):
     """The completion interface for the finitely supported part of a model."""
-    restricted = ModelSpace(space.disks, space.horizon, False)
+    restricted = ModelSpace(space.disks, False)
     return Completion(restricted)
 
 

@@ -268,15 +268,13 @@ def vector_from_json(obj, context="vector"):
 
 def model_space_to_json(space):
     return {"disks": [d.as_dict() for d in space.disks],
-            "horizon": space.horizon,
             "tails_admitted": space.tails_admitted}
 
 
 def model_space_from_json(obj, context="space"):
-    _check_fields(obj, {"disks", "horizon", "tails_admitted"}, context)
+    _check_fields(obj, {"disks", "tails_admitted"}, context)
     disks = tuple(DiskForm.from_dict(d) for d in _req(obj, "disks", context))
-    return ModelSpace(disks, int(obj.get("horizon", 64)),
-                      bool(obj.get("tails_admitted", True)))
+    return ModelSpace(disks, bool(obj.get("tails_admitted", True)))
 
 
 def sequence_to_json(model):

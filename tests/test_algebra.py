@@ -331,6 +331,26 @@ class TestFallbackKernels:
             assert bracket[0] <= sigma * (1 + 1e-9)
             assert bracket[1] >= sigma * (1 - 1e-9)
 
+    @pytest.mark.parametrize("points", [1, 2])
+    def test_huge_entries_do_not_pass_a_wrong_sigma(self, monkeypatch, points):
+        # entries near 2^600 overflow the squares the residual check takes; a
+        # wrong leading singular value must still fail the check, on the lone
+        # matrix path and on the batched one
+        base = np.array([[3.0, 1.0], [0.0, 1.0]])
+        mats = [math.ldexp(1.0, 600) * (p + 1) * base for p in range(points)]
+        want = max(float(np.linalg.svd(m, compute_uv=False)[0]) for m in mats)
+        desc = GridFunctionAlgebra(GridSpec.interval(0.0, 1.0, points),
+                                   MatrixAlgebra(2))
+        element = grid_element(desc, mats)
+        real_svd = np.linalg.svd
+
+        def wrong_svd(a, *args, **kwargs):
+            u, s, vh = real_svd(a, *args, **kwargs)
+            return u, 1.5 * s, vh
+
+        monkeypatch.setattr(np.linalg, "svd", wrong_svd)
+        assert norm(element) == pytest.approx(want, rel=1e-8)
+
     def test_power_iteration_zero_matrix(self):
         from borno.algebra import _power_iteration_bracket
         est, ok, bracket = _power_iteration_bracket(np.zeros((3, 3), complex))

@@ -92,6 +92,14 @@ class TestErrors:
         path.write_text(json.dumps(inst))
         assert run_cli(["run", "--input", str(path)]) == 3
 
+    def test_space_horizon_field_rejected(self, tmp_path, capsys):
+        inst = builtin_instances()["cauchy-geometric"]
+        inst["payload"]["space"]["horizon"] = 64
+        path = tmp_path / "horizon.json"
+        path.write_text(json.dumps(inst))
+        assert run_cli(["cauchy", "--input", str(path)]) == 3
+        assert "horizon" in capsys.readouterr().err
+
     def test_missing_input_exits_three(self):
         assert run_cli(["run"]) == 3
 
@@ -206,7 +214,7 @@ class TestExplicitPayloads:
             "command": "cauchy",
             "payload": {
                 "space": {"disks": [DiskForm("sum").as_dict()],
-                          "horizon": 64, "tails_admitted": True},
+                          "tails_admitted": True},
                 "sequence": sequence_to_json(model),
                 "disk": 0,
                 "eps": EpsForm.geometric(1, Fraction(1, 2)).as_dict(),

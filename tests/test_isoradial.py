@@ -9,6 +9,8 @@ from borno.algebra import (
     NormBall,
     bounded_set,
     matrix_element,
+    norm,
+    spectral_radius_single,
     unvec,
 )
 from borno.fixtures import (
@@ -24,6 +26,7 @@ from borno.isoradial import (
     check_multiplicative,
     isoradial_certificate,
     local_density_probe,
+    sample_bounded_sets,
 )
 from borno.jsr import jsr_estimate
 from borno.maps import Homomorphism, LinearMap, multiplicativity_defect
@@ -119,6 +122,29 @@ class TestIsoradialCertificate:
                                     FAST, depth=6)
         assert rep.verdict == "fail"
         assert rep.worst_ratio >= 1.9
+
+    def test_similarity_straddling_the_gate_is_inconclusive(self):
+        # x -> S x S^-1 diagonalizes the least normal sampled matrix x, so at
+        # depth 1 the image's upper end is rho(x) while the source's stays at
+        # ||x||: the rescaled source interval straddles 1 + tol
+        desc = MatrixAlgebra(2)
+        singles = [s.generators[0]
+                   for s in sample_bounded_sets(desc, FAST)[2:6]]
+        x = max(singles, key=lambda g: norm(g) / spectral_radius_single(g))
+        _, vecs = np.linalg.eig(x.data)
+        s_inv = np.linalg.inv(vecs)
+        f = Homomorphism.from_callable(
+            desc, desc, lambda e: matrix_element(s_inv @ e.data @ vecs))
+        rep = isoradial_certificate(f, FAST, depth=1)
+        assert rep.verdict == "inconclusive"
+        assert rep.n_samples == rep.as_dict()["n_samples"] == 14
+
+    def test_zero_map_samples_nothing(self):
+        desc = MatrixAlgebra(2)
+        zero = Homomorphism(desc, desc, np.zeros((4, 4)))
+        rep = isoradial_certificate(zero, FAST, depth=1)
+        assert rep.verdict == "inconclusive"
+        assert rep.n_samples == 0
 
     def test_rejects_non_homomorphisms(self):
         desc = MatrixAlgebra(2)

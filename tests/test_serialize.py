@@ -157,7 +157,7 @@ class TestSequenceObjects:
             assert back.at(n) == model.at(n)
 
     def test_model_space_roundtrip(self):
-        space = ModelSpace((DiskForm("sum"), DiskForm("sup")), horizon=32,
+        space = ModelSpace((DiskForm("sum"), DiskForm("sup")),
                            tails_admitted=False)
         back = roundtrip(space, model_space_to_json, model_space_from_json)
         assert back == space
