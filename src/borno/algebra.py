@@ -35,46 +35,26 @@ MAXROW = "maxrow"
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A finite ordered point set with an explicit distance table."""
+    """A finite ordered point set."""
 
     points: tuple
-    distances: tuple  # row-major tuple of tuples
 
     def __post_init__(self):
         if not self.points:
             raise ValueError("grid must be nonempty")
-        n = len(self.points)
-        if len(self.distances) != n or any(len(r) != n for r in self.distances):
-            raise ValueError("distance table shape does not match point list")
-
-    @staticmethod
-    def from_points(points, metric):
-        pts = tuple(points)
-        dist = tuple(
-            tuple(float(metric(p, q)) for q in pts) for p in pts
-        )
-        return GridSpec(pts, dist)
 
     @staticmethod
     def circle(m):
-        """Uniform m-point grid on the circle with geodesic distance."""
-        angles = tuple(2.0 * math.pi * k / m for k in range(m))
-
-        def geo(a, b):
-            d = abs(a - b) % (2.0 * math.pi)
-            return min(d, 2.0 * math.pi - d)
-
-        return GridSpec.from_points(angles, geo)
+        """Uniform m-point grid of angles on the circle."""
+        return GridSpec(tuple(2.0 * math.pi * k / m for k in range(m)))
 
     @staticmethod
     def interval(lo, hi, m):
-        """Uniform m-point grid on [lo, hi] with the euclidean distance."""
+        """Uniform m-point grid on [lo, hi]."""
         if m == 1:
-            pts = (float(lo),)
-        else:
-            step = (hi - lo) / (m - 1)
-            pts = tuple(float(lo + k * step) for k in range(m))
-        return GridSpec.from_points(pts, lambda a, b: abs(a - b))
+            return GridSpec((float(lo),))
+        step = (hi - lo) / (m - 1)
+        return GridSpec(tuple(float(lo + k * step) for k in range(m)))
 
 
 class _Layout:
@@ -339,8 +319,16 @@ def _power_iteration_bracket(mat):
 
 
 # with entries up to 2^250 no norm the residual check or the power iteration
-# takes overflows (the iteration squares sigma^2) for matrices of side < 2^6
+# takes overflows (the iteration squares sigma^2) for matrices of side < 2^6;
+# with the largest entry at least 2^-250 their squares do not underflow
 _SQUARE_SAFE = math.ldexp(1.0, 250)
+_SQUARE_TINY = math.ldexp(1.0, -250)
+
+
+def _unsafe_peaks(peaks):
+    """Where a matrix whose largest entry modulus is ``peaks`` needs scaling
+    by a power of two before the squares of its norms are taken."""
+    return (peaks > _SQUARE_SAFE) | ((peaks > 0.0) & (peaks < _SQUARE_TINY))
 
 
 def _bracket(mat_s, exp, failure):
@@ -354,13 +342,16 @@ def _bracket(mat_s, exp, failure):
 def _op2_norm(mat):
     """Largest singular value of one matrix, residual-checked.
 
-    A matrix with an entry above ``_SQUARE_SAFE`` is checked and bracketed
-    as its copy scaled by the power of two that brings its entries below
-    one.  Such scaling commutes with every rounding here, so a matrix whose
-    norms do not overflow gets the verdict it gets unscaled.
+    A matrix with an entry above ``_SQUARE_SAFE``, or a nonzero one whose
+    entries are all below ``_SQUARE_TINY``, is checked and bracketed as its
+    copy scaled by the power of two that brings its largest entry into
+    [1/2, 1).  Such scaling commutes with every rounding here, so a matrix
+    whose norms neither overflow nor underflow gets the verdict it gets
+    unscaled.  The SVD runs on the unscaled matrix.
     """
     peak = float(np.max(np.abs(mat)))
-    exp = math.frexp(peak)[1] if _SQUARE_SAFE < peak < math.inf else 0
+    exp = (math.frexp(peak)[1]
+           if _unsafe_peaks(peak) and peak < math.inf else 0)
     mat_s = math.ldexp(1.0, -exp) * mat if exp else mat
     try:
         u, s, vh = np.linalg.svd(mat)
@@ -386,13 +377,14 @@ def _matrix_norms(stack, kind):
     For ``op2``, one batched SVD gives each matrix the bits of its own SVD.
     The batched residuals differ from :func:`_op2_norm`'s by rounding only,
     so a matrix whose residual is below half the limit passes its check too.
-    Any other matrix, a lone matrix, a stack with an entry above
-    ``_SQUARE_SAFE`` and the matrices of a stack whose SVD fails go through
-    :func:`_op2_norm` itself.
+    Any other matrix, a lone matrix, a stack with a matrix that
+    :func:`_op2_norm` scales and the matrices of a stack whose SVD fails go
+    through :func:`_op2_norm` itself.
     """
     if kind == MAXROW:
         return np.max(np.sum(np.abs(stack), axis=2), axis=1)
-    if len(stack) == 1 or float(np.max(np.abs(stack))) > _SQUARE_SAFE:
+    if (len(stack) == 1
+            or _unsafe_peaks(np.max(np.abs(stack), axis=(1, 2))).any()):
         return np.array([_op2_norm(mat) for mat in stack])
     try:
         u, s, vh = np.linalg.svd(stack)
@@ -658,26 +650,19 @@ def gauge(disk, x):
 # bounded sets
 # ---------------------------------------------------------------------------
 
-FINITE_SET = "set"
-DISKED_HULL = "hull"
-
-
 @dataclass(frozen=True)
 class BoundedSet:
-    """A finite generator list, read either as the set itself or its disked hull.
+    """A finite generator list.
 
-    Both interpretations have the same spectral radius, which is why the
-    joint-spectral-radius kernel never needs to distinguish them.
+    The set and its disked hull have the same spectral radius, so the
+    joint-spectral-radius kernel reads only the generators.
     """
 
     generators: tuple
-    interpretation: str = FINITE_SET
 
     def __post_init__(self):
         if not self.generators:
             raise ValueError("bounded set needs at least one generator")
-        if self.interpretation not in (FINITE_SET, DISKED_HULL):
-            raise ValueError(f"unknown interpretation {self.interpretation!r}")
         d0 = self.generators[0].descriptor
         for g in self.generators[1:]:
             if g.descriptor != d0:
@@ -687,16 +672,12 @@ class BoundedSet:
     def descriptor(self):
         return self.generators[0].descriptor
 
-    def as_hull(self):
-        return BoundedSet(self.generators, DISKED_HULL)
-
     def scaled(self, c):
-        return BoundedSet(tuple(scale(c, g) for g in self.generators),
-                          self.interpretation)
+        return BoundedSet(tuple(scale(c, g) for g in self.generators))
 
 
-def bounded_set(elements, interpretation=FINITE_SET):
+def bounded_set(elements):
     """A BoundedSet of ``elements``; a BoundedSet is returned as it is."""
     if isinstance(elements, BoundedSet):
         return elements
-    return BoundedSet(tuple(elements), interpretation)
+    return BoundedSet(tuple(elements))

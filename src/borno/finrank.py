@@ -371,8 +371,7 @@ def pointwise_vs_uniform_check(family, f_inf, s, t_gauge, n_patterns=8):
         raise InvariantViolation(
             "pointwise and uniform verdicts disagree for an equibounded "
             "family")
-    return {"uniform": uniform, "pointwise": pointwise_verdict,
-            "agree": True}
+    return {"uniform": uniform, "pointwise": pointwise_verdict}
 
 
 @dataclass(frozen=True)

@@ -163,11 +163,7 @@ def trig_fejer_fixture():
     amplitude = 0.5
     half_step = math.pi / m
     fine = GridSpec.circle(m)
-    rotated = GridSpec.from_points(
-        tuple(a + half_step for a in fine.points),
-        lambda a, b: min(abs(a - b) % (2 * math.pi),
-                         2 * math.pi - abs(a - b) % (2 * math.pi)),
-    )
+    rotated = GridSpec(tuple(a + half_step for a in fine.points))
     source = scalar_grid_algebra(rotated)
     target = scalar_grid_algebra(fine)
     hom = Homomorphism(source, target, np.eye(m))
@@ -220,10 +216,7 @@ def trig_interpolation_map(degree, points=None):
     """
     n_coeff = 2 * degree + 1
     m = points if points is not None else n_coeff
-    freq_grid = GridSpec.from_points(
-        tuple(float(f) for f in range(-degree, degree + 1)),
-        lambda a, b: abs(a - b),
-    )
+    freq_grid = GridSpec(tuple(float(f) for f in range(-degree, degree + 1)))
     source = scalar_grid_algebra(freq_grid)
     target = scalar_grid_algebra(GridSpec.circle(m))
     action = fourier_synthesis_matrix(degree, target.grid.points)

@@ -99,16 +99,19 @@ def _rate(value, exponent, length):
 
 
 def _optimistic_rate(child_norm, exponent, length, log2_gen_max, depth):
-    """Best norm rate any descendant of this word could reach within depth."""
+    """Best norm rate any descendant of this word could reach within depth.
+
+    The log2 rate bound (base + (n - length) * log2_gen_max) / n of a
+    length-n descendant is monotone in n, so its maximum over
+    length <= n <= depth lies at an end of that range.
+    """
     if child_norm == 0.0:
         return 0.0
     base = math.log2(child_norm) + exponent
     if log2_gen_max == -math.inf:
         return _exp2(base / length)
-    best = -math.inf
-    for n in range(length, depth + 1):
-        best = max(best, (base + (n - length) * log2_gen_max) / n)
-    return _exp2(best)
+    return _exp2(max(base / length,
+                     (base + (depth - length) * log2_gen_max) / depth))
 
 
 def jsr_estimate(s, depth, gap_target=1e-3):
@@ -218,9 +221,8 @@ def _expand_products(s, n):
 def check_specrad_identities(s, c, n, depth, gap_target=1e-6):
     """Interval consistency of rho(cS) = |c| rho(S) and rho(S^n) = rho(S)^n.
 
-    Also confirms that the finite-set and disked-hull readings of S produce
-    the identical estimate.  Raises InvariantViolation on any inconsistency,
-    which would indicate a kernel bug rather than a property of the input.
+    Raises InvariantViolation on any inconsistency, which would indicate a
+    kernel bug rather than a property of the input.
     """
     s = bounded_set(s)
     if n not in (2, 3):
@@ -229,7 +231,6 @@ def check_specrad_identities(s, c, n, depth, gap_target=1e-6):
     scaled = jsr_estimate(s.scaled(c), depth, gap_target)
     power_depth = max(1, depth // n)
     powered = jsr_estimate(_expand_products(s, n), power_depth, gap_target)
-    hull = jsr_estimate(s.as_hull(), depth, gap_target)
 
     mag = abs(c)
     slack = 1e-9 * max(1.0, mag * base.upper if math.isfinite(base.upper) else 1.0)
@@ -246,16 +247,12 @@ def check_specrad_identities(s, c, n, depth, gap_target=1e-6):
             f"rho(S^{n}) interval [{powered.lower}, {powered.upper}] misses "
             f"rho(S)^{n} interval [{base.lower ** n}, {base.upper ** n}]"
         )
-    if (hull.lower, hull.upper) != (base.lower, base.upper):
-        raise InvariantViolation("hull interpretation changed the estimate")
     return {
         "base": base,
         "scaled": scaled,
         "powered": powered,
-        "hull": hull,
         "scalar": c,
         "power": n,
-        "consistent": True,
     }
 
 
@@ -458,4 +455,4 @@ def direct_union_liminf(chain, depth, gap_target=1e-3, slack=1e-8):
                 "direct-union stages disagree: "
                 f"[{reference.lower}, {reference.upper}] vs [{est.lower}, {est.upper}]"
             )
-    return {"stages": stages, "consistent": True}
+    return {"stages": stages}

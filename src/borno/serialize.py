@@ -41,7 +41,7 @@ from .seqspace import (
     WindowTerm,
 )
 
-SCHEMA = "borno/1"
+SCHEMA = "borno/2"
 
 
 def _req(obj, key, context):
@@ -72,7 +72,6 @@ def descriptor_to_json(desc):
     if isinstance(desc, GridFunctionAlgebra):
         return {"kind": "grid",
                 "points": list(desc.grid.points),
-                "distances": [list(r) for r in desc.grid.distances],
                 "fiber": descriptor_to_json(desc.fiber)}
     raise TypeError(f"not a descriptor: {desc!r}")
 
@@ -88,14 +87,8 @@ def descriptor_from_json(obj):
         return DirectSum(tuple(descriptor_from_json(s)
                                for s in _req(obj, "summands", "direct sum")))
     if kind == "grid":
-        _check_fields(obj, {"kind", "points", "distances", "fiber"},
-                      "grid descriptor")
-        points = tuple(_req(obj, "points", "grid"))
-        dists = obj.get("distances")
-        if dists is None:
-            dists = [[abs(p - q) for q in points] for p in points]
-        grid = GridSpec(points, tuple(tuple(float(x) for x in row)
-                                      for row in dists))
+        _check_fields(obj, {"kind", "points", "fiber"}, "grid descriptor")
+        grid = GridSpec(tuple(_req(obj, "points", "grid")))
         return GridFunctionAlgebra(grid,
                                    descriptor_from_json(_req(obj, "fiber",
                                                              "grid")))
@@ -161,18 +154,17 @@ def element_from_json(obj, context="element"):
 
 def bounded_set_to_json(s):
     return {"descriptor": descriptor_to_json(s.descriptor),
-            "generators": [element_data_to_json(g) for g in s.generators],
-            "interpretation": s.interpretation}
+            "generators": [element_data_to_json(g) for g in s.generators]}
 
 
 def bounded_set_from_json(obj, context="bounded set"):
-    _check_fields(obj, {"descriptor", "generators", "interpretation"}, context)
+    _check_fields(obj, {"descriptor", "generators"}, context)
     desc = descriptor_from_json(_req(obj, "descriptor", context))
     gens = [element_data_from_json(desc, g, context)
             for g in _req(obj, "generators", context)]
     if not gens:
         raise SchemaError(f"{context}: needs at least one generator")
-    return BoundedSet(tuple(gens), obj.get("interpretation", "set"))
+    return BoundedSet(tuple(gens))
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ def test_criterion_3_specrad_identities():
         except Exception:
             violations += 1
     _report(3, violations == 0,
-            f"50 seeded instances of rho(cS), rho(S^n), hull invariance: "
+            f"50 seeded instances of rho(cS) and rho(S^n): "
             f"{violations} violations")
 
 

@@ -285,11 +285,6 @@ class TestRowKernels:
 
 
 class TestBoundedSet:
-    def test_hull_flag_roundtrip(self):
-        s = bounded_set([matrix_element(np.eye(2))])
-        assert s.as_hull().interpretation == "hull"
-        assert s.as_hull().generators == s.generators
-
     def test_mixed_descriptors_rejected(self):
         with pytest.raises(DescriptorMismatch):
             bounded_set([matrix_element(np.eye(2)),
@@ -331,13 +326,20 @@ class TestFallbackKernels:
             assert bracket[0] <= sigma * (1 + 1e-9)
             assert bracket[1] >= sigma * (1 - 1e-9)
 
-    @pytest.mark.parametrize("points", [1, 2])
-    def test_huge_entries_do_not_pass_a_wrong_sigma(self, monkeypatch, points):
-        # entries near 2^600 overflow the squares the residual check takes; a
-        # wrong leading singular value must still fail the check, on the lone
-        # matrix path and on the batched one
+    @pytest.mark.parametrize("exp, points", [
+        pytest.param(600, 1, id="1"),
+        pytest.param(600, 2, id="2"),
+        pytest.param(-600, 1, id="tiny-1"),
+        pytest.param(-600, 3, id="tiny-3"),
+    ])
+    def test_huge_entries_do_not_pass_a_wrong_sigma(self, monkeypatch, exp,
+                                                    points):
+        # entries near 2^600 overflow the squares the residual check takes,
+        # and entries near 2^-600 underflow them; a wrong leading singular
+        # value must still fail the check, on the lone matrix path and on
+        # the batched one
         base = np.array([[3.0, 1.0], [0.0, 1.0]])
-        mats = [math.ldexp(1.0, 600) * (p + 1) * base for p in range(points)]
+        mats = [math.ldexp(1.0, exp) * (p + 1) * base for p in range(points)]
         want = max(float(np.linalg.svd(m, compute_uv=False)[0]) for m in mats)
         desc = GridFunctionAlgebra(GridSpec.interval(0.0, 1.0, points),
                                    MatrixAlgebra(2))
@@ -349,7 +351,7 @@ class TestFallbackKernels:
             return u, 1.5 * s, vh
 
         monkeypatch.setattr(np.linalg, "svd", wrong_svd)
-        assert norm(element) == pytest.approx(want, rel=1e-8)
+        assert norm(element) == pytest.approx(want, rel=1e-8, abs=0.0)
 
     def test_power_iteration_zero_matrix(self):
         from borno.algebra import _power_iteration_bracket

@@ -4,7 +4,33 @@ import pytest
 
 from borno.cli import builtin_instances, main, run_instance
 from borno.errors import SchemaError
-from borno.serialize import instance_digest
+from borno.serialize import SCHEMA, instance_digest
+
+
+# sha256 of each built-in instance's canonical JSON: a change to the instance
+# format or to a built-in instance shows here first
+BUILTIN_DIGESTS = {
+    "golden-pair":
+        "102a79dbb492000ab357ce32cdada745935616de61dcc0506f58de05ef05ce32",
+    "nilpotent":
+        "97d67bbfb634af123417171b621c78b4f2d708e394fdc4b12f617b8511ae1c21",
+    "contraction-hull":
+        "84c286511e377d1b228197f4e7122a026579f26c218be66d02066fd125a9ebe7",
+    "trig-grid":
+        "24ca17e39bb032919ce5088ebac9cc3afdd05b7e9cad7c6538663c8efc92c5ad",
+    "matrix-tower":
+        "ac2fce99040f24952ceda17f5f4a60d25bc0e8d40eb9b750787628ad4ce5fcf3",
+    "interval-restriction":
+        "11a1187c004fdc0422e1eacf32e8aa9a7bf626d014098e6794eceb2bf4321864",
+    "trig-fejer":
+        "a25464c5c4184eb1460524f254d1f081af0f063560904a801f905f5428e58b8b",
+    "cauchy-geometric":
+        "24f4419369bbd5f5f8c2702e55e1b21ef3a0f6f3e61b9b8e08f03f200d88a247",
+    "completion-demo":
+        "a8faa50410461003a92fd3c0ffeb2eb8800505113ab64dee9c547195257bdba0",
+    "approx-truncation":
+        "736aacf79c9ae2c1fcb5111b87f4652da1c348ac16c98be36a50d0381e704cdc",
+}
 
 
 def run_cli(args):
@@ -28,13 +54,13 @@ def report_of(tmp_path, name, extra=()):
 class TestFixtures:
     def test_every_builtin_validates_and_runs(self, tmp_path):
         for name, inst in builtin_instances().items():
-            assert inst["schema"] == "borno/1"
+            assert inst["schema"] == "borno/2"
         for name in ("golden-pair", "nilpotent", "contraction-hull",
                      "cauchy-geometric", "completion-demo",
                      "approx-truncation"):
             code, report = report_of(tmp_path, name)
             assert code in (0, 1, 2)
-            assert report["schema"] == "borno/1"
+            assert report["schema"] == "borno/2"
 
     def test_unknown_fixture_exits_three(self, tmp_path, capsys):
         assert run_cli(["fixture", "nope",
@@ -65,7 +91,7 @@ class TestErrors:
 
     def test_unknown_command_rejected(self, tmp_path):
         bad = tmp_path / "cmd.json"
-        bad.write_text(json.dumps({"schema": "borno/1", "command": "wat",
+        bad.write_text(json.dumps({"schema": SCHEMA, "command": "wat",
                                    "payload": {}, "config": {}}))
         assert run_cli(["run", "--input", str(bad)]) == 3
 
@@ -76,12 +102,37 @@ class TestErrors:
         bad.write_text(json.dumps(inst))
         assert run_cli(["run", "--input", str(bad)]) == 3
 
-    def test_wrong_schema_rejected(self, tmp_path):
+    def test_wrong_schema_rejected(self, tmp_path, capsys):
         bad = tmp_path / "schema.json"
         inst = builtin_instances()["golden-pair"]
-        inst["schema"] = "borno/2"
+        inst["schema"] = "borno/1"
         bad.write_text(json.dumps(inst))
         assert run_cli(["run", "--input", str(bad)]) == 3
+        assert "expected schema" in capsys.readouterr().err
+
+    def test_bounded_set_interpretation_rejected(self, tmp_path, capsys):
+        inst = builtin_instances()["golden-pair"]
+        inst["payload"]["set"]["interpretation"] = "set"
+        path = tmp_path / "interpretation.json"
+        path.write_text(json.dumps(inst))
+        assert run_cli(["jsr", "--input", str(path)]) == 3
+        assert "interpretation" in capsys.readouterr().err
+
+    def test_grid_distances_rejected(self, tmp_path, capsys):
+        from borno.algebra import (GridFunctionAlgebra, GridSpec,
+                                   MatrixAlgebra, bounded_set, grid_element)
+        from borno.serialize import bounded_set_to_json
+
+        desc = GridFunctionAlgebra(GridSpec.interval(0.0, 1.0, 2),
+                                   MatrixAlgebra(1))
+        s = bounded_set_to_json(bounded_set([grid_element(desc,
+                                                          [[[0.5]], [[1.0]]])]))
+        s["descriptor"]["distances"] = [[0.0, 1.0], [1.0, 0.0]]
+        path = tmp_path / "distances.json"
+        path.write_text(json.dumps({"schema": SCHEMA, "command": "jsr",
+                                    "payload": {"set": s}, "config": {}}))
+        assert run_cli(["jsr", "--input", str(path)]) == 3
+        assert "distances" in capsys.readouterr().err
 
     def test_unknown_map_fixture_exits_three(self, tmp_path):
         inst = builtin_instances()["trig-grid"]
@@ -113,7 +164,7 @@ class TestErrors:
                     entry[0] *= 0.5
                     entry[1] *= 0.5
         hull_inst = {
-            "schema": "borno/1",
+            "schema": SCHEMA,
             "command": "hull",
             "payload": {"set": half["payload"]["set"], "r": 1.0,
                         "max_products": 3},
@@ -158,6 +209,11 @@ class TestDeterminism:
             outputs.append(json.dumps(report, sort_keys=True))
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_builtin_digests_are_pinned(self):
+        digests = {name: instance_digest(inst)
+                   for name, inst in builtin_instances().items()}
+        assert digests == BUILTIN_DIGESTS
+
     def test_digest_is_stable(self):
         inst = builtin_instances()["golden-pair"]
         assert instance_digest(inst) == instance_digest(
@@ -180,7 +236,7 @@ class TestExplicitPayloads:
 
         ident = Homomorphism.identity(MatrixAlgebra(2))
         inst = {
-            "schema": "borno/1",
+            "schema": SCHEMA,
             "command": "apple",
             "payload": {
                 "map": map_to_json(ident),
@@ -210,7 +266,7 @@ class TestExplicitPayloads:
             GeoTerm(1, 1, SeqVector.unit(1, 1)),
             GeoTerm(-1, Fraction(1, 2), SeqVector.unit(1, 1))))
         inst = {
-            "schema": "borno/1",
+            "schema": SCHEMA,
             "command": "cauchy",
             "payload": {
                 "space": {"disks": [DiskForm("sum").as_dict()],
@@ -232,7 +288,7 @@ class TestExplicitPayloads:
         from borno.serialize import map_to_json
 
         inst = {
-            "schema": "borno/1",
+            "schema": SCHEMA,
             "command": "isoradial",
             "payload": {"map": map_to_json(corner_embedding(2, 3))},
             "config": {"samples": 2, "depth": 3},

@@ -110,7 +110,6 @@ class TestPointwiseVsUniform:
                                    for n in range(1, 9)), Fraction(1))
         out = pointwise_vs_uniform_check(fam, OperatorModel.identity(),
                                          GEO_BOX, L2)
-        assert out["agree"]
         assert out["uniform"].verdict == "converges"
 
     def test_growing_family_rejected(self):
@@ -125,7 +124,6 @@ class TestPointwiseVsUniform:
         out = pointwise_vs_uniform_check(fam, OperatorModel.zero(), GEO_BOX,
                                          L2)
         assert out["uniform"].rates == (0.0, 0.0)
-        assert out["agree"]
 
     def test_sampled_points_respect_certified_rates(self):
         # rate-soundness is enforced inside the check itself; run it on a
@@ -133,10 +131,8 @@ class TestPointwiseVsUniform:
         fam = OperatorFamily(tuple(OperatorModel.truncation(n)
                                    for n in range(64)), Fraction(1))
         for gauge in (L1, L2, SUP):
-            out = pointwise_vs_uniform_check(fam, OperatorModel.identity(),
-                                             GEO_BOX, gauge,
-                                             n_patterns=16)
-            assert out["agree"]
+            pointwise_vs_uniform_check(fam, OperatorModel.identity(),
+                                       GEO_BOX, gauge, n_patterns=16)
 
 
 class TestOperatorBounds:

@@ -76,6 +76,15 @@ class TestDescriptors:
         with pytest.raises(SchemaError):
             descriptor_from_json({"kind": "matrix", "dim": 2, "extra": 1})
 
+    def test_grid_distances_rejected(self):
+        obj = descriptor_to_json(
+            GridFunctionAlgebra(GridSpec.interval(0.0, 1.0, 2),
+                                MatrixAlgebra(1)))
+        assert sorted(obj) == ["fiber", "kind", "points"]
+        obj["distances"] = [[0.0, 1.0], [1.0, 0.0]]
+        with pytest.raises(SchemaError, match="distances"):
+            descriptor_from_json(obj)
+
 
 class TestElements:
     def test_complex_entries_roundtrip(self):
@@ -89,10 +98,16 @@ class TestElements:
 
     def test_bounded_set_roundtrip(self):
         s = bounded_set([matrix_element([[1, 2], [3, 4]]),
-                         matrix_element([[0, 1j], [0, 0]])]).as_hull()
+                         matrix_element([[0, 1j], [0, 0]])])
         back = roundtrip(s, bounded_set_to_json, bounded_set_from_json)
-        assert back.interpretation == "hull"
         assert back.generators == s.generators
+
+    def test_bounded_set_interpretation_rejected(self):
+        obj = bounded_set_to_json(bounded_set([matrix_element(np.eye(2))]))
+        assert sorted(obj) == ["descriptor", "generators"]
+        obj["interpretation"] = "set"
+        with pytest.raises(SchemaError, match="interpretation"):
+            bounded_set_from_json(obj)
 
     def test_real_shorthand_accepted(self):
         elem = element_from_json({
