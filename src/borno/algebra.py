@@ -569,17 +569,28 @@ def linprog(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
+def _check_primal(cols, lam, target, context):
+    """Raise NumericalFailure unless ``cols @ lam`` reproduces ``target``
+    within the span test's tolerance."""
+    tol = RANK_TOL * (1.0 + np.linalg.norm(target))
+    if np.linalg.norm(cols @ lam - target) > tol:
+        raise NumericalFailure(
+            f"{context} primal misses its target by more than {tol:.1e}")
+
+
 def _hull_gauge_lp(cols, target):
     """min sum |lambda_i| with cols @ lambda = target over real lambda.
 
     ``cols`` holds the hull generators' real coordinates as columns.  Returns
-    ``(value, lambda)``, or ``(inf, None)`` when the target is off their span.
+    ``(value, lambda, y)`` with the LP's dual ``y``: ``|cols^T y| <= 1`` and
+    ``y . target = value``.  A target off the columns' span gives
+    ``(inf, None, None)``.
     """
     # rank test: is x in the real span of the generators?
     sol, residual, _rank, _sv = np.linalg.lstsq(cols, target, rcond=None)
     fit = cols @ sol
     if np.linalg.norm(fit - target) > RANK_TOL * (1.0 + np.linalg.norm(target)):
-        return math.inf, None
+        return math.inf, None, None
     n = cols.shape[1]
     # lambda = p - q with p, q >= 0; minimize 1.(p + q)
     a_eq = np.concatenate([cols, -cols], axis=1)
@@ -588,7 +599,9 @@ def _hull_gauge_lp(cols, target):
                   method="highs")
     if not res.success:
         raise NumericalFailure(f"gauge LP failed: {res.message}")
-    return float(res.fun), res.x[:n] - res.x[n:]
+    lam = res.x[:n] - res.x[n:]
+    _check_primal(cols, lam, target, "gauge LP")
+    return float(res.fun), lam, res.eqlin.marginals
 
 
 def _hull_gauge_single(generators, x):
@@ -632,6 +645,8 @@ def _hull_gauge_groups(groups, x):
                   bounds=[(0, None)] * (2 * total + 1), method="highs")
     if not res.success:
         raise NumericalFailure(f"grouped gauge LP failed: {res.message}")
+    _check_primal(all_cols, res.x[:total] - res.x[total:2 * total], target,
+                  "grouped gauge LP")
     return float(res.fun)
 
 

@@ -29,7 +29,6 @@ from .algebra import (
     GridFunctionAlgebra,
     MatrixAlgebra,
     bounded_set,
-    gauge,
     multiply,
     norm,
     norms,
@@ -267,46 +266,133 @@ _INSIDE_TOL = 1e-12
 _BOUND_MARGIN = 1e-6
 
 
-def _closure_max(generators):
+def _decomposition_bounds(cols, pinv, targets, tol):
+    """||z||_1 of the decomposition z = ``pinv @ targets`` over ``cols`` of
+    each target column, or inf where ``cols @ z`` misses its target by more
+    than half the span tolerance ``tol``; ``cols`` and its pseudo-inverse
+    ``pinv`` may be stacks.
+
+    A decomposition that fits is a feasible point of the target's gauge LP,
+    so its ||z||_1 bounds the gauge; half the tolerance keeps the targets it
+    accepts ones that the LP's own span test also accepts.
+    """
+    z = pinv @ targets
+    fits = np.linalg.norm(cols @ z - targets, axis=-2) <= 0.5 * tol
+    return np.where(fits, np.abs(z).sum(axis=-2), math.inf)
+
+
+def _lp_basis(lam, rank):
+    """The rank-many columns with the largest |lambda| of a solved LP."""
+    return tuple(np.argsort(-np.abs(lam), kind="stable")[:rank].tolist())
+
+
+class _HullStack:
+    """A hull's real coordinates as one growing column stack G, with the
+    certificates of the membership LPs solved on it.
+
+    :meth:`inside` decides gauge(t) <= 1 + ``_INSIDE_TOL`` and solves an LP
+    only when no known certificate decides it:
+
+    * outside: a solved LP's dual y, renormalised by max |G^T y| over the
+      current columns, is dual feasible, so y.t / max |G^T y| bounds the
+      gauge of t from below;
+    * inside: a decomposition G z = t bounds it by ||z||_1 from above; tried
+      are the min-norm one over all columns and the one over each solved
+      LP's basis.
+
+    Each screen keeps ``_BOUND_MARGIN`` from the threshold, far above the LP
+    solver's error, so a screened decision is the one the LP would make.
+    """
+
+    def __init__(self, columns):
+        self.cols = np.stack(columns, axis=1)
+        dim = self.cols.shape[0]
+        self.duals = np.empty((0, dim))
+        # column-index tuples in the order their LPs were solved, and per
+        # basis its pseudo-inverse and columns, zero-padded to dim x dim
+        self.bases = {}
+        self.pinvs = np.empty((0, dim, dim))
+        self.basis_cols = np.empty((0, dim, dim))
+
+    def append(self, column):
+        self.cols = np.concatenate([self.cols, column[:, None]], axis=1)
+
+    def screen(self, target):
+        """True (inside) or False (outside) when a certificate decides, else None."""
+        if len(self.duals):
+            lower = (self.duals @ target) / np.abs(self.duals @ self.cols).max(axis=1)
+            if lower.max() > 1.0 + _BOUND_MARGIN:
+                return False
+        tol = RANK_TOL * (1.0 + np.linalg.norm(target))
+        column = target[:, None]
+        for cols, pinv in ((self.cols, np.linalg.pinv(self.cols)),
+                           (self.basis_cols, self.pinvs)):
+            if (_decomposition_bounds(cols, pinv, column, tol)
+                    <= 1.0 - _BOUND_MARGIN).any():
+                return True
+        return None
+
+    def inside(self, target):
+        decided = self.screen(target)
+        if decided is not None:
+            return decided
+        value, lam, dual = _hull_gauge_lp(self.cols, target)
+        if lam is None:
+            return False
+        basis = _lp_basis(lam, np.linalg.matrix_rank(self.cols))
+        if basis not in self.bases:
+            self.bases[basis] = None
+            cols = np.zeros((1,) + self.pinvs.shape[1:])
+            cols[0, :, :len(basis)] = self.cols[:, basis]
+            self.pinvs = np.concatenate([self.pinvs, np.linalg.pinv(cols)])
+            self.basis_cols = np.concatenate([self.basis_cols, cols])
+        # the dual of a zero target may be zero, and bounds nothing
+        if np.abs(self.cols.T @ dual).max() > 0:
+            self.duals = np.concatenate([self.duals, dual[None]])
+        return value <= 1.0 + _INSIDE_TOL
+
+
+def _closure_max(generators, bases=()):
     """max(1, the largest hull gauge of a pairwise product of the generators).
 
     The same float as ``max(1, max gauge(hull, a * b))`` over all pairs, but an
     LP is solved only for the pairs that could still set the maximum.  Each
-    solved LP's primal names a basis B of generators (the rank-many with the
-    largest |lambda|).  Where B reproduces a product x, its coefficients z are
-    a feasible decomposition of x, so ||z||_1 bounds the gauge of x.  Pairs
-    whose bound falls below the running maximum are never solved; a gauge <= 1
-    cannot change the clamped defect, so the maximum starts at 1.  Products
-    off the generators' span keep an infinite bound and get their LP, which
-    reports inf.
+    pair's bound is the smallest ||z||_1 of a decomposition z that reproduces
+    its product (:func:`_decomposition_bounds`): the min-norm one over all
+    generators, and the one over each basis B of generator indices, the given
+    ``bases`` and each solved LP's (the rank-many generators with the largest
+    |lambda|).  Pairs whose bound falls below the running maximum are never
+    solved; a gauge <= 1 cannot change the clamped defect, so the maximum
+    starts at 1.  Products off the generators' span keep an infinite bound
+    and get their LP, which reports inf.
     """
-    cols = np.stack([_real_coords(g) for g in generators], axis=1)
-    targets = [_real_coords(multiply(a, b)) for a in generators for b in generators]
-    prods = np.stack(targets, axis=1)
+    coords = np.stack([g.coords for g in generators])
+    prods = products(generators[0].descriptor, coords[:, None], coords[None, :])
+    prods = prods.reshape(len(coords) ** 2, -1)
+    cols = np.concatenate([coords.real, coords.imag], axis=1).T
+    prods = np.concatenate([prods.real, prods.imag], axis=1).T
     tol = RANK_TOL * (1.0 + np.linalg.norm(prods, axis=0))
-    rank = np.linalg.lstsq(cols, prods, rcond=None)[2]
-    upper = np.full(len(targets), math.inf)
+    rank = np.linalg.matrix_rank(cols)
+    upper = _decomposition_bounds(cols, np.linalg.pinv(cols), prods, tol)
+
+    def tighten(basis):
+        b = cols[:, basis]
+        np.minimum(upper, _decomposition_bounds(b, np.linalg.pinv(b), prods, tol),
+                   out=upper)
+
+    for basis in bases:
+        tighten(basis)
     best = 1.0
     while True:
         p = int(np.argmax(upper))
         if upper[p] < best - _BOUND_MARGIN * (1.0 + best):
             return best
         upper[p] = -math.inf
-        value, lam = _hull_gauge_lp(cols, targets[p])
+        value, lam, _dual = _hull_gauge_lp(cols, prods[:, p])
         if value == math.inf:
             return value
-        if np.linalg.norm(cols @ lam - targets[p]) > tol[p]:
-            raise NumericalFailure(
-                f"closure LP primal misses its product by more than {tol[p]:.1e}"
-            )
         best = max(best, value)
-        basis = cols[:, np.argsort(-np.abs(lam), kind="stable")[:rank]]
-        coeffs = np.linalg.lstsq(basis, prods, rcond=None)[0]
-        # half the span tolerance: a product B fits is one the LP's own span
-        # test also accepts, so no skipped pair could have read inf
-        fits = np.linalg.norm(basis @ coeffs - prods, axis=0) <= 0.5 * tol
-        np.minimum(upper, np.where(fits, np.abs(coeffs).sum(axis=0), math.inf),
-                   out=upper)
+        tighten(_lp_basis(lam, rank))
 
 
 def submultiplicative_hull(s, r, max_products=512):
@@ -314,15 +400,18 @@ def submultiplicative_hull(s, r, max_products=512):
 
     Expands products of (1/r) S level by level.  A product already inside the
     hull built so far adds nothing and is dropped; products decayed below the
-    norm cut are kept as terminal generators but not extended.  The returned
-    closure defect is measured directly on all pairwise products of the final
-    generators, so the certificate does not depend on the expansion strategy.
+    norm cut are kept as terminal generators but not extended.  Membership is
+    screened with the certificates of the LPs solved so far (:class:`_HullStack`)
+    before an LP is solved.  The returned closure defect is measured directly
+    on all pairwise products of the final generators, so the certificate does
+    not depend on the expansion strategy.
     """
     s = bounded_set(s)
     if not r > 0:
         raise ValueError("scale r must be positive")
     scaled_gens = [scale(1.0 / r, g) for g in s.generators]
-    generators = []
+    generators = list(scaled_gens)
+    stack = _HullStack([_real_coords(g) for g in generators])
     frontier = []
     decay_profile = {}
 
@@ -332,7 +421,6 @@ def submultiplicative_hull(s, r, max_products=512):
     for g in scaled_gens:
         n = norm(g)
         note(1, n)
-        generators.append(g)
         if n >= _DECAY_CUT:
             frontier.append(g)
     level = 1
@@ -344,12 +432,13 @@ def submultiplicative_hull(s, r, max_products=512):
                 q = multiply(p, g)
                 nq = norm(q)
                 note(level, nq)
-                if nq < _DECAY_CUT:
-                    generators.append(q)
-                    continue
-                if gauge(FiniteHull(tuple(generators)), q) <= 1.0 + _INSIDE_TOL:
+                x = _real_coords(q)
+                if nq >= _DECAY_CUT and stack.inside(x):
                     continue
                 generators.append(q)
+                stack.append(x)
+                if nq < _DECAY_CUT:
+                    continue
                 new_frontier.append(q)
                 if len(generators) > max_products:
                     raise CapExceeded(
@@ -358,12 +447,13 @@ def submultiplicative_hull(s, r, max_products=512):
                     )
         frontier = new_frontier
 
-    hull = FiniteHull(tuple(generators))
-    defect = max(0.0, _closure_max(generators) - 1.0)
-    containment = max(gauge(hull, g) for g in scaled_gens)
-    if containment > 1.0 + _INSIDE_TOL:
-        raise InvariantViolation("hull does not absorb (1/r) S")
-    return HullCertificate(hull, r, defect)
+    defect = max(0.0, _closure_max(generators, stack.bases) - 1.0)
+    # scaled generator i is column i, so e_i decomposes it with norm 1
+    for i, g in enumerate(scaled_gens):
+        x = _real_coords(g)
+        if not (np.array_equal(stack.cols[:, i], x) or stack.inside(x)):
+            raise InvariantViolation("hull does not absorb (1/r) S")
+    return HullCertificate(FiniteHull(tuple(generators)), r, defect)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -76,6 +77,20 @@ def descriptor_to_json(desc):
     raise TypeError(f"not a descriptor: {desc!r}")
 
 
+def _grid_points(points):
+    """The points of a grid descriptor: distinct finite numbers."""
+    if not isinstance(points, list):
+        raise SchemaError("grid descriptor: points must be a list")
+    for p in points:
+        if (isinstance(p, bool) or not isinstance(p, (int, float))
+                or (isinstance(p, float) and not math.isfinite(p))):
+            raise SchemaError(
+                f"grid descriptor: point {p!r} is not a finite number")
+    if len(set(points)) != len(points):
+        raise SchemaError("grid descriptor: repeated point")
+    return tuple(points)
+
+
 def descriptor_from_json(obj):
     kind = _req(obj, "kind", "descriptor")
     if kind == "matrix":
@@ -88,7 +103,7 @@ def descriptor_from_json(obj):
                                for s in _req(obj, "summands", "direct sum")))
     if kind == "grid":
         _check_fields(obj, {"kind", "points", "fiber"}, "grid descriptor")
-        grid = GridSpec(tuple(_req(obj, "points", "grid")))
+        grid = GridSpec(_grid_points(_req(obj, "points", "grid")))
         return GridFunctionAlgebra(grid,
                                    descriptor_from_json(_req(obj, "fiber",
                                                              "grid")))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -134,6 +137,27 @@ class TestErrors:
         assert run_cli(["jsr", "--input", str(path)]) == 3
         assert "distances" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("points", [
+        ["a", "b"], [True, False], [0.0, float("inf")], [0.0, float("nan")],
+        [[1], [2]], [0.0, 0.0], [1, 1.0], "ab"],
+        ids=["string", "boolean", "infinite", "nan", "list", "repeated",
+             "repeated-int", "not-a-list"])
+    def test_bad_grid_points_rejected(self, tmp_path, capsys, points):
+        from borno.algebra import (GridFunctionAlgebra, GridSpec,
+                                   MatrixAlgebra, bounded_set, grid_element)
+        from borno.serialize import bounded_set_to_json
+
+        desc = GridFunctionAlgebra(GridSpec.interval(0.0, 1.0, 2),
+                                   MatrixAlgebra(1))
+        s = bounded_set_to_json(bounded_set([grid_element(desc,
+                                                          [[[0.5]], [[1.0]]])]))
+        s["descriptor"]["points"] = points
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({"schema": SCHEMA, "command": "jsr",
+                                    "payload": {"set": s}, "config": {}}))
+        assert run_cli(["jsr", "--input", str(path)]) == 3
+        assert "grid descriptor" in capsys.readouterr().err
+
     def test_unknown_map_fixture_exits_three(self, tmp_path):
         inst = builtin_instances()["trig-grid"]
         inst["payload"]["fixture"] = "nope"
@@ -173,6 +197,41 @@ class TestErrors:
         path = tmp_path / "hull.json"
         path.write_text(json.dumps(hull_inst))
         assert run_cli(["run", "--input", str(path)]) == 4
+
+
+class TestDeferredScipy:
+    def test_hull_without_lp_never_imports_scipy(self, tmp_path):
+        # contraction-hull's one candidate and its closure product are
+        # decided by decompositions, so no LP and no scipy.optimize import
+        import borno
+
+        inst = write_fixture(tmp_path, "contraction-hull")
+        out = tmp_path / "report.json"
+        code = (
+            "import sys\n"
+            "from borno.cli import main\n"
+            f"code = main(['run', '--input', {str(inst)!r}, '--out', {str(out)!r}])\n"
+            "print(code, 'scipy.optimize' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(borno.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["0", "False"]
+        with open(out) as fh:
+            report = json.load(fh)
+        report.pop("wall_time_ms")
+        assert report == {
+            "schema": SCHEMA,
+            "command": "hull",
+            "instance_digest": BUILTIN_DIGESTS["contraction-hull"],
+            "toolkit_version": "0.1.0",
+            "verdicts": {"closure": "pass"},
+            "results": {"scale": 1.0, "closure_defect": 0.0,
+                        "n_generators": 1},
+        }
 
 
 class TestApproxProperty:

@@ -10,6 +10,7 @@ import borno.algebra
 from borno import jsr
 from borno.algebra import (
     DirectSum,
+    FiniteHull,
     GridFunctionAlgebra,
     GridSpec,
     MatrixAlgebra,
@@ -20,6 +21,7 @@ from borno.algebra import (
     multiply,
     norm,
     scale,
+    SumDisk,
     spectral_radius_single,
 )
 from borno.errors import CapExceeded, NumericalFailure
@@ -77,16 +79,57 @@ def all_pairs_closure_max(mats):
     return best
 
 
+def family_set(seed):
+    """A seeded 2 x (2x2) complex family."""
+    rng = np.random.default_rng(seed)
+    return bounded_set([matrix_element((rng.standard_normal((2, 2))
+                                        + 1j * rng.standard_normal((2, 2))) / 3)
+                        for _ in range(2)])
+
+
 @functools.lru_cache(maxsize=None)
 def hull_family(seed):
     """(estimate, hull certificate) of a seeded 2 x (2x2) complex family."""
-    rng = np.random.default_rng(seed)
-    mats = [matrix_element((rng.standard_normal((2, 2))
-                            + 1j * rng.standard_normal((2, 2))) / 3)
-            for _ in range(2)]
-    s = bounded_set(mats)
+    s = family_set(seed)
     est = jsr_estimate(s, depth=8, gap_target=1e-6)
     return est, submultiplicative_hull(s, r=1.1 * est.upper, max_products=512)
+
+
+def per_candidate_hull(mats, r, max_products):
+    """(generator matrices, LP count) of the plain hull expansion.
+
+    Independent of the kernel's screened membership test: every product not
+    decayed below the norm cut gets its own scipy LP over all generators so
+    far, and an infeasible LP (a product off their span) reads outside.
+    """
+    from scipy.optimize import linprog
+
+    scaled = [(1.0 / r) * np.asarray(m, dtype=np.complex128) for m in mats]
+    gens = list(scaled)
+    frontier = [m for m in scaled if np.linalg.norm(m, 2) >= 1e-12]
+    lps = 0
+    while frontier:
+        new_frontier = []
+        for p in frontier:
+            for g in scaled:
+                q = stable_matmul(p, g)
+                if np.linalg.norm(q, 2) < 1e-12:
+                    gens.append(q)
+                    continue
+                cols = np.stack([real_coords(m) for m in gens], axis=1)
+                n = cols.shape[1]
+                res = linprog(np.ones(2 * n),
+                              A_eq=np.concatenate([cols, -cols], axis=1),
+                              b_eq=real_coords(q), bounds=[(0, None)] * (2 * n),
+                              method="highs")
+                lps += 1
+                if res.success and res.fun <= 1 + 1e-12:
+                    continue
+                gens.append(q)
+                new_frontier.append(q)
+                assert len(gens) <= max_products
+        frontier = new_frontier
+    return gens, lps
 
 
 def exhaustive_jsr(mats, depth, gap, norm_kind="op2"):
@@ -334,6 +377,17 @@ class TestClosureDifferential:
         monkeypatch.setattr(borno.algebra, "linprog", skewed)
         with pytest.raises(NumericalFailure):
             _closure_max([matrix_element([[2.0]]), matrix_element([[3.0]])])
+        # the expansion's membership LPs, gauge and the grouped gauge alike
+        with pytest.raises(NumericalFailure):
+            submultiplicative_hull(bounded_set([scale(0.5, g) for g in GOLDEN]),
+                                   r=1.0, max_products=256)
+        e1 = matrix_element(np.diag([1.0, 0.0]))
+        e2 = matrix_element(np.diag([0.0, 1.0]))
+        with pytest.raises(NumericalFailure):
+            gauge(FiniteHull((e1, e2)), matrix_element(np.eye(2)))
+        with pytest.raises(NumericalFailure):
+            gauge(SumDisk(FiniteHull((e1,)), FiniteHull((e2,))),
+                  matrix_element(np.eye(2)))
 
     def test_closure_solves_few_lps(self, monkeypatch):
         # the bound screen must stay on: at most a quarter of the n^2 pairs
@@ -350,6 +404,97 @@ class TestClosureDifferential:
         best = _closure_max(gens)
         assert cert.closure_defect == max(0.0, best - 1.0)
         assert 0 < len(calls) <= len(gens) ** 2 / 4
+
+
+class TestScreenedExpansion:
+    """The screened hull expansion against one plain LP per candidate."""
+
+    @staticmethod
+    def check(cert, s, max_products, closure=True):
+        r = cert.scale
+        mats = [g.data for g in s.generators]
+        reference, _lps = per_candidate_hull(mats, r, max_products)
+        got = [g.data for g in cert.hull.generators]
+        assert len(got) == len(reference)
+        assert all(np.array_equal(a, b) for a, b in zip(got, reference))
+        if closure:
+            # the closure loop on the reference list, unseeded by the
+            # expansion's bases; TestClosureDifferential checks that loop
+            # against all pairs
+            ref_gens = [matrix_element(m) for m in reference]
+            assert cert.closure_defect == max(0.0, _closure_max(ref_gens) - 1.0)
+
+    @pytest.mark.parametrize("seed", range(400, 412))
+    def test_hull_families(self, seed):
+        est, cert = hull_family(seed)
+        assert cert.scale == 1.1 * est.upper
+        # the closure is re-solved on the hulls of at most 31 generators:
+        # the others (41-83) would take several seconds each
+        self.check(cert, family_set(seed), 512,
+                   closure=seed not in (403, 404, 406, 408, 410))
+
+    @pytest.mark.parametrize("name", ["golden", "nilpotent", "contraction"])
+    def test_fixed_sets(self, name):
+        mats = {"golden": [0.5 * g.data for g in GOLDEN],
+                "nilpotent": [np.array([[0, 1], [0, 0]])],
+                "contraction": [0.5 * np.eye(2)]}[name]
+        cap = {"golden": 256, "nilpotent": 16, "contraction": 64}[name]
+        s = bounded_set([matrix_element(m) for m in mats])
+        self.check(submultiplicative_hull(s, 1.0, cap), s, cap)
+
+    def test_real_pair(self):
+        rng = np.random.default_rng(6)
+        s = bounded_set([matrix_element(rng.standard_normal((2, 2)) / 2)
+                         for _ in range(2)])
+        est = jsr_estimate(s, depth=8, gap_target=1e-6)
+        cert = submultiplicative_hull(s, 1.1 * est.upper, 512)
+        assert cert.scale == 1.1 * est.upper
+        self.check(cert, s, 512)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6),
+           count=st.integers(2, 8),
+           steps=st.lists(st.tuples(
+               st.integers(1, 3),
+               st.sampled_from([1 - 1e-7, 1 + 1e-7]) | st.floats(0.9, 1.1),
+               st.booleans()), min_size=1, max_size=8))
+    def test_screen_decides_as_the_lp(self, seed, dim, count, steps):
+        # targets s * (an l1-unit combination of the columns), the stack
+        # growing between them so that old duals need renormalising
+        rng = np.random.default_rng(seed)
+        stack = jsr._HullStack(list(rng.standard_normal((count, dim))))
+        for support, factor, grow in steps:
+            if grow:
+                stack.append(3 * rng.standard_normal(dim))
+            cols = stack.cols
+            idx = rng.choice(cols.shape[1], size=min(support, cols.shape[1]),
+                             replace=False)
+            c = rng.standard_normal(len(idx))
+            target = factor * (cols[:, idx] @ (c / np.abs(c).sum()))
+            decided = stack.screen(target)
+            if decided is not None:
+                value = borno.algebra._hull_gauge_lp(cols, target)[0]
+                assert decided == (value <= 1 + jsr._INSIDE_TOL)
+            stack.inside(target)
+
+    def test_screen_saves_lps(self, monkeypatch):
+        # the screen must stay on: at most 3/4 of the per-candidate LPs
+        est, _cert = hull_family(411)
+        s = family_set(411)
+        r = 1.1 * est.upper
+        _gens, reference = per_candidate_hull([g.data for g in s.generators],
+                                              r, 512)
+        solve = borno.algebra.linprog
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(borno.algebra, "linprog", counting)
+        monkeypatch.setattr(jsr, "_closure_max", lambda gens, bases=(): 1.0)
+        submultiplicative_hull(s, r, 512)
+        assert 0 < len(calls) <= 0.75 * reference
 
 
 class TestGridMax:
