@@ -339,66 +339,45 @@ def _bracket(mat_s, exp, failure):
     return math.ldexp(est, exp)
 
 
-def _op2_norm(mat):
-    """Largest singular value of one matrix, residual-checked.
+def _matrix_norms(stack, kind):
+    """The ``kind`` norm of each matrix of a ``(count, d, d)`` stack.
 
-    A matrix with an entry above ``_SQUARE_SAFE``, or a nonzero one whose
+    For ``op2``, one batched SVD gives each matrix the bits of its own SVD,
+    and a residual check of its leading singular triple certifies it.  A
+    matrix with an entry above ``_SQUARE_SAFE``, or a nonzero one whose
     entries are all below ``_SQUARE_TINY``, is checked and bracketed as its
     copy scaled by the power of two that brings its largest entry into
     [1/2, 1).  Such scaling commutes with every rounding here, so a matrix
     whose norms neither overflow nor underflow gets the verdict it gets
-    unscaled.  The SVD runs on the unscaled matrix.
-    """
-    peak = float(np.max(np.abs(mat)))
-    exp = (math.frexp(peak)[1]
-           if _unsafe_peaks(peak) and peak < math.inf else 0)
-    mat_s = math.ldexp(1.0, -exp) * mat if exp else mat
-    try:
-        u, s, vh = np.linalg.svd(mat)
-    except np.linalg.LinAlgError:
-        return _bracket(mat_s, exp, "operator-2-norm iteration did not converge")
-    sigma = float(s[0])
-    if sigma == 0.0:
-        return 0.0
-    # residual certificate for the leading singular triple
-    sigma_s = math.ldexp(sigma, -exp)
-    r1 = float(np.linalg.norm(mat_s @ vh[0].conj() - sigma_s * u[:, 0]))
-    r2 = float(np.linalg.norm(mat_s.conj().T @ u[:, 0]
-                              - sigma_s * vh[0].conj()))
-    fro = float(np.linalg.norm(mat_s, "fro"))
-    if max(r1, r2) > NORM_TOL * sigma_s + 1e-13 * fro:
-        return _bracket(mat_s, exp, "operator-2-norm residual check failed")
-    return sigma
-
-
-def _matrix_norms(stack, kind):
-    """The ``kind`` norm of each matrix of a ``(count, d, d)`` stack.
-
-    For ``op2``, one batched SVD gives each matrix the bits of its own SVD.
-    The batched residuals differ from :func:`_op2_norm`'s by rounding only,
-    so a matrix whose residual is below half the limit passes its check too.
-    Any other matrix, a lone matrix, a stack with a matrix that
-    :func:`_op2_norm` scales and the matrices of a stack whose SVD fails go
-    through :func:`_op2_norm` itself.
+    unscaled.  The SVD runs on the unscaled stack.  A matrix that fails its
+    check is bracketed by power iteration, and a stack whose SVD fails is
+    redone matrix by matrix.
     """
     if kind == MAXROW:
         return np.max(np.sum(np.abs(stack), axis=2), axis=1)
-    if (len(stack) == 1
-            or _unsafe_peaks(np.max(np.abs(stack), axis=(1, 2))).any()):
-        return np.array([_op2_norm(mat) for mat in stack])
+    peaks = np.max(np.abs(stack), axis=(1, 2))
+    exps = np.where(_unsafe_peaks(peaks), np.frexp(peaks)[1], 0)
+    scaled = (stack * np.ldexp(1.0, -exps)[:, None, None] if exps.any()
+              else stack)
     try:
         u, s, vh = np.linalg.svd(stack)
     except np.linalg.LinAlgError:
-        return np.array([_op2_norm(mat) for mat in stack])
+        if len(stack) > 1:
+            return np.concatenate([_matrix_norms(mat[None], kind)
+                                   for mat in stack])
+        return np.array([_bracket(
+            scaled[0], int(exps[0]),
+            "operator-2-norm iteration did not converge")])
     sigma, left, right = s[:, 0], u[:, :, 0], vh[:, 0, :].conj()
-    r1 = np.linalg.norm(np.einsum("nij,nj->ni", stack, right)
-                        - sigma[:, None] * left, axis=1)
-    r2 = np.linalg.norm(np.einsum("nji,nj->ni", stack.conj(), left)
-                        - sigma[:, None] * right, axis=1)
-    limit = NORM_TOL * sigma + 1e-13 * np.linalg.norm(stack, axis=(1, 2))
-    clear = (sigma == 0.0) | (np.maximum(r1, r2) <= limit / 2)
-    for i in np.flatnonzero(~clear):
-        sigma[i] = _op2_norm(stack[i])
+    sigma_s = np.ldexp(sigma, -exps)
+    r1 = np.linalg.norm(np.einsum("nij,nj->ni", scaled, right)
+                        - sigma_s[:, None] * left, axis=1)
+    r2 = np.linalg.norm(np.einsum("nji,nj->ni", scaled.conj(), left)
+                        - sigma_s[:, None] * right, axis=1)
+    limit = NORM_TOL * sigma_s + 1e-13 * np.linalg.norm(scaled, axis=(1, 2))
+    for i in np.flatnonzero((sigma != 0.0) & ~(np.maximum(r1, r2) <= limit)):
+        sigma[i] = _bracket(scaled[i], int(exps[i]),
+                            "operator-2-norm residual check failed")
     return sigma
 
 

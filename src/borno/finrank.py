@@ -2,11 +2,12 @@
 
 A compact set is a coordinate box |x_k| <= a_k with a summable closed-form
 envelope (the Hilbert-cube surrogate for precompactness).  Supported
-operators act coordinate-wise in closed form (diagonal, truncation, banded),
-so the supremum of gauge((F_n - f)x) over the box is attained at x_k = a_k
-up to phase and is computable exactly: rationally for geometric data, via
-integral bounds for inverse-polynomial envelopes.  Certified rates are
-always valid upper bounds.
+operators are closed-form bands (Fx)_k = sum_d mu_d(k) x_{k+d}, optionally
+cut off after a coordinate, so the supremum of gauge((F_n - f)x) over the
+box is bounded by the gauge of closed forms at x_k = a_k: rationally for
+geometric data, via integral bounds for inverse-polynomial envelopes.
+Certified rates are always valid upper bounds, and exact where one closed
+form equals the supremum.
 """
 
 from __future__ import annotations
@@ -115,20 +116,21 @@ def precompactness_check(s, gauge):
 
 @dataclass(frozen=True)
 class OperatorModel:
-    """Coordinate action (Fx)_k = sum_d mu_d(k) x_{k+d} in closed form.
+    """Coordinate action (Fx)_k = sum_d mu_d(k) x_{k+d} in closed form: a
+    tuple of ``(d, mu)`` bands, where bands at one offset add up, and with a
+    cutoff only the coordinates k <= cutoff are kept.
 
-    kinds: identity, zero, truncation (keep k <= cutoff), diagonal (mu in
-    closed form), banded (list of (offset, form)).
+    ``kind`` names the constructor: identity, zero, truncation, diagonal or
+    banded.
     """
 
     kind: str
-    cutoff: int = None
-    form: CoordForm = None
     bands: tuple = ()
+    cutoff: int = None
 
     @staticmethod
     def identity():
-        return OperatorModel("identity")
+        return OperatorModel("identity", ((0, CoordForm(1)),))
 
     @staticmethod
     def zero():
@@ -136,76 +138,72 @@ class OperatorModel:
 
     @staticmethod
     def truncation(n):
-        return OperatorModel("truncation", cutoff=n)
+        return OperatorModel("truncation", ((0, CoordForm(1)),), n)
 
     @staticmethod
     def diagonal(form):
-        return OperatorModel("diagonal", form=form)
+        return OperatorModel("diagonal", ((0, form),))
 
     @staticmethod
     def banded(bands):
-        return OperatorModel("banded", bands=tuple(bands))
+        return OperatorModel("banded", tuple(bands))
 
     def multiplier(self, k, d=0):
         """mu_d(k), the coefficient of x_{k+d} in (Fx)_k."""
-        if self.kind == "identity":
-            return Fraction(1) if d == 0 else Fraction(0)
-        if self.kind == "zero":
+        if self.cutoff is not None and k > self.cutoff:
             return Fraction(0)
-        if self.kind == "truncation":
-            return Fraction(1) if (d == 0 and k <= self.cutoff) else Fraction(0)
-        if self.kind == "diagonal":
-            return self.form.value(k) if d == 0 else Fraction(0)
-        for off, form in self.bands:
-            if off == d:
-                return form.value(k)
-        return Fraction(0)
-
-    def offsets(self):
-        if self.kind == "banded":
-            return tuple(off for off, _ in self.bands)
-        return (0,)
+        return sum((form.value(k) for off, form in self.bands if off == d),
+                   Fraction(0))
 
     def apply(self, values):
         """Exact action on an explicit finitely supported vector."""
         out = {}
-        support = set()
-        for d in self.offsets():
-            support |= {k - d for k in values}
-        for k in support:
-            if k < 0:
-                continue
-            acc = Fraction(0)
-            for d in self.offsets():
-                acc += self.multiplier(k, d) * values.get(k + d, Fraction(0))
-            if acc != 0:
-                out[k] = acc
-        return out
+        for d, form in self.bands:
+            for j, v in values.items():
+                k = j - d
+                if k >= 0 and (self.cutoff is None or k <= self.cutoff):
+                    out[k] = out.get(k, 0) + form.value(k) * v
+        return {k: v for k, v in out.items() if v != 0}
 
 
 def _diagonal_form(op):
-    """The multiplier of a diagonal-like operator as a CoordForm, or None."""
-    if op.kind == "identity":
-        return CoordForm(1)
-    if op.kind == "zero":
-        return CoordForm(0)
-    if op.kind == "diagonal":
-        return op.form
-    return None
+    """The multiplier of an identity, zero or diagonal operator, or None."""
+    if op.kind not in ("identity", "zero", "diagonal"):
+        return None
+    return op.bands[0][1] if op.bands else CoordForm(0)
+
+
+def _shifted_envelope(env, d):
+    """A closed form g >= a_{k+d} on k >= 0, for the box envelope a (zero at
+    negative indices), and whether g equals it there.
+
+    a_{k+d} = c r^d r^k (k+1+d)^p, and for k >= max(0, -d) the ratio
+    (k+1+d)/(k+1) lies in [1/(1-d), 1] when d < 0 and in [1, 1+d] when
+    d > 0: it raises (k+1)^p by at most (1+|d|)^|p| when d p > 0.
+    """
+    c, r, p = env.coeff, env.ratio, env.power
+    if d == 0 or c == 0:
+        return env, True
+    if r == 0 and d < 0:  # a_j is c at j = 0 only
+        return CoordForm(c * 2**-d, Fraction(1, 2)), False
+    factor = Fraction(1 + abs(d)) ** abs(p) if d * p > 0 else 1
+    return CoordForm(c * r**d * factor, r, p), d > 0 and p == 0
 
 
 def _difference_magnitude_forms(f_n, f_inf, s):
     """Nonnegative closed forms whose sum bounds sup_{x in box} |(F-f)x|_k,
     the index where the forms become exact (truncations make the difference
-    vanish below the cutoff), and the last index of a two-truncation
-    difference (None otherwise).  Matching diagonal closed forms subtract
-    exactly, so identical operators give a zero rate."""
+    vanish below the cutoff), the last index of a two-truncation difference
+    (None otherwise), and whether the forms' sum equals that supremum.
+    Matching diagonal closed forms subtract exactly, so identical operators
+    give a zero rate."""
+    env = s.envelope.abs_form()
     if {f_n.kind, f_inf.kind} == {"truncation", "identity"}:
         cut = f_n.cutoff if f_n.kind == "truncation" else f_inf.cutoff
-        return [s.envelope.abs_form()], cut + 1, None
+        return [env], cut + 1, None, True
     if f_n.kind == "truncation" and f_inf.kind == "truncation":
         lo, hi = sorted((f_n.cutoff, f_inf.cutoff))
-        return [s.envelope.abs_form()], lo + 1, hi
+        return [env], lo + 1, hi, True
     diag_n, diag_inf = _diagonal_form(f_n), _diagonal_form(f_inf)
     if diag_n is not None and diag_inf is not None and (
             (diag_n.ratio, diag_n.power) == (diag_inf.ratio, diag_inf.power)
@@ -213,33 +211,15 @@ def _difference_magnitude_forms(f_n, f_inf, s):
         delta = CoordForm(abs(diag_n.coeff - diag_inf.coeff),
                           diag_n.ratio if diag_n.coeff else diag_inf.ratio,
                           diag_n.power if diag_n.coeff else diag_inf.power)
-        return [delta * s.envelope.abs_form()], 0, None
-    offsets = sorted(set(f_n.offsets()) | set(f_inf.offsets()))
-    forms = []
-    for d in offsets:
-        # |mu^n_d(k) - mu^inf_d(k)| bounded by the triangle of the two forms
-        forms_d = []
-        for op in (f_n, f_inf):
-            if op.kind == "diagonal" and d == 0:
-                forms_d.append(op.form)
-            elif op.kind == "identity" and d == 0:
-                forms_d.append(CoordForm(1))
-            elif op.kind == "banded":
-                for off, form in op.bands:
-                    if off == d:
-                        forms_d.append(form)
-            elif op.kind == "zero":
-                pass
-            elif op.kind == "truncation":
-                raise InvariantViolation(
-                    "truncation differences mix only with identity/truncation")
-        shifted_env = CoordForm(
-            s.envelope.coeff * s.envelope.ratio**d if d >= 0
-            else s.envelope.coeff,
-            s.envelope.ratio, s.envelope.power)
-        for g in forms_d:
-            forms.append(g.abs_form() * shifted_env.abs_form())
-    return forms, 0, None
+        return [delta * env], 0, None, True
+    if f_n.cutoff is not None or f_inf.cutoff is not None:
+        raise InvariantViolation(
+            "truncation differences mix only with identity/truncation")
+    # |mu^n_d(k) - mu^inf_d(k)| bounded by the triangle of the two forms
+    bands = sorted(f_n.bands + f_inf.bands, key=lambda band: band[0])
+    shifted = [_shifted_envelope(env, d) for d, _ in bands]
+    forms = [g.abs_form() * h for (_, g), (h, _) in zip(bands, shifted)]
+    return forms, 0, None, len(forms) <= 1 and all(eq for _, eq in shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +239,7 @@ class RateSequence:
 
 def _rate_of_pair(f_n, f_inf, s, t_gauge):
     """(certified raw rate, exact flag); raw is the radicand for l2 gauges."""
-    forms, start, hi = _difference_magnitude_forms(f_n, f_inf, s)
+    forms, start, hi, exact = _difference_magnitude_forms(f_n, f_inf, s)
     if hi is not None:
         # difference of two truncations lives on [start, hi]
         total = t_gauge.of_magnitudes(forms, start)
@@ -270,7 +250,6 @@ def _rate_of_pair(f_n, f_inf, s, t_gauge):
         if t_gauge.kind == L1 and total != INF and beyond != INF:
             return total - beyond, True
         return total, False  # sup over a superset: upper bound only
-    exact = len(forms) <= 1  # single closed form: sup attained at the envelope
     return t_gauge.of_magnitudes(forms, start), exact
 
 
@@ -313,19 +292,23 @@ class OperatorFamily:
 
 
 def operator_gauge_bound(op, gauge):
-    """Certified bound for the gauge-to-gauge norm of a coordinate operator."""
-    if op.kind in ("identity", "truncation"):
+    """Certified bound for the gauge-to-gauge norm of a coordinate operator.
+
+    A band (d, mu) adds sup_k |mu(k)| q_k under sum and sup gauges and
+    sup_k |mu(k)| sqrt(q_k) <= sup_k |mu(k)| max(1, q_k) under l2 gauges,
+    where q_k = w(k)/w(k+d) = b^-d ((k+1)/(k+1+d))^p is at most b^-d (1-d)^p
+    for k >= -d when d < 0 and at most b^-d when d >= 0.
+    """
+    if op.cutoff is not None:
         return Fraction(1)
-    if op.kind == "zero":
-        return Fraction(0)
-    if op.kind == "diagonal":
-        return op.form.abs_form().sup_from(0)
+    w = gauge.weight
     total = Fraction(0)
-    for _off, form in op.bands:
+    for d, form in op.bands:
         b = form.abs_form().sup_from(0)
         if b == INF:
             return INF
-        total += b
+        ratio = w.base ** -d * (Fraction(1 - d) ** w.power if d < 0 else 1)
+        total += b * (max(1, ratio) if gauge.kind == L2 else ratio)
     return total
 
 
@@ -358,8 +341,7 @@ def pointwise_vs_uniform_check(family, f_inf, s, t_gauge, n_patterns=8):
             for k, v in f_x.items():
                 diff[k] = diff.get(k, Fraction(0)) - v
             values.append(t_gauge.of_vector(diff))
-        if values and not (values[-1] <= values[0] or values[-1] == 0):
-            pointwise_ok = False
+        pointwise_ok = pointwise_ok and _raws_converge(values)
         if values and uniform.verdict == "converges":
             # sampled points never exceed the certified rates
             for v, raw in zip(values, raws):
@@ -367,7 +349,7 @@ def pointwise_vs_uniform_check(family, f_inf, s, t_gauge, n_patterns=8):
                     raise InvariantViolation(
                         "sampled point exceeds its certified rate")
     pointwise_verdict = "converges" if pointwise_ok else "diverges"
-    if (uniform.verdict == "converges") != (pointwise_verdict == "converges"):
+    if uniform.verdict != pointwise_verdict:
         raise InvariantViolation(
             "pointwise and uniform verdicts disagree for an equibounded "
             "family")

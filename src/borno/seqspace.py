@@ -715,9 +715,9 @@ def _decide_single_m(x, m, disk, eps, env, env_from, limit):
                 f"pair check at m={m} did not close within the scan cap")
 
 
-def _hunt_violation(x, disk, eps, start, limit):
+def _hunt_violation(x, disk, eps):
     """Search for an explicit violating pair (m, n); None if none found."""
-    for m in range(start, start + _SCAN_CAP):
+    for m in range(_SCAN_CAP):
         xm = x.at(m)
         for n in range(m + 1, m + 1 + 64):
             g = gauge_value(disk, x.at(n).subtract(xm))
@@ -786,7 +786,7 @@ def pair_deviation_envelope(x, disk):
     return Envelope(terms), valid_from
 
 
-def dominating_eps(envelope, valid_from):
+def dominating_eps(envelope):
     """A geometric EpsForm with eps(m) >= envelope(m) for all m >= 0, with
     ratio at least 1/2."""
     floor = Fraction(1, 2)
@@ -820,7 +820,7 @@ def cauchy_check(x, space, disk_index, eps):
     env, env_from = x.deviation_envelope(disk)
     pair_env, pair_from = pair_deviation_envelope(x, disk)
     if pair_env.infinite:
-        pair = _hunt_violation(x, disk, eps, 0, limit)
+        pair = _hunt_violation(x, disk, eps)
         if pair is not None:
             return DecisionReport("no", disk_index, eps, violating_pair=pair)
         raise NotDecided("deviation envelope is unbounded but no explicit "
@@ -828,7 +828,7 @@ def cauchy_check(x, space, disk_index, eps):
     m_sym = max(pair_from, x.start)
     m_star = pair_env.dominated_from(eps, m_sym)
     if m_star is None:
-        pair = _hunt_violation(x, disk, eps, 0, limit)
+        pair = _hunt_violation(x, disk, eps)
         if pair is not None:
             return DecisionReport("no", disk_index, eps, violating_pair=pair)
         raise NotDecided("no envelope domination certificate and no explicit "
@@ -994,7 +994,7 @@ def _witness_eps(space, disk_index):
     disk = space.disk(disk_index)
     model = _canonical_witness(space, disk_index)
     env, _vf = pair_deviation_envelope(model, disk)
-    eps = dominating_eps(env, 0)
+    eps = dominating_eps(env)
     if eps is None:
         raise NotDecided("canonical witness has no dominating descriptor")
     return eps
@@ -1261,15 +1261,13 @@ class ExtendedMap:
     source_disk: int
     target_disk: int
 
-    def __call__(self, completion, element, target_completion=None):
-        target = target_completion or completion
+    def __call__(self, completion, element):
         model = apply_map_to_model(self.base, element.model)
         eps = element.eps.scaled(max(self.bound, Fraction(1)))
-        return target.element(model, self.target_disk, eps)
+        return completion.element(model, self.target_disk, eps)
 
 
-def extend_map_to_completion(f, completion, source_disk=0, target_disk=0,
-                             target_space=None):
+def extend_map_to_completion(f, completion, source_disk=0, target_disk=0):
     """Extend a bounded coordinate map to completion classes, termwise.
 
     The declared gauge-to-gauge bound is verified on coordinate vectors; an
@@ -1277,8 +1275,8 @@ def extend_map_to_completion(f, completion, source_disk=0, target_disk=0,
     null representatives map to null representatives.
     """
     space = completion.space
-    tgt = (target_space or space).disk(target_disk)
-    bound = coordinate_map_bound(f, space.disk(source_disk), tgt)
+    bound = coordinate_map_bound(f, space.disk(source_disk),
+                                 space.disk(target_disk))
     if bound == INF:
         raise UnboundedMap(
             f"{f.kind} map has no finite gauge bound from disk "

@@ -102,6 +102,99 @@ class TestNorm:
                 assert lhs <= rhs * (1 + 1e-12)
 
 
+def _op2_norm(mat):
+    """Reference op2 certificate, one matrix at a time.
+
+    The SVD runs on ``mat``; the residual check of its leading singular
+    triple and the power-iteration fallback run on the copy scaled by the
+    power of two that brings the largest entry into [1/2, 1), when that
+    entry is outside [2^-250, 2^250].
+    """
+    from borno.algebra import NORM_TOL, _bracket, _unsafe_peaks
+    peak = float(np.max(np.abs(mat)))
+    exp = (math.frexp(peak)[1]
+           if _unsafe_peaks(peak) and peak < math.inf else 0)
+    mat_s = math.ldexp(1.0, -exp) * mat if exp else mat
+    try:
+        u, s, vh = np.linalg.svd(mat)
+    except np.linalg.LinAlgError:
+        return _bracket(mat_s, exp,
+                        "operator-2-norm iteration did not converge")
+    sigma = float(s[0])
+    if sigma == 0.0:
+        return 0.0
+    sigma_s = math.ldexp(sigma, -exp)
+    r1 = float(np.linalg.norm(mat_s @ vh[0].conj() - sigma_s * u[:, 0]))
+    r2 = float(np.linalg.norm(mat_s.conj().T @ u[:, 0]
+                              - sigma_s * vh[0].conj()))
+    fro = float(np.linalg.norm(mat_s, "fro"))
+    if max(r1, r2) > NORM_TOL * sigma_s + 1e-13 * fro:
+        return _bracket(mat_s, exp, "operator-2-norm residual check failed")
+    return sigma
+
+
+def _norm_stacks(rng):
+    """``(d, count, stack)`` over sides 1-8, counts 1, 2, 5 and 40, uniform
+    scales 2^0, 2^+-300 and 2^+-600 and mixed-scale stacks, each with its
+    random matrices, its rank-one matrices and its zero matrices."""
+    for d in range(1, 9):
+        for count in (1, 2, 5, 40):
+            for scale in (0, 300, -300, 600, -600, None):
+                mats = (rng.standard_normal((count, d, d))
+                        + 1j * rng.standard_normal((count, d, d)))
+                rank_one = np.einsum("ni,nj->nij",
+                                     rng.standard_normal((count, d)),
+                                     rng.standard_normal((count, d)) + 1j)
+                exps = (rng.choice([0, 250, -250, 300, -300, 600, -600],
+                                   size=count)
+                        if scale is None else np.full(count, scale))
+                for stack in (mats, rank_one, np.zeros_like(mats)):
+                    yield d, count, stack * np.ldexp(1.0, exps)[:, None, None]
+                mixed = mats.copy()
+                mixed[1::3] = rank_one[1::3]
+                mixed[2::3] = 0.0
+                yield d, count, mixed * np.ldexp(1.0, exps)[:, None, None]
+
+
+class TestNormReference:
+    """Each row of :func:`norms` is the scalar reference's value, bit for
+    bit, also when the SVD lies or fails and the fallbacks decide."""
+
+    @staticmethod
+    def check(kind, reference):
+        rng = np.random.default_rng(2010)
+        for d, count, stack in _norm_stacks(rng):
+            got = norms(MatrixAlgebra(d, kind), stack.reshape(count, d * d))
+            want = [reference(mat) for mat in stack]
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+            lone = unvec(MatrixAlgebra(d, kind), stack[0].reshape(-1))
+            assert norm(lone).hex() == want[0].hex()
+
+    def test_maxrow(self):
+        self.check("maxrow",
+                   lambda mat: float(np.max(np.sum(np.abs(mat), axis=1))))
+
+    @pytest.mark.parametrize("svd_mode", [
+        "exact",
+        1.5,
+        1.0 + 1.5e-10,  # a residual between the limit and twice the limit
+        "fails-on-stacks",
+        "fails",
+    ])
+    def test_op2(self, monkeypatch, svd_mode):
+        real_svd = np.linalg.svd
+
+        def svd(a, *args, **kwargs):
+            if svd_mode == "fails" or (svd_mode == "fails-on-stacks"
+                                       and a.ndim == 3 and len(a) > 1):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            u, s, vh = real_svd(a, *args, **kwargs)
+            return u, (s if isinstance(svd_mode, str) else svd_mode * s), vh
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        self.check("op2", _op2_norm)
+
+
 class TestSpectralRadiusSingle:
     def test_nilpotent(self):
         assert spectral_radius_single(matrix_element([[0, 1], [0, 0]])) == 0.0

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from borno.closedforms import INF, WeightForm
 from borno.errors import EquiboundednessError
 from borno.finrank import (
     CompactSetModel,
@@ -24,6 +27,36 @@ GEO_BOX = CompactSetModel.geometric(1, HALF)
 L2 = GaugeModel("l2")
 L1 = GaugeModel("l1")
 SUP = GaugeModel("sup")
+GROWING_L1 = GaugeModel("l1", WeightForm.geometric(1, Fraction(3, 2)))
+GAUGES = [GaugeModel(kind, weight) for kind in ("sup", "l1", "l2")
+          for weight in (WeightForm(), WeightForm.geometric(1, Fraction(3, 2)),
+                         WeightForm(1, HALF, 2))]
+
+FORMS = st.builds(CoordForm, st.sampled_from([1, -1, HALF, 2]),
+                  st.sampled_from([Fraction(1, 4), HALF, Fraction(3, 4), 1]),
+                  st.integers(-2, 2))
+BANDS = st.lists(st.tuples(st.integers(-2, 3), FORMS), max_size=3)
+BOXES = st.builds(lambda c, r, p: CompactSetModel(CoordForm(c, r, p)),
+                  st.sampled_from([1, 3, HALF]),
+                  st.integers(1, 9).map(lambda n: Fraction(n, 10)),
+                  st.integers(-2, 3))
+
+
+def sampled_box_points(box, seed, count=4, horizon=64):
+    """Box points with seeded random signs on the first ``horizon``
+    coordinates and the envelope's magnitudes."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        signs = rng.integers(0, 2, size=horizon) * 2 - 1
+        yield {k: int(signs[k]) * box.coordinate_bound(k)
+               for k in range(horizon)}
+
+
+def difference(f_n, f_inf, x):
+    diff = dict(f_n.apply(x))
+    for k, v in f_inf.apply(x).items():
+        diff[k] = diff.get(k, Fraction(0)) - v
+    return diff
 
 
 class TestPrecompactness:
@@ -102,6 +135,47 @@ class TestUniformConvergence:
                                               GEO_BOX, L1)
         # sum_k a_{k+1} = 1 under unit weights
         assert rates.rates[0] == pytest.approx(1.0)
+        assert rates.exact
+
+    def test_bands_at_one_offset_add_up(self):
+        op = OperatorModel.banded([(0, CoordForm(1)), (0, CoordForm(HALF))])
+        assert op.multiplier(0) == Fraction(3, 2)
+        assert op.apply({0: Fraction(1)}) == {0: Fraction(3, 2)}
+        rates, _ = uniform_convergence_on_set([op], OperatorModel.zero(),
+                                              GEO_BOX, SUP)
+        assert rates.rates == (1.5,)
+
+    @pytest.mark.parametrize("band, box, gauge, point_gauge", [
+        # (Fx)_k = (k+1) x_{k-1}: 2 at k = 1
+        pytest.param((-1, CoordForm(1, 1, 1)), GEO_BOX, SUP, 2, id="left-sup"),
+        # sum_{k >= 1} (3/2)^k 2^(1-k) = 6
+        pytest.param((-1, CoordForm(1)), GEO_BOX, GROWING_L1, 6,
+                     id="left-growing-l1"),
+        # (k+2)^3 2^(-k-1) is 8 at k = 2
+        pytest.param((1, CoordForm(1)), CompactSetModel(CoordForm(1, HALF, 3)),
+                     SUP, 8, id="right-power-box"),
+        # the box is the segment x_0 in [-1, 1]; F e_0 = e_1 has gauge 3/2
+        pytest.param((-1, CoordForm(1)), CompactSetModel(CoordForm(1, 0)),
+                     GROWING_L1, Fraction(3, 2), id="left-point-box"),
+    ])
+    def test_shifted_band_rate_covers_the_box(self, band, box, gauge,
+                                              point_gauge):
+        rates, _ = uniform_convergence_on_set([OperatorModel.banded([band])],
+                                              OperatorModel.zero(), box, gauge)
+        assert rates.rates[0] >= point_gauge
+        assert not rates.exact
+
+    @settings(max_examples=40, deadline=None)
+    @given(f_bands=BANDS, g_bands=BANDS, box=BOXES,
+           gauge=st.sampled_from(GAUGES), seed=st.integers(0, 2**16))
+    def test_rates_bound_sampled_box_points(self, f_bands, g_bands, box,
+                                            gauge, seed):
+        f_n = OperatorModel.banded(f_bands)
+        f_inf = OperatorModel.banded(g_bands)
+        _, (raw,) = uniform_convergence_on_set([f_n], f_inf, box, gauge)
+        for x in sampled_box_points(box, seed):
+            diff = difference(f_n, f_inf, x)
+            assert raw == INF or gauge.of_vector(diff) <= raw
 
 
 class TestPointwiseVsUniform:
@@ -125,6 +199,18 @@ class TestPointwiseVsUniform:
                                          L2)
         assert out["uniform"].rates == (0.0, 0.0)
 
+    def test_constant_family_diverges_on_both_sides(self):
+        fam = OperatorFamily((OperatorModel.identity(),
+                              OperatorModel.identity()), Fraction(1))
+        box = CompactSetModel.geometric(1, Fraction(1, 4))
+        out = pointwise_vs_uniform_check(fam, OperatorModel.zero(), box, L1)
+        assert out["uniform"].verdict == out["pointwise"] == "diverges"
+
+    def test_empty_family_diverges_on_both_sides(self):
+        out = pointwise_vs_uniform_check(OperatorFamily((), Fraction(1)),
+                                         OperatorModel.zero(), GEO_BOX, L1)
+        assert out["uniform"].verdict == out["pointwise"] == "diverges"
+
     def test_sampled_points_respect_certified_rates(self):
         # rate-soundness is enforced inside the check itself; run it on a
         # nontrivial family and gauge mix
@@ -142,6 +228,34 @@ class TestOperatorBounds:
     def test_decaying_diagonal(self):
         op = OperatorModel.diagonal(CoordForm(1, HALF))
         assert operator_gauge_bound(op, L2) == 1
+
+    @pytest.mark.parametrize("offset, gauge, ratio", [
+        # F e_0 = e_1, whose weight is 3/2 times that of e_0
+        pytest.param(-1, GROWING_L1, Fraction(3, 2), id="left-growing"),
+        # F e_1 = e_0, whose weight is 2 times that of e_1
+        pytest.param(1, GaugeModel("l1", WeightForm.geometric(1, HALF)),
+                     Fraction(2), id="right-decaying"),
+    ])
+    def test_shift_bound_reads_the_weight(self, offset, gauge, ratio):
+        op = OperatorModel.banded([(offset, CoordForm(1))])
+        assert operator_gauge_bound(op, gauge) >= ratio
+        fam = OperatorFamily((op,), Fraction(1))
+        with pytest.raises(EquiboundednessError):
+            pointwise_vs_uniform_check(fam, OperatorModel.zero(), GEO_BOX,
+                                       gauge)
+
+    @settings(max_examples=40, deadline=None)
+    @given(bands=BANDS, box=BOXES, gauge=st.sampled_from(GAUGES),
+           seed=st.integers(0, 2**16))
+    def test_bound_covers_sampled_points(self, bands, box, gauge, seed):
+        op = OperatorModel.banded(bands)
+        bound = operator_gauge_bound(op, gauge)
+        # l2 gauges compare radicands
+        factor = bound * bound if gauge.kind == "l2" else bound
+        for x in sampled_box_points(box, seed):
+            image = op.apply(x)
+            assert (bound == INF
+                    or gauge.of_vector(image) <= factor * gauge.of_vector(x))
 
 
 class TestLocalApproxProperty:
