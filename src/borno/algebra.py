@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -537,24 +537,85 @@ def _flatten_disk(disk, mult=1.0):
     raise TypeError(f"not a disk: {disk!r}")
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first call.
+@cache
+def _highs():
+    """scipy's HiGHS binding and the options ``linprog(method="highs")`` sets,
+    or None where scipy has no such binding (before 1.15).  Loaded on the
+    first LP: importing scipy's optimizer costs more than ``import borno``."""
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError:
+        return None
+    options = _core.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = options.log_to_console = False
+    return _core, options
 
-    Only the hull-gauge LPs need scipy, and importing its optimizer costs
-    more than the rest of ``import borno``.  Later calls find the module in
-    ``sys.modules``; the repeated import costs about a microsecond.
+
+def _solve_lp(c, a_eq, b_eq, a_ub=None, b_ub=None):
+    """``(x, objective, row duals)`` of min c.x over x >= 0 with
+    ``a_ub @ x <= b_ub`` and ``a_eq @ x = b_eq``, inequality rows first.
+
+    HiGHS gets the model and options that linprog gives it, so the bits are
+    linprog's.  As in linprog, an optimum must be feasible within ``LP_TOL``;
+    any other outcome raises NumericalFailure.
     """
-    from scipy.optimize import linprog as solve
-    return solve(*args, **kwargs)
+    highs = _highs()
+    if highs is None:
+        return _linprog_lp(c, a_eq, b_eq, a_ub, b_ub)
+    core, options = highs
+    n_ub = 0 if a_ub is None else len(a_ub)
+    a = a_eq if a_ub is None else np.concatenate([a_ub, a_eq])
+    upper = b_eq if a_ub is None else np.concatenate([b_ub, b_eq])
+    col, row = np.nonzero(a.T)  # the nonzeros of linprog's CSC matrix
+    lp = core.HighsLp()
+    matrix = lp.a_matrix_
+    matrix.num_row_, matrix.num_col_ = lp.num_row_, lp.num_col_ = a.shape
+    matrix.format_ = core.MatrixFormat.kColwise
+    matrix.start_ = np.searchsorted(col, np.arange(a.shape[1] + 1))
+    matrix.index_, matrix.value_ = row, a[row, col]
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, np.zeros(len(c)), np.full(len(c), np.inf)
+    lp.row_lower_ = np.concatenate([np.full(n_ub, -np.inf), b_eq])
+    lp.row_upper_ = upper
+    solver = core._Highs()
+    solver.passOptions(options)
+    solver.passModel(lp)
+    ran, status = solver.run(), solver.getModelStatus()
+    if ran == core.HighsStatus.kError or status != core.HighsModelStatus.kOptimal:
+        raise NumericalFailure(f"LP failed: {solver.modelStatusToString(status)}")
+    solution = solver.getSolution()
+    x = np.array(solution.col_value)
+    slack = upper - np.array(solution.row_value)
+    if not (np.all(x >= -LP_TOL) and np.all(slack[:n_ub] >= -LP_TOL)
+            and np.all(np.abs(slack[n_ub:]) <= LP_TOL)):
+        raise NumericalFailure(f"LP optimum is infeasible by more than {LP_TOL}")
+    return x, solver.getInfo().objective_function_value, np.array(solution.row_dual)
+
+
+def _linprog_lp(c, a_eq, b_eq, a_ub=None, b_ub=None):
+    """:func:`_solve_lp` by ``scipy.optimize.linprog``."""
+    from scipy.optimize import linprog
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, method="highs")
+    if not res.success:
+        raise NumericalFailure(f"LP failed: {res.message}")
+    return res.x, res.fun, np.concatenate([res.ineqlin.marginals, res.eqlin.marginals])
+
+
+linprog = _solve_lp  # the name perfbench/tracing.py times the LPs under
+
+
+def _misses(cols, lam, target):
+    """Whether ``cols @ lam`` misses ``target`` by more than the span test's
+    tolerance."""
+    return np.linalg.norm(cols @ lam - target) > RANK_TOL * (1.0 + np.linalg.norm(target))
 
 
 def _check_primal(cols, lam, target, context):
-    """Raise NumericalFailure unless ``cols @ lam`` reproduces ``target``
-    within the span test's tolerance."""
-    tol = RANK_TOL * (1.0 + np.linalg.norm(target))
-    if np.linalg.norm(cols @ lam - target) > tol:
-        raise NumericalFailure(
-            f"{context} primal misses its target by more than {tol:.1e}")
+    """Raise NumericalFailure if an LP's ``lam`` misses its target."""
+    if _misses(cols, lam, target):
+        raise NumericalFailure(f"{context} primal misses its target")
 
 
 def _hull_gauge_lp(cols, target):
@@ -562,31 +623,18 @@ def _hull_gauge_lp(cols, target):
 
     ``cols`` holds the hull generators' real coordinates as columns.  Returns
     ``(value, lambda, y)`` with the LP's dual ``y``: ``|cols^T y| <= 1`` and
-    ``y . target = value``.  A target off the columns' span gives
-    ``(inf, None, None)``.
+    ``y . target = value``.  A target off the columns' span, which least
+    squares misses, gives ``(inf, None, None)``.
     """
-    # rank test: is x in the real span of the generators?
-    sol, residual, _rank, _sv = np.linalg.lstsq(cols, target, rcond=None)
-    fit = cols @ sol
-    if np.linalg.norm(fit - target) > RANK_TOL * (1.0 + np.linalg.norm(target)):
+    if _misses(cols, np.linalg.lstsq(cols, target, rcond=None)[0], target):
         return math.inf, None, None
     n = cols.shape[1]
     # lambda = p - q with p, q >= 0; minimize 1.(p + q)
-    a_eq = np.concatenate([cols, -cols], axis=1)
-    c = np.ones(2 * n)
-    res = linprog(c, A_eq=a_eq, b_eq=target, bounds=[(0, None)] * (2 * n),
-                  method="highs")
-    if not res.success:
-        raise NumericalFailure(f"gauge LP failed: {res.message}")
-    lam = res.x[:n] - res.x[n:]
+    x, value, dual = _solve_lp(np.ones(2 * n), np.concatenate([cols, -cols], axis=1),
+                               target)
+    lam = x[:n] - x[n:]
     _check_primal(cols, lam, target, "gauge LP")
-    return float(res.fun), lam, res.eqlin.marginals
-
-
-def _hull_gauge_single(generators, x):
-    """min sum |lambda_i| with sum lambda_i g_i = x over real lambda."""
-    cols = np.stack([_real_coords(g) for g in generators], axis=1)
-    return _hull_gauge_lp(cols, _real_coords(x))[0]
+    return value, lam, dual
 
 
 def _hull_gauge_groups(groups, x):
@@ -596,37 +644,22 @@ def _hull_gauge_groups(groups, x):
     sum_j |lambda_ij| <= t * scale_i for each group i.
     """
     target = _real_coords(x)
-    dim = target.shape[0]
-    blocks = []
-    sizes = []
-    for gens, s in groups:
-        cols = np.stack([_real_coords(g) for g in gens], axis=1)
-        blocks.append(cols)
-        sizes.append(cols.shape[1])
-    all_cols = np.concatenate(blocks, axis=1)
-    sol, _res, _rank, _sv = np.linalg.lstsq(all_cols, target, rcond=None)
-    if np.linalg.norm(all_cols @ sol - target) > RANK_TOL * (1.0 + np.linalg.norm(target)):
+    cols = np.stack([_real_coords(g) for gens, _s in groups for g in gens], axis=1)
+    if _misses(cols, np.linalg.lstsq(cols, target, rcond=None)[0], target):
         return math.inf
-    total = sum(sizes)
-    # variables: p (total), q (total), t (1)
-    a_eq = np.concatenate([all_cols, -all_cols, np.zeros((dim, 1))], axis=1)
-    n_groups = len(groups)
-    a_ub = np.zeros((n_groups, 2 * total + 1))
-    offset = 0
-    for i, ((_gens, s), sz) in enumerate(zip(groups, sizes)):
-        a_ub[i, offset:offset + sz] = 1.0
-        a_ub[i, total + offset:total + offset + sz] = 1.0
-        a_ub[i, -1] = -s
-        offset += sz
-    c = np.zeros(2 * total + 1)
+    n = cols.shape[1]
+    # variables p, q (n each) and t; row i bounds group i's sum of |lambda|
+    group = np.repeat(np.arange(len(groups)), [len(gens) for gens, _s in groups])
+    member = (group == np.arange(len(groups))[:, None]).astype(float)
+    a_ub = np.concatenate([member, member, -np.array([[s] for _g, s in groups])],
+                          axis=1)
+    c = np.zeros(2 * n + 1)
     c[-1] = 1.0
-    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(n_groups), A_eq=a_eq, b_eq=target,
-                  bounds=[(0, None)] * (2 * total + 1), method="highs")
-    if not res.success:
-        raise NumericalFailure(f"grouped gauge LP failed: {res.message}")
-    _check_primal(all_cols, res.x[:total] - res.x[total:2 * total], target,
-                  "grouped gauge LP")
-    return float(res.fun)
+    x_opt, value, _duals = _solve_lp(
+        c, np.concatenate([cols, -cols, np.zeros((len(target), 1))], axis=1),
+        target, a_ub, np.zeros(len(groups)))
+    _check_primal(cols, x_opt[:n] - x_opt[n:-1], target, "grouped gauge LP")
+    return value
 
 
 def gauge(disk, x):
@@ -636,7 +669,8 @@ def gauge(disk, x):
         return norm(x) / kind[1]
     groups = kind[1]
     if len(groups) == 1 and groups[0][1] == 1.0:
-        return _hull_gauge_single(groups[0][0], x)
+        cols = np.stack([_real_coords(g) for g in groups[0][0]], axis=1)
+        return _hull_gauge_lp(cols, _real_coords(x))[0]
     return _hull_gauge_groups(groups, x)
 
 

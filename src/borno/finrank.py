@@ -62,21 +62,28 @@ class GaugeModel:
         return CoordForm(self.weight.coeff, self.weight.base,
                          self.weight.power)
 
-    def of_magnitudes(self, forms, start=0):
-        """Certified bound for the gauge of |x_k| = sum of nonnegative forms."""
+    def of_magnitudes(self, pieces):
+        """Certified bound for the gauge of |x_k| = the sum of ``pieces``:
+        nonnegative forms ``(form, first, last)`` that vanish outside
+        first <= k <= last (``last`` None: no end)."""
+        w = self.weight_form()
         if self.kind == SUP:
-            return sum((self.weight_form() * f).sup_from(start) for f in forms)
+            live = sorted(((lo, hi, (w * f).sup_from(lo)) for f, lo, hi in pieces
+                           if hi is None or hi >= lo), key=lambda p: p[0])
+            sups = [sup for _lo, _hi, sup in live]
+            # pieces on disjoint windows never add up at one index
+            if all(a[1] is not None and a[1] < b[0] for a, b in zip(live, live[1:])):
+                return max(sups, default=Fraction(0))
+            return sum(sups, Fraction(0))
         if self.kind == L1:
-            return sum((self.weight_form() * f).tail_sum(start) for f in forms)
-        # l2: expand the square exactly
-        return self.squared_of_magnitudes(forms, start)
-
-    def squared_of_magnitudes(self, forms, start=0):
-        """Exact rational sum_k w_k (sum forms)^2 from start, or inf."""
+            return sum((_window_sum(w * f, lo, hi) for f, lo, hi in pieces),
+                       Fraction(0))
+        # l2: expand the square exactly, each product on its common window
         total = Fraction(0)
-        for f in forms:
-            for g in forms:
-                s = (self.weight_form() * f * g).tail_sum(start)
+        for f, lo, hi in pieces:
+            for g, lo_g, hi_g in pieces:
+                last = min((h for h in (hi, hi_g) if h is not None), default=None)
+                s = _window_sum(w * f * g, max(lo, lo_g), last)
                 if s == INF:
                     return INF
                 total += s
@@ -98,6 +105,18 @@ class GaugeModel:
         if raw == INF:
             return math.inf
         return math.sqrt(float(raw)) if self.kind == L2 else float(raw)
+
+
+def _window_sum(form, first, last):
+    """Certified bound for sum_{first <= k <= last} form(k), or inf.  The
+    tail sums' integral bounds decrease in the start by at least the terms
+    they skip, so the difference of two tails bounds the window."""
+    if last is not None and last < first:
+        return Fraction(0)
+    total = form.tail_sum(first)
+    if last is None or total == INF:
+        return total
+    return total - form.tail_sum(last + 1)
 
 
 def precompactness_check(s, gauge):
@@ -167,8 +186,9 @@ class OperatorModel:
 
 
 def _diagonal_form(op):
-    """The multiplier of an identity, zero or diagonal operator, or None."""
-    if op.kind not in ("identity", "zero", "diagonal"):
+    """The multiplier of an identity, zero, truncation or diagonal operator,
+    or None."""
+    if op.kind == "banded":
         return None
     return op.bands[0][1] if op.bands else CoordForm(0)
 
@@ -191,19 +211,12 @@ def _shifted_envelope(env, d):
 
 
 def _difference_magnitude_forms(f_n, f_inf, s):
-    """Nonnegative closed forms whose sum bounds sup_{x in box} |(F-f)x|_k,
-    the index where the forms become exact (truncations make the difference
-    vanish below the cutoff), the last index of a two-truncation difference
-    (None otherwise), and whether the forms' sum equals that supremum.
-    Matching diagonal closed forms subtract exactly, so identical operators
-    give a zero rate."""
+    """Pieces ``(form, first, last)`` (see :meth:`GaugeModel.of_magnitudes`)
+    whose sum bounds sup_{x in box} |(F-f)x|_k, and whether the sum equals
+    that supremum.  Diagonal closed forms that match (a truncation's is 1)
+    subtract exactly up to the first cutoff, past which the later-cut
+    operator acts alone, so identical operators give a zero rate."""
     env = s.envelope.abs_form()
-    if {f_n.kind, f_inf.kind} == {"truncation", "identity"}:
-        cut = f_n.cutoff if f_n.kind == "truncation" else f_inf.cutoff
-        return [env], cut + 1, None, True
-    if f_n.kind == "truncation" and f_inf.kind == "truncation":
-        lo, hi = sorted((f_n.cutoff, f_inf.cutoff))
-        return [env], lo + 1, hi, True
     diag_n, diag_inf = _diagonal_form(f_n), _diagonal_form(f_inf)
     if diag_n is not None and diag_inf is not None and (
             (diag_n.ratio, diag_n.power) == (diag_inf.ratio, diag_inf.power)
@@ -211,15 +224,23 @@ def _difference_magnitude_forms(f_n, f_inf, s):
         delta = CoordForm(abs(diag_n.coeff - diag_inf.coeff),
                           diag_n.ratio if diag_n.coeff else diag_inf.ratio,
                           diag_n.power if diag_n.coeff else diag_inf.power)
-        return [delta * env], 0, None, True
-    if f_n.cutoff is not None or f_inf.cutoff is not None:
-        raise InvariantViolation(
-            "truncation differences mix only with identity/truncation")
-    # |mu^n_d(k) - mu^inf_d(k)| bounded by the triangle of the two forms
-    bands = sorted(f_n.bands + f_inf.bands, key=lambda band: band[0])
-    shifted = [_shifted_envelope(env, d) for d, _ in bands]
-    forms = [g.abs_form() * h for (_, g), (h, _) in zip(bands, shifted)]
-    return forms, 0, None, len(forms) <= 1 and all(eq for _, eq in shifted)
+        (lo, _), (hi, later) = sorted(
+            ((f_n.cutoff, diag_n), (f_inf.cutoff, diag_inf)),
+            key=lambda cut: math.inf if cut[0] is None else cut[0])
+        pieces = [(delta * env, 0, lo)]
+        if lo is not None:
+            pieces.append((later.abs_form() * env, lo + 1, hi))
+        return [(f, first, last) for f, first, last in pieces
+                if f.coeff and (last is None or last >= first)], True
+    # the triangle: |(F-f)x|_k <= sum over both operators' bands (d, mu) of
+    # |mu(k)| a_{k+d}, on the k >= -d where x_{k+d} exists, up to the cutoff
+    pieces, exact = [], True
+    for op in (f_n, f_inf):
+        for d, mu in op.bands:
+            g, eq = _shifted_envelope(env, d)
+            pieces.append((mu.abs_form() * g, max(0, -d), op.cutoff))
+            exact = exact and eq
+    return pieces, exact and len(pieces) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +260,12 @@ class RateSequence:
 
 def _rate_of_pair(f_n, f_inf, s, t_gauge):
     """(certified raw rate, exact flag); raw is the radicand for l2 gauges."""
-    forms, start, hi, exact = _difference_magnitude_forms(f_n, f_inf, s)
-    if hi is not None:
-        # difference of two truncations lives on [start, hi]
-        total = t_gauge.of_magnitudes(forms, start)
-        beyond = t_gauge.of_magnitudes(forms, hi + 1)
-        if t_gauge.kind == L2:
-            raw = total - beyond if total != INF and beyond != INF else INF
-            return raw, True
-        if t_gauge.kind == L1 and total != INF and beyond != INF:
-            return total - beyond, True
-        return total, False  # sup over a superset: upper bound only
-    return t_gauge.of_magnitudes(forms, start), exact
+    pieces, exact = _difference_magnitude_forms(f_n, f_inf, s)
+    raw = t_gauge.of_magnitudes(pieces)
+    # a sup over a window is bounded by the sup from its start, and an
+    # infinite bound for a window's finite sum is no supremum
+    windowed = any(hi is not None and hi >= lo for _f, lo, hi in pieces)
+    return raw, exact and not (windowed and (t_gauge.kind == SUP or raw == INF))
 
 
 def uniform_convergence_on_set(family, f_inf, s, t_gauge):
@@ -408,6 +423,7 @@ def local_approx_property_check(s, t_gauge, tolerance, rank_budget=128):
                 required = n + 1
                 break
         raise RankBudgetError(rank_budget, required)
-    scale = t_gauge.finalize(t_gauge.of_magnitudes([s.envelope.abs_form()], 0))
+    scale = t_gauge.finalize(
+        t_gauge.of_magnitudes([(s.envelope.abs_form(), 0, None)]))
     return ApproxPropertyReport(rank, tuple(t_gauge.finalize(r) for r in raws),
                                 scale, float(tol))

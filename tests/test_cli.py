@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -198,28 +199,65 @@ class TestErrors:
         path.write_text(json.dumps(hull_inst))
         assert run_cli(["run", "--input", str(path)]) == 4
 
+    def test_non_optimal_lp_exits_four(self, tmp_path, monkeypatch):
+        # the hull instance's LPs report HiGHS's iteration limit: a numerical
+        # failure (exit 4), not a fail verdict
+        import borno.algebra
+
+        inst = builtin_instances()["golden-pair"]
+        hull_inst = {
+            "schema": SCHEMA,
+            "command": "hull",
+            "payload": {"set": inst["payload"]["set"], "r": 2.0,
+                        "max_products": 256},
+            "config": {},
+        }
+        path = tmp_path / "hull.json"
+        path.write_text(json.dumps(hull_inst))
+        assert run_cli(["run", "--input", str(path)]) == 0
+        core, options = borno.algebra._highs()
+
+        class Stalled(core._Highs):
+            def getModelStatus(self):
+                return core.HighsModelStatus.kIterationLimit
+
+        stalled = types.SimpleNamespace(**{**vars(core), "_Highs": Stalled})
+        monkeypatch.setattr(borno.algebra, "_highs", lambda: (stalled, options))
+        assert run_cli(["run", "--input", str(path)]) == 4
+
 
 class TestDeferredScipy:
-    def test_hull_without_lp_never_imports_scipy(self, tmp_path):
-        # contraction-hull's one candidate and its closure product are
-        # decided by decompositions, so no LP and no scipy.optimize import
+    LOADED = ("print('scipy.optimize' in sys.modules,"
+              " 'scipy.optimize._highspy' in sys.modules)\n")
+
+    @staticmethod
+    def run_python(code):
         import borno
 
-        inst = write_fixture(tmp_path, "contraction-hull")
-        out = tmp_path / "report.json"
-        code = (
-            "import sys\n"
-            "from borno.cli import main\n"
-            f"code = main(['run', '--input', {str(inst)!r}, '--out', {str(out)!r}])\n"
-            "print(code, 'scipy.optimize' in sys.modules)\n"
-        )
         src = os.path.dirname(os.path.dirname(borno.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
-        assert done.stdout.split() == ["0", "False"]
+        return done.stdout.split()
+
+    def test_import_loads_neither_optimizer_nor_highs(self):
+        assert self.run_python("import sys\nimport borno\n"
+                               + self.LOADED) == ["False", "False"]
+
+    def test_hull_without_lp_never_imports_scipy(self, tmp_path):
+        # contraction-hull's one candidate and its closure product are
+        # decided by decompositions, so no LP and no scipy.optimize import
+        inst = write_fixture(tmp_path, "contraction-hull")
+        out = tmp_path / "report.json"
+        code = (
+            "import sys\n"
+            "from borno.cli import main\n"
+            f"code = main(['run', '--input', {str(inst)!r}, '--out', {str(out)!r}])\n"
+            "print(code)\n" + self.LOADED
+        )
+        assert self.run_python(code) == ["0", "False", "False"]
         with open(out) as fh:
             report = json.load(fh)
         report.pop("wall_time_ms")

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -36,6 +37,11 @@ FORMS = st.builds(CoordForm, st.sampled_from([1, -1, HALF, 2]),
                   st.sampled_from([Fraction(1, 4), HALF, Fraction(3, 4), 1]),
                   st.integers(-2, 2))
 BANDS = st.lists(st.tuples(st.integers(-2, 3), FORMS), max_size=3)
+OPERATORS = st.one_of(
+    BANDS.map(OperatorModel.banded),
+    st.integers(-1, 4).map(OperatorModel.truncation),
+    FORMS.map(OperatorModel.diagonal),
+    st.sampled_from([OperatorModel.identity(), OperatorModel.zero()]))
 BOXES = st.builds(lambda c, r, p: CompactSetModel(CoordForm(c, r, p)),
                   st.sampled_from([1, 3, HALF]),
                   st.integers(1, 9).map(lambda n: Fraction(n, 10)),
@@ -50,6 +56,17 @@ def sampled_box_points(box, seed, count=4, horizon=64):
         signs = rng.integers(0, 2, size=horizon) * 2 - 1
         yield {k: int(signs[k]) * box.coordinate_bound(k)
                for k in range(horizon)}
+
+
+def window_max(f_n, f_inf, box, gauge, window=8):
+    """The largest gauge of (F-f)x over the box points with every sign
+    pattern on the first ``window`` coordinates and zeros beyond: a lower
+    bound for the supremum any certified rate must reach."""
+    best = Fraction(0)
+    for signs in itertools.product((1, -1), repeat=window):
+        x = {k: signs[k] * box.coordinate_bound(k) for k in range(window)}
+        best = max(best, gauge.of_vector(difference(f_n, f_inf, x)))
+    return best
 
 
 def difference(f_n, f_inf, x):
@@ -165,13 +182,64 @@ class TestUniformConvergence:
         assert rates.rates[0] >= point_gauge
         assert not rates.exact
 
+    @pytest.mark.parametrize("other", [
+        OperatorModel.zero(), OperatorModel.diagonal(CoordForm(HALF)),
+        OperatorModel.diagonal(CoordForm(-2, HALF, 1)),
+        OperatorModel.banded([(1, CoordForm(1))]),
+        OperatorModel.banded([(-1, CoordForm(1)), (0, CoordForm(HALF))]),
+    ], ids=["zero", "diagonal", "decaying-diagonal", "right-shift", "left-band"])
+    @pytest.mark.parametrize("gauge", [SUP, L1, L2, GROWING_L1],
+                             ids=["sup", "l1", "l2", "growing-l1"])
+    def test_truncation_against_other_operators(self, other, gauge):
+        trunc = OperatorModel.truncation(3)
+        for f_n, f_inf in ((trunc, other), (other, trunc)):
+            _, (raw,) = uniform_convergence_on_set([f_n], f_inf, GEO_BOX, gauge)
+            assert raw >= window_max(f_n, f_inf, GEO_BOX, gauge)
+
+    @pytest.mark.parametrize("other, gauge, rate, exact", [
+        # the box point x = a cut after coordinate 3
+        (OperatorModel.zero(), SUP, 1, False),
+        (OperatorModel.zero(), L1, Fraction(15, 8), True),
+        (OperatorModel.zero(), L2, Fraction(85, 64), True),
+        (OperatorModel.zero(), GROWING_L1, Fraction(175, 64), True),
+        # |1 - 1/2| a_k up to the cutoff and |1/2| a_k past it
+        (OperatorModel.diagonal(CoordForm(HALF)), SUP, HALF, False),
+        (OperatorModel.diagonal(CoordForm(HALF)), L1, 1, True),
+        (OperatorModel.diagonal(CoordForm(HALF)), L2, Fraction(1, 3), True),
+        # the triangle: a_k on 0..3 plus a_{k+1} everywhere
+        (OperatorModel.banded([(1, CoordForm(1))]), L1, Fraction(23, 8), False),
+        (OperatorModel.banded([(1, CoordForm(1))]), SUP, Fraction(3, 2), False),
+    ], ids=["zero-sup", "zero-l1", "zero-l2", "zero-growing-l1", "half-sup",
+            "half-l1", "half-l2", "right-shift-l1", "right-shift-sup"])
+    def test_truncation_rates(self, other, gauge, rate, exact):
+        rates, (raw,) = uniform_convergence_on_set(
+            [OperatorModel.truncation(3)], other, GEO_BOX, gauge)
+        assert raw == rate
+        assert rates.exact == exact
+
+    @pytest.mark.parametrize("band, gauge, rate", [
+        # sum_{k >= 1} (3/2)^k 2^(1-k) = 6, the supremum
+        ((-1, CoordForm(1)), GROWING_L1, 6),
+        # sum_{k >= 2} 2^(2-k) = 2
+        ((-2, CoordForm(1)), L1, 2),
+        # sum_{k >= 1} 4^(1-k) = 4/3
+        ((-1, CoordForm(1)), L2, Fraction(4, 3)),
+        # sup_{k >= 2} 2^(2-k) (k+1) = 3 at k = 2
+        ((-2, CoordForm(1, 1, 1)), SUP, 3),
+    ], ids=["left-growing-l1", "left-2-l1", "left-l2", "left-2-power-sup"])
+    def test_left_band_counts_only_existing_coordinates(self, band, gauge,
+                                                        rate):
+        op = OperatorModel.banded([band])
+        _, (raw,) = uniform_convergence_on_set([op], OperatorModel.zero(),
+                                               GEO_BOX, gauge)
+        assert raw == rate
+        assert raw >= window_max(op, OperatorModel.zero(), GEO_BOX, gauge)
+
     @settings(max_examples=40, deadline=None)
-    @given(f_bands=BANDS, g_bands=BANDS, box=BOXES,
+    @given(f_n=OPERATORS, f_inf=OPERATORS, box=BOXES,
            gauge=st.sampled_from(GAUGES), seed=st.integers(0, 2**16))
-    def test_rates_bound_sampled_box_points(self, f_bands, g_bands, box,
-                                            gauge, seed):
-        f_n = OperatorModel.banded(f_bands)
-        f_inf = OperatorModel.banded(g_bands)
+    def test_rates_bound_sampled_box_points(self, f_n, f_inf, box, gauge,
+                                            seed):
         _, (raw,) = uniform_convergence_on_set([f_n], f_inf, box, gauge)
         for x in sampled_box_points(box, seed):
             diff = difference(f_n, f_inf, x)

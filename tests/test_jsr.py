@@ -1,5 +1,6 @@
 import functools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from borno.algebra import (
     matrix_element,
     multiply,
     norm,
+    Scaled,
     scale,
     SumDisk,
     spectral_radius_single,
@@ -367,14 +369,13 @@ class TestClosureDifferential:
             [g.data for g in mats])
 
     def test_inaccurate_primal_raises(self, monkeypatch):
-        solve = borno.algebra.linprog
+        solve = borno.algebra._solve_lp
 
-        def skewed(*args, **kwargs):
-            res = solve(*args, **kwargs)
-            res.x = res.x * (1 + 1e-6)
-            return res
+        def skewed(*args):
+            x, value, duals = solve(*args)
+            return x * (1 + 1e-6), value, duals
 
-        monkeypatch.setattr(borno.algebra, "linprog", skewed)
+        monkeypatch.setattr(borno.algebra, "_solve_lp", skewed)
         with pytest.raises(NumericalFailure):
             _closure_max([matrix_element([[2.0]]), matrix_element([[3.0]])])
         # the expansion's membership LPs, gauge and the grouped gauge alike
@@ -393,14 +394,14 @@ class TestClosureDifferential:
         # the bound screen must stay on: at most a quarter of the n^2 pairs
         _est, cert = hull_family(411)
         gens = cert.hull.generators
-        solve = borno.algebra.linprog
+        solve = borno.algebra._solve_lp
         calls = []
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             calls.append(1)
-            return solve(*args, **kwargs)
+            return solve(*args)
 
-        monkeypatch.setattr(borno.algebra, "linprog", counting)
+        monkeypatch.setattr(borno.algebra, "_solve_lp", counting)
         best = _closure_max(gens)
         assert cert.closure_defect == max(0.0, best - 1.0)
         assert 0 < len(calls) <= len(gens) ** 2 / 4
@@ -484,17 +485,103 @@ class TestScreenedExpansion:
         r = 1.1 * est.upper
         _gens, reference = per_candidate_hull([g.data for g in s.generators],
                                               r, 512)
-        solve = borno.algebra.linprog
+        solve = borno.algebra._solve_lp
         calls = []
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             calls.append(1)
-            return solve(*args, **kwargs)
+            return solve(*args)
 
-        monkeypatch.setattr(borno.algebra, "linprog", counting)
+        monkeypatch.setattr(borno.algebra, "_solve_lp", counting)
         monkeypatch.setattr(jsr, "_closure_max", lambda gens, bases=(): 1.0)
         submultiplicative_hull(s, r, 512)
         assert 0 < len(calls) <= 0.75 * reference
+
+
+class TestLpPaths:
+    """The direct HiGHS call against ``scipy.optimize.linprog``, its fallback
+    where scipy has no HiGHS binding."""
+
+    @staticmethod
+    def both_ways(monkeypatch):
+        """Solve every LP by both paths, requiring the same bytes; returns
+        the list of solved LPs' arguments."""
+        direct = borno.algebra._solve_lp
+        solved = []
+
+        def both(*args):
+            got = direct(*args)
+            ref = borno.algebra._linprog_lp(*args)
+            assert got[0].tobytes() == ref[0].tobytes()
+            assert np.float64(got[1]).tobytes() == np.float64(ref[1]).tobytes()
+            assert got[2].tobytes() == ref[2].tobytes()
+            solved.append(args)
+            return got
+
+        monkeypatch.setattr(borno.algebra, "_solve_lp", both)
+        return solved
+
+    @pytest.mark.parametrize("seed", range(400, 412))
+    def test_hull_lps(self, seed, monkeypatch):
+        est, cert = hull_family(seed)
+        solved = self.both_ways(monkeypatch)
+        again = submultiplicative_hull(family_set(seed), 1.1 * est.upper, 512)
+        assert solved and all(len(args) == 3 for args in solved)
+        assert again.hull.generators == cert.hull.generators
+        assert again.closure_defect == cert.closure_defect
+
+    def test_grouped_gauge(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        hulls = [FiniteHull(tuple(matrix_element(rng.standard_normal((2, 2)))
+                                  for _ in range(k))) for k in (3, 4)]
+        disk = SumDisk(hulls[0], Scaled(2.5, hulls[1]))
+        points = [matrix_element(rng.standard_normal((2, 2))) for _ in range(6)]
+        values = [gauge(disk, x) for x in points]
+        solved = self.both_ways(monkeypatch)
+        assert [gauge(disk, x) for x in points] == values
+        assert len(solved) == 6 and all(len(args) == 5 for args in solved)
+        monkeypatch.setattr(borno.algebra, "_highs", lambda: None)
+        assert [gauge(disk, x) for x in points] == values
+
+    def test_fallback_gives_the_same_certificate(self, monkeypatch):
+        s = bounded_set([scale(0.5, g) for g in GOLDEN])
+        cert = submultiplicative_hull(s, 1.0, 256)
+        monkeypatch.setattr(borno.algebra, "_highs", lambda: None)
+        again = submultiplicative_hull(s, 1.0, 256)
+        assert again.hull.generators == cert.hull.generators
+        assert again.closure_defect == cert.closure_defect
+
+    def test_non_optimal_status_raises(self, monkeypatch):
+        core, options = borno.algebra._highs()
+
+        class Stalled(core._Highs):
+            def getModelStatus(self):
+                return core.HighsModelStatus.kIterationLimit
+
+        stalled = types.SimpleNamespace(**{**vars(core), "_Highs": Stalled})
+        monkeypatch.setattr(borno.algebra, "_highs", lambda: (stalled, options))
+        e1 = matrix_element(np.diag([1.0, 0.0]))
+        e2 = matrix_element(np.diag([0.0, 1.0]))
+        with pytest.raises(NumericalFailure, match="Iteration limit"):
+            gauge(FiniteHull((e1, e2)), matrix_element(np.eye(2)))
+        with pytest.raises(NumericalFailure):
+            gauge(SumDisk(FiniteHull((e1,)), FiniteHull((e2,))),
+                  matrix_element(np.eye(2)))
+        # a hull certificate raises rather than report a verdict
+        with pytest.raises(NumericalFailure):
+            submultiplicative_hull(bounded_set([scale(0.5, g) for g in GOLDEN]),
+                                   r=1.0, max_products=256)
+
+    def test_fallback_failure_raises(self, monkeypatch):
+        import scipy.optimize
+
+        monkeypatch.setattr(borno.algebra, "_highs", lambda: None)
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k:
+                            scipy.optimize.OptimizeResult(success=False,
+                                                          message="stalled"))
+        e1 = matrix_element(np.diag([1.0, 0.0]))
+        with pytest.raises(NumericalFailure, match="stalled"):
+            gauge(FiniteHull((e1,)), matrix_element(np.diag([2.0, 0.0])))
 
 
 class TestGridMax:
