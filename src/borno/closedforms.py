@@ -85,6 +85,26 @@ def sum_shift_poly_geom(power, shift, y, start, stride=1):
     return total
 
 
+def first_true(pred, lo, hi=None):
+    """Smallest k in [lo, hi] with pred(k), for a pred that stays true once
+    it holds, or None when pred(hi) is false (no cap when hi is None).
+    Doubles a step, then bisects: O(log(k - lo)) calls of pred."""
+    bad, good, step = lo - 1, lo, 1
+    while not pred(good):
+        if hi is not None and good >= hi:
+            return None
+        bad, good, step = good, good + step, 2 * step
+        if hi is not None:
+            good = min(good, hi)
+    while good - bad > 1:
+        mid = (bad + good) // 2
+        if pred(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
 def geom_poly_sup(c, b, p, start):
     """sup_{k >= start} c b^k (k+1)^p for c > 0; returns (value, attained).
 
@@ -100,16 +120,11 @@ def geom_poly_sup(c, b, p, start):
         if p > 0:
             return INF, False
         return c, True
-    # b < 1: values eventually decrease; scan past the unimodal peak
-    k = start
-    best = c * b**k * Fraction(k + 1) ** p
-    while True:
-        ratio = b * (Fraction(k + 2) / Fraction(k + 1)) ** p
-        if ratio <= 1:
-            break
-        k += 1
-        best = max(best, c * b**k * Fraction(k + 1) ** p)
-    return best, True
+    # b < 1: the step ratio value(k+1)/value(k) does not grow with k, so the
+    # values rise up to the first k where it is <= 1 and never exceed it after
+    peak = first_true(
+        lambda k: b * (Fraction(k + 2) / Fraction(k + 1)) ** p <= 1, start)
+    return c * b**peak * Fraction(peak + 1) ** p, True
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +157,8 @@ class CoordForm:
 
     def sup_from(self, start):
         """Exact sup_{k >= start} value(k) for coeff >= 0, or inf."""
+        if self.coeff == 0:
+            return Fraction(0)
         if self.power >= 0:
             return geom_poly_sup(self.coeff, self.ratio, self.power, start)[0]
         if self.ratio > 1:

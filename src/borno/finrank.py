@@ -138,34 +138,30 @@ class OperatorModel:
     """Coordinate action (Fx)_k = sum_d mu_d(k) x_{k+d} in closed form: a
     tuple of ``(d, mu)`` bands, where bands at one offset add up, and with a
     cutoff only the coordinates k <= cutoff are kept.
-
-    ``kind`` names the constructor: identity, zero, truncation, diagonal or
-    banded.
     """
 
-    kind: str
     bands: tuple = ()
     cutoff: int = None
 
     @staticmethod
     def identity():
-        return OperatorModel("identity", ((0, CoordForm(1)),))
+        return OperatorModel(((0, CoordForm(1)),))
 
     @staticmethod
     def zero():
-        return OperatorModel("zero")
+        return OperatorModel()
 
     @staticmethod
     def truncation(n):
-        return OperatorModel("truncation", ((0, CoordForm(1)),), n)
+        return OperatorModel(((0, CoordForm(1)),), n)
 
     @staticmethod
     def diagonal(form):
-        return OperatorModel("diagonal", ((0, form),))
+        return OperatorModel(((0, form),))
 
     @staticmethod
     def banded(bands):
-        return OperatorModel("banded", tuple(bands))
+        return OperatorModel(tuple(bands))
 
     def multiplier(self, k, d=0):
         """mu_d(k), the coefficient of x_{k+d} in (Fx)_k."""
@@ -186,11 +182,13 @@ class OperatorModel:
 
 
 def _diagonal_form(op):
-    """The multiplier of an identity, zero, truncation or diagonal operator,
+    """The multiplier of an operator with no band or one band at offset 0,
     or None."""
-    if op.kind == "banded":
-        return None
-    return op.bands[0][1] if op.bands else CoordForm(0)
+    if not op.bands:
+        return CoordForm(0)
+    if len(op.bands) == 1 and op.bands[0][0] == 0:
+        return op.bands[0][1]
+    return None
 
 
 def _shifted_envelope(env, d):
@@ -215,7 +213,9 @@ def _difference_magnitude_forms(f_n, f_inf, s):
     whose sum bounds sup_{x in box} |(F-f)x|_k, and whether the sum equals
     that supremum.  Diagonal closed forms that match (a truncation's is 1)
     subtract exactly up to the first cutoff, past which the later-cut
-    operator acts alone, so identical operators give a zero rate."""
+    operator acts alone; identical operators give no pieces."""
+    if f_n == f_inf:
+        return [], True
     env = s.envelope.abs_form()
     diag_n, diag_inf = _diagonal_form(f_n), _diagonal_form(f_inf)
     if diag_n is not None and diag_inf is not None and (
@@ -334,12 +334,17 @@ def pointwise_vs_uniform_check(family, f_inf, s, t_gauge, n_patterns=8):
     Each of the ``n_patterns`` sampled points takes seeded random signs on
     the first 64 coordinates.
     """
+    if not precompactness_check(s, t_gauge):
+        raise ValueError("envelope is not compact under this gauge")
     bound = family.declared_bound
     for op in family.operators:
         b = operator_gauge_bound(op, t_gauge)
         if b == INF or b > bound:
+            bands = ", ".join(f"({d}, {f.coeff}*{f.ratio}^k*(k+1)^{f.power})"
+                              for d, f in op.bands)
             raise EquiboundednessError(
-                f"operator {op.kind} exceeds the declared bound {bound}")
+                f"operator with bands [{bands}] exceeds the declared bound "
+                f"{bound}")
     uniform, raws = uniform_convergence_on_set(family.operators, f_inf, s,
                                                t_gauge)
     rng = np.random.default_rng(0xB00C)

@@ -24,6 +24,7 @@ from .closedforms import (
     EpsForm,
     WeightForm,
     _frac,
+    first_true,
     geom_poly_sup,
     sum_shift_poly_geom,
 )
@@ -101,7 +102,7 @@ class SeqVector:
             return self
         pref = dict(self.prefix)
         for k in range(self.tail_start, new_start):
-            v = sum((a * s**k for a, s in self.tails), Fraction(0))
+            v = self.value(k)
             if v != 0:
                 pref[k] = v
         return SeqVector(pref, self.tails, new_start)
@@ -132,11 +133,11 @@ class SeqVector:
         start = max(self.tail_start, n + 1)
         return SeqVector(pref, self.tails, start)
 
-    def shift_left(self, steps=1):
-        """(fx)_k = x_{k+steps}."""
-        pref = {k - steps: v for k, v in self.prefix.items() if k >= steps}
-        tails = tuple((a * s**steps, s) for a, s in self.tails)
-        return SeqVector(pref, tails, max(self.tail_start - steps, 0))
+    def shift_left(self):
+        """(fx)_k = x_{k+1}."""
+        pref = {k - 1: v for k, v in self.prefix.items() if k >= 1}
+        tails = tuple((a * s, s) for a, s in self.tails)
+        return SeqVector(pref, tails, max(self.tail_start - 1, 0))
 
     def diagonal(self, c, u):
         """x_k -> c u^k x_k for rational 0 < |u| <= 1."""
@@ -209,10 +210,8 @@ def _tail_classes(tails, start):
 
     Yields (offset, stride, alphas): x_{offset + stride t} =
     sum_i alpha_i rho_i^t for t >= 0, with distinct rho_i in (0,1) sorted
-    decreasing and all alpha_i nonzero.
+    decreasing and all alpha_i nonzero; classes without terms are left out.
     """
-    if not tails:
-        return []
     stride = 2 if any(s < 0 for _a, s in tails) else 1
     classes = []
     for r in range(stride):
@@ -224,7 +223,8 @@ def _tail_classes(tails, start):
             merged[rho] = merged.get(rho, Fraction(0)) + alpha
         alphas = sorted(((rho, alpha) for rho, alpha in merged.items()
                          if alpha != 0), key=lambda t: -t[0])
-        classes.append((offset, stride, alphas))
+        if alphas:
+            classes.append((offset, stride, alphas))
     return classes
 
 
@@ -232,17 +232,16 @@ def _sign_stable_index(alphas):
     """First t from which sum_i alpha_i rho_i^t has the dominant term's sign."""
     rho_d, alpha_d = alphas[0]
     rest = alphas[1:]
+    sign = 1 if alpha_d > 0 else -1
     if not rest:
-        return 0, (1 if alpha_d > 0 else -1)
-    t = 0
-    while True:
-        dom = abs(alpha_d) * rho_d**t
-        other = sum(abs(a) * r**t for r, a in rest)
-        if other < dom:
-            return t, (1 if alpha_d > 0 else -1)
-        t += 1
-        if t > 8 * _SCAN_CAP:
-            raise NotDecided("sign stabilization scan exceeded its cap")
+        return 0, sign
+    # the other ratios are below rho_d, so once the dominant term outweighs
+    # the rest it keeps doing so
+    t = first_true(lambda t: sum(abs(a) * r**t for r, a in rest)
+                   < abs(alpha_d) * rho_d**t, 0, 8 * _SCAN_CAP)
+    if t is None:
+        raise NotDecided("sign stabilization scan exceeded its cap")
+    return t, sign
 
 
 def gauge_value(disk, x):
@@ -253,8 +252,6 @@ def gauge_value(disk, x):
         for k, v in x.prefix.items():
             total += w.value(k) * abs(v)
         for offset, stride, alphas in _tail_classes(x.tails, x.tail_start):
-            if not alphas:
-                continue
             if w.base**stride * alphas[0][0] >= 1:
                 return INF
             t_star, sign = _sign_stable_index(alphas)
@@ -273,8 +270,6 @@ def gauge_value(disk, x):
     for k, v in x.prefix.items():
         best = max(best, w.value(k) * abs(v))
     for offset, stride, alphas in _tail_classes(x.tails, x.tail_start):
-        if not alphas:
-            continue
         rho_d, alpha_d = alphas[0]
         y_d = w.base**stride * rho_d
         if y_d > 1 or (y_d == 1 and w.power > 0):
@@ -314,8 +309,6 @@ def window_gauge_envelope(u, disk):
     for all n >= valid_from; uses the per-tail triangle bound."""
     w = disk.weight
     valid_from = max(u.tail_start - 1, max(u.prefix, default=-1), 0)
-    if not u.tails:
-        return Envelope(()), valid_from
     terms = []
     for a, s in u.tails:
         y = w.base * abs(s)
@@ -331,9 +324,8 @@ def window_gauge_envelope(u, disk):
         else:
             if y > 1 or (y == 1 and w.power > 0):
                 return Envelope((), True), valid_from
-            k0 = 0
-            while y * (Fraction(k0 + 2) / Fraction(k0 + 1)) ** w.power > 1:
-                k0 += 1
+            k0 = first_true(lambda k: y * (Fraction(k + 2) / Fraction(k + 1))
+                            ** w.power <= 1, 0)
             valid_from = max(valid_from, k0)
             terms.append(EnvTerm(abs(a) * w.coeff * y / disk.scale, y, 2,
                                  w.power))
@@ -390,20 +382,19 @@ class WindowTerm:
 class SequenceModel:
     """x_n = prefix[n] for n < start, else the sum of the closed-form terms."""
 
-    __slots__ = ("prefix", "start", "geo_terms", "window_terms")
+    __slots__ = ("prefix", "geo_terms", "window_terms")
 
-    def __init__(self, prefix=(), geo_terms=(), window_terms=(), start=None):
-        prefix = tuple(prefix)
-        start = len(prefix) if start is None else int(start)
-        if start != len(prefix):
-            raise ValueError("prefix length must equal the tail start")
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "start", start)
+    def __init__(self, prefix=(), geo_terms=(), window_terms=()):
+        object.__setattr__(self, "prefix", tuple(prefix))
         object.__setattr__(self, "geo_terms", tuple(geo_terms))
         object.__setattr__(self, "window_terms", tuple(window_terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("SequenceModel is immutable")
+
+    @property
+    def start(self):
+        return len(self.prefix)
 
     @staticmethod
     def constant(v):
@@ -439,19 +430,14 @@ class SequenceModel:
                           .scale(t.coeff * t.ratio**n))
         return acc
 
-    def subtract(self, other):
-        start = max(self.start, other.start)
-        prefix = tuple(self.at(n).subtract(other.at(n)) for n in range(start))
-        geo = list(self.geo_terms)
-        geo += [GeoTerm(-g.coeff, g.ratio, g.vector, g.power)
-                for g in other.geo_terms]
-        win = list(self.window_terms)
-        win += [WindowTerm(-t.coeff, t.vector, t.stride, t.offset, t.ratio)
-                for t in other.window_terms]
-        return SequenceModel(prefix, tuple(geo), tuple(win), start)
-
     def add(self, other):
-        return self.subtract(other.scale(-1))
+        start = max(self.start, other.start)
+        prefix = tuple(self.at(n).add(other.at(n)) for n in range(start))
+        return SequenceModel(prefix, self.geo_terms + other.geo_terms,
+                             self.window_terms + other.window_terms)
+
+    def subtract(self, other):
+        return self.add(other.scale(-1))
 
     def scale(self, c):
         c = _frac(c)
@@ -461,7 +447,6 @@ class SequenceModel:
                   for g in self.geo_terms),
             tuple(WindowTerm(c * t.coeff, t.vector, t.stride, t.offset, t.ratio)
                   for t in self.window_terms),
-            self.start,
         )
 
     def subsequence(self, a, b):
@@ -480,11 +465,9 @@ class SequenceModel:
         win = tuple(WindowTerm(t.coeff * t.ratio**b, t.vector, t.stride * a,
                                t.stride * b + t.offset, t.ratio**a)
                     for t in self.window_terms)
-        n_pref = 0
-        while a * n_pref + b < self.start:
-            n_pref += 1
+        n_pref = max(-(-(self.start - b) // a), 0)
         prefix = tuple(self.at(a * n + b) for n in range(n_pref))
-        return SequenceModel(prefix, geo, win, n_pref)
+        return SequenceModel(prefix, geo, win)
 
     def limit_vector(self):
         """Coordinatewise limit of the decaying closed form.
@@ -500,37 +483,43 @@ class SequenceModel:
 
     def deviation_envelope(self, disk):
         """(Envelope E, valid_from): gauge(x_n - limit) <= E(n) for n >= valid_from."""
-        terms = []
-        valid_from = self.start
-        inf = False
-        for t in self.geo_terms:
-            if t.ratio == 1 and t.power == 0:
-                continue
-            if t.ratio == 1 and t.power > 0:
-                inf = True
-                break
-            g = gauge_value(disk, t.vector)
-            if g == INF:
-                inf = True
-                break
-            terms.append(EnvTerm(abs(t.coeff) * g, abs(t.ratio), 1, t.power))
-        if not inf:
-            for t in self.window_terms:
-                env, vf = window_gauge_envelope(t.vector, disk)
-                if env.infinite:
-                    inf = True
-                    break
-                for e in env.terms:
-                    terms.append(_reindexed_term(e, t.stride, t.offset,
-                                                 abs(t.coeff), abs(t.ratio)))
-                valid_from = max(valid_from,
-                                 -(-max(vf - t.offset, 0) // t.stride))
-        if inf:
-            return Envelope((), True), valid_from
+        scan = _deviation_scan(self, disk)
+        if scan is None:
+            return Envelope((), True), self.start
+        geo, windows, valid_from = scan
+        terms = [EnvTerm(abs(t.coeff) * g, abs(t.ratio), 1, t.power)
+                 for t, g in geo]
+        terms += [e for _t, reindexed in windows for e in reindexed]
         return Envelope(terms), valid_from
 
 
-def _reindexed_term(e, stride, offset, c, extra_ratio=Fraction(1)):
+def _deviation_scan(x, disk):
+    """(geo, windows, valid_from) under both deviation envelopes: each
+    decaying term with its vector's gauge, each window term with its window
+    envelope reindexed to n, valid for n >= valid_from; None when a term
+    grows or a gauge is infinite."""
+    geo = []
+    for t in x.geo_terms:
+        if t.ratio == 1 and t.power == 0:
+            continue
+        g = INF if t.ratio == 1 else gauge_value(disk, t.vector)
+        if g == INF:
+            return None
+        geo.append((t, g))
+    windows = []
+    valid_from = x.start
+    for t in x.window_terms:
+        env, vf = window_gauge_envelope(t.vector, disk)
+        if env.infinite:
+            return None
+        windows.append((t, [_reindexed_term(e, t.stride, t.offset,
+                                            abs(t.coeff), abs(t.ratio))
+                            for e in env.terms]))
+        valid_from = max(valid_from, -(-max(vf - t.offset, 0) // t.stride))
+    return geo, windows, valid_from
+
+
+def _reindexed_term(e, stride, offset, c, extra_ratio):
     # envelope term at index stride*n + offset, times extra_ratio^n:
     # (m + shift)^power at m = stride n + offset is soundly bounded by
     # (stride (n + shift + max(offset, 0)))^power
@@ -620,15 +609,16 @@ class DecisionReport:
         }
 
 
-def _env_sup_from(env, n0):
-    """Upper bound for sup_{n >= n0} env(n); inf when a term does not decay."""
+def _env_sup_from(env, n0, divisor=Fraction(1)):
+    """Upper bound for sup_{n >= n0} env(n) / divisor^n; inf when a term
+    does not decay."""
     if env.infinite:
         return INF
     total = Fraction(0)
     for t in env.terms:
         # (m + shift)^p <= shift^p (m + 1)^p for shift >= 1
         sup = CoordForm(t.coeff * Fraction(max(t.shift, 1)) ** t.power,
-                        t.ratio, t.power).sup_from(n0)
+                        t.ratio / divisor, t.power).sup_from(n0)
         if sup == INF:
             return INF
         total += sup
@@ -646,8 +636,6 @@ def _one_sided_ok(limit, xm, x, n0):
     if x.window_terms:
         return False
     decaying = [t for t in x.geo_terms if abs(t.ratio) < 1 and t.power == 0]
-    if any(t.ratio == 1 and t.power > 0 for t in x.geo_terms):
-        return False
     if len(decaying) + sum(1 for t in x.geo_terms
                            if t.ratio == 1 and t.power == 0) != len(x.geo_terms):
         return False
@@ -671,8 +659,6 @@ def _one_sided_ok(limit, xm, x, n0):
             return False
         for offset, stride, alphas in _tail_classes(
                 tuple((c, r) for c, r in terms), n0):
-            if not alphas:
-                continue
             t_star, sign = _sign_stable_index(alphas)
             if sign == (1 if a_k > 0 else -1):
                 return False
@@ -728,11 +714,12 @@ def _hunt_violation(x, disk, eps):
 
 def _monotone_from(ratio, shift, power):
     """First index from which ratio^m (m+shift)^power is nonincreasing."""
-    k = 0
-    while ratio * (Fraction(k + 1 + shift) / Fraction(k + shift)) ** power > 1:
-        k += 1
-        if k > 4 * _SCAN_CAP:
-            raise NotDecided("envelope term does not become monotone")
+    # the step ratio does not grow with m for shift >= 1 and power >= 0
+    k = first_true(lambda m: ratio * (Fraction(m + 1 + shift)
+                                      / Fraction(m + shift)) ** power <= 1,
+                   0, 4 * _SCAN_CAP)
+    if k is None:
+        raise NotDecided("envelope term does not become monotone")
     return k
 
 
@@ -743,46 +730,30 @@ def pair_deviation_envelope(x, disk):
     geometric term contributes |c| g (r^m - r^n) <= |c| g r^m, and nested
     windows differ exactly on the coordinates between the two cuts.
     """
+    scan = _deviation_scan(x, disk)
+    if scan is None:
+        return Envelope((), True), x.start
+    geo, windows, valid_from = scan
     terms = []
-    valid_from = x.start
-    for t in x.geo_terms:
-        if t.ratio == 1 and t.power == 0:
-            continue
-        if t.ratio == 1 and t.power > 0:
-            return Envelope((), True), valid_from
-        g = gauge_value(disk, t.vector)
-        if g == INF:
-            return Envelope((), True), valid_from
+    for t, g in geo:
         r = abs(t.ratio)
-        if r == 0:
-            terms.append(EnvTerm(abs(t.coeff) * g, Fraction(0), 1, 0))
-            continue
-        if t.power > 0:
+        if t.power > 0 and r > 0:
             valid_from = max(valid_from, _monotone_from(r, 1, t.power))
             terms.append(EnvTerm(2 * abs(t.coeff) * g, r, 1, t.power))
         else:
-            factor = 1 if t.ratio > 0 else 2
+            factor = 1 if t.ratio >= 0 else 2
             terms.append(EnvTerm(factor * abs(t.coeff) * g, r, 1, 0))
-    for t in x.window_terms:
-        env, vf = window_gauge_envelope(t.vector, disk)
-        if env.infinite:
-            return Envelope((), True), valid_from
-        nested = (t.ratio == 1 and t.stride == 1)
-        for e in env.terms:
-            re_term = _reindexed_term(e, t.stride, t.offset, abs(t.coeff),
-                                      abs(t.ratio))
-            if nested:
-                terms.append(re_term)
-                continue
-            if re_term.ratio > 1 or (re_term.ratio == 1 and re_term.power > 0):
-                return Envelope((), True), valid_from
-            if re_term.ratio < 1:
+    for t, reindexed in windows:
+        if t.ratio == 1 and t.stride == 1:  # nested windows
+            terms += reindexed
+            continue
+        for e in reindexed:
+            if e.ratio > 1 or (e.ratio == 1 and e.power > 0):
+                return Envelope((), True), x.start
+            if e.ratio < 1:
                 valid_from = max(valid_from,
-                                 _monotone_from(re_term.ratio, re_term.shift,
-                                                re_term.power))
-            terms.append(EnvTerm(2 * re_term.coeff, re_term.ratio,
-                                 re_term.shift, re_term.power))
-        valid_from = max(valid_from, -(-max(vf - t.offset, 0) // t.stride))
+                                 _monotone_from(e.ratio, e.shift, e.power))
+            terms.append(EnvTerm(2 * e.coeff, e.ratio, e.shift, e.power))
     return Envelope(terms), valid_from
 
 
@@ -801,13 +772,9 @@ def dominating_eps(envelope):
         q = (1 + ratio_max) / 2
     else:
         q = max(ratio_max, floor)
-    amp = Fraction(0)
-    for t in envelope.terms:
-        sup = CoordForm(t.coeff * Fraction(max(t.shift, 1)) ** t.power,
-                        t.ratio / q, t.power).sup_from(0)
-        if sup == INF:
-            return None
-        amp += sup
+    amp = _env_sup_from(envelope, 0, q)
+    if amp == INF:
+        return None
     return EpsForm.geometric(max(amp, Fraction(1, 10**9)), q)
 
 
@@ -819,18 +786,14 @@ def cauchy_check(x, space, disk_index, eps):
     limit = x.limit_vector()
     env, env_from = x.deviation_envelope(disk)
     pair_env, pair_from = pair_deviation_envelope(x, disk)
-    if pair_env.infinite:
-        pair = _hunt_violation(x, disk, eps)
-        if pair is not None:
-            return DecisionReport("no", disk_index, eps, violating_pair=pair)
-        raise NotDecided("deviation envelope is unbounded but no explicit "
-                         "violation was found within the scan cap")
-    m_sym = max(pair_from, x.start)
-    m_star = pair_env.dominated_from(eps, m_sym)
+    m_star = pair_env.dominated_from(eps, pair_from)
     if m_star is None:
         pair = _hunt_violation(x, disk, eps)
         if pair is not None:
             return DecisionReport("no", disk_index, eps, violating_pair=pair)
+        if pair_env.infinite:
+            raise NotDecided("deviation envelope is unbounded but no explicit "
+                             "violation was found within the scan cap")
         raise NotDecided("no envelope domination certificate and no explicit "
                          "violation within the scan cap")
     for m in range(0, m_star):
@@ -855,34 +818,20 @@ def convergence_check(x, space, disk_index, eps, limit=None):
     const = y.limit_vector()
     g_const = gauge_value(disk, const) if not const.is_zero else Fraction(0)
     env, env_from = y.deviation_envelope(disk)
-
-    def exact_violation():
-        for n in range(0, 4 * _SCAN_CAP):
-            g = gauge_value(disk, y.at(n))
-            if g == INF or not eps.ge_value(n, g):
-                return n
-        return None
-
-    if env.infinite or (g_const != 0):
-        n = exact_violation()
-        if n is not None:
-            return DecisionReport("no", disk_index, eps,
-                                  violating_pair=(n, n))
-        raise NotDecided("non-null deviation without an explicit violation "
-                         "within the scan cap")
-    n_star = env.dominated_from(eps, max(env_from, y.start, 0))
-    if n_star is None:
-        n = exact_violation()
-        if n is not None:
-            return DecisionReport("no", disk_index, eps,
-                                  violating_pair=(n, n))
-        raise NotDecided("no envelope domination certificate and no explicit "
-                         "violation within the scan cap")
-    for n in range(0, n_star):
+    n_star = None if g_const else env.dominated_from(eps, env_from)
+    # below n_star every index is checked; without a certificate the same
+    # loop hunts for a violation up to the scan cap
+    for n in range(4 * _SCAN_CAP if n_star is None else n_star):
         g = gauge_value(disk, y.at(n))
         if g == INF or not eps.ge_value(n, g):
             return DecisionReport("no", disk_index, eps,
                                   violating_pair=(n, n))
+    if n_star is None:
+        if env.infinite or g_const:
+            raise NotDecided("non-null deviation without an explicit "
+                             "violation within the scan cap")
+        raise NotDecided("no envelope domination certificate and no explicit "
+                         "violation within the scan cap")
     return DecisionReport("yes", disk_index, eps,
                           witness={"certified_from": n_star})
 
@@ -1204,7 +1153,7 @@ def coordinate_map_bound(f, source_disk, target_disk):
 
 def apply_coordinate_map(f, v):
     if f.kind == "shift":
-        return v.shift_left(1).scale(f.coeff)
+        return v.shift_left().scale(f.coeff)
     if f.kind == "diagonal":
         if f.power != 0 and not v.finitely_supported:
             raise NotDecided("polynomial diagonal multipliers apply only to "
@@ -1227,13 +1176,13 @@ def apply_map_to_model(f, model):
         for t in model.window_terms:
             if f.kind == "shift":
                 windows.append(WindowTerm(t.coeff * f.coeff,
-                                          t.vector.shift_left(1),
+                                          t.vector.shift_left(),
                                           t.stride, t.offset - 1, t.ratio))
             else:
                 windows.append(WindowTerm(t.coeff,
                                           apply_coordinate_map(f, t.vector),
                                           t.stride, t.offset, t.ratio))
-        return SequenceModel(prefix, tuple(geo), tuple(windows), model.start)
+        return SequenceModel(prefix, tuple(geo), tuple(windows))
     # summation: window remainders become geometric scalar terms once the
     # cut index has passed the window vector's prefix coordinates
     new_start = model.start
@@ -1251,7 +1200,7 @@ def apply_map_to_model(f, model):
                                combined, SeqVector.unit(0, 1)))
     prefix = tuple(apply_coordinate_map(f, model.at(n))
                    for n in range(new_start))
-    return SequenceModel(prefix, tuple(geo), (), new_start)
+    return SequenceModel(prefix, tuple(geo), ())
 
 
 @dataclass(frozen=True)

@@ -280,6 +280,17 @@ class TestApproxProperty:
         assert report["verdicts"]["approximation_property"] == "fail"
         assert "rank budget" in report["results"]["property"]["error"]
 
+    def test_non_compact_envelope_exits_three(self, tmp_path, capsys):
+        # (3/2)^k / (k+1)^3 is not summable: an input error, not a kernel bug
+        inst = builtin_instances()["approx-truncation"]
+        inst["payload"]["set"] = {"kind": "invpoly", "amp": "1", "power": 3}
+        inst["payload"]["gauge"] = {
+            "kind": "l1", "weight": {"coeff": "1", "base": "3/2", "power": 0}}
+        path = tmp_path / "approx.json"
+        path.write_text(json.dumps(inst))
+        assert run_cli(["run", "--input", str(path)]) == 3
+        assert "not compact" in capsys.readouterr().err
+
     def test_kernel_bug_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise ZeroDivisionError("kernel bug")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import pytest
 
 from borno.closedforms import (CoordForm, EnvTerm, Envelope, EpsForm, _frac,
-                               sum_shift_poly_geom)
+                               first_true, geom_poly_sup, sum_shift_poly_geom)
 
 INF = math.inf
 
@@ -60,6 +60,12 @@ class TestSupFrom:
         assert CoordForm(Fraction(3, 2)).sup_from(7) == Fraction(3, 2)
         assert CoordForm(0, 2, 3).sup_from(0) == 0
         assert CoordForm(0, 2, 3).tail_sum(0) == 0
+
+    @pytest.mark.parametrize("ratio, power", [(2, -1), (3, -4), (1, -1),
+                                              (Fraction(1, 2), -2)])
+    def test_zero_form_with_negative_power_has_sup_zero(self, ratio, power):
+        assert CoordForm(0, ratio, power).sup_from(0) == 0
+        assert CoordForm(0, ratio, power).sup_from(5) == 0
 
 
 class TestTailSum:
@@ -125,3 +131,74 @@ class TestEnvTerm:
     def test_zero_power_dominates_as_before(self):
         env = Envelope([EnvTerm(Fraction(1), Fraction(1, 3), 1, 0)])
         assert env.dominated_from(EpsForm.geometric(1, Fraction(1, 2)), 0) == 0
+
+
+def linear_first_true(pred, lo, hi=None):
+    """The linear scan first_true replaces: lo, lo + 1, ... up to hi."""
+    k = lo
+    while hi is None or k <= hi:
+        if pred(k):
+            return k
+        k += 1
+    return None
+
+
+def geom_poly_sup_scan(c, b, p, start):
+    """The walk geom_poly_sup used for b < 1: the running maximum of the
+    values up to the first k whose step ratio is <= 1."""
+    c, b = Fraction(c), Fraction(b)
+    k = start
+    best = c * b**k * Fraction(k + 1) ** p
+    while True:
+        ratio = b * (Fraction(k + 2) / Fraction(k + 1)) ** p
+        if ratio <= 1:
+            break
+        k += 1
+        best = max(best, c * b**k * Fraction(k + 1) ** p)
+    return best, True
+
+
+class TestFirstTrue:
+    @settings(max_examples=200, deadline=None)
+    @given(threshold=st.integers(0, 3000), lo=st.integers(0, 3000),
+           cap=st.one_of(st.none(), st.integers(0, 3000)))
+    def test_matches_linear_scan(self, threshold, lo, cap):
+        # cap None: no cap; otherwise hi = lo + cap, hit or missed
+        hi = None if cap is None else lo + cap
+        pred = lambda k: k >= threshold  # noqa: E731
+        assert first_true(pred, lo, hi) == linear_first_true(pred, lo, hi)
+
+    @pytest.mark.parametrize("threshold, expected",
+                             [(0, 0), (5, 5), (6, 6), (7, None), (100, None)])
+    def test_cap_is_inclusive(self, threshold, expected):
+        assert first_true(lambda k: k >= threshold, 0, 6) == expected
+
+    def test_calls_grow_with_the_log_of_the_index(self):
+        calls = []
+        assert first_true(lambda k: calls.append(k) or k >= 4000, 0) == 4000
+        assert len(calls) <= 30
+
+
+# b < 1 near 1, powers 0-4, starts before and past the peak
+NEAR_ONE = [Fraction(0), Fraction(1, 7), Fraction(1, 2), Fraction(2, 3),
+            Fraction(9, 10), Fraction(19, 20), Fraction(99, 100)]
+
+
+class TestGeomPolySupWalk:
+    @pytest.mark.parametrize("b", NEAR_ONE, ids=str)
+    @pytest.mark.parametrize("p", range(5))
+    def test_matches_the_running_maximum(self, b, p):
+        # the peak of b^k (k+1)^p sits near p / (1 - b); start before it,
+        # at it and past it
+        peak = int(p / (1 - b)) if b < 1 else 0
+        for start in sorted({0, 1, max(peak - 1, 0), peak, peak + 1,
+                             peak + 17}):
+            for c in (Fraction(1), Fraction(3, 7)):
+                assert (geom_poly_sup(c, b, p, start)
+                        == geom_poly_sup_scan(c, b, p, start))
+
+    @SETTINGS
+    @given(c=coeffs, r=decaying, p=st.integers(0, 4), start=st.integers(0, 80))
+    def test_property_against_the_walk(self, c, r, p, start):
+        assert geom_poly_sup(c, r, p, start) == geom_poly_sup_scan(c, r, p,
+                                                                   start)

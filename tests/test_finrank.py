@@ -217,6 +217,19 @@ class TestUniformConvergence:
         assert raw == rate
         assert rates.exact == exact
 
+    @pytest.mark.parametrize("band, diagonal, rate", [
+        # the same operator built two ways
+        (CoordForm(HALF), CoordForm(HALF), 0),
+        # |1 - 1/2| a_k summed: 1, the supremum at x = a
+        (CoordForm(1), CoordForm(HALF), 1),
+    ], ids=["same", "half"])
+    def test_one_band_at_offset_zero_is_a_diagonal(self, band, diagonal,
+                                                   rate):
+        rates, (raw,) = uniform_convergence_on_set(
+            [OperatorModel.banded([(0, band)])],
+            OperatorModel.diagonal(diagonal), GEO_BOX, L1)
+        assert raw == rate and rates.exact
+
     @pytest.mark.parametrize("band, gauge, rate", [
         # sum_{k >= 1} (3/2)^k 2^(1-k) = 6, the supremum
         ((-1, CoordForm(1)), GROWING_L1, 6),
@@ -257,8 +270,24 @@ class TestPointwiseVsUniform:
     def test_growing_family_rejected(self):
         fam = OperatorFamily(tuple(OperatorModel.diagonal(CoordForm(n))
                                    for n in range(1, 5)), Fraction(1))
-        with pytest.raises(EquiboundednessError):
+        with pytest.raises(EquiboundednessError,
+                           match=r"bands \[\(0, 2\*1\^k\*\(k\+1\)\^0\)\]"):
             pointwise_vs_uniform_check(fam, OperatorModel.zero(), GEO_BOX, L2)
+
+    @pytest.mark.parametrize("gauge", [SUP, L1, L2], ids=["sup", "l1", "l2"])
+    def test_copies_of_one_banded_operator_agree(self, gauge):
+        r = OperatorModel.banded([(1, CoordForm(HALF))])
+        out = pointwise_vs_uniform_check(OperatorFamily((r, r), 4), r,
+                                         GEO_BOX, gauge)
+        assert out["uniform"].rates == (0.0, 0.0) and out["uniform"].exact
+        assert out["uniform"].verdict == out["pointwise"] == "converges"
+
+    def test_non_compact_box_is_an_input_error(self):
+        fam = OperatorFamily((OperatorModel.truncation(1),), Fraction(1))
+        box = CompactSetModel.inverse_poly(1, 3)
+        with pytest.raises(ValueError, match="not compact"):
+            pointwise_vs_uniform_check(fam, OperatorModel.identity(), box,
+                                       GROWING_L1)
 
     def test_zero_family(self):
         fam = OperatorFamily((OperatorModel.zero(), OperatorModel.zero()),
@@ -296,6 +325,10 @@ class TestOperatorBounds:
     def test_decaying_diagonal(self):
         op = OperatorModel.diagonal(CoordForm(1, HALF))
         assert operator_gauge_bound(op, L2) == 1
+
+    def test_zero_band_bounds_zero(self):
+        op = OperatorModel.banded([(0, CoordForm(0, 2, -1))])
+        assert operator_gauge_bound(op, SUP) == 0
 
     @pytest.mark.parametrize("offset, gauge, ratio", [
         # F e_0 = e_1, whose weight is 3/2 times that of e_0

@@ -2,10 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borno.closedforms import EnvTerm, EpsForm, WeightForm, sum_shift_poly_geom
-from borno.errors import UnboundedMap
+from borno.errors import NotDecided, UnboundedMap
 from borno.seqspace import (
+    _SCAN_CAP,
     CoordinateMap,
     DiskForm,
     GeoTerm,
@@ -13,6 +16,8 @@ from borno.seqspace import (
     SeqVector,
     SequenceModel,
     WindowTerm,
+    _monotone_from,
+    _sign_stable_index,
     absorption_constant,
     apply_coordinate_map,
     cauchy_check,
@@ -405,3 +410,81 @@ class TestAbsorption:
         decaying = DiskForm("sup", WeightForm.geometric(1, 2))
         # sup ball with growing weights sits inside the l1 unit ball region
         assert absorption_constant(DiskForm("sum"), decaying) != math.inf
+
+
+def monotone_from_scan(ratio, shift, power):
+    """The walk _monotone_from replaced: k = 0, 1, ... up to 4 caps."""
+    k = 0
+    while ratio * (Fraction(k + 1 + shift) / Fraction(k + shift)) ** power > 1:
+        k += 1
+        if k > 4 * _SCAN_CAP:
+            raise NotDecided("envelope term does not become monotone")
+    return k
+
+
+def sign_stable_index_scan(alphas):
+    """The walk _sign_stable_index replaced: t = 0, 1, ... up to 8 caps."""
+    rho_d, alpha_d = alphas[0]
+    rest = alphas[1:]
+    if not rest:
+        return 0, (1 if alpha_d > 0 else -1)
+    t = 0
+    while True:
+        dom = abs(alpha_d) * rho_d**t
+        other = sum(abs(a) * r**t for r, a in rest)
+        if other < dom:
+            return t, (1 if alpha_d > 0 else -1)
+        t += 1
+        if t > 8 * _SCAN_CAP:
+            raise NotDecided("sign stabilization scan exceeded its cap")
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotDecided as exc:
+        return str(exc)
+
+
+class TestConvertedWalks:
+    """The monotone searches against the linear walks they replaced."""
+
+    @pytest.mark.parametrize("ratio", [
+        Fraction(0), Fraction(1, 2), Fraction(9, 10), Fraction(99, 100),
+        # k near 2,000 and 4,000 against the inclusive cap of 2,048
+        Fraction(998, 1000), Fraction(999, 1000), Fraction(1)], ids=str)
+    @pytest.mark.parametrize("power", range(5))
+    @pytest.mark.parametrize("shift", [1, 2, 5])
+    def test_monotone_from(self, ratio, power, shift):
+        assert (outcome(_monotone_from, ratio, shift, power)
+                == outcome(monotone_from_scan, ratio, shift, power))
+
+    def test_monotone_from_cap_is_inclusive(self):
+        # r (m+2)/(m+1) <= 1 with r = (c+1)/(c+2) holds from m = c on, so
+        # c = cap is the last index the scan reaches and c = cap + 1 is not
+        cap = 4 * _SCAN_CAP
+        ratio = Fraction(cap + 1, cap + 2)
+        assert monotone_from_scan(ratio, 1, 1) == cap
+        assert _monotone_from(ratio, 1, 1) == cap
+        with pytest.raises(NotDecided):
+            _monotone_from(Fraction(cap + 2, cap + 3), 1, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rhos=st.lists(st.integers(1, 99), min_size=1, max_size=3,
+                         unique=True),
+           alphas=st.lists(st.sampled_from([1, -1, 3, -7, 50, -400]),
+                           min_size=3, max_size=3))
+    def test_sign_stable_index(self, rhos, alphas):
+        terms = sorted(((Fraction(r, 100), Fraction(a))
+                        for r, a in zip(rhos, alphas)), key=lambda t: -t[0])
+        assert (outcome(_sign_stable_index, terms)
+                == outcome(sign_stable_index_scan, terms))
+
+    @pytest.mark.parametrize("weight", [10**3, 10**12])
+    def test_sign_stable_index_near_the_cap(self, weight):
+        # 99/100 against 98/100: 10^3 settles near t = 680, 10^12 passes
+        # the cap of 4,096
+        terms = [(Fraction(99, 100), Fraction(1)),
+                 (Fraction(98, 100), Fraction(-weight))]
+        assert (outcome(_sign_stable_index, terms)
+                == outcome(sign_stable_index_scan, terms))

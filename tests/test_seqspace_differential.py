@@ -5,6 +5,7 @@ procedure, and direct evaluation of every pair in a finite window.  A "no"
 must come with a genuine violating pair; a "yes" must survive the window.
 """
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -160,3 +161,64 @@ def test_subsequences_evaluate_consistently(seed):
     sub = model.subsequence(a, b)
     for n in range(12):
         assert sub.at(n) == model.at(a * n + b)
+
+
+# sha256 of golden_decisions(); a change to any decision, certified_from,
+# violating pair or NotDecided message of these cases shows here
+GOLDEN_DIGEST = (
+    "77b7333f4c9fb0569a024e98efde2ba608ea2b44ded9ced4e57cdea5446c199e")
+
+
+def golden_decisions():
+    """One line per Cauchy and convergence decision over seeded models, with
+    "yes", "no" and NotDecided outcomes: even seeds get a generous budget."""
+    space = ModelSpace((DiskForm("sum"), DiskForm("sup")))
+    both = (cauchy_check, convergence_check)
+    cases = []
+    for seed in range(12):
+        rng = np.random.default_rng([0x601D, seed])
+        disk_index = int(rng.integers(0, 2))
+        model = random_model(rng)
+        eps = (random_eps(rng) if seed % 2
+               else EpsForm.geometric(8, Fraction(9, 10)))
+        cases.append((f"seed {seed}", model, disk_index, eps, both))
+    half = EpsForm.geometric(1, Fraction(1, 2))
+    unit = SeqVector.unit(0, 1)
+    # the first two reach the scan cap; Cauchy hunts up to that cap take
+    # seconds, so they are decided for convergence only
+    cases += [
+        # a growing term with a zero vector: no violation to find
+        ("growing zero", SequenceModel(
+            geo_terms=(GeoTerm(1, 1, SeqVector.zero(), 1),)), 0, half,
+         (convergence_check,)),
+        # decays too slowly for the budget, but only past the scan cap
+        ("tiny", SequenceModel(geo_terms=(
+            GeoTerm(Fraction(1, 10**400), Fraction(3, 4), unit),)), 1, half,
+         (convergence_check,)),
+        # (m+1)^4 (999/1000)^m rises until m near 4,000
+        ("slow peak", SequenceModel(geo_terms=(
+            GeoTerm(1, Fraction(999, 1000), unit, 4),)), 0, half, both),
+        # the second tail outweighs the first until t near 6,800
+        ("late sign", SequenceModel(geo_terms=(GeoTerm(1, Fraction(1, 2),
+            SeqVector({}, ((1, Fraction(99, 100)),
+                           (10**30, Fraction(98, 100))))),)), 0, half, both),
+    ]
+    lines = []
+    for name, model, disk_index, eps, checks in cases:
+        for check in checks:
+            try:
+                rep = check(model, space, disk_index, eps)
+                out = (f"{rep.decision} {rep.witness.get('certified_from')} "
+                       f"{rep.violating_pair}")
+            except NotDecided as exc:
+                out = f"NotDecided: {exc}"
+            lines.append(f"{name} {check.__name__}: {out}")
+    return lines
+
+
+def test_golden_decisions():
+    lines = golden_decisions()
+    outcomes = {line.split(": ")[1].split()[0] for line in lines}
+    assert outcomes == {"yes", "no", "NotDecided"}
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_DIGEST, "\n".join(lines)
