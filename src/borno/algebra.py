@@ -257,11 +257,13 @@ def _matmul_stable(a, b, out):
 def products(desc, a, b):
     """Algebra products of coordinate rows: ``a`` and ``b`` are ``(..., L)``
     arrays that broadcast together, and each product gets the bits
-    :func:`multiply` gives it alone."""
+    :func:`multiply` gives it alone; a non-finite entry raises ValueError."""
     runs = []
     for (x, _), (y, _) in zip(_stacks(desc, a), _stacks(desc, b)):
         z = np.zeros(np.broadcast(x, y).shape, dtype=np.complex128)
         _matmul_stable(x, y, z)
+        if not np.isfinite(z).all():
+            raise ValueError("non-finite entry in algebra element")
         runs.append(z.reshape(z.shape[:-3] + (-1,)))
     return runs[0] if len(runs) == 1 else np.concatenate(runs, axis=-1)
 
@@ -508,9 +510,9 @@ class SumDisk:
     right: object
 
 
-def _real_coords(element):
-    v = vec(element)
-    return np.concatenate([v.real, v.imag])
+def _real_rows(rows):
+    """Real coordinates ``[re, im]`` of each row of an ``(..., L)`` array."""
+    return np.concatenate([rows.real, rows.imag], axis=-1)
 
 
 def _flatten_disk(disk, mult=1.0):
@@ -637,14 +639,16 @@ def _hull_gauge_lp(cols, target):
     return value, lam, dual
 
 
-def _hull_gauge_groups(groups, x):
-    """Gauge of a Minkowski sum of scaled hulls via a single grouped LP.
-
-    Minimizes t subject to x = sum_i sum_j lambda_ij g_ij and
-    sum_j |lambda_ij| <= t * scale_i for each group i.
+def _hull_gauge_groups(groups, target):
+    """Gauge of real coordinates ``target`` for a Minkowski sum of scaled
+    hulls: one hull of scale 1 by :func:`_hull_gauge_lp`, else by a single
+    grouped LP that minimizes t subject to target = sum_i sum_j lambda_ij g_ij
+    and sum_j |lambda_ij| <= t * scale_i for each group i.
     """
-    target = _real_coords(x)
-    cols = np.stack([_real_coords(g) for gens, _s in groups for g in gens], axis=1)
+    cols = np.stack([_real_rows(g.coords) for gens, _s in groups for g in gens],
+                    axis=1)
+    if len(groups) == 1 and groups[0][1] == 1.0:
+        return _hull_gauge_lp(cols, target)[0]
     if _misses(cols, np.linalg.lstsq(cols, target, rcond=None)[0], target):
         return math.inf
     n = cols.shape[1]
@@ -662,16 +666,17 @@ def _hull_gauge_groups(groups, x):
     return value
 
 
-def gauge(disk, x):
-    """Minkowski gauge of ``x`` with respect to ``disk``; may be +inf."""
+def gauges(disk, desc, rows):
+    """:func:`gauge` of each row of an ``(n, L)`` coordinate array of ``desc``."""
     kind = _flatten_disk(disk)
     if kind[0] == "ball":
-        return norm(x) / kind[1]
-    groups = kind[1]
-    if len(groups) == 1 and groups[0][1] == 1.0:
-        cols = np.stack([_real_coords(g) for g in groups[0][0]], axis=1)
-        return _hull_gauge_lp(cols, _real_coords(x))[0]
-    return _hull_gauge_groups(groups, x)
+        return norms(desc, rows) / kind[1]
+    return np.array([_hull_gauge_groups(kind[1], x) for x in _real_rows(rows)])
+
+
+def gauge(disk, x):
+    """Minkowski gauge of ``x`` with respect to ``disk``; may be +inf."""
+    return float(gauges(disk, x.descriptor, x.coords[None])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,14 @@ from .algebra import (
     BoundedSet,
     NormBall,
     bounded_set,
-    gauge,
-    multiply,
-    norm,
-    subtract,
-    vec,
+    gauges,
+    norms,
+    products,
+    unvec,
 )
 from .errors import DescriptorMismatch
 from .jsr import jsr_estimate
-from .maps import omega
+from .maps import curvature_rows
 from .isoradial import (
     FAIL,
     INCONCLUSIVE,
@@ -54,19 +53,26 @@ class CurvatureSet:
     set: BoundedSet
 
 
+def _pairs(desc, a, b):
+    """The products a_i b_j of coordinate rows, over all pairs in pair order."""
+    return products(desc, a[:, None], b).reshape(len(a) * len(b), -1)
+
+
+def _pair_curvature(g, gens):
+    """omega_g over all ordered pairs of the coordinate rows ``gens``."""
+    images = g.rows(gens)
+    return curvature_rows(g, gens[:, None], gens, images[:, None], images)
+
+
 def curvature(g, s):
     s = bounded_set(s)
     if s.descriptor != g.source:
         raise DescriptorMismatch(s.descriptor, g.source, "curvature set")
-    gens = s.generators
-    images = [g(x) for x in gens]
-    entries = []
-    for i, x in enumerate(gens):
-        for j, y in enumerate(gens):
-            entries.append(((i, j),
-                            omega(g, multiply(x, y), images[i], images[j])))
-    return CurvatureSet(tuple(entries),
-                        bounded_set([e for _, e in entries]))
+    gens = np.stack([x.coords for x in s.generators])
+    entries = [unvec(g.target, row) for row in _pair_curvature(g, gens)]
+    k = len(gens)
+    return CurvatureSet(tuple(((p // k, p % k), e) for p, e in enumerate(entries)),
+                        bounded_set(entries))
 
 
 def curvature_radius(g, s, depth=6):
@@ -114,13 +120,10 @@ def sigma_approximation_check(f, sigmas, s, t_disk, modulus=None):
     smoothing bound eps_n <= modulus * pi / (n + 1) is verified as well.
     """
     s = bounded_set(s)
-    rates = []
-    for sigma in sigmas:
-        approx = f.compose(sigma)
-        worst = 0.0
-        for gen in s.generators:
-            worst = max(worst, gauge(t_disk, subtract(approx(gen), gen)))
-        rates.append(worst)
+    gens = np.stack([x.coords for x in s.generators])
+    rates = [max([0.0] + gauges(t_disk, s.descriptor,
+                                f.compose(sigma).rows(gens) - gens).tolist())
+             for sigma in sigmas]
     threshold = 1e-2
     slack = 1e-12
     nonincreasing = all(rates[i + 1] <= rates[i] + slack
@@ -173,28 +176,21 @@ class HomotopyCertificate:
         }
 
 
-def _homotopy_coefficients(h0, h1, s):
-    """Per-pair quadratic coefficients of t -> omega_{h_t}(x, y).
+def _homotopy_coefficients(h0, h1, gens):
+    """Per-pair quadratic coefficients of t -> omega_{h_t}(x, y) over the
+    coordinate rows ``gens``, as three ``(pairs, L)`` arrays.
 
     With delta = h1 - h0:
       C0 = omega_{h0}(x, y)
       C1 = delta(xy) - delta(x) h0(y) - h0(x) delta(y)
       C2 = -delta(x) delta(y)
     """
-    gens = s.generators
-    delta = h1.subtract(h0)
-    h0_img = [h0(x) for x in gens]
-    d_img = [delta(x) for x in gens]
-    coeffs = []
-    for i, x in enumerate(gens):
-        for j, y in enumerate(gens):
-            xy = multiply(x, y)
-            c0 = omega(h0, xy, h0_img[i], h0_img[j])
-            c1 = subtract(subtract(delta(xy), multiply(d_img[i], h0_img[j])),
-                          multiply(h0_img[i], d_img[j]))
-            c2 = algebra.scale(-1.0, multiply(d_img[i], d_img[j]))
-            coeffs.append((c0, c1, c2))
-    return coeffs
+    delta, target = h1.subtract(h0), h0.target
+    h0_img, d_img = h0.rows(gens), delta.rows(gens)
+    c1 = (delta.rows(_pairs(h0.source, gens, gens))
+          - _pairs(target, d_img, h0_img) - _pairs(target, h0_img, d_img))
+    c2 = -1.0 * _pairs(target, d_img, d_img)
+    return curvature_rows(h0, gens[:, None], gens, h0_img[:, None], h0_img), c1, c2
 
 
 def _scalar_quadratic_sup(c0, c1, c2, a, b):
@@ -228,16 +224,12 @@ def _segment_bound(coeffs, coeff_norms, a, b, anchor_norms):
     the exact coefficient norms |t - s| C1 + |t^2 - s^2| C2.
     """
     if coeff_norms is None:
-        return max(
-            _scalar_quadratic_sup(vec(c0)[0], vec(c1)[0], vec(c2)[0], a, b)
-            for c0, c1, c2 in coeffs
-        )
-    bound = 0.0
-    for idx, (n1, n2) in enumerate(coeff_norms):
-        from_a = anchor_norms[0][idx] + (b - a) * n1 + (b * b - a * a) * n2
-        from_b = anchor_norms[1][idx] + (b - a) * n1 + (b * b - a * a) * n2
-        bound = max(bound, min(from_a, from_b))
-    return bound
+        return max(_scalar_quadratic_sup(c0, c1, c2, a, b)
+                   for c0, c1, c2 in zip(*(c[:, 0] for c in coeffs)))
+    n1, n2 = coeff_norms
+    from_a = anchor_norms[0] + (b - a) * n1 + (b * b - a * a) * n2
+    from_b = anchor_norms[1] + (b - a) * n1 + (b * b - a * a) * n2
+    return max(0.0, float(np.minimum(from_a, from_b).max()))
 
 
 def linear_homotopy_certificate(h0, h1, s, t_points=None, depth=6):
@@ -253,25 +245,23 @@ def linear_homotopy_certificate(h0, h1, s, t_points=None, depth=6):
         raise DescriptorMismatch(h0.source, h1.source, "homotopy endpoints")
     s = bounded_set(s)
     grid = tuple(t_points) if t_points is not None else chebyshev_grid()
-    coeffs = _homotopy_coefficients(h0, h1, s)
+    gens = np.stack([x.coords for x in s.generators])
+    c0, c1, c2 = coeffs = _homotopy_coefficients(h0, h1, gens)
     coeff_norms = (None if algebra.linear_dim(h0.target) == 1
-                   else [(norm(c1), norm(c2)) for _, c1, c2 in coeffs])
+                   else norms(h0.target, np.concatenate([c1, c2])).reshape(2, -1))
 
     per_t = []
     per_t_entry_norms = []
     for t in grid:
         if t == 0.0:
-            entries = tuple(c0 for c0, _, _ in coeffs)
+            rows = c0
         elif t == 1.0:
-            entries = curvature(h1, s).set.generators
+            rows = _pair_curvature(h1, gens)
         else:
-            entries = tuple(
-                algebra.add(c0, algebra.add(algebra.scale(t, c1),
-                                            algebra.scale(t * t, c2)))
-                for c0, c1, c2 in coeffs
-            )
-        per_t.append(jsr_estimate(bounded_set(entries), depth, 1e-6))
-        per_t_entry_norms.append([norm(e) for e in entries])
+            rows = c0 + (t * c1 + (t * t) * c2)
+        entries = bounded_set([unvec(h0.target, row) for row in rows])
+        per_t.append(jsr_estimate(entries, depth, 1e-6))
+        per_t_entry_norms.append(norms(h0.target, rows))
 
     segment_bounds = []
     for k in range(len(grid) - 1):
@@ -308,16 +298,12 @@ def apple_certificate(f, sigmas, h, s, depth=6, t_points=None, sampler=None,
     h_mult = is_approximately_multiplicative(h, s, depth)
 
     # the set the proof pushes through the sigmas: h(S u S.S) and h(S) h(S)
-    h_img = [h(x) for x in s.generators]
-    pushed = list(h_img)
-    for x in s.generators:
-        for y in s.generators:
-            pushed.append(h(multiply(x, y)))
-    for a in h_img:
-        for b in h_img:
-            pushed.append(multiply(a, b))
-    rates = sigma_approximation_check(f, sigmas, bounded_set(pushed),
-                                      NormBall(1.0))
+    gens = np.stack([x.coords for x in s.generators])
+    h_img = h.rows(gens)
+    pushed = np.concatenate([h_img, h.rows(_pairs(s.descriptor, gens, gens)),
+                             _pairs(h.target, h_img, h_img)])
+    rates = sigma_approximation_check(
+        f, sigmas, bounded_set([unvec(h.target, row) for row in pushed]), NormBall(1.0))
 
     homotopy = None
     stages_pass = (iso.verdict == PASS and rates.converged and h_mult == YES)

@@ -21,7 +21,7 @@ from .algebra import (
     GridFunctionAlgebra,
     MatrixAlgebra,
     bounded_set,
-    gauge,
+    gauges,
     identity,
     unvec,
     vec,
@@ -70,12 +70,10 @@ def local_density_probe(f, probes, t_disk, epsilon):
     measured in the gauge of ``t_disk``.  A finite-probe surrogate for
     sequential T-convergence onto the range.
     """
-    values = []
-    for b in probes:
-        coeffs, *_ = np.linalg.lstsq(f.action, vec(b), rcond=None)
-        best = unvec(f.source, coeffs)
-        residual = algebra.subtract(b, f(best))
-        values.append(gauge(t_disk, residual))
+    rows = [algebra._coords(f.target, b, "density probe") for b in probes]
+    residuals = np.array([b - f.action @ np.linalg.lstsq(f.action, b, rcond=None)[0]
+                          for b in rows]).reshape(len(rows), f.action.shape[0])
+    values = gauges(t_disk, f.target, residuals).tolist()
     verdict = PASS if all(v <= epsilon for v in values) else FAIL
     return DensityReport(tuple(values), verdict)
 

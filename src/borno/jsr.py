@@ -30,17 +30,15 @@ from .algebra import (
     MatrixAlgebra,
     bounded_set,
     multiply,
-    norm,
     norms,
     products,
-    scale,
     spectral_radii,
     unvec,
     vec,
     _hull_gauge_lp,
-    _real_coords,
+    _real_rows,
 )
-from .errors import CapExceeded, InvariantViolation, NumericalFailure
+from .errors import CapExceeded, InvariantViolation
 
 CERTIFIED = "certified"
 DEPTH_LIMITED = "depth-limited"
@@ -53,6 +51,9 @@ _RESCALE_LO = math.ldexp(1.0, -500)
 # children per batched product, SVD and eigvals call: nearly as fast as a
 # whole level at once, without a whole level's temporaries in memory
 _CHUNK = 256
+
+# relative slack within which the stages of a direct union must agree
+_UNION_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -154,8 +155,6 @@ def jsr_estimate(s, depth, gap_target=1e-3):
             else:
                 coords = products(desc, rows[first:first + step, None], gens)
                 coords = coords.reshape(-1, gens.shape[1])
-                if not np.isfinite(coords).all():
-                    raise ValueError("non-finite entry in algebra element")
             child_norms = norms(desc, coords).tolist()
             child_exponents = [e for e in exponents[first:first + step]
                                for _ in range(k)]
@@ -266,24 +265,20 @@ _INSIDE_TOL = 1e-12
 _BOUND_MARGIN = 1e-6
 
 
-def _decomposition_bounds(cols, pinv, targets, tol):
+def _decomposition_bounds(cols, pinv, targets):
     """||z||_1 of the decomposition z = ``pinv @ targets`` over ``cols`` of
     each target column, or inf where ``cols @ z`` misses its target by more
-    than half the span tolerance ``tol``; ``cols`` and its pseudo-inverse
-    ``pinv`` may be stacks.
+    than half the span tolerance of :func:`_hull_gauge_lp`; ``cols`` and its
+    pseudo-inverse ``pinv`` may be stacks.
 
     A decomposition that fits is a feasible point of the target's gauge LP,
     so its ||z||_1 bounds the gauge; half the tolerance keeps the targets it
     accepts ones that the LP's own span test also accepts.
     """
     z = pinv @ targets
+    tol = RANK_TOL * (1.0 + np.linalg.norm(targets, axis=0))
     fits = np.linalg.norm(cols @ z - targets, axis=-2) <= 0.5 * tol
     return np.where(fits, np.abs(z).sum(axis=-2), math.inf)
-
-
-def _lp_basis(lam, rank):
-    """The rank-many columns with the largest |lambda| of a solved LP."""
-    return tuple(np.argsort(-np.abs(lam), kind="stable")[:rank].tolist())
 
 
 class _HullStack:
@@ -296,9 +291,8 @@ class _HullStack:
     * outside: a solved LP's dual y, renormalised by max |G^T y| over the
       current columns, is dual feasible, so y.t / max |G^T y| bounds the
       gauge of t from below;
-    * inside: a decomposition G z = t bounds it by ||z||_1 from above; tried
-      are the min-norm one over all columns and the one over each solved
-      LP's basis.
+    * inside: a decomposition G z = t bounds it by ||z||_1 from above
+      (:meth:`upper`).
 
     Each screen keeps ``_BOUND_MARGIN`` from the threshold, far above the LP
     solver's error, so a screened decision is the one the LP would make.
@@ -308,14 +302,25 @@ class _HullStack:
         self.cols = np.stack(columns, axis=1)
         dim = self.cols.shape[0]
         self.duals = np.empty((0, dim))
-        # column-index tuples in the order their LPs were solved, and per
-        # basis its pseudo-inverse and columns, zero-padded to dim x dim
-        self.bases = {}
+        # each distinct basis of the solved LPs, in solving order: its columns
+        # zero-padded to dim x dim, and their pseudo-inverse
         self.pinvs = np.empty((0, dim, dim))
         self.basis_cols = np.empty((0, dim, dim))
 
     def append(self, column):
         self.cols = np.concatenate([self.cols, column[:, None]], axis=1)
+
+    def upper(self, targets):
+        """Per target column, the least ||z||_1 of a decomposition z that
+        reproduces it over all columns or over one recorded basis."""
+        bound = _decomposition_bounds(self.cols, np.linalg.pinv(self.cols), targets)
+        # bases in batches of about _CHUNK targets' worth, as in the search
+        step = max(1, _CHUNK // targets.shape[1])
+        for b in range(0, len(self.pinvs), step):
+            np.minimum(bound, _decomposition_bounds(
+                self.basis_cols[b:b + step], self.pinvs[b:b + step], targets
+            ).min(axis=0), out=bound)
+        return bound
 
     def screen(self, target):
         """True (inside) or False (outside) when a certificate decides, else None."""
@@ -323,76 +328,64 @@ class _HullStack:
             lower = (self.duals @ target) / np.abs(self.duals @ self.cols).max(axis=1)
             if lower.max() > 1.0 + _BOUND_MARGIN:
                 return False
-        tol = RANK_TOL * (1.0 + np.linalg.norm(target))
-        column = target[:, None]
-        for cols, pinv in ((self.cols, np.linalg.pinv(self.cols)),
-                           (self.basis_cols, self.pinvs)):
-            if (_decomposition_bounds(cols, pinv, column, tol)
-                    <= 1.0 - _BOUND_MARGIN).any():
-                return True
+        if self.upper(target[:, None])[0] <= 1.0 - _BOUND_MARGIN:
+            return True
         return None
 
-    def inside(self, target):
-        decided = self.screen(target)
-        if decided is not None:
-            return decided
+    def gauge(self, target):
+        """The hull gauge of ``target`` by LP.  Records the LP's dual and its
+        basis: the rank-many columns with the largest |lambda|."""
         value, lam, dual = _hull_gauge_lp(self.cols, target)
         if lam is None:
-            return False
-        basis = _lp_basis(lam, np.linalg.matrix_rank(self.cols))
-        if basis not in self.bases:
-            self.bases[basis] = None
-            cols = np.zeros((1,) + self.pinvs.shape[1:])
-            cols[0, :, :len(basis)] = self.cols[:, basis]
+            return value
+        basis = np.argsort(-np.abs(lam), kind="stable")[:np.linalg.matrix_rank(self.cols)]
+        cols = np.zeros((1,) + self.pinvs.shape[1:])
+        cols[0, :, :len(basis)] = self.cols[:, basis]
+        if not (self.basis_cols == cols).all(axis=(1, 2)).any():
             self.pinvs = np.concatenate([self.pinvs, np.linalg.pinv(cols)])
             self.basis_cols = np.concatenate([self.basis_cols, cols])
         # the dual of a zero target may be zero, and bounds nothing
         if np.abs(self.cols.T @ dual).max() > 0:
             self.duals = np.concatenate([self.duals, dual[None]])
-        return value <= 1.0 + _INSIDE_TOL
+        return value
+
+    def inside(self, target):
+        decided = self.screen(target)
+        if decided is not None:
+            return decided
+        return self.gauge(target) <= 1.0 + _INSIDE_TOL
+
+    def closure_max(self, generators):
+        """max(1, the largest hull gauge of a pairwise product of the hull's
+        generators): the float an LP for every pair gives, with LPs only for
+        the pairs whose :meth:`upper` bound could still set it; each new basis
+        tightens the bounds.  A gauge <= 1 cannot change the clamped defect,
+        so the maximum starts at 1; a product off the span keeps bound inf.
+        """
+        rows = np.stack([g.coords for g in generators])
+        prods = products(generators[0].descriptor, rows[:, None], rows)
+        prods = _real_rows(prods.reshape(len(rows) ** 2, -1)).T
+        upper = self.upper(prods)
+        best = 1.0
+        while True:
+            p = int(np.argmax(upper))
+            if upper[p] < best - _BOUND_MARGIN * (1.0 + best):
+                return best
+            upper[p] = -math.inf
+            known = len(self.pinvs)
+            value = self.gauge(prods[:, p])
+            if value == math.inf:
+                return value
+            best = max(best, value)
+            if len(self.pinvs) > known:
+                np.minimum(upper, _decomposition_bounds(
+                    self.basis_cols[-1], self.pinvs[-1], prods), out=upper)
 
 
-def _closure_max(generators, bases=()):
-    """max(1, the largest hull gauge of a pairwise product of the generators).
-
-    The same float as ``max(1, max gauge(hull, a * b))`` over all pairs, but an
-    LP is solved only for the pairs that could still set the maximum.  Each
-    pair's bound is the smallest ||z||_1 of a decomposition z that reproduces
-    its product (:func:`_decomposition_bounds`): the min-norm one over all
-    generators, and the one over each basis B of generator indices, the given
-    ``bases`` and each solved LP's (the rank-many generators with the largest
-    |lambda|).  Pairs whose bound falls below the running maximum are never
-    solved; a gauge <= 1 cannot change the clamped defect, so the maximum
-    starts at 1.  Products off the generators' span keep an infinite bound
-    and get their LP, which reports inf.
-    """
-    coords = np.stack([g.coords for g in generators])
-    prods = products(generators[0].descriptor, coords[:, None], coords[None, :])
-    prods = prods.reshape(len(coords) ** 2, -1)
-    cols = np.concatenate([coords.real, coords.imag], axis=1).T
-    prods = np.concatenate([prods.real, prods.imag], axis=1).T
-    tol = RANK_TOL * (1.0 + np.linalg.norm(prods, axis=0))
-    rank = np.linalg.matrix_rank(cols)
-    upper = _decomposition_bounds(cols, np.linalg.pinv(cols), prods, tol)
-
-    def tighten(basis):
-        b = cols[:, basis]
-        np.minimum(upper, _decomposition_bounds(b, np.linalg.pinv(b), prods, tol),
-                   out=upper)
-
-    for basis in bases:
-        tighten(basis)
-    best = 1.0
-    while True:
-        p = int(np.argmax(upper))
-        if upper[p] < best - _BOUND_MARGIN * (1.0 + best):
-            return best
-        upper[p] = -math.inf
-        value, lam, _dual = _hull_gauge_lp(cols, prods[:, p])
-        if value == math.inf:
-            return value
-        best = max(best, value)
-        tighten(_lp_basis(lam, rank))
+def _closure_max(generators, stack=None):
+    """:meth:`_HullStack.closure_max` on the generators' ``stack``, or a new one."""
+    stack = stack or _HullStack([_real_rows(g.coords) for g in generators])
+    return stack.closure_max(generators)
 
 
 def submultiplicative_hull(s, r, max_products=512):
@@ -402,40 +395,38 @@ def submultiplicative_hull(s, r, max_products=512):
     hull built so far adds nothing and is dropped; products decayed below the
     norm cut are kept as terminal generators but not extended.  Membership is
     screened with the certificates of the LPs solved so far (:class:`_HullStack`)
-    before an LP is solved.  The returned closure defect is measured directly
-    on all pairwise products of the final generators, so the certificate does
-    not depend on the expansion strategy.
+    before an LP is solved, and the closure reuses them.  The closure defect
+    is measured on all pairwise products of the final generators, so the
+    certificate does not depend on the expansion strategy.
     """
     s = bounded_set(s)
     if not r > 0:
         raise ValueError("scale r must be positive")
-    scaled_gens = [scale(1.0 / r, g) for g in s.generators]
-    generators = list(scaled_gens)
-    stack = _HullStack([_real_coords(g) for g in generators])
-    frontier = []
+    desc = s.descriptor
+    gens = (1.0 / r) * np.stack([g.coords for g in s.generators])
+    generators = [unvec(desc, row) for row in gens]  # rejects non-finite rows
+    stack = _HullStack(list(_real_rows(gens)))
     decay_profile = {}
 
     def note(level, value):
         decay_profile[level] = max(decay_profile.get(level, 0.0), value)
 
-    for g in scaled_gens:
-        n = norm(g)
+    first_norms = norms(desc, gens).tolist()
+    for n in first_norms:
         note(1, n)
-        if n >= _DECAY_CUT:
-            frontier.append(g)
+    frontier = [row for row, n in zip(gens, first_norms) if n >= _DECAY_CUT]
     level = 1
     while frontier:
         level += 1
         new_frontier = []
         for p in frontier:
-            for g in scaled_gens:
-                q = multiply(p, g)
-                nq = norm(q)
+            children = products(desc, p, gens)
+            for q, nq in zip(children, norms(desc, children).tolist()):
                 note(level, nq)
-                x = _real_coords(q)
+                x = _real_rows(q)
                 if nq >= _DECAY_CUT and stack.inside(x):
                     continue
-                generators.append(q)
+                generators.append(unvec(desc, q))
                 stack.append(x)
                 if nq < _DECAY_CUT:
                     continue
@@ -447,10 +438,9 @@ def submultiplicative_hull(s, r, max_products=512):
                     )
         frontier = new_frontier
 
-    defect = max(0.0, _closure_max(generators, stack.bases) - 1.0)
+    defect = max(0.0, _closure_max(generators, stack) - 1.0)
     # scaled generator i is column i, so e_i decomposes it with norm 1
-    for i, g in enumerate(scaled_gens):
-        x = _real_coords(g)
+    for i, x in enumerate(_real_rows(gens)):
         if not (np.array_equal(stack.cols[:, i], x) or stack.inside(x)):
             raise InvariantViolation("hull does not absorb (1/r) S")
     return HullCertificate(FiniteHull(tuple(generators)), r, defect)
@@ -527,7 +517,7 @@ def pad_to(element, dim):
     return AlgebraElement(MatrixAlgebra(dim, desc.norm_kind), out)
 
 
-def direct_union_liminf(chain, depth, gap_target=1e-3, slack=1e-8):
+def direct_union_liminf(chain, depth, gap_target=1e-3):
     """Stagewise estimates across nested corner embeddings must agree.
 
     ``chain`` is an ordered list of BoundedSets realizing the same set inside
@@ -539,8 +529,8 @@ def direct_union_liminf(chain, depth, gap_target=1e-3, slack=1e-8):
     reference = stages[0]
     scale_ref = max(1.0, reference.upper if math.isfinite(reference.upper) else 1.0)
     for est in stages[1:]:
-        if (abs(est.lower - reference.lower) > slack * scale_ref
-                or abs(est.upper - reference.upper) > slack * scale_ref):
+        if (abs(est.lower - reference.lower) > _UNION_SLACK * scale_ref
+                or abs(est.upper - reference.upper) > _UNION_SLACK * scale_ref):
             raise InvariantViolation(
                 "direct-union stages disagree: "
                 f"[{reference.lower}, {reference.upper}] vs [{est.lower}, {est.upper}]"

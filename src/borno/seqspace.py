@@ -385,9 +385,13 @@ class SequenceModel:
     __slots__ = ("prefix", "geo_terms", "window_terms")
 
     def __init__(self, prefix=(), geo_terms=(), window_terms=()):
+        # a term with coefficient 0 or a zero vector adds nothing at any n
+        def live(terms):
+            return tuple(t for t in terms if t.coeff != 0 and not t.vector.is_zero)
+
         object.__setattr__(self, "prefix", tuple(prefix))
-        object.__setattr__(self, "geo_terms", tuple(geo_terms))
-        object.__setattr__(self, "window_terms", tuple(window_terms))
+        object.__setattr__(self, "geo_terms", live(geo_terms))
+        object.__setattr__(self, "window_terms", live(window_terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("SequenceModel is immutable")
@@ -547,6 +551,16 @@ class ModelSpace:
         return self.tails_admitted or v.finitely_supported
 
 
+def _unit_ball_bound(form, source_kind, target_kind, start=0):
+    """Bound for the target gauge over the source unit ball of a map taking
+    e_k, k >= start, of source gauge 1 to target gauge ``form``(k).  A sup
+    ball spreads over all coordinates, so into a sum it is the tail sum with
+    decaying polynomial factors dropped; else the sup over unit vectors."""
+    if source_kind == SUP and target_kind == SUM:
+        return CoordForm(form.coeff, form.ratio, max(form.power, 0)).tail_sum(start)
+    return form.sup_from(start)
+
+
 def absorption_constant(target, source):
     """Upper bound for sup{gauge_target(u) : gauge_source(u) <= 1}, or inf.
 
@@ -555,14 +569,8 @@ def absorption_constant(target, source):
     """
     wt, ws = target.weight, source.weight
     c = (wt.coeff / ws.coeff) * (source.scale / target.scale)
-    b = wt.base / ws.base
-    p = wt.power - ws.power
-    if source.kind == SUP and target.kind == SUM:
-        # unit ball of the sup gauge spreads over all coordinates; dropping
-        # decaying polynomial factors keeps the bound sound
-        return CoordForm(c, b, max(p, 0)).tail_sum(0)
-    # concentrated unit vectors dominate in the remaining pairings
-    return CoordForm(c, b, p).sup_from(0)
+    return _unit_ball_bound(CoordForm(c, wt.base / ws.base, wt.power - ws.power),
+                            source.kind, target.kind)
 
 
 def directedness_check(space):
@@ -1133,22 +1141,20 @@ class CoordinateMap:
 
 
 def coordinate_map_bound(f, source_disk, target_disk):
-    """sup_k gauge_target(f e_k) / gauge_source(e_k), exactly or inf."""
+    """Upper bound for sup{gauge_target(f u) : gauge_source(u) <= 1}, or inf."""
     ws, wt = source_disk.weight, target_disk.weight
-    if f.kind == "summation":
-        # target gauge of f(e_k) is |1| under the scalar gauge wt(0)
-        c = wt.value(0) / target_disk.scale * source_disk.scale / ws.coeff
-        return CoordForm(c, 1 / ws.base, -ws.power).sup_from(0)
-    if f.kind == "shift":
-        # f(e_k) = e_{k-1} for k >= 1
-        c = (wt.coeff / ws.coeff) * (source_disk.scale / target_disk.scale)
-        return CoordForm(c / wt.base, wt.base / ws.base,
-                         wt.power - ws.power).sup_from(1)
-    # diagonal
-    c = (abs(f.coeff) * wt.coeff / ws.coeff
-         * source_disk.scale / target_disk.scale)
-    return CoordForm(c, abs(f.ratio) * wt.base / ws.base,
-                     f.power + wt.power - ws.power).sup_from(0)
+    # gauge_source(e_k) = ws(k) / source scale
+    c = abs(f.coeff) * source_disk.scale / (target_disk.scale * ws.coeff)
+    kind, start = target_disk.kind, 0
+    if f.kind == "summation":  # f(e_k) = coeff e_0: all coordinates add up
+        form, kind = CoordForm(c * wt.value(0), 1 / ws.base, -ws.power), SUM
+    elif f.kind == "shift":  # f(e_k) = coeff e_{k-1} for k >= 1
+        form, start = CoordForm(c * wt.coeff / wt.base, wt.base / ws.base,
+                                wt.power - ws.power), 1
+    else:
+        form = CoordForm(c * wt.coeff, abs(f.ratio) * wt.base / ws.base,
+                         f.power + wt.power - ws.power)
+    return _unit_ball_bound(form, source_disk.kind, kind, start)
 
 
 def apply_coordinate_map(f, v):

@@ -19,6 +19,7 @@ from borno.algebra import (
     bounded_set,
     basis,
     gauge,
+    gauges,
     grid_element,
     linear_dim,
     matrix_element,
@@ -351,16 +352,19 @@ class TestEquality:
             assert len({a, b}) == 1
 
 
+ROW_DESCS = [
+    MatrixAlgebra(1), MatrixAlgebra(3), MatrixAlgebra(3, "maxrow"),
+    GridFunctionAlgebra(GridSpec.circle(4), MatrixAlgebra(2)),
+    GridFunctionAlgebra(GridSpec.circle(2),
+                        DirectSum((MatrixAlgebra(2),
+                                   MatrixAlgebra(1, "maxrow")))),
+]
+
+
 class TestRowKernels:
     """Each row of a batch gets the bits the per-element kernel gives it."""
 
-    @pytest.mark.parametrize("desc", [
-        MatrixAlgebra(1), MatrixAlgebra(3), MatrixAlgebra(3, "maxrow"),
-        GridFunctionAlgebra(GridSpec.circle(4), MatrixAlgebra(2)),
-        GridFunctionAlgebra(GridSpec.circle(2),
-                            DirectSum((MatrixAlgebra(2),
-                                       MatrixAlgebra(1, "maxrow")))),
-    ], ids=str)
+    @pytest.mark.parametrize("desc", ROW_DESCS, ids=str)
     def test_rows_match_elements(self, desc):
         rng = np.random.default_rng(8)
         dim = linear_dim(desc)
@@ -375,6 +379,23 @@ class TestRowKernels:
         assert norms(desc, rows).tolist() == [norm(a) for a in elems]
         assert (spectral_radii(desc, rows).tolist()
                 == [spectral_radius_single(a) for a in elems])
+
+    @pytest.mark.parametrize("desc", ROW_DESCS, ids=str)
+    def test_gauges_match_gauge(self, desc):
+        rng = np.random.default_rng(9)
+        dim = linear_dim(desc)
+        rows = rng.standard_normal((7, dim)) + 1j * rng.standard_normal((7, dim))
+        rows[1] = 0.0
+        # rows in the generators' span, inside and outside their hull
+        rows[4] = 0.3 * rows[0] - 0.2 * rows[2]
+        rows[5] = 2.0 * rows[3] - rows[0]
+        rows[6] = rows[2]
+        gens = tuple(unvec(desc, r) for r in rows[:4])
+        disks = [NormBall(2.0), Scaled(0.5, NormBall(1.0)), FiniteHull(gens),
+                 SumDisk(FiniteHull(gens[:2]), Scaled(3.0, FiniteHull(gens[2:])))]
+        for disk in disks:
+            assert (gauges(disk, desc, rows).tolist()
+                    == [gauge(disk, unvec(desc, r)) for r in rows])
 
 
 class TestBoundedSet:

@@ -3,19 +3,29 @@ import math
 import numpy as np
 import pytest
 
+from borno import algebra
 from borno.algebra import (
     DirectSum,
+    FiniteHull,
     GridFunctionAlgebra,
     GridSpec,
     MatrixAlgebra,
     NormBall,
+    Scaled,
+    SumDisk,
     bounded_set,
+    gauge,
+    linear_dim,
     matrix_element,
+    multiply,
+    norm,
     scalar_element,
     scale,
+    subtract,
     unvec,
 )
 from borno.approx_mult import (
+    _homotopy_coefficients,
     apple_certificate,
     chebyshev_grid,
     curvature,
@@ -24,9 +34,9 @@ from borno.approx_mult import (
     linear_homotopy_certificate,
     sigma_approximation_check,
 )
-from borno.fixtures import corner_embedding, fixture
+from borno.fixtures import corner_embedding, fixture, fixture_catalog
 from borno.isoradial import SamplerConfig
-from borno.maps import Homomorphism, LinearMap
+from borno.maps import Homomorphism, LinearMap, multiplicativity_defect
 
 SCALAR = MatrixAlgebra(1)
 FAST = SamplerConfig(per_size=4)
@@ -232,3 +242,156 @@ class TestAppleCertificate:
         out = apple_certificate(fix.map, [sigma], h, s, sampler=FAST, depth=4)
         assert out["verdict"] == "fail"
         assert out["isoradial"].verdict == "fail"
+
+
+# ---------------------------------------------------------------------------
+# the row-stack families against the per-pair element loops they replaced
+# ---------------------------------------------------------------------------
+
+def per_pair_omega(g, xy, gx, gy):
+    return subtract(g(xy), multiply(gx, gy))
+
+
+def per_pair_curvature(g, s):
+    """((i, j), omega_g(x_i, x_j)) over generator pairs, one element a pair."""
+    gens = s.generators
+    images = [g(x) for x in gens]
+    return [((i, j), per_pair_omega(g, multiply(x, y), images[i], images[j]))
+            for i, x in enumerate(gens) for j, y in enumerate(gens)]
+
+
+def per_pair_coefficients(h0, h1, s):
+    """(C0, C1, C2) elements per generator pair, built as the pair loop did."""
+    gens = s.generators
+    delta = h1.subtract(h0)
+    h0_img = [h0(x) for x in gens]
+    d_img = [delta(x) for x in gens]
+    coeffs = []
+    for i, x in enumerate(gens):
+        for j, y in enumerate(gens):
+            xy = multiply(x, y)
+            c0 = per_pair_omega(h0, xy, h0_img[i], h0_img[j])
+            c1 = subtract(subtract(delta(xy), multiply(d_img[i], h0_img[j])),
+                          multiply(h0_img[i], d_img[j]))
+            c2 = algebra.scale(-1.0, multiply(d_img[i], d_img[j]))
+            coeffs.append((c0, c1, c2))
+    return coeffs
+
+
+def per_pair_defect(f):
+    elems = algebra.basis(f.source)
+    images = [f(e) for e in elems]
+    worst = 0.0
+    for i, ei in enumerate(elems):
+        for j, ej in enumerate(elems):
+            defect = per_pair_omega(f, multiply(ei, ej), images[i], images[j])
+            worst = max(worst, norm(defect))
+    return worst
+
+
+def per_generator_rates(f, sigmas, s, t_disk):
+    rates = []
+    for sigma in sigmas:
+        approx = f.compose(sigma)
+        worst = 0.0
+        for gen in s.generators:
+            worst = max(worst, gauge(t_disk, subtract(approx(gen), gen)))
+        rates.append(worst)
+    return rates
+
+
+ROW_DESCS = [
+    MatrixAlgebra(1), MatrixAlgebra(3), MatrixAlgebra(3, "maxrow"),
+    GridFunctionAlgebra(GridSpec.circle(4), MatrixAlgebra(2)),
+    GridFunctionAlgebra(GridSpec.circle(2),
+                        DirectSum((MatrixAlgebra(2), MatrixAlgebra(1, "maxrow")))),
+]
+
+
+def random_rows(rng, desc, n):
+    dim = linear_dim(desc)
+    return (rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))) / 2
+
+
+def random_map(rng, source, target):
+    action = random_rows(rng, source, linear_dim(target)) / linear_dim(source)
+    return LinearMap(source, target, action)
+
+
+def random_set(rng, desc, n=3):
+    return bounded_set([unvec(desc, row) for row in random_rows(rng, desc, n)])
+
+
+def map_cases():
+    """(name, map, generator set) per map fixture and per random map from
+    each descriptor to itself and to the next one."""
+    rng = np.random.default_rng(41)
+    cases = [(name, fx.map, random_set(rng, fx.map.source))
+             for name, fx in fixture_catalog().items()]
+    for k, src in enumerate(ROW_DESCS):
+        for tgt in (src, ROW_DESCS[(k + 1) % len(ROW_DESCS)]):
+            cases.append((f"{src}->{tgt}", random_map(rng, src, tgt),
+                          random_set(rng, src)))
+    return cases
+
+
+MAP_CASES = map_cases()
+CASE_IDS = [name for name, _f, _s in MAP_CASES]
+
+
+def same_bytes(rows, elements):
+    return [r.tobytes() for r in rows] == [e.coords.tobytes() for e in elements]
+
+
+class TestRowFamilies:
+    """Each family evaluated on row stacks gets the bytes of its per-pair
+    element loop."""
+
+    @pytest.mark.parametrize("name, f, s", MAP_CASES, ids=CASE_IDS)
+    def test_row_application_is_the_call(self, name, f, s):
+        rows = np.stack([x.coords for x in s.generators])
+        assert same_bytes(f.rows(rows), [f(x) for x in s.generators])
+
+    @pytest.mark.parametrize("name, f, s", MAP_CASES, ids=CASE_IDS)
+    def test_multiplicativity_defect(self, name, f, s):
+        got, want = multiplicativity_defect(f), per_pair_defect(f)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("name, f, s", MAP_CASES, ids=CASE_IDS)
+    def test_curvature(self, name, f, s):
+        got = curvature(f, s).pairs
+        want = per_pair_curvature(f, s)
+        assert [p for p, _e in got] == [p for p, _e in want]
+        assert same_bytes([e.coords for _p, e in got], [e for _p, e in want])
+
+    @pytest.mark.parametrize("name, f, s", MAP_CASES, ids=CASE_IDS)
+    def test_homotopy_coefficients(self, name, f, s):
+        rng = np.random.default_rng(7)
+        h1 = f.add(random_map(rng, f.source, f.target))
+        rows = np.stack([x.coords for x in s.generators])
+        got = _homotopy_coefficients(f, h1, rows)
+        want = per_pair_coefficients(f, h1, s)
+        for k in range(3):
+            assert same_bytes(got[k], [c[k] for c in want])
+
+    @pytest.mark.parametrize("name, f, s", MAP_CASES, ids=CASE_IDS)
+    def test_sigma_rates(self, name, f, s):
+        rng = np.random.default_rng(9)
+        sigmas = [random_map(rng, f.target, f.source) for _ in range(3)]
+        family = random_set(rng, f.target, 4)
+        gens = family.generators
+        disks = [NormBall(1.0), Scaled(2.0, NormBall(0.5)), FiniteHull(gens),
+                 SumDisk(FiniteHull(gens[:2]), Scaled(3.0, FiniteHull(gens[2:])))]
+        for disk in disks:
+            got = sigma_approximation_check(f, sigmas, family, disk).rates
+            want = per_generator_rates(f, sigmas, family, disk)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("name", ["trig-fejer", "tower-compression"])
+    def test_fixture_sigma_rates(self, name):
+        fx = fixture(name)
+        family = bounded_set(fx.family)
+        got = sigma_approximation_check(fx.map, fx.sigmas, family,
+                                        NormBall(1.0)).rates
+        want = per_generator_rates(fx.map, fx.sigmas, family, NormBall(1.0))
+        assert np.array(got).tobytes() == np.array(want).tobytes()

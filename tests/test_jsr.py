@@ -493,7 +493,7 @@ class TestScreenedExpansion:
             return solve(*args)
 
         monkeypatch.setattr(borno.algebra, "_solve_lp", counting)
-        monkeypatch.setattr(jsr, "_closure_max", lambda gens, bases=(): 1.0)
+        monkeypatch.setattr(jsr, "_closure_max", lambda gens, stack=None: 1.0)
         submultiplicative_hull(s, r, 512)
         assert 0 < len(calls) <= 0.75 * reference
 

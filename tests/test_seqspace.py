@@ -24,6 +24,7 @@ from borno.seqspace import (
     completeness_check,
     completion_construct,
     convergence_check,
+    coordinate_map_bound,
     directedness_check,
     extend_map_to_completion,
     gauge_value,
@@ -396,6 +397,84 @@ class TestMapExtension:
         ext = extend_map_to_completion(CoordinateMap("summation"), self.comp)
         eq, _ = self.comp.equal(ext(self.comp, a), ext(self.comp, zero))
         assert eq
+
+
+class TestMapBoundsFromSupDisks:
+    """From a sup disk the unit ball spreads over all coordinates, so a sum
+    target, or the summation functional, sees a tail sum."""
+
+    def setup_method(self):
+        self.comp = completion_construct(
+            ModelSpace((DiskForm("sup"), DiskForm("sum"))))
+
+    @pytest.mark.parametrize("kind", ["diagonal", "shift"])
+    def test_unweighted_sup_into_sum_is_unbounded(self, kind):
+        # x_k = (99/100)^k has sup gauge 1 and sum gauge 100
+        with pytest.raises(UnboundedMap):
+            extend_map_to_completion(CoordinateMap(kind), self.comp, 0, 1)
+
+    def test_decaying_diagonal_sup_into_sum(self):
+        ext = extend_map_to_completion(CoordinateMap("diagonal", 1, HALF),
+                                       self.comp, 0, 1)
+        assert ext.bound == 2
+
+    def test_summation_from_sup_is_unbounded(self):
+        # the vector of N ones has sup gauge 1 and coordinate sum N
+        for target in ("sup", "sum"):
+            assert coordinate_map_bound(CoordinateMap("summation"),
+                                        DiskForm("sup"), DiskForm(target)) == math.inf
+
+    def test_coefficient_scales_the_bound(self):
+        # f(e_1) = 3 e_0 and f(e_0) = -2 e_0 under the l1 gauge
+        l1 = DiskForm("sum")
+        assert coordinate_map_bound(CoordinateMap("shift", 3), l1, l1) == 3
+        assert coordinate_map_bound(CoordinateMap("summation", -2), l1, l1) == 2
+
+    @pytest.mark.parametrize("source", ["sup", "sum"])
+    @pytest.mark.parametrize("target", ["sup", "sum"])
+    def test_bound_dominates_sampled_vectors(self, source, target):
+        weights = (WeightForm(), WeightForm.geometric(1, 2),
+                   WeightForm.polynomial(1, 1))
+        maps = (CoordinateMap("diagonal"), CoordinateMap("diagonal", 3, HALF),
+                CoordinateMap("diagonal", 1, Fraction(1, 4), 1),
+                CoordinateMap("shift"), CoordinateMap("shift", -2),
+                CoordinateMap("summation"), CoordinateMap("summation", 5))
+        vectors = (SeqVector.geometric(1, Fraction(99, 100)),
+                   SeqVector.geometric(-1, -HALF), SeqVector.from_coords([1] * 40),
+                   SeqVector.from_coords([1, -1] * 20), SeqVector.unit(3, 2))
+        for ws in weights:
+            for wt in weights:
+                src, tgt = DiskForm(source, ws), DiskForm(target, wt, 3)
+                for f in maps:
+                    bound = coordinate_map_bound(f, src, tgt)
+                    if bound == math.inf:
+                        continue
+                    for v in vectors:
+                        if f.power == 0 or v.finitely_supported:
+                            image = apply_coordinate_map(f, v)
+                            assert (gauge_value(tgt, image)
+                                    <= bound * gauge_value(src, v)), (f, src, tgt, v)
+
+
+class TestZeroTerms:
+    """A term with coefficient 0 or a zero vector adds nothing at any n."""
+
+    @pytest.mark.parametrize("term", [GeoTerm(1, 1, SeqVector.zero(), 1),
+                                      GeoTerm(0, 1, SeqVector.unit(0), 2)])
+    @pytest.mark.parametrize("check", [cauchy_check, convergence_check])
+    def test_zero_sequence_is_decided(self, term, check):
+        model = SequenceModel(geo_terms=(term,))
+        assert model.geo_terms == ()
+        rep = check(model, L1, 0, EpsForm.geometric(1, HALF))
+        assert rep.decision == "yes"
+
+    def test_zero_window_term_is_dropped(self):
+        limit = SeqVector.geometric(1, HALF)
+        model = SequenceModel(geo_terms=(GeoTerm(1, 1, limit),),
+                              window_terms=(WindowTerm(0, limit),
+                                            WindowTerm(-1, SeqVector.zero())))
+        assert model.window_terms == ()
+        assert model.at(3) == limit
 
 
 class TestAbsorption:
