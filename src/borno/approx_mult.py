@@ -101,15 +101,6 @@ class RateReport:
     converged: bool
     modulus_bound_ok: object = None  # None when no modulus was declared
 
-    def as_dict(self):
-        return {
-            "rates": list(self.rates),
-            "threshold": self.threshold,
-            "nonincreasing": self.nonincreasing,
-            "converged": self.converged,
-            "modulus_bound_ok": self.modulus_bound_ok,
-        }
-
 
 def sigma_approximation_check(f, sigmas, s, t_disk, modulus=None):
     """Rates eps_n = max_s gauge(T, (f o sigma_n - id)(s)) over the generators.

@@ -5,12 +5,20 @@ with none failing, 3 input or schema error, 4 numerical failure.  One
 instance per invocation; --threads is accepted for symmetry with the
 concurrency contract but never affects results (all kernels are
 deterministic and order-independent).
+
+Instances are read by :mod:`borno.serialize`'s strict reader: every object
+at every level, the payload and ``config`` included, rejects a missing
+required field and any unknown one, and the error names the object's path.
+``config`` takes exactly the keys the flags set (depth, gap, tol, seed,
+samples, tgrid), and a flag overrides its key.  A cauchy ``disk`` must index
+the payload's space.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -20,7 +28,7 @@ from fractions import Fraction
 
 from . import __version__
 from .algebra import bounded_set, identity, matrix_element
-from .approx_mult import apple_certificate
+from .approx_mult import apple_certificate, chebyshev_grid
 from .closedforms import EpsForm, WeightForm
 from .errors import (
     BornoError,
@@ -30,8 +38,6 @@ from .errors import (
     SchemaError,
 )
 from .finrank import (
-    CompactSetModel,
-    GaugeModel,
     OperatorFamily,
     OperatorModel,
     RankBudgetError,
@@ -44,6 +50,7 @@ from .jsr import jsr_estimate, submultiplicative_hull
 from .maps import Homomorphism
 from .seqspace import (
     DiskForm,
+    ModelSpace,
     SeqVector,
     SequenceModel,
     cauchy_check,
@@ -51,23 +58,25 @@ from .seqspace import (
     convergence_check,
 )
 from . import serialize
-from .serialize import (
-    SCHEMA,
-    bounded_set_from_json,
-    bounded_set_to_json,
-    instance_digest,
-    map_from_json,
-    model_space_from_json,
-    sequence_from_json,
-    vector_from_json,
-)
+from .serialize import SCHEMA, entries, fields, integer, real, tagged
 
 PASS_VERDICTS = {"pass", "yes", "certified", "complete", "converges",
                  "bounded", "agree"}
 FAIL_VERDICTS = {"fail", "no", "diverges", "incomplete", "violated"}
 
+# the config keys, each also set by the flag of its name, with their types
+_CONFIG_KEYS = {"depth": int, "gap": float, "tol": float, "seed": int,
+                "samples": int, "tgrid": int}
 
-def _load_instance(path):
+
+def _instance(command, payload, **config):
+    return {"schema": SCHEMA, "command": command, "payload": payload,
+            "config": config}
+
+
+def _load_instance(path, subcommand):
+    """The instance in ``path``; for isoradial and apple, a bare map JSON
+    {"source", "target", "basis_action"} stands for the payload {"map": ...}."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -75,39 +84,27 @@ def _load_instance(path):
         raise SchemaError(f"cannot read instance: {exc}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed JSON: {exc}")
-    if not isinstance(obj, dict):
-        raise SchemaError("instance must be a JSON object")
-    serialize._check_fields(obj, {"schema", "command", "payload", "config"},
-                            "instance")
-    if obj.get("schema") != SCHEMA:
-        raise SchemaError(f"expected schema {SCHEMA!r}")
-    command = serialize._req(obj, "command", "instance")
-    if command not in _HANDLERS:
-        raise SchemaError(f"unknown command {command!r}")
+    if (subcommand in ("isoradial", "apple") and isinstance(obj, dict)
+            and set(obj) == {"source", "target", "basis_action"}):
+        return _instance(subcommand, {"map": obj})
+    schema, command, _payload, _config = fields(
+        obj, "instance", ("schema", "command"), {"payload": {}, "config": {}})
+    if schema != SCHEMA:
+        raise SchemaError(f"instance.schema: expected schema {SCHEMA!r}")
+    if not isinstance(command, str) or command not in _HANDLERS:
+        raise SchemaError(f"instance.command: unknown command {command!r}")
     return obj
 
 
-def _load_instance_or_map(path, subcommand):
-    """Instance files everywhere; bare map JSON for isoradial and apple."""
-    if subcommand in ("isoradial", "apple"):
-        try:
-            with open(path) as fh:
-                obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SchemaError(f"cannot read instance: {exc}")
-        if (isinstance(obj, dict) and "schema" not in obj
-                and {"source", "target", "basis_action"} <= set(obj)):
-            return {"schema": SCHEMA, "command": subcommand,
-                    "payload": {"map": obj}, "config": {}}
-    return _load_instance(path)
-
-
 def _config(instance, args):
-    cfg = dict(instance.get("config") or {})
-    for key in ("depth", "gap", "tol", "seed", "samples", "tgrid"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+    """The instance's config, each key overridden by its flag when given."""
+    values = fields(instance.get("config", {}), "config", (),
+                    dict.fromkeys(_CONFIG_KEYS))
+    cfg = {key: (integer if kind is int else real)(val, f"config.{key}")
+           for (key, kind), val in zip(_CONFIG_KEYS.items(), values)
+           if val is not None}
+    flags = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
+    cfg.update((key, v) for key, v in flags.items() if v is not None)
     return cfg
 
 
@@ -116,20 +113,19 @@ def _config(instance, args):
 # ---------------------------------------------------------------------------
 
 def _run_jsr(payload, cfg):
-    s = bounded_set_from_json(serialize._req(payload, "set", "jsr payload"))
-    est = jsr_estimate(s, int(cfg.get("depth", 10)),
-                       float(cfg.get("gap", 1e-3)))
+    (s,) = fields(payload, "payload", ("set",))
+    est = jsr_estimate(serialize.bounded_set_from_json(s, "payload.set"),
+                       cfg.get("depth", 10), cfg.get("gap", 1e-3))
     verdict = "pass" if est.status == "certified" else "inconclusive"
-    return {"estimate": verdict}, est.as_dict()
+    return {"estimate": verdict}, est
 
 
 def _run_hull(payload, cfg):
-    s = bounded_set_from_json(serialize._req(payload, "set", "hull payload"))
-    r = float(serialize._req(payload, "r", "hull payload"))
-    cert = submultiplicative_hull(s, r,
-                                  int(payload.get("max_products", 512)))
-    tol = float(cfg.get("tol", 1e-6))
-    verdict = "pass" if cert.closure_defect <= tol else "fail"
+    s, r, cap = fields(payload, "payload", ("set", "r"), {"max_products": 512})
+    cert = submultiplicative_hull(
+        serialize.bounded_set_from_json(s, "payload.set"),
+        real(r, "payload.r"), integer(cap, "payload.max_products"))
+    verdict = "pass" if cert.closure_defect <= cfg.get("tol", 1e-6) else "fail"
     return {"closure": verdict}, {
         "scale": cert.scale,
         "closure_defect": cert.closure_defect,
@@ -137,59 +133,52 @@ def _run_hull(payload, cfg):
     }
 
 
-def _resolve_map(payload):
-    """The named built-in fixture, built alone, or None for an inline map."""
-    return fixture(payload["fixture"]) if "fixture" in payload else None
+def _map_fixture(payload):
+    """The built-in fixture a payload {"fixture": name} names, else None."""
+    if not (isinstance(payload, dict) and "fixture" in payload):
+        return None
+    return fixture(*fields(payload, "payload", ("fixture",)))
 
 
 def _run_isoradial(payload, cfg):
-    fixture = _resolve_map(payload)
-    if fixture is not None:
-        hom = fixture.map
-    else:
-        hom = map_from_json(serialize._req(payload, "map",
-                                           "isoradial payload"))
-    sampler = SamplerConfig(per_size=int(cfg.get("samples", 32)),
-                            seed=int(cfg.get("seed", 0xB00C)))
-    report = isoradial_certificate(hom, sampler,
-                                   depth=int(cfg.get("depth", 6)),
-                                   tol=float(cfg.get("tol", 1e-2)))
-    return {"isoradial": report.verdict}, report.as_dict()
+    named = _map_fixture(payload)
+    hom = named.map if named is not None else serialize.map_from_json(
+        *fields(payload, "payload", ("map",)), context="payload.map")
+    sampler = SamplerConfig(per_size=cfg.get("samples", 32),
+                            seed=cfg.get("seed", 0xB00C))
+    report = isoradial_certificate(hom, sampler, depth=cfg.get("depth", 6),
+                                   tol=cfg.get("tol", 1e-2))
+    return {"isoradial": report.verdict}, report
 
 
 def _run_apple(payload, cfg):
-    fixture = _resolve_map(payload)
-    if fixture is not None:
-        hom = fixture.map
-        sigmas = list(fixture.sigmas)
+    named = _map_fixture(payload)
+    if named is not None:
+        hom = named.map
+        sigmas = list(named.sigmas)
         h = Homomorphism.identity(hom.target)
-        family = bounded_set(fixture.family or [identity(hom.target)])
+        family = bounded_set(named.family or [identity(hom.target)])
     else:
-        hom = map_from_json(serialize._req(payload, "map", "apple payload"))
-        sigmas = [map_from_json(m, homomorphism=False, context="sigma")
-                  for m in serialize._req(payload, "sigmas", "apple payload")]
-        h = map_from_json(serialize._req(payload, "h", "apple payload"),
-                          homomorphism=False)
-        family = bounded_set_from_json(serialize._req(payload, "set",
-                                                      "apple payload"))
+        hom, sigmas, h, family = fields(payload, "payload",
+                                        ("map", "sigmas", "h", "set"))
+        hom = serialize.map_from_json(hom, context="payload.map")
+        sigmas = [serialize.map_from_json(m, homomorphism=False, context=path)
+                  for m, path in entries(sigmas, "payload.sigmas")]
+        h = serialize.map_from_json(h, homomorphism=False, context="payload.h")
+        family = serialize.bounded_set_from_json(family, "payload.set")
     if not sigmas:
         sigmas = [Homomorphism.identity(hom.target)]
-    sampler = SamplerConfig(per_size=int(cfg.get("samples", 8)),
-                            seed=int(cfg.get("seed", 0xB00C)))
-    t_points = None
-    if cfg.get("tgrid") is not None:
-        from .approx_mult import chebyshev_grid
-        t_points = chebyshev_grid(int(cfg["tgrid"]))
+    sampler = SamplerConfig(per_size=cfg.get("samples", 8),
+                            seed=cfg.get("seed", 0xB00C))
+    t_points = chebyshev_grid(cfg["tgrid"]) if "tgrid" in cfg else None
     report = apple_certificate(hom, sigmas, h, family,
-                               depth=int(cfg.get("depth", 4)),
-                               t_points=t_points,
-                               sampler=sampler,
-                               tol=float(cfg.get("tol", 1e-2)))
+                               depth=cfg.get("depth", 4), t_points=t_points,
+                               sampler=sampler, tol=cfg.get("tol", 1e-2))
     results = {
-        "isoradial": report["isoradial"].as_dict(),
+        "isoradial": report["isoradial"],
         "h_approximately_multiplicative":
             report["h_approximately_multiplicative"],
-        "sigma_rates": report["sigma_rates"].as_dict(),
+        "sigma_rates": report["sigma_rates"],
         "homotopy": report["homotopy"].as_dict() if report["homotopy"] else None,
         "verdict": report["verdict"],
     }
@@ -197,28 +186,31 @@ def _run_apple(payload, cfg):
 
 
 def _run_cauchy(payload, cfg):
-    space = model_space_from_json(serialize._req(payload, "space",
-                                                 "cauchy payload"))
-    model = sequence_from_json(serialize._req(payload, "sequence",
-                                              "cauchy payload"))
-    disk = int(payload.get("disk", 0))
-    eps = serialize.eps_from_json(serialize._req(payload, "eps",
-                                                 "cauchy payload"))
-    mode = payload.get("mode", "cauchy")
-    if mode == "cauchy":
-        report = cauchy_check(model, space, disk, eps)
-    elif mode == "convergence":
-        limit = (vector_from_json(payload["limit"])
-                 if payload.get("limit") is not None else None)
+    space, model, eps, disk, mode, limit = fields(
+        payload, "payload", ("space", "sequence", "eps"),
+        {"disk": 0, "mode": "cauchy", "limit": None})
+    space = serialize.model_space_from_json(space, "payload.space")
+    model = serialize.sequence_from_json(model, "payload.sequence")
+    eps = serialize.eps_from_json(eps, "payload.eps")
+    if not 0 <= integer(disk, "payload.disk") < len(space.disks):
+        raise SchemaError(f"payload.disk: {disk} does not index the "
+                          f"{len(space.disks)} disks of the space")
+    if mode == "convergence":
+        if limit is not None:
+            limit = serialize.vector_from_json(limit, "payload.limit")
         report = convergence_check(model, space, disk, eps, limit)
+    elif mode != "cauchy":
+        raise SchemaError(f"payload.mode: unknown cauchy mode {mode!r}")
+    elif limit is not None:
+        raise SchemaError("payload.limit: only the convergence mode reads it")
     else:
-        raise SchemaError(f"unknown cauchy mode {mode!r}")
-    return {mode: report.decision}, report.as_dict()
+        report = cauchy_check(model, space, disk, eps)
+    return {mode: report.decision}, serialize.decision_to_json(report)
 
 
 def _run_complete(payload, cfg):
-    space = model_space_from_json(serialize._req(payload, "space",
-                                                 "complete payload"))
+    space = serialize.model_space_from_json(
+        *fields(payload, "payload", ("space",)), "payload.space")
     direct = completeness_check(space, "iii")
     cross = completeness_check(space, "iv")
     agree = all(a.complete == b.complete for a, b in zip(direct, cross))
@@ -237,51 +229,31 @@ def _run_complete(payload, cfg):
     return verdicts, results
 
 
-def _envelope_from_json(obj):
-    serialize._check_fields(obj, {"kind", "amp", "ratio", "power"}, "envelope")
-    kind = serialize._req(obj, "kind", "envelope")
-    if kind == "geometric":
-        return CompactSetModel.geometric(Fraction(str(obj.get("amp", 1))),
-                                         Fraction(str(obj["ratio"])))
-    if kind == "invpoly":
-        return CompactSetModel.inverse_poly(Fraction(str(obj.get("amp", 1))),
-                                            int(obj["power"]))
-    raise SchemaError(f"unknown envelope kind {kind!r}")
-
-
-def _gauge_from_json(obj):
-    serialize._check_fields(obj, {"kind", "weight"}, "gauge")
-    return GaugeModel(serialize._req(obj, "kind", "gauge"),
-                      WeightForm.from_dict(obj.get("weight", {})))
-
-
 def _run_approx(payload, cfg):
-    box = _envelope_from_json(serialize._req(payload, "set", "approx payload"))
-    gauge = _gauge_from_json(serialize._req(payload, "gauge",
-                                            "approx payload"))
-    ops_spec = serialize._req(payload, "ops", "approx payload")
-    if ops_spec.get("kind") != "truncation":
-        raise SchemaError("only truncation families are accepted here")
-    orders = [int(n) for n in serialize._req(ops_spec, "orders",
-                                             "approx ops")]
-    family = OperatorFamily(tuple(OperatorModel.truncation(n)
-                                  for n in orders), Fraction(1))
+    box, gauge, ops, tol = fields(payload, "payload", ("set", "gauge", "ops"),
+                                  {"tol": "1/100"})
+    box = serialize.box_from_json(box, "payload.set")
+    gauge = serialize.gauge_from_json(gauge, "payload.gauge")
+    _kind, (orders,) = tagged(ops, "payload.ops",
+                              {"truncation": (("orders",), {})})
+    family = OperatorFamily(tuple(
+        OperatorModel.truncation(integer(n, path))
+        for n, path in entries(orders, "payload.ops.orders")), Fraction(1))
+    tol = serialize._frac_from_json(tol, "payload.tol")
     check = pointwise_vs_uniform_check(family, OperatorModel.identity(), box,
                                        gauge)
-    tol = Fraction(str(payload.get("tol", "1/100")))
     try:
         prop = local_approx_property_check(box, gauge, tol)
-        prop_dict = prop.as_dict()
         prop_verdict = "pass"
     except RankBudgetError as exc:
-        prop_dict = {"error": str(exc)}
+        prop = {"error": str(exc)}
         prop_verdict = "fail"
     return ({"uniform": check["uniform"].verdict,
              "equivalence": "agree",
              "approximation_property": prop_verdict},
-            {"rates": check["uniform"].as_dict(),
+            {"rates": check["uniform"],
              "pointwise": check["pointwise"],
-             "property": prop_dict})
+             "property": prop})
 
 
 _HANDLERS = {
@@ -300,95 +272,67 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 
 def builtin_instances():
-    golden = bounded_set([matrix_element([[1, 1], [0, 1]]),
-                          matrix_element([[1, 0], [1, 1]])])
-    nilpotent = bounded_set([matrix_element([[0, 1], [0, 0]])])
-    geo_seq = SequenceModel.geometric_multiple(SeqVector.unit(1, 1), 1,
-                                               Fraction(1, 2))
-    instances = {
-        "golden-pair": {
-            "command": "jsr",
-            "payload": {"set": bounded_set_to_json(golden)},
-            "config": {"depth": 12, "gap": 1e-3},
-        },
-        "nilpotent": {
-            "command": "jsr",
-            "payload": {"set": bounded_set_to_json(nilpotent)},
-            "config": {"depth": 2, "gap": 1e-3},
-        },
-        "contraction-hull": {
-            "command": "hull",
-            "payload": {"set": bounded_set_to_json(
-                bounded_set([matrix_element([[0.5, 0], [0, 0.5]])])),
-                "r": 1.0, "max_products": 64},
-            "config": {},
-        },
-        "trig-grid": {
-            "command": "isoradial",
-            "payload": {"fixture": "trig-grid-d3"},
-            "config": {"depth": 6, "samples": 8},
-        },
-        "matrix-tower": {
-            "command": "isoradial",
-            "payload": {"fixture": "matrix-tower-2-6"},
-            "config": {"depth": 4, "samples": 4},
-        },
-        "interval-restriction": {
-            "command": "isoradial",
-            "payload": {"fixture": "interval-restriction"},
-            "config": {"depth": 6, "samples": 8},
-        },
-        "trig-fejer": {
-            "command": "apple",
-            "payload": {"fixture": "trig-fejer"},
-            "config": {"depth": 4, "samples": 4},
-        },
-        "cauchy-geometric": {
-            "command": "cauchy",
-            "payload": {
-                "space": {"disks": [DiskForm("sum").as_dict()],
-                          "tails_admitted": True},
-                "sequence": serialize.sequence_to_json(geo_seq),
-                "disk": 0,
-                "eps": EpsForm.geometric(2, Fraction(1, 2)).as_dict(),
-                "mode": "cauchy",
-            },
-            "config": {},
-        },
-        "completion-demo": {
-            "command": "complete",
-            "payload": {"space": {"disks": [DiskForm("sum").as_dict()],
-                                  "tails_admitted": True}},
-            "config": {},
-        },
-        "approx-truncation": {
-            "command": "approx",
-            "payload": {
-                "set": {"kind": "geometric", "amp": "1", "ratio": "1/2"},
-                "gauge": {"kind": "l2", "weight": WeightForm().as_dict()},
-                "ops": {"kind": "truncation",
-                        "orders": list(range(1, 12))},
-                "tol": "1/1000",
-            },
-            "config": {},
-        },
+    def matrix_set(*mats):
+        return serialize.bounded_set_to_json(
+            bounded_set([matrix_element(m) for m in mats]))
+
+    def sum_space():
+        return serialize.model_space_to_json(ModelSpace((DiskForm("sum"),)))
+
+    half = Fraction(1, 2)
+    geo_seq = SequenceModel.geometric_multiple(SeqVector.unit(1, 1), 1, half)
+    return {
+        "golden-pair": _instance(
+            "jsr", {"set": matrix_set([[1, 1], [0, 1]], [[1, 0], [1, 1]])},
+            depth=12, gap=1e-3),
+        "nilpotent": _instance("jsr", {"set": matrix_set([[0, 1], [0, 0]])},
+                               depth=2, gap=1e-3),
+        "contraction-hull": _instance("hull", {
+            "set": matrix_set([[0.5, 0], [0, 0.5]]), "r": 1.0,
+            "max_products": 64}),
+        "trig-grid": _instance("isoradial", {"fixture": "trig-grid-d3"},
+                               depth=6, samples=8),
+        "matrix-tower": _instance("isoradial", {"fixture": "matrix-tower-2-6"},
+                                  depth=4, samples=4),
+        "interval-restriction": _instance(
+            "isoradial", {"fixture": "interval-restriction"},
+            depth=6, samples=8),
+        "trig-fejer": _instance("apple", {"fixture": "trig-fejer"},
+                                depth=4, samples=4),
+        "cauchy-geometric": _instance("cauchy", {
+            "space": sum_space(),
+            "sequence": serialize.sequence_to_json(geo_seq),
+            "disk": 0,
+            "eps": serialize.eps_to_json(EpsForm.geometric(2, half)),
+            "mode": "cauchy",
+        }),
+        "completion-demo": _instance("complete", {"space": sum_space()}),
+        "approx-truncation": _instance("approx", {
+            "set": {"kind": "geometric", "amp": "1", "ratio": "1/2"},
+            "gauge": {"kind": "l2",
+                      "weight": serialize.weight_to_json(WeightForm())},
+            "ops": {"kind": "truncation", "orders": list(range(1, 12))},
+            "tol": "1/1000",
+        }),
     }
-    for inst in instances.values():
-        inst["schema"] = SCHEMA
-    return instances
 
 
 # ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
 
-def _emit_report(report, out_path, want_csv):
-    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
-    if out_path:
-        with open(out_path, "w") as fh:
+def _write(text, path):
+    """``text`` and a newline into the file ``path``, or onto stdout."""
+    if path:
+        with open(path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit_report(report, out_path, want_csv):
+    _write(json.dumps(report, sort_keys=True, indent=2, allow_nan=False),
+           out_path)
     if want_csv and out_path:
         csv_path = os.path.splitext(out_path)[0] + ".csv"
         with open(csv_path, "w", newline="") as fh:
@@ -412,7 +356,10 @@ def _flatten_csv(writer, obj, prefix):
 
 
 def _sanitize(obj):
-    """JSON-safe copy: non-finite floats become tagged strings."""
+    """JSON-safe copy: a dataclass becomes the object of its fields, a
+    non-finite float a tagged string."""
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -425,19 +372,18 @@ def _sanitize(obj):
 def run_instance(instance, cfg):
     handler = _HANDLERS[instance["command"]]
     started = time.perf_counter()
-    verdicts, results = handler(instance.get("payload") or {}, cfg)
+    verdicts, results = handler(instance.get("payload", {}), cfg)
     results = _sanitize(results)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    report = {
+    return {
         "schema": SCHEMA,
         "command": instance["command"],
-        "instance_digest": instance_digest(instance),
+        "instance_digest": serialize.instance_digest(instance),
         "toolkit_version": __version__,
         "verdicts": verdicts,
         "results": results,
         "wall_time_ms": elapsed_ms,
     }
-    return report
 
 
 def _exit_code(verdicts):
@@ -471,15 +417,10 @@ def main(argv=None):
         p.add_argument("--out", default=None)
         p.add_argument("--csv", action="store_true")
         p.add_argument("--threads", default=None)
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--gap", type=float, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--tgrid", type=int, default=None)
+        for key, kind in _CONFIG_KEYS.items():
+            p.add_argument(f"--{key}", type=kind, default=None)
 
-    run_p = sub.add_parser("run", help="dispatch on the instance's command")
-    add_common(run_p)
+    add_common(sub.add_parser("run", help="dispatch on the instance's command"))
     for name in _HANDLERS:
         p = sub.add_parser(name, help=f"run a {name} instance")
         add_common(p)
@@ -498,25 +439,16 @@ def main(argv=None):
             print(f"unknown fixture {args.name!r}; known: "
                   f"{sorted(instances)}", file=sys.stderr)
             return 3
-        text = json.dumps(instances[args.name], sort_keys=True, indent=2)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write(json.dumps(instances[args.name], sort_keys=True, indent=2),
+               args.out)
         return 0
 
     try:
         _parse_threads(args.threads)  # validated; results never depend on it
         if args.input:
-            instance = _load_instance_or_map(args.input, args.subcommand)
+            instance = _load_instance(args.input, args.subcommand)
         elif getattr(args, "fixture", None):
-            instance = {
-                "schema": SCHEMA,
-                "command": args.subcommand,
-                "payload": {"fixture": args.fixture},
-                "config": {},
-            }
+            instance = _instance(args.subcommand, {"fixture": args.fixture})
         else:
             raise SchemaError("an --input file (or --fixture) is required")
         if args.subcommand != "run" and instance["command"] != args.subcommand:

@@ -219,16 +219,6 @@ class WeightForm:
     def polynomial(c, p):
         return WeightForm(_frac(c), Fraction(1), p)
 
-    def as_dict(self):
-        return {"coeff": str(self.coeff), "base": str(self.base),
-                "power": self.power}
-
-    @staticmethod
-    def from_dict(d):
-        return WeightForm(Fraction(d.get("coeff", 1)),
-                          Fraction(d.get("base", 1)),
-                          int(d.get("power", 0)))
-
 
 # ---------------------------------------------------------------------------
 # null-sequence descriptors, closed under subsequences and square roots
@@ -338,24 +328,6 @@ class EpsForm:
         return EpsForm(self.kind, self.amp * c ** (2 ** self.level),
                        self.ratio, self.alpha, self.beta, self.power,
                        self.level)
-
-    def as_dict(self):
-        if self.kind == "geom":
-            return {"kind": "geom", "amp": str(self.amp),
-                    "ratio": str(self.ratio), "level": self.level}
-        return {"kind": "invpoly", "amp": str(self.amp), "power": self.power,
-                "alpha": str(self.alpha), "beta": str(self.beta),
-                "level": self.level}
-
-    @staticmethod
-    def from_dict(d):
-        if d["kind"] == "geom":
-            return EpsForm("geom", Fraction(d["amp"]), Fraction(d["ratio"]),
-                           level=int(d.get("level", 0)))
-        return EpsForm("invpoly", Fraction(d["amp"]),
-                       alpha=Fraction(d.get("alpha", 1)),
-                       beta=Fraction(d.get("beta", 1)),
-                       power=int(d["power"]), level=int(d.get("level", 0)))
 
 
 # ---------------------------------------------------------------------------

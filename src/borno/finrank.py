@@ -253,10 +253,6 @@ class RateSequence:
     verdict: str  # "converges" | "diverges"
     exact: bool
 
-    def as_dict(self):
-        return {"rates": list(self.rates), "verdict": self.verdict,
-                "exact": self.exact}
-
 
 def _rate_of_pair(f_n, f_inf, s, t_gauge):
     """(certified raw rate, exact flag); raw is the radicand for l2 gauges."""
@@ -382,11 +378,6 @@ class ApproxPropertyReport:
     rates: tuple
     witness_scale: float
     tolerance: float
-
-    def as_dict(self):
-        return {"rank": self.rank, "rates": list(self.rates),
-                "witness_scale": self.witness_scale,
-                "tolerance": self.tolerance}
 
 
 class RankBudgetError(BornoError):

@@ -235,7 +235,7 @@ FIXTURE_BUILDERS = {
 
 def fixture(name):
     """Build the one ready-made fixture called ``name``."""
-    if name not in FIXTURE_BUILDERS:
+    if not isinstance(name, str) or name not in FIXTURE_BUILDERS:
         raise SchemaError(f"unknown fixture {name!r}")
     return FIXTURE_BUILDERS[name]()
 

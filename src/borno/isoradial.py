@@ -134,16 +134,6 @@ class CertificateReport:
     tolerance: float
     margin: float
 
-    def as_dict(self):
-        return {
-            "verdict": self.verdict,
-            "worst_ratio": self.worst_ratio,
-            "n_samples": self.n_samples,
-            "depth": self.depth,
-            "tolerance": self.tolerance,
-            "margin": self.margin,
-        }
-
 
 def isoradial_certificate(f, config=None, depth=6, tol=1e-2):
     """Sampled spectral-radius-preservation check for a homomorphism.

@@ -195,15 +195,6 @@ class DiskForm:
         if self.scale <= 0:
             raise ValueError("disk scale must be positive")
 
-    def as_dict(self):
-        return {"kind": self.kind, "weight": self.weight.as_dict(),
-                "scale": str(self.scale)}
-
-    @staticmethod
-    def from_dict(d):
-        return DiskForm(d["kind"], WeightForm.from_dict(d.get("weight", {})),
-                        Fraction(d.get("scale", 1)))
-
 
 def _tail_classes(tails, start):
     """Parity classes of the tail coordinates, with positive ratios.
@@ -554,18 +545,18 @@ class ModelSpace:
 def _unit_ball_bound(form, source_kind, target_kind, start=0):
     """Bound for the target gauge over the source unit ball of a map taking
     e_k, k >= start, of source gauge 1 to target gauge ``form``(k).  A sup
-    ball spreads over all coordinates, so into a sum it is the tail sum with
-    decaying polynomial factors dropped; else the sup over unit vectors."""
+    ball spreads over all coordinates, so into a sum it is the tail sum;
+    else the sup over unit vectors."""
     if source_kind == SUP and target_kind == SUM:
-        return CoordForm(form.coeff, form.ratio, max(form.power, 0)).tail_sum(start)
+        return form.tail_sum(start)
     return form.sup_from(start)
 
 
 def absorption_constant(target, source):
     """Upper bound for sup{gauge_target(u) : gauge_source(u) <= 1}, or inf.
 
-    Exact when the weight ratio stays in the geometric-polynomial family;
-    negative powers in a sum comparison are soundly bounded by one.
+    Exact except for a sup source with a negative power against a sum
+    target, which gets the certified bound of :meth:`CoordForm.tail_sum`.
     """
     wt, ws = target.weight, source.weight
     c = (wt.coeff / ws.coeff) * (source.scale / target.scale)
@@ -605,16 +596,6 @@ class DecisionReport:
     @property
     def holds(self):
         return self.decision == "yes"
-
-    def as_dict(self):
-        return {
-            "decision": self.decision,
-            "disk_index": self.disk_index,
-            "eps": self.eps.as_dict(),
-            "witness": {k: str(v) for k, v in self.witness.items()},
-            "violating_pair": list(self.violating_pair)
-            if self.violating_pair else None,
-        }
 
 
 def _env_sup_from(env, n0, divisor=Fraction(1)):
@@ -854,14 +835,6 @@ class MetrizabilityReport:
     absorbing_index: int = None
     epsilons: tuple = ()
     bound: Fraction = None
-
-    def as_dict(self):
-        return {
-            "verdict": self.verdict,
-            "absorbing_index": self.absorbing_index,
-            "epsilons": [str(e) for e in self.epsilons],
-            "bound": str(self.bound) if self.bound is not None else None,
-        }
 
 
 def metrizability_scalars(space, disk_indices):

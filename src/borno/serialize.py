@@ -1,9 +1,14 @@
-"""JSON encodings for toolkit objects.
+"""The borno/2 format in both directions: instances, model objects, reports.
 
 Complex entries are two-element arrays [re, im]; matrices are row-major
 arrays of rows; descriptors are tagged objects.  Rationals travel as "p/q"
-strings.  Bit-exactness across platforms is not required; reports carry
-floats at full repr precision (17 significant digits).
+strings, and every rational field is read as ``Fraction(str(v))``, so the
+JSON number 0.1 is 1/10, not its binary value.  Every object at every level
+is read by :func:`fields`, or by :func:`tagged` for a ``kind`` union: a
+non-object, a missing required field or any other field is a SchemaError
+that names the object's path.  Bit-exactness across platforms is not
+required; reports carry floats at full repr precision (17 significant
+digits).
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ from .algebra import (
     linear_dim,
     vec,
 )
-from .closedforms import EpsForm, WeightForm  # WeightForm re-exported for schema users
+from .closedforms import EpsForm, WeightForm
 from .errors import SchemaError
+from .finrank import CompactSetModel, GaugeModel
 from .maps import Homomorphism, LinearMap
 from .seqspace import (
     DiskForm,
@@ -45,18 +51,69 @@ from .seqspace import (
 SCHEMA = "borno/2"
 
 
-def _req(obj, key, context):
+# ---------------------------------------------------------------------------
+# the strict reader
+# ---------------------------------------------------------------------------
+
+def fields(obj, context, required=(), optional=None):
+    """The values of the ``required`` fields of the JSON object ``obj``, then
+    of the ``optional`` ones (a dict of their defaults).  A non-object, a
+    missing required field or any field in neither is a SchemaError."""
+    optional = optional or {}
     if not isinstance(obj, dict):
         raise SchemaError(f"{context}: expected an object")
-    if key not in obj:
-        raise SchemaError(f"{context}: missing field {key!r}")
-    return obj[key]
-
-
-def _check_fields(obj, allowed, context):
-    unknown = set(obj) - set(allowed)
+    for key in required:
+        if key not in obj:
+            raise SchemaError(f"{context}: missing field {key!r}")
+    unknown = set(obj).difference(required, optional)
     if unknown:
         raise SchemaError(f"{context}: unknown fields {sorted(unknown)}")
+    return ([obj[k] for k in required]
+            + [obj.get(k, d) for k, d in optional.items()])
+
+
+def tagged(obj, context, kinds):
+    """(kind, field values) of an object tagged by its ``kind`` field;
+    ``kinds`` maps each kind to its other (required, optional) fields."""
+    if isinstance(obj, dict) and "kind" in obj:
+        kind = obj["kind"]
+        if not isinstance(kind, str) or kind not in kinds:
+            raise SchemaError(f"{context}: unknown kind {kind!r}; "
+                              f"known: {sorted(kinds)}")
+        required, optional = kinds[kind]
+        return kind, fields(obj, context, ("kind", *required), optional)[1:]
+    return fields(obj, context, ("kind",))  # raises: no object, or no kind
+
+
+def integer(v, context):
+    """A JSON integer (not a boolean)."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise SchemaError(f"{context}: expected an integer, got {v!r}")
+    return v
+
+
+def real(v, context):
+    """A finite JSON number, as a float."""
+    if isinstance(v, bool) or not (isinstance(v, (int, float))
+                                   and math.isfinite(v)):
+        raise SchemaError(f"{context}: expected a finite number, got {v!r}")
+    return float(v)
+
+
+def entries(v, context, length=None):
+    """(entry, its path) for each entry of a JSON array (of ``length``)."""
+    if not isinstance(v, list) or length not in (None, len(v)):
+        size = f" of {length} entries" if length else ""
+        raise SchemaError(f"{context}: expected an array{size}")
+    return [(x, f"{context}[{i}]") for i, x in enumerate(v)]
+
+
+def _build(make, context, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a rejected value reported at its path."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise SchemaError(f"{context}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -77,37 +134,34 @@ def descriptor_to_json(desc):
     raise TypeError(f"not a descriptor: {desc!r}")
 
 
-def _grid_points(points):
+def _grid_points(points, context):
     """The points of a grid descriptor: distinct finite numbers."""
-    if not isinstance(points, list):
-        raise SchemaError("grid descriptor: points must be a list")
-    for p in points:
-        if (isinstance(p, bool) or not isinstance(p, (int, float))
-                or (isinstance(p, float) and not math.isfinite(p))):
-            raise SchemaError(
-                f"grid descriptor: point {p!r} is not a finite number")
+    if not (isinstance(points, list) and all(
+            isinstance(p, (int, float)) and not isinstance(p, bool)
+            and math.isfinite(p) for p in points)):
+        raise SchemaError(f"{context}: grid descriptor points must be a list "
+                          "of finite numbers")
     if len(set(points)) != len(points):
-        raise SchemaError("grid descriptor: repeated point")
+        raise SchemaError(f"{context}: grid descriptor has a repeated point")
     return tuple(points)
 
 
-def descriptor_from_json(obj):
-    kind = _req(obj, "kind", "descriptor")
+def descriptor_from_json(obj, context="descriptor"):
+    kind, values = tagged(obj, context, {
+        "matrix": (("dim",), {"norm": "op2"}),
+        "direct_sum": (("summands",), {}),
+        "grid": (("points", "fiber"), {}),
+    })
     if kind == "matrix":
-        _check_fields(obj, {"kind", "dim", "norm"}, "matrix descriptor")
-        return MatrixAlgebra(int(_req(obj, "dim", "matrix descriptor")),
-                             obj.get("norm", "op2"))
+        return _build(MatrixAlgebra, context, integer(values[0], context),
+                      values[1])
     if kind == "direct_sum":
-        _check_fields(obj, {"kind", "summands"}, "direct-sum descriptor")
-        return DirectSum(tuple(descriptor_from_json(s)
-                               for s in _req(obj, "summands", "direct sum")))
-    if kind == "grid":
-        _check_fields(obj, {"kind", "points", "fiber"}, "grid descriptor")
-        grid = GridSpec(_grid_points(_req(obj, "points", "grid")))
-        return GridFunctionAlgebra(grid,
-                                   descriptor_from_json(_req(obj, "fiber",
-                                                             "grid")))
-    raise SchemaError(f"unknown descriptor kind {kind!r}")
+        return _build(DirectSum, context, tuple(
+            descriptor_from_json(s, path)
+            for s, path in entries(values[0], f"{context}.summands")))
+    points, fiber = values
+    return GridFunctionAlgebra(GridSpec(_grid_points(points, context)),
+                               descriptor_from_json(fiber, f"{context}.fiber"))
 
 
 def _complex_to_json(z):
@@ -115,11 +169,10 @@ def _complex_to_json(z):
 
 
 def _complex_from_json(v, context):
-    if isinstance(v, (int, float)):
-        return complex(v, 0.0)
-    if isinstance(v, list) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise SchemaError(f"{context}: complex entries are [re, im] pairs")
+    if isinstance(v, list):
+        (re, _), (im, _) = entries(v, context, 2)
+        return complex(real(re, context), real(im, context))
+    return complex(real(v, context), 0.0)
 
 
 def _matrix_to_json(mat):
@@ -127,8 +180,10 @@ def _matrix_to_json(mat):
 
 
 def _matrix_from_json(rows, context):
-    return np.array([[_complex_from_json(v, context) for v in row]
-                     for row in rows], dtype=np.complex128)
+    return _build(np.array, context,
+                  [[_complex_from_json(v, p) for v, p in entries(row, path)]
+                   for row, path in entries(rows, context)],
+                  dtype=np.complex128)
 
 
 def _coords_to_json(desc, coords):
@@ -149,11 +204,13 @@ def _data_from_json(desc, data, context):
     parts = components(desc)
     if not isinstance(data, list) or len(data) != len(parts):
         raise SchemaError(f"{context}: component count mismatch")
-    return [_data_from_json(s, d, context) for s, d in zip(parts, data)]
+    return [_data_from_json(s, d, f"{context}[{i}]")
+            for i, (s, d) in enumerate(zip(parts, data))]
 
 
 def element_data_from_json(desc, data, context="element"):
-    return AlgebraElement(desc, _data_from_json(desc, data, context))
+    return _build(AlgebraElement, context, desc,
+                  _data_from_json(desc, data, context))
 
 
 def element_to_json(element):
@@ -162,9 +219,16 @@ def element_to_json(element):
 
 
 def element_from_json(obj, context="element"):
-    _check_fields(obj, {"descriptor", "data"}, context)
-    desc = descriptor_from_json(_req(obj, "descriptor", context))
-    return element_data_from_json(desc, _req(obj, "data", context), context)
+    desc, data = fields(obj, context, ("descriptor", "data"))
+    return element_data_from_json(
+        descriptor_from_json(desc, f"{context}.descriptor"), data,
+        f"{context}.data")
+
+
+def _generators_from_json(desc, gens, context):
+    desc = descriptor_from_json(desc, f"{context}.descriptor")
+    return tuple(element_data_from_json(desc, g, path)
+                 for g, path in entries(gens, f"{context}.generators"))
 
 
 def bounded_set_to_json(s):
@@ -173,13 +237,11 @@ def bounded_set_to_json(s):
 
 
 def bounded_set_from_json(obj, context="bounded set"):
-    _check_fields(obj, {"descriptor", "generators"}, context)
-    desc = descriptor_from_json(_req(obj, "descriptor", context))
-    gens = [element_data_from_json(desc, g, context)
-            for g in _req(obj, "generators", context)]
+    gens = _generators_from_json(
+        *fields(obj, context, ("descriptor", "generators")), context)
     if not gens:
         raise SchemaError(f"{context}: needs at least one generator")
-    return BoundedSet(tuple(gens))
+    return BoundedSet(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -203,25 +265,24 @@ def disk_to_json(disk):
 
 
 def disk_from_json(obj, context="disk"):
-    kind = _req(obj, "kind", context)
+    kind, values = tagged(obj, context, {
+        "norm_ball": ((), {"radius": 1.0}),
+        "finite_hull": (("descriptor", "generators"), {}),
+        "scaled": (("factor", "inner"), {}),
+        "sum": (("left", "right"), {}),
+    })
     if kind == "norm_ball":
-        _check_fields(obj, {"kind", "radius"}, context)
-        return NormBall(float(obj.get("radius", 1.0)))
+        return _build(NormBall, context, real(values[0], f"{context}.radius"))
     if kind == "finite_hull":
-        _check_fields(obj, {"kind", "descriptor", "generators"}, context)
-        desc = descriptor_from_json(_req(obj, "descriptor", context))
-        return FiniteHull(tuple(
-            element_data_from_json(desc, g, context)
-            for g in _req(obj, "generators", context)))
+        return _build(FiniteHull, context,
+                      _generators_from_json(*values, context))
     if kind == "scaled":
-        _check_fields(obj, {"kind", "factor", "inner"}, context)
-        return Scaled(float(_req(obj, "factor", context)),
-                      disk_from_json(_req(obj, "inner", context), context))
-    if kind == "sum":
-        _check_fields(obj, {"kind", "left", "right"}, context)
-        return SumDisk(disk_from_json(_req(obj, "left", context), context),
-                       disk_from_json(_req(obj, "right", context), context))
-    raise SchemaError(f"{context}: unknown disk kind {kind!r}")
+        factor, inner = values
+        return _build(Scaled, context, real(factor, f"{context}.factor"),
+                      disk_from_json(inner, f"{context}.inner"))
+    left, right = values
+    return SumDisk(disk_from_json(left, f"{context}.left"),
+                   disk_from_json(right, f"{context}.right"))
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +296,16 @@ def map_to_json(f):
 
 
 def map_from_json(obj, homomorphism=True, context="map"):
-    _check_fields(obj, {"source", "target", "basis_action"}, context)
-    source = descriptor_from_json(_req(obj, "source", context))
-    target = descriptor_from_json(_req(obj, "target", context))
-    action = _matrix_from_json(_req(obj, "basis_action", context), context)
+    source, target, action = fields(obj, context,
+                                    ("source", "target", "basis_action"))
     cls = Homomorphism if homomorphism else LinearMap
-    return cls(source, target, action)
+    return cls(descriptor_from_json(source, f"{context}.source"),
+               descriptor_from_json(target, f"{context}.target"),
+               _matrix_from_json(action, f"{context}.basis_action"))
 
 
 # ---------------------------------------------------------------------------
-# sequence-space objects (rationals as "p/q" strings)
+# closed forms, sequence-space and finite-rank objects, decision reports
 # ---------------------------------------------------------------------------
 
 def _frac_to_json(x):
@@ -258,6 +319,54 @@ def _frac_from_json(v, context):
         raise SchemaError(f"{context}: bad rational {v!r}") from exc
 
 
+def weight_to_json(w):
+    return {"coeff": str(w.coeff), "base": str(w.base), "power": w.power}
+
+
+def weight_from_json(obj, context="weight"):
+    coeff, base, power = fields(obj, context, (),
+                                {"coeff": "1", "base": "1", "power": 0})
+    return _build(WeightForm, context, _frac_from_json(coeff, context),
+                  _frac_from_json(base, context),
+                  integer(power, context))
+
+
+def eps_to_json(eps):
+    if eps.kind == "geom":
+        return {"kind": "geom", "amp": str(eps.amp), "ratio": str(eps.ratio),
+                "level": eps.level}
+    return {"kind": "invpoly", "amp": str(eps.amp), "power": eps.power,
+            "alpha": str(eps.alpha), "beta": str(eps.beta),
+            "level": eps.level}
+
+
+def eps_from_json(obj, context="eps"):
+    kind, values = tagged(obj, context, {
+        "geom": (("amp", "ratio"), {"level": 0}),
+        "invpoly": (("amp", "power"), {"alpha": "1", "beta": "1", "level": 0}),
+    })
+    if kind == "geom":
+        (amp, ratio, level), alpha, beta, power = values, "1", "1", 1
+    else:
+        (amp, power, alpha, beta, level), ratio = values, "1/2"
+    return _build(EpsForm, context, kind,
+                  *(_frac_from_json(x, context) for x in (amp, ratio, alpha, beta)),
+                  integer(power, context), integer(level, context))
+
+
+def disk_form_to_json(disk):
+    return {"kind": disk.kind, "weight": weight_to_json(disk.weight),
+            "scale": str(disk.scale)}
+
+
+def disk_form_from_json(obj, context="disk"):
+    kind, weight, scale = fields(obj, context, ("kind",),
+                                 {"weight": {}, "scale": "1"})
+    return _build(DiskForm, context, kind,
+                  weight_from_json(weight, f"{context}.weight"),
+                  _frac_from_json(scale, context))
+
+
 def vector_to_json(v):
     return {"prefix": {str(k): _frac_to_json(x) for k, x in v.prefix.items()},
             "tails": [[_frac_to_json(a), _frac_to_json(s)] for a, s in v.tails],
@@ -265,23 +374,31 @@ def vector_to_json(v):
 
 
 def vector_from_json(obj, context="vector"):
-    _check_fields(obj, {"prefix", "tails", "tail_start"}, context)
-    prefix = {int(k): _frac_from_json(x, context)
-              for k, x in obj.get("prefix", {}).items()}
-    tails = [(_frac_from_json(a, context), _frac_from_json(s, context))
-             for a, s in obj.get("tails", [])]
-    return SeqVector(prefix, tuple(tails), int(obj.get("tail_start", 0)))
+    prefix, tails, start = fields(obj, context, (),
+                                  {"prefix": {}, "tails": [], "tail_start": 0})
+    if not isinstance(prefix, dict):
+        raise SchemaError(f"{context}.prefix: expected an object")
+    pairs = [entries(t, path, 2) for t, path in entries(tails, f"{context}.tails")]
+    return _build(SeqVector, context,
+                  {_build(int, context, k): _frac_from_json(x, context)
+                   for k, x in prefix.items()},
+                  tuple((_frac_from_json(a, path), _frac_from_json(s, path))
+                        for (a, path), (s, _) in pairs),
+                  integer(start, context))
 
 
 def model_space_to_json(space):
-    return {"disks": [d.as_dict() for d in space.disks],
+    return {"disks": [disk_form_to_json(d) for d in space.disks],
             "tails_admitted": space.tails_admitted}
 
 
 def model_space_from_json(obj, context="space"):
-    _check_fields(obj, {"disks", "tails_admitted"}, context)
-    disks = tuple(DiskForm.from_dict(d) for d in _req(obj, "disks", context))
-    return ModelSpace(disks, bool(obj.get("tails_admitted", True)))
+    disks, tails = fields(obj, context, ("disks",), {"tails_admitted": True})
+    if not isinstance(tails, bool):
+        raise SchemaError(f"{context}.tails_admitted: expected true or false")
+    return ModelSpace(tuple(disk_form_from_json(d, path)
+                            for d, path in entries(disks, f"{context}.disks")),
+                      tails)
 
 
 def sequence_to_json(model):
@@ -299,28 +416,69 @@ def sequence_to_json(model):
     }
 
 
+def _geo_term_from_json(obj, context):
+    coeff, ratio, vector, power = fields(obj, context,
+                                         ("coeff", "ratio", "vector"),
+                                         {"power": 0})
+    return _build(GeoTerm, context, _frac_from_json(coeff, context),
+                  _frac_from_json(ratio, context),
+                  vector_from_json(vector, f"{context}.vector"),
+                  integer(power, context))
+
+
+def _window_term_from_json(obj, context):
+    coeff, vector, stride, offset, ratio = fields(
+        obj, context, ("coeff", "vector"),
+        {"stride": 1, "offset": 0, "ratio": "1"})
+    return _build(WindowTerm, context, _frac_from_json(coeff, context),
+                  vector_from_json(vector, f"{context}.vector"),
+                  integer(stride, context),
+                  integer(offset, context),
+                  _frac_from_json(ratio, context))
+
+
 def sequence_from_json(obj, context="sequence"):
-    _check_fields(obj, {"prefix", "geo_terms", "window_terms"}, context)
-    prefix = tuple(vector_from_json(v, context)
-                   for v in obj.get("prefix", []))
-    geo = tuple(GeoTerm(_frac_from_json(g["coeff"], context),
-                        _frac_from_json(g["ratio"], context),
-                        vector_from_json(g["vector"], context),
-                        int(g.get("power", 0)))
-                for g in obj.get("geo_terms", []))
-    win = tuple(WindowTerm(_frac_from_json(t["coeff"], context),
-                           vector_from_json(t["vector"], context),
-                           int(t.get("stride", 1)), int(t.get("offset", 0)),
-                           _frac_from_json(t.get("ratio", "1"), context))
-                for t in obj.get("window_terms", []))
-    return SequenceModel(prefix, geo, win)
+    prefix, geo, win = fields(obj, context, (), {
+        "prefix": [], "geo_terms": [], "window_terms": []})
+    return _build(SequenceModel, context,
+                  tuple(vector_from_json(v, path)
+                        for v, path in entries(prefix, f"{context}.prefix")),
+                  tuple(_geo_term_from_json(g, path)
+                        for g, path in entries(geo, f"{context}.geo_terms")),
+                  tuple(_window_term_from_json(t, path)
+                        for t, path in entries(win, f"{context}.window_terms")))
 
 
-def eps_from_json(obj, context="eps"):
-    try:
-        return EpsForm.from_dict(obj)
-    except (KeyError, ValueError) as exc:
-        raise SchemaError(f"{context}: {exc}") from exc
+def box_from_json(obj, context="box"):
+    """A compact envelope box: geometric a*s^k or inverse-polynomial a/(k+1)^p."""
+    kind, values = tagged(obj, context, {
+        "geometric": (("ratio",), {"amp": "1"}),
+        "invpoly": (("power",), {"amp": "1"}),
+    })
+    amp = _frac_from_json(values[1], context)
+    if kind == "geometric":
+        return _build(CompactSetModel.geometric, context, amp,
+                      _frac_from_json(values[0], context))
+    return _build(CompactSetModel.inverse_poly, context, amp,
+                  integer(values[0], context))
+
+
+def gauge_from_json(obj, context="gauge"):
+    kind, weight = fields(obj, context, ("kind",), {"weight": {}})
+    return _build(GaugeModel, context, kind,
+                  weight_from_json(weight, f"{context}.weight"))
+
+
+def decision_to_json(report):
+    """A Cauchy or convergence :class:`DecisionReport`."""
+    return {
+        "decision": report.decision,
+        "disk_index": report.disk_index,
+        "eps": eps_to_json(report.eps),
+        "witness": {k: str(v) for k, v in report.witness.items()},
+        "violating_pair": (list(report.violating_pair)
+                           if report.violating_pair else None),
+    }
 
 
 # ---------------------------------------------------------------------------

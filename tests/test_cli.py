@@ -37,6 +37,90 @@ BUILTIN_DIGESTS = {
 }
 
 
+DELETE = object()
+
+# (built-in instance, path of the edit, new value or DELETE, the path the
+# error must name): each is an input error, and none may reach a kernel
+MALFORMED = [
+    ("golden-pair", ("payload", "extra"), 1, "payload"),
+    ("contraction-hull", ("payload", "extra"), 1, "payload"),
+    ("trig-grid", ("payload", "extra"), 1, "payload"),
+    ("cauchy-geometric", ("payload", "extra"), 1, "payload"),
+    ("completion-demo", ("payload", "extra"), 1, "payload"),
+    ("approx-truncation", ("payload", "extra"), 1, "payload"),
+    ("golden-pair", ("config", "extra"), 1, "config"),
+    ("cauchy-geometric", ("payload", "space", "disks", 0, "extra"), 1,
+     "payload.space.disks[0]"),
+    ("cauchy-geometric", ("payload", "space", "disks", 0, "weight", "extra"),
+     1, "payload.space.disks[0].weight"),
+    ("cauchy-geometric", ("payload", "sequence", "geo_terms", 0, "extra"), 1,
+     "payload.sequence.geo_terms[0]"),
+    ("cauchy-geometric", ("payload", "eps", "extra"), 1, "payload.eps"),
+    ("approx-truncation", ("payload", "ops", "extra"), 1, "payload.ops"),
+    ("approx-truncation", ("payload", "gauge", "weight", "extra"), 1,
+     "payload.gauge.weight"),
+    ("cauchy-geometric", ("payload", "space", "disks", 0, "kind"), DELETE,
+     "payload.space.disks[0]"),
+    ("cauchy-geometric", ("payload", "sequence", "geo_terms", 0, "coeff"),
+     DELETE, "payload.sequence.geo_terms[0]"),
+    ("cauchy-geometric", ("payload", "sequence", "window_terms"),
+     [{"coeff": "1"}], "payload.sequence.window_terms[0]"),
+    ("approx-truncation", ("payload", "set", "ratio"), DELETE, "payload.set"),
+    ("approx-truncation", ("payload", "ops"),
+     [{"kind": "truncation", "orders": [1]}], "payload.ops"),
+    ("cauchy-geometric", ("payload", "disk"), -1, "payload.disk"),
+    ("cauchy-geometric", ("payload", "disk"), 3, "payload.disk"),
+    ("cauchy-geometric", ("payload", "disk"), 5, "payload.disk"),
+]
+
+# values of the wrong type or shape, which crashed with a traceback or were
+# misread before every value had a reader: (instance, path, value, the
+# start of the error message)
+MISTYPED = [
+    ("trig-grid", ("payload", "fixture"), ["x"], "unknown fixture"),
+    ("golden-pair", ("command",), ["jsr"], "instance.command:"),
+    ("golden-pair", ("config",), [1], "config:"),
+    ("golden-pair", ("config", "depth"), [12], "config.depth:"),
+    ("golden-pair", ("payload", "set", "descriptor", "dim"), [2],
+     "payload.set.descriptor:"),
+    ("golden-pair", ("payload", "set", "generators", 0, 0), 7,
+     "payload.set.generators[0][0]:"),
+    ("golden-pair", ("payload", "set", "generators", 0, 0), [[1, 0]],
+     "payload.set.generators[0]:"),
+    ("contraction-hull", ("payload", "r"), [1], "payload.r:"),
+    ("cauchy-geometric", ("payload", "disk"), [0], "payload.disk:"),
+    ("cauchy-geometric", ("payload", "limit"), {}, "payload.limit:"),
+    ("cauchy-geometric", ("payload", "space", "disks"), {},
+     "payload.space.disks:"),
+    ("cauchy-geometric", ("payload", "space", "tails_admitted"), "false",
+     "payload.space.tails_admitted:"),
+    ("cauchy-geometric", ("payload", "space", "disks", 0, "weight"), 5,
+     "payload.space.disks[0].weight:"),
+    ("cauchy-geometric", ("payload", "sequence", "geo_terms"), 5,
+     "payload.sequence.geo_terms:"),
+    ("cauchy-geometric",
+     ("payload", "sequence", "geo_terms", 0, "vector", "tails"), [5],
+     "payload.sequence.geo_terms[0].vector.tails[0]:"),
+    ("approx-truncation", ("payload", "ops", "orders"), 5,
+     "payload.ops.orders:"),
+]
+
+
+def edited(name, path, value):
+    """Built-in instance ``name`` with ``path`` set to ``value``, or removed
+    for DELETE."""
+    inst = builtin_instances()[name]
+    *head, last = path
+    obj = inst
+    for key in head:
+        obj = obj[key]
+    if value is DELETE:
+        del obj[last]
+    else:
+        obj[last] = value
+    return inst
+
+
 def run_cli(args):
     return main(list(args))
 
@@ -178,6 +262,26 @@ class TestErrors:
 
     def test_missing_input_exits_three(self):
         assert run_cli(["run"]) == 3
+
+    @pytest.mark.parametrize("name, path, value, where", MALFORMED,
+                             ids=[f"{where}:{'no-' if value is DELETE else ''}"
+                                  f"{path[-1]}={value!r}"[:60]
+                                  for _n, path, value, where in MALFORMED])
+    def test_malformed_instance_exits_three(self, tmp_path, capsys, name,
+                                            path, value, where):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edited(name, path, value)))
+        assert run_cli(["run", "--input", str(bad)]) == 3
+        assert f"input error: {where}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, path, value, message", MISTYPED,
+                             ids=[message for *_, message in MISTYPED])
+    def test_mistyped_value_exits_three(self, tmp_path, capsys, name, path,
+                                        value, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edited(name, path, value)))
+        assert run_cli(["run", "--input", str(bad)]) == 3
+        assert f"input error: {message}" in capsys.readouterr().err
 
     def test_numerical_failure_exits_four(self, tmp_path):
         inst = builtin_instances()["golden-pair"]
@@ -368,7 +472,8 @@ class TestExplicitPayloads:
         from borno.closedforms import EpsForm
         from borno.seqspace import (DiskForm, GeoTerm, SeqVector,
                                     SequenceModel)
-        from borno.serialize import sequence_to_json, vector_to_json
+        from borno.serialize import (disk_form_to_json, eps_to_json,
+                                     sequence_to_json, vector_to_json)
 
         model = SequenceModel(geo_terms=(
             GeoTerm(1, 1, SeqVector.unit(1, 1)),
@@ -377,11 +482,11 @@ class TestExplicitPayloads:
             "schema": SCHEMA,
             "command": "cauchy",
             "payload": {
-                "space": {"disks": [DiskForm("sum").as_dict()],
+                "space": {"disks": [disk_form_to_json(DiskForm("sum"))],
                           "tails_admitted": True},
                 "sequence": sequence_to_json(model),
                 "disk": 0,
-                "eps": EpsForm.geometric(1, Fraction(1, 2)).as_dict(),
+                "eps": eps_to_json(EpsForm.geometric(1, Fraction(1, 2))),
                 "mode": "convergence",
                 "limit": vector_to_json(SeqVector.unit(1, 1)),
             },

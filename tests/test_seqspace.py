@@ -225,14 +225,26 @@ class TestMetrizability:
         assert rep.bound <= 1
 
     def test_incomparable_family_is_inconclusive(self):
-        # polynomially growing sup weights against flat l1 weights: neither
-        # absorption direction is certifiable inside this two-disk family
+        # sup weights k+1 against flat l1 weights: sum 1/(k+1) diverges, and
+        # e_i has sup gauge i+1, so neither disk absorbs the other
         space = ModelSpace((
-            DiskForm("sup", WeightForm.polynomial(1, 2)),
+            DiskForm("sup", WeightForm.polynomial(1, 1)),
             DiskForm("sum", WeightForm.constant(1)),
         ))
         rep = metrizability_scalars(space, [0, 1])
         assert rep.verdict == "not-within-family"
+
+    def test_square_weight_sup_disk_is_absorbed_by_l1(self):
+        # sum_k (k+1)^-2 <= 1 + 1 = 2: the l1 ball absorbs the sup disk with
+        # weights (k+1)^2
+        space = ModelSpace((
+            DiskForm("sup", WeightForm.polynomial(1, 2)),
+            DiskForm("sum", WeightForm.constant(1)),
+        ))
+        assert absorption_constant(space.disk(1), space.disk(0)) == 2
+        rep = metrizability_scalars(space, [0, 1])
+        assert rep.verdict == "bounded"
+        assert rep.absorbing_index == 1
 
     def test_directedness_of_scaled_family(self):
         out = directedness_check(self.family())
@@ -423,6 +435,14 @@ class TestMapBoundsFromSupDisks:
         for target in ("sup", "sum"):
             assert coordinate_map_bound(CoordinateMap("summation"),
                                         DiskForm("sup"), DiskForm(target)) == math.inf
+
+    def test_summation_from_square_weighted_sup(self):
+        # the unit ball of the sup disk with weights (k+1)^2 has
+        # |x_k| <= (k+1)^-2, and sum_k (k+1)^-2 <= 1 + 1
+        comp = completion_construct(ModelSpace((
+            DiskForm("sup", WeightForm.polynomial(1, 2)), DiskForm("sum"))))
+        ext = extend_map_to_completion(CoordinateMap("summation"), comp, 0, 1)
+        assert ext.bound == 2
 
     def test_coefficient_scales_the_bound(self):
         # f(e_1) = 3 e_0 and f(e_0) = -2 e_0 under the l1 gauge

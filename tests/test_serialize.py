@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borno.algebra import (
     DirectSum,
@@ -18,7 +20,7 @@ from borno.algebra import (
     matrix_element,
     unvec,
 )
-from borno.closedforms import EpsForm
+from borno.closedforms import EpsForm, WeightForm
 from borno.errors import SchemaError
 from borno.fixtures import corner_embedding
 from borno.maps import LinearMap
@@ -36,10 +38,14 @@ from borno.serialize import (
     canonical_json,
     descriptor_from_json,
     descriptor_to_json,
+    disk_form_from_json,
+    disk_form_to_json,
     disk_from_json,
     disk_to_json,
     element_from_json,
     element_to_json,
+    eps_from_json,
+    eps_to_json,
     instance_digest,
     map_from_json,
     map_to_json,
@@ -49,6 +55,8 @@ from borno.serialize import (
     sequence_to_json,
     vector_from_json,
     vector_to_json,
+    weight_from_json,
+    weight_to_json,
 )
 
 
@@ -179,7 +187,7 @@ class TestSequenceObjects:
 
     def test_eps_roundtrip_preserves_tower(self):
         eps = EpsForm.geometric(4, Fraction(1, 2)).sqrt()
-        back = EpsForm.from_dict(json.loads(json.dumps(eps.as_dict())))
+        back = roundtrip(eps, eps_to_json, eps_from_json)
         for m in (0, 3, 7):
             assert back.value_float(m) == eps.value_float(m)
 
@@ -187,6 +195,80 @@ class TestSequenceObjects:
         with pytest.raises(SchemaError):
             vector_from_json({"prefix": {"0": "1/0"}, "tails": [],
                               "tail_start": 0})
+
+
+def fractions(lo, hi):
+    return st.fractions(min_value=lo, max_value=hi, max_denominator=64)
+
+
+POSITIVE = fractions(Fraction(1, 64), 64)
+TAIL_RATIOS = fractions(Fraction(-63, 64), Fraction(63, 64)).filter(bool)
+WEIGHTS = st.builds(WeightForm, POSITIVE, POSITIVE, st.integers(0, 3))
+EPS_FORMS = st.one_of(
+    st.builds(lambda a, q, level: EpsForm("geom", a, q, level=level),
+              POSITIVE, fractions(Fraction(1, 64), 1), st.integers(0, 2)),
+    st.builds(lambda a, p, alpha, beta, level: EpsForm(
+        "invpoly", a, alpha=alpha, beta=beta, power=p, level=level),
+        POSITIVE, st.integers(1, 4), POSITIVE, POSITIVE, st.integers(0, 2)))
+DISK_FORMS = st.builds(DiskForm, st.sampled_from(["sum", "sup"]), WEIGHTS,
+                       POSITIVE)
+
+
+@st.composite
+def vectors(draw):
+    tails = draw(st.lists(st.tuples(fractions(-4, 4), TAIL_RATIOS),
+                          max_size=2))
+    start = draw(st.integers(1, 4)) if tails else 8
+    prefix = draw(st.dictionaries(st.integers(0, start - 1),
+                                  fractions(-4, 4), max_size=3))
+    return SeqVector(prefix, tails, start)
+
+
+SEQUENCES = st.builds(
+    SequenceModel,
+    st.lists(vectors(), max_size=2),
+    st.lists(st.builds(GeoTerm, fractions(-4, 4),
+                       st.one_of(st.just(Fraction(1)), TAIL_RATIOS),
+                       vectors(), st.integers(0, 2)), max_size=2),
+    st.lists(st.builds(WindowTerm, fractions(-4, 4), vectors(),
+                       st.integers(1, 3), st.integers(0, 3),
+                       fractions(-4, 4).filter(bool)), max_size=2))
+
+
+class TestClosedFormRoundtrips:
+    """to_json, then JSON text, then from_json gives the object back."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(WEIGHTS)
+    def test_weights(self, w):
+        assert roundtrip(w, weight_to_json, weight_from_json) == w
+
+    @settings(max_examples=60, deadline=None)
+    @given(EPS_FORMS)
+    def test_eps(self, eps):
+        assert roundtrip(eps, eps_to_json, eps_from_json) == eps
+
+    @settings(max_examples=60, deadline=None)
+    @given(DISK_FORMS)
+    def test_disk_forms(self, disk):
+        assert roundtrip(disk, disk_form_to_json, disk_form_from_json) == disk
+
+    @settings(max_examples=40, deadline=None)
+    @given(SEQUENCES)
+    def test_sequences(self, model):
+        back = roundtrip(model, sequence_to_json, sequence_from_json)
+        assert back.prefix == model.prefix
+        assert back.geo_terms == model.geo_terms
+        assert back.window_terms == model.window_terms
+
+    def test_json_number_reads_as_its_decimal_text(self):
+        assert (weight_from_json({"base": 0.1})
+                == weight_from_json({"base": "1/10"})
+                == WeightForm(1, Fraction(1, 10)))
+
+    def test_unknown_eps_kind_is_named(self):
+        with pytest.raises(SchemaError, match="unknown kind 'zzz'"):
+            eps_from_json({"kind": "zzz", "amp": "1"})
 
 
 class TestDigest:
