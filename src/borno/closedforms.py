@@ -1,8 +1,8 @@
 """Exact rational closed forms used by the sequence-space and finite-rank
 modules: weights c*b^k*(k+1)^p, coordinate forms with their sups and tail
-sums, geometric-polynomial series sums, null sequence descriptors closed
-under square roots, and nonnegative envelope sequences with an
-eventual-domination comparator.
+sums, series tails in closed form (O(p^2) terms whatever the start), decay
+starts of c*r^k*(k+s)^p, null sequence descriptors closed under square
+roots, and nonnegative envelopes with sups and a domination comparator.
 
 Everything here is Fraction arithmetic; no decision ever goes through a
 float.  Square roots of descriptors are handled by tracking a power-of-two
@@ -30,59 +30,36 @@ def _frac(x):
 
 
 # ---------------------------------------------------------------------------
-# polylogarithm-style sums: sum_{t>=T} t^p y^t, exact for rational |y| < 1
+# geometric-polynomial series, sups and decay indices, exact for rationals
 # ---------------------------------------------------------------------------
-
-def _poly_eval(coeffs, y):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * y + c
-    return acc
-
-
-def _eulerian_numerators(p):
-    """N_p with sum_{t>=0} t^p y^t = N_p(y) / (1-y)^(p+1)."""
-    n = [Fraction(1)]
-    for i in range(1, p + 1):
-        # N_i = y * (N'_{i-1} (1 - y) + i N_{i-1})
-        deriv = [k * c for k, c in enumerate(n)][1:] or [Fraction(0)]
-        term = [a - b for a, b in zip(deriv + [Fraction(0)],
-                                      [Fraction(0)] + deriv)]
-        # term = N' - y N'  (coefficients of N'(1-y))
-        combined = [Fraction(0)] * max(len(term), len(n))
-        for k, c in enumerate(term):
-            combined[k] += c
-        for k, c in enumerate(n):
-            combined[k] += i * c
-        n = [Fraction(0)] + combined  # multiply by y
-        while len(n) > 1 and n[-1] == 0:
-            n.pop()
-    return n
-
 
 def sum_poly_geom(power, y, start):
     """sum_{t >= start} t^power y^t, exact; requires |y| < 1."""
-    y = _frac(y)
-    if not abs(y) < 1:
-        raise ValueError("series requires |y| < 1")
-    if y == 0:
-        return Fraction(0) if (start > 0 or power > 0) else Fraction(1)
-    # full sum from 0, then subtract the finite head
-    full = _poly_eval(_eulerian_numerators(power), y) / (1 - y) ** (power + 1)
-    head = sum((Fraction(t) ** power if power else Fraction(1)) * y**t
-               for t in range(start))
-    return full - head
+    return sum_shift_poly_geom(power, 0, y, start)
 
 
 def sum_shift_poly_geom(power, shift, y, start, stride=1):
-    """sum_{t >= start} (stride t + shift)^power y^t, exact."""
+    """sum_{t >= start} (stride t + shift)^power y^t, exact; requires |y| < 1.
+
+    With t = start + u and base = stride start + shift the sum is
+    y^start sum_{i <= p} C(p,i) base^(p-i) stride^i N_i(y) / (1-y)^(i+1),
+    where sum_{u >= 0} u^i y^u = N_i(y) / (1-y)^(i+1) with N_0 = 1 and
+    N_i(y) = sum_{k < i} A(i,k) y^(k+1) for the Eulerian numbers
+    A(i,k) = sum_{j <= k} (-1)^j C(i+1,j) (k+1-j)^i (Graham, Knuth and
+    Patashnik, Concrete Mathematics, 6.2): O(p^2) terms whatever the start.
+    """
     y = _frac(y)
-    shift = _frac(shift)
+    if not abs(y) < 1:
+        raise ValueError("series requires |y| < 1")
+    base = stride * start + _frac(shift)
     total = Fraction(0)
     for i in range(power + 1):
-        total += (math.comb(power, i) * shift ** (power - i) * stride**i
-                  * sum_poly_geom(i, y, start))
-    return total
+        n_i = sum(sum((-1) ** j * math.comb(i + 1, j) * (k + 1 - j) ** i
+                      for j in range(k + 1)) * y ** (k + 1)
+                  for k in range(i)) if i else Fraction(1)
+        total += (math.comb(power, i) * base ** (power - i) * stride**i
+                  * n_i / (1 - y) ** (i + 1))
+    return y**start * total
 
 
 def first_true(pred, lo, hi=None):
@@ -105,26 +82,32 @@ def first_true(pred, lo, hi=None):
     return good
 
 
-def geom_poly_sup(c, b, p, start):
-    """sup_{k >= start} c b^k (k+1)^p for c > 0; returns (value, attained).
+def _step_ratio(ratio, power, k, shift):
+    """value(k+1)/value(k) of k -> ratio^k (k+shift)^power."""
+    return ratio * (Fraction(k + 1 + shift) / Fraction(k + shift)) ** power
 
-    ``attained`` is False when the supremum is only a limit.  Returns
-    (inf, False) for divergent combinations.
-    """
+
+def decay_start(ratio, power, start=0, shift=1, cap=None):
+    """First k in [start, cap] from which ratio^k (k+shift)^power is
+    nonincreasing, or None when it is not by the cap (no cap when None).
+
+    For ratio >= 0, power >= 0 and shift >= 1 the step ratio does not grow
+    with k, so once it is <= 1 it stays so, and first_true finds the first
+    such k."""
+    return first_true(lambda k: _step_ratio(ratio, power, k, shift) <= 1,
+                      start, cap)
+
+
+def geom_poly_sup(c, b, p, start):
+    """sup_{k >= start} c b^k (k+1)^p for c, p >= 0; inf when unbounded."""
     c, b = _frac(c), _frac(b)
     if c == 0:
-        return Fraction(0), True
-    if b > 1:
-        return INF, False
-    if b == 1:
-        if p > 0:
-            return INF, False
-        return c, True
-    # b < 1: the step ratio value(k+1)/value(k) does not grow with k, so the
-    # values rise up to the first k where it is <= 1 and never exceed it after
-    peak = first_true(
-        lambda k: b * (Fraction(k + 2) / Fraction(k + 1)) ** p <= 1, start)
-    return c * b**peak * Fraction(peak + 1) ** p, True
+        return Fraction(0)
+    if b > 1 or (b == 1 and p > 0):
+        return INF
+    # the values rise up to the decay start and never exceed it after
+    peak = decay_start(b, p, start)
+    return c * b**peak * Fraction(peak + 1) ** p
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +143,7 @@ class CoordForm:
         if self.coeff == 0:
             return Fraction(0)
         if self.power >= 0:
-            return geom_poly_sup(self.coeff, self.ratio, self.power, start)[0]
+            return geom_poly_sup(self.coeff, self.ratio, self.power, start)
         if self.ratio > 1:
             return INF
         return self.value(start)  # nonincreasing from the start
@@ -254,6 +237,8 @@ class EpsForm:
             raise ValueError("eps must be strictly positive")
         if self.kind == "geom" and not self.ratio > 0:
             raise ValueError("geometric ratio must be positive")
+        if self.kind == "invpoly" and not (self.alpha >= 0 and self.beta > 0):
+            raise ValueError("inverse-polynomial eps needs alpha >= 0, beta > 0")
 
     @staticmethod
     def geometric(a, q):
@@ -365,6 +350,21 @@ class Envelope:
             return INF
         return sum((t.value(m) for t in self.terms), Fraction(0))
 
+    def sup_from(self, n0, divisor=Fraction(1)):
+        """Upper bound for sup_{m >= n0} value(m) / divisor^m, or inf as soon
+        as a term does not decay (later Fraction sums must not meet a float)."""
+        if self.infinite:
+            return INF
+        total = Fraction(0)
+        for t in self.terms:
+            # (m + shift)^p <= shift^p (m + 1)^p for shift >= 1
+            sup = geom_poly_sup(t.coeff * Fraction(max(t.shift, 1)) ** t.power,
+                                t.ratio / divisor, t.power, n0)
+            if sup == INF:
+                return INF
+            total += sup
+        return total
+
     def dominated_from(self, eps, m_start):
         """Smallest M >= m_start with value(m) <= eps(m) for all m >= M.
 
@@ -382,9 +382,8 @@ class Envelope:
         for t in self.terms:
             m = m_start
             while True:
-                term_ratio = t.ratio * (Fraction(m + 1 + t.shift)
-                                        / Fraction(m + t.shift)) ** t.power
-                if eps.ratio_at_least(m, term_ratio):
+                if eps.ratio_at_least(m, _step_ratio(t.ratio, t.power, m,
+                                                     t.shift)):
                     break
                 m += 1
                 if m > m_start + scan_cap:

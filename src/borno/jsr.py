@@ -99,8 +99,6 @@ def _optimistic_rate(child_norm, exponent, length, log2_gen_max, depth):
     if child_norm == 0.0:
         return 0.0
     base = math.log2(child_norm) + exponent
-    if log2_gen_max == -math.inf:
-        return _exp2(base / length)
     return _exp2(max(base / length,
                      (base + (depth - length) * log2_gen_max) / depth))
 
@@ -291,7 +289,8 @@ class _HullStack:
 
     def __init__(self, columns):
         self.cols = np.stack(columns, axis=1)
-        self._pinv = None  # pinv(cols), computed when a screen first needs it
+        # pinv(cols) and rank(cols), computed when first needed
+        self._pinv = self._rank = None
         dim = self.cols.shape[0]
         self.duals = np.empty((0, dim))
         # each distinct basis of the solved LPs, in solving order: its columns
@@ -301,7 +300,7 @@ class _HullStack:
 
     def append(self, column):
         self.cols = np.concatenate([self.cols, column[:, None]], axis=1)
-        self._pinv = None
+        self._pinv = self._rank = None
 
     def upper(self, targets):
         """Per target column, the least ||z||_1 of a decomposition z that
@@ -333,7 +332,9 @@ class _HullStack:
         value, lam, dual = _hull_gauge_lp(self.cols, target)
         if lam is None:
             return value
-        basis = np.argsort(-np.abs(lam), kind="stable")[:np.linalg.matrix_rank(self.cols)]
+        if self._rank is None:
+            self._rank = np.linalg.matrix_rank(self.cols)
+        basis = np.argsort(-np.abs(lam), kind="stable")[:self._rank]
         cols = np.zeros((1,) + self.pinvs.shape[1:])
         cols[0, :, :len(basis)] = self.cols[:, basis]
         if not (self.basis_cols == cols).all(axis=(1, 2)).any():

@@ -24,6 +24,7 @@ from .closedforms import (
     EpsForm,
     WeightForm,
     _frac,
+    decay_start,
     first_true,
     geom_poly_sup,
     sum_shift_poly_geom,
@@ -274,17 +275,13 @@ def gauge_value(disk, x):
             best = max(best, w.value(k) * abs(val))
             t += 1
             if t >= t_star:
-                # sound bound for the unscanned remainder via per-ratio sups;
-                # (k+1)^p <= ((offset+stride)(t+1))^p for k = offset+stride*t
-                remainder = Fraction(0)
-                for rho, alpha in alphas:
-                    y_i = w.base**stride * rho
-                    c_i = (abs(alpha) * w.coeff * w.base**offset
-                           * Fraction(offset + stride) ** w.power)
-                    sup_i, _ = geom_poly_sup(c_i, y_i, w.power, t)
-                    if sup_i == INF:
-                        return INF
-                    remainder += sup_i
+                # per-ratio sups (finite: y_i <= y_d) bound the remainder;
+                # (k+1)^p <= ((offset+stride)(t+1))^p at k = offset+stride*t
+                remainder = sum((geom_poly_sup(
+                    abs(alpha) * w.coeff * w.base**offset
+                    * Fraction(offset + stride) ** w.power,
+                    w.base**stride * rho, w.power, t) for rho, alpha in alphas),
+                    Fraction(0))
                 if remainder <= max(best, limit):
                     break
             if t > 16 * _SCAN_CAP:
@@ -315,9 +312,7 @@ def window_gauge_envelope(u, disk):
         else:
             if y > 1 or (y == 1 and w.power > 0):
                 return Envelope((), True), valid_from
-            k0 = first_true(lambda k: y * (Fraction(k + 2) / Fraction(k + 1))
-                            ** w.power <= 1, 0)
-            valid_from = max(valid_from, k0)
+            valid_from = max(valid_from, decay_start(y, w.power))
             terms.append(EnvTerm(abs(a) * w.coeff * y / disk.scale, y, 2,
                                  w.power))
     return Envelope(terms), valid_from
@@ -396,12 +391,9 @@ class SequenceModel:
         return SequenceModel(geo_terms=(GeoTerm(1, 1, v),))
 
     @staticmethod
-    def geometric_multiple(v, c, r, constant_part=None):
-        """x_n = constant_part + c r^n v."""
-        terms = [GeoTerm(c, r, v)]
-        if constant_part is not None:
-            terms.append(GeoTerm(1, 1, constant_part))
-        return SequenceModel(geo_terms=tuple(terms))
+    def geometric_multiple(v, c, r):
+        """x_n = c r^n v."""
+        return SequenceModel(geo_terms=(GeoTerm(c, r, v),))
 
     @staticmethod
     def partial_sums_of_geometric(a, s):
@@ -598,22 +590,6 @@ class DecisionReport:
         return self.decision == "yes"
 
 
-def _env_sup_from(env, n0, divisor=Fraction(1)):
-    """Upper bound for sup_{n >= n0} env(n) / divisor^n; inf when a term
-    does not decay."""
-    if env.infinite:
-        return INF
-    total = Fraction(0)
-    for t in env.terms:
-        # (m + shift)^p <= shift^p (m + 1)^p for shift >= 1
-        sup = CoordForm(t.coeff * Fraction(max(t.shift, 1)) ** t.power,
-                        t.ratio / divisor, t.power).sup_from(n0)
-        if sup == INF:
-            return INF
-        total += sup
-    return total
-
-
 def _one_sided_ok(limit, xm, x, n0):
     """Certify gauge(x_n - x_m) <= gauge(limit - x_m) for all n >= n0.
 
@@ -672,8 +648,7 @@ def _decide_single_m(x, m, disk, eps, env, env_from, limit):
         g = gauge_value(disk, x.at(n).subtract(xm))
         if g == INF or not eps.ge_value(m, g):
             return (m, n)
-        look = max(n + 1, env_from)
-        tail_sup = _env_sup_from(env, look)
+        tail_sup = env.sup_from(max(n + 1, env_from))
         if d_inf != INF and tail_sup != INF and n + 1 >= env_from:
             if eps.ge_value(m, d_inf + tail_sup):
                 return None
@@ -703,10 +678,7 @@ def _hunt_violation(x, disk, eps):
 
 def _monotone_from(ratio, shift, power):
     """First index from which ratio^m (m+shift)^power is nonincreasing."""
-    # the step ratio does not grow with m for shift >= 1 and power >= 0
-    k = first_true(lambda m: ratio * (Fraction(m + 1 + shift)
-                                      / Fraction(m + shift)) ** power <= 1,
-                   0, 4 * _SCAN_CAP)
+    k = decay_start(ratio, power, 0, shift, 4 * _SCAN_CAP)
     if k is None:
         raise NotDecided("envelope term does not become monotone")
     return k
@@ -761,7 +733,7 @@ def dominating_eps(envelope):
         q = (1 + ratio_max) / 2
     else:
         q = max(ratio_max, floor)
-    amp = _env_sup_from(envelope, 0, q)
+    amp = envelope.sup_from(0, q)
     if amp == INF:
         return None
     return EpsForm.geometric(max(amp, Fraction(1, 10**9)), q)
@@ -894,10 +866,11 @@ def strengthened_series_check(space, disk_index, eps):
                 continue
             total = amp * ratio / (1 - ratio)  # sum over n >= 1
         else:
-            if eps.power < 2 or eps.level > 0:
+            if eps.power < 2 or eps.level > 0 or eps.alpha == 0:
                 continue
+            # (alpha n + beta)^p >= alpha^p n^2 for n >= 1 and p >= 2, so
             # sum_{n>=1} a/(alpha n + beta)^p <= (a/alpha^p) sum 1/n^2 < 5a/(3 alpha^p)
-            total = Fraction(5, 3) * eps.amp / eps.alpha ** min(eps.power, 2)
+            total = Fraction(5, 3) * eps.amp / eps.alpha ** eps.power
         bound = total * kappa
         return {
             "verdict": "bounded",

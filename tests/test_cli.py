@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import types
 
 import pytest
@@ -71,6 +72,8 @@ MALFORMED = [
     ("cauchy-geometric", ("payload", "disk"), -1, "payload.disk"),
     ("cauchy-geometric", ("payload", "disk"), 3, "payload.disk"),
     ("cauchy-geometric", ("payload", "disk"), 5, "payload.disk"),
+    ("cauchy-geometric", ("payload", "eps"),
+     {"kind": "invpoly", "amp": "1", "power": 1, "beta": "0"}, "payload.eps"),
 ]
 
 # values of the wrong type or shape, which crashed with a traceback or were
@@ -394,6 +397,25 @@ class TestApproxProperty:
         path.write_text(json.dumps(inst))
         assert run_cli(["run", "--input", str(path)]) == 3
         assert "not compact" in capsys.readouterr().err
+
+    def test_box_ratio_near_one_finishes(self, tmp_path):
+        # ratio 999/1000 starts the box's tail sums near index 2,000; their
+        # closed form costs the same whatever the start
+        inst = builtin_instances()["approx-truncation"]
+        inst["payload"]["set"]["ratio"] = "999/1000"
+        inst["payload"]["gauge"]["kind"] = "l1"
+        inst["payload"]["ops"]["orders"] = [1, 2, 3]
+        path, out = tmp_path / "approx.json", tmp_path / "report.json"
+        path.write_text(json.dumps(inst))
+        start = time.perf_counter()
+        assert run_cli(["run", "--input", str(path), "--out", str(out)]) == 1
+        assert time.perf_counter() - start < 10
+        report = json.loads(out.read_text())
+        assert report["verdicts"] == {"uniform": "converges",
+                                      "equivalence": "agree",
+                                      "approximation_property": "fail"}
+        assert ("extrapolated rank 16385"
+                in report["results"]["property"]["error"])
 
     def test_kernel_bug_propagates(self, monkeypatch):
         def broken(*args, **kwargs):

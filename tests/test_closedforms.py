@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import pytest
 
 from borno.closedforms import (CoordForm, EnvTerm, Envelope, EpsForm, _frac,
-                               first_true, geom_poly_sup, sum_shift_poly_geom)
+                               decay_start, first_true, geom_poly_sup,
+                               sum_poly_geom, sum_shift_poly_geom)
 
 INF = math.inf
 
@@ -106,6 +107,79 @@ class TestShiftedSums:
         total = sum_shift_poly_geom(1, 1, Fraction(1, 4), 0, 2)
         assert total == Fraction(20, 9)
 
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.integers(0, 6),
+           shift=st.fractions(-8, 8, max_denominator=6),
+           stride=st.integers(1, 3), start=st.integers(0, 200),
+           y=st.one_of(st.just(Fraction(0)),
+                       st.fractions(Fraction(-99, 100), Fraction(99, 100),
+                                    max_denominator=100)))
+    def test_matches_full_sum_minus_head(self, p, shift, stride, start, y):
+        assert (sum_shift_poly_geom(p, shift, y, start, stride)
+                == shift_sum_by_head(p, shift, y, start, stride))
+
+    def test_eulerian_sum_matches_the_recurrence(self):
+        # the full sums from 0 carry N_p(y) / (1-y)^(p+1), for p <= 8
+        for p in range(9):
+            for y in (Fraction(1, 2), Fraction(-2, 3), Fraction(9, 10)):
+                numer = sum_poly_geom(p, y, 0) * (1 - y) ** (p + 1)
+                assert numer == poly_eval(eulerian_by_recurrence(p), y)
+
+    def test_start_far_out_is_fast_and_exact(self):
+        # the closed form sums no head, so the start does not enter its cost
+        y = Fraction(99, 100)
+        far = sum_poly_geom(2, y, 2000)
+        near = sum_poly_geom(2, y, 1990)
+        assert near - far == sum(Fraction(t) ** 2 * y**t
+                                 for t in range(1990, 2000))
+
+    def test_zero_ratio(self):
+        assert sum_shift_poly_geom(0, 5, 0, 0) == 1
+        assert sum_shift_poly_geom(3, 2, 0, 0) == 8
+        assert sum_shift_poly_geom(3, 2, 0, 1) == 0
+        with pytest.raises(ValueError, match="requires"):
+            sum_shift_poly_geom(1, 0, 1, 0)
+
+
+def poly_eval(coeffs, y):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * y + c
+    return acc
+
+
+def eulerian_by_recurrence(p):
+    """N_p with sum_{t>=0} t^p y^t = N_p(y) / (1-y)^(p+1), from
+    N_i = y (N'_{i-1} (1 - y) + i N_{i-1})."""
+    n = [Fraction(1)]
+    for i in range(1, p + 1):
+        deriv = [k * c for k, c in enumerate(n)][1:] or [Fraction(0)]
+        term = [a - b for a, b in zip(deriv + [Fraction(0)],
+                                      [Fraction(0)] + deriv)]
+        combined = [Fraction(0)] * max(len(term), len(n))
+        for k, c in enumerate(term):
+            combined[k] += c
+        for k, c in enumerate(n):
+            combined[k] += i * c
+        n = [Fraction(0)] + combined
+        while len(n) > 1 and n[-1] == 0:
+            n.pop()
+    return n
+
+
+def shift_sum_by_head(power, shift, y, start, stride=1):
+    """The series as the full sums from 0 minus a head of ``start`` terms,
+    expanded binomially in the shift: the formula the closed form replaced."""
+    def poly_geom(i):
+        if y == 0:
+            return Fraction(0) if (start > 0 or i > 0) else Fraction(1)
+        full = poly_eval(eulerian_by_recurrence(i), y) / (1 - y) ** (i + 1)
+        head = sum((Fraction(t) ** i if i else Fraction(1)) * y**t
+                   for t in range(start))
+        return full - head
+    return sum((math.comb(power, i) * shift ** (power - i) * stride**i
+                * poly_geom(i) for i in range(power + 1)), Fraction(0))
+
 
 class TestExactInputs:
     def test_floats_keep_their_binary_value(self):
@@ -155,7 +229,7 @@ def geom_poly_sup_scan(c, b, p, start):
             break
         k += 1
         best = max(best, c * b**k * Fraction(k + 1) ** p)
-    return best, True
+    return best
 
 
 class TestFirstTrue:
@@ -202,3 +276,36 @@ class TestGeomPolySupWalk:
     def test_property_against_the_walk(self, c, r, p, start):
         assert geom_poly_sup(c, r, p, start) == geom_poly_sup_scan(c, r, p,
                                                                    start)
+
+
+class TestDecayStart:
+    @SETTINGS
+    @given(r=decaying, p=st.integers(0, 4), start=st.integers(0, 60),
+           shift=st.integers(1, 5))
+    def test_matches_the_linear_scan(self, r, p, start, shift):
+        def pred(k):
+            return r * (Fraction(k + 1 + shift) / Fraction(k + shift)) ** p <= 1
+        assert decay_start(r, p, start, shift) == linear_first_true(pred, start)
+
+    def test_cap_is_inclusive(self):
+        # (11/12) (k+2)/(k+1) <= 1 exactly from k = 10 on, (12/13) from 11
+        assert decay_start(Fraction(11, 12), 1, cap=10) == 10
+        assert decay_start(Fraction(12, 13), 1, cap=10) is None
+
+
+class TestEnvelopeSup:
+    def test_bounds_the_window(self):
+        env = Envelope([EnvTerm(Fraction(3), Fraction(9, 10), 2, 2),
+                        EnvTerm(Fraction(1), Fraction(1, 2), 1, 0)])
+        for n0 in (0, 5, 40):
+            assert env.sup_from(n0) >= max(env.value(m)
+                                           for m in range(n0, n0 + 300))
+        # with divisor 1/2 every term's ratio doubles
+        assert env.sup_from(3, Fraction(1, 2)) == INF
+
+    def test_returns_inf_before_adding_later_terms(self):
+        env = Envelope([EnvTerm(Fraction(1), Fraction(2), 1, 0),
+                        EnvTerm(Fraction(1), Fraction(1, 2), 1, 0)])
+        assert env.sup_from(0) == INF
+        assert Envelope((), True).sup_from(0) == INF
+        assert Envelope(()).sup_from(7) == 0

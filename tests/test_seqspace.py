@@ -174,6 +174,24 @@ class TestCauchyCheck:
         assert tight.violating_pair == (2, 7)
 
 
+    def test_one_sided_boundary_closes_the_first_index(self, monkeypatch):
+        # x_n = e0 - 2^-n e0 + (1/8)(-1/4)^n e0: at m = 0 the limit sits
+        # exactly on the budget, |e0 - x_0| = 7/8 = eps_0, and every later
+        # x_n lies between x_0 and the limit, which only _one_sided_ok sees
+        e0 = SeqVector.unit(0, 1)
+        x = SequenceModel(geo_terms=(GeoTerm(1, 1, e0), GeoTerm(-1, HALF, e0),
+                                     GeoTerm(Fraction(1, 8), Fraction(-1, 4),
+                                             e0)))
+        eps = EpsForm.geometric(Fraction(7, 8), Fraction(3, 4))
+        rep = cauchy_check(x, L1, 0, eps)
+        assert rep.holds and rep.witness["certified_from"] == 1
+        monkeypatch.setattr("borno.seqspace._one_sided_ok",
+                            lambda *args: False)
+        with pytest.raises(NotDecided, match="pair check at m=0 did not "
+                           "close within the scan cap"):
+            cauchy_check(x, L1, 0, eps)
+
+
 class TestConvergenceCheck:
     def test_geometric_approach(self):
         model = SequenceModel(geo_terms=(
@@ -270,6 +288,27 @@ class TestMetrizability:
         out = strengthened_series_check(L1, 0, eps)
         assert out["bound"] == Fraction(2**20 + 1, 2**20 - 1)
         assert 1 < out["bound"] < 1 + Fraction(1, 10**5)
+
+    def test_strengthened_series_inverse_poly_bound_is_sound(self):
+        # sum_{n>=1} 1/(n/2 + 1/100)^3 is about 9.12, above (5/3)/(1/2)^2;
+        # the bound is (5/3) / (1/2)^3 = 40/3
+        eps = EpsForm("invpoly", 1, alpha=HALF, beta=Fraction(1, 100), power=3)
+        out = strengthened_series_check(L1, 0, eps)
+        assert out["verdict"] == "bounded"
+        assert out["bound"] == Fraction(40, 3)
+        partial = math.fsum(1 / (n / 2 + 0.01) ** 3 for n in range(1, 10**5))
+        assert 9.1 < partial < out["bound"]
+
+    def test_strengthened_series_skips_constant_inverse_poly(self):
+        # alpha = 0: eps_n = a / beta^p is not null, so no disk absorbs it
+        eps = EpsForm("invpoly", 1, alpha=0, beta=2, power=2)
+        assert strengthened_series_check(L1, 0, eps)["verdict"] == "fail"
+
+    @pytest.mark.parametrize("alpha, beta", [(1, 0), (0, 0), (-1, 3),
+                                             (1, -1)])
+    def test_inverse_poly_eps_needs_a_positive_denominator(self, alpha, beta):
+        with pytest.raises(ValueError, match="alpha >= 0, beta > 0"):
+            EpsForm("invpoly", 1, alpha=alpha, beta=beta, power=1)
 
     def test_strengthened_series_fails_for_constant_eps(self):
         # sup-gauge with growing weights against a non-decaying eps: the

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from borno.closedforms import EpsForm
+from borno.closedforms import EpsForm, WeightForm
 from borno.errors import NotDecided
 from borno.seqspace import (
     DiskForm,
@@ -161,6 +161,83 @@ def test_subsequences_evaluate_consistently(seed):
     sub = model.subsequence(a, b)
     for n in range(12):
         assert sub.at(n) == model.at(a * n + b)
+
+
+# weighted disks, inverse-polynomial budgets, prefixes and windows that are
+# not nested (stride 2, an offset, or a decaying ratio): the draws above
+# reach none of them
+SMALL_RATIOS = [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3),
+                Fraction(-1, 3), Fraction(1, 4)]
+WEIGHTED_DISKS = [DiskForm(kind, weight) for kind in ("sum", "sup")
+                  for weight in (WeightForm.geometric(1, Fraction(3, 2)),
+                                 WeightForm.polynomial(1, 1))]
+
+
+def pick(rng, values):
+    return values[rng.integers(len(values))]
+
+
+def small_vector(rng):
+    prefix = {int(rng.integers(0, 4)): pick(rng, COEFFS)
+              for _ in range(int(rng.integers(0, 3)))}
+    tails = (((pick(rng, COEFFS), pick(rng, SMALL_RATIOS)),)
+             if rng.random() < 0.5 else ())
+    v = SeqVector(prefix, tails, max(prefix, default=-1) + 1)
+    return SeqVector.unit(int(rng.integers(0, 4)), 1) if v.is_zero else v
+
+
+def windowed_model(rng):
+    geo = [GeoTerm(1, 1, small_vector(rng))] if rng.random() < 0.5 else []
+    for _ in range(int(rng.integers(1, 3))):
+        geo.append(GeoTerm(pick(rng, COEFFS), pick(rng, SMALL_RATIOS),
+                           small_vector(rng)))
+    u = SeqVector.geometric(pick(rng, COEFFS), abs(pick(rng, SMALL_RATIOS)))
+    stride, offset, ratio = pick(rng, [(2, 0, 1), (1, 1, 1), (1, 2, 1),
+                                       (1, 0, Fraction(1, 2))])
+    window = WindowTerm(pick(rng, COEFFS), u, stride, offset, ratio)
+    prefix = tuple(small_vector(rng) for _ in range(int(rng.integers(0, 3))))
+    return SequenceModel(prefix, tuple(geo), (window,))
+
+
+def inverse_poly_eps(rng):
+    return EpsForm("invpoly", pick(rng, [Fraction(1), Fraction(4),
+                                         Fraction(16)]),
+                   alpha=pick(rng, [Fraction(1, 2), Fraction(1), Fraction(2)]),
+                   beta=pick(rng, [Fraction(1), Fraction(2)]),
+                   power=int(rng.integers(1, 3)))
+
+
+def violates(disk, eps, m, diff):
+    g = gauge_value(disk, diff)
+    return g == math.inf or not eps.ge_value(m, g)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_weighted_windowed_decisions_match_window(seed):
+    rng = np.random.default_rng([0x51DE, seed])
+    disk = pick(rng, WEIGHTED_DISKS)
+    space = ModelSpace((disk,))
+    model = windowed_model(rng)
+    eps = inverse_poly_eps(rng)
+    xs = [model.at(n) for n in range(WINDOW)]
+    limit = model.limit_vector()
+    for check in (cauchy_check, convergence_check):
+        try:
+            report = check(model, space, 0, eps)
+        except NotDecided:
+            continue  # outside the decidable fragment, honestly reported
+        if check is cauchy_check:
+            window = ((m, n, xs[m]) for m in range(WINDOW)
+                      for n in range(m + 1, WINDOW))
+        else:
+            window = ((n, n, limit) for n in range(WINDOW))
+        if report.holds:
+            assert not any(violates(disk, eps, m, xs[n].subtract(base))
+                           for m, n, base in window)
+        else:
+            m, n = report.violating_pair
+            base = model.at(m) if check is cauchy_check else limit
+            assert violates(disk, eps, m, model.at(n).subtract(base))
 
 
 # sha256 of golden_decisions(); a change to any decision, certified_from,
