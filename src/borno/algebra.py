@@ -226,10 +226,6 @@ def scalar_element(value, norm_kind=OP2):
 grid_element = AlgebraElement  # from per-point fiber data or elements
 
 
-def zero(descriptor):
-    return AlgebraElement(descriptor, coords=np.zeros(linear_dim(descriptor)))
-
-
 def identity(descriptor):
     coords = np.zeros(linear_dim(descriptor))
     for stack, _kind in _stacks(descriptor, coords):
@@ -309,7 +305,8 @@ def _power_iteration_bracket(mat):
         w = gram @ v
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
-            return 0.0, True, (0.0, upper)
+            # the start vector lies in the kernel of A^H A, but A is nonzero
+            return 0.0, False, (0.0, upper)
         v_new = w / nw
         sigma_new = math.sqrt(nw)
         if abs(sigma_new - sigma) <= NORM_TOL * max(sigma_new, 1e-300):
@@ -541,13 +538,10 @@ def _flatten_disk(disk, mult=1.0):
 
 @cache
 def _highs():
-    """scipy's HiGHS binding and the options ``linprog(method="highs")`` sets,
-    or None where scipy has no such binding (before 1.15).  Loaded on the
-    first LP: importing scipy's optimizer costs more than ``import borno``."""
-    try:
-        from scipy.optimize._highspy import _core
-    except ImportError:
-        return None
+    """scipy's HiGHS binding and the options ``linprog(method="highs")`` sets.
+    Loaded on the first LP: importing scipy's optimizer costs more than
+    ``import borno``."""
+    from scipy.optimize._highspy import _core
     options = _core.HighsOptions()
     options.presolve = "on"
     options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
@@ -564,10 +558,7 @@ def _solve_lp(c, a_eq, b_eq, a_ub=None, b_ub=None):
     linprog's.  As in linprog, an optimum must be feasible within ``LP_TOL``;
     any other outcome raises NumericalFailure.
     """
-    highs = _highs()
-    if highs is None:
-        return _linprog_lp(c, a_eq, b_eq, a_ub, b_ub)
-    core, options = highs
+    core, options = _highs()
     n_ub = 0 if a_ub is None else len(a_ub)
     a = a_eq if a_ub is None else np.concatenate([a_ub, a_eq])
     upper = b_eq if a_ub is None else np.concatenate([b_ub, b_eq])
@@ -594,15 +585,6 @@ def _solve_lp(c, a_eq, b_eq, a_ub=None, b_ub=None):
             and np.all(np.abs(slack[n_ub:]) <= LP_TOL)):
         raise NumericalFailure(f"LP optimum is infeasible by more than {LP_TOL}")
     return x, solver.getInfo().objective_function_value, np.array(solution.row_dual)
-
-
-def _linprog_lp(c, a_eq, b_eq, a_ub=None, b_ub=None):
-    """:func:`_solve_lp` by ``scipy.optimize.linprog``."""
-    from scipy.optimize import linprog
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, method="highs")
-    if not res.success:
-        raise NumericalFailure(f"LP failed: {res.message}")
-    return res.x, res.fun, np.concatenate([res.ineqlin.marginals, res.eqlin.marginals])
 
 
 linprog = _solve_lp  # the name perfbench/tracing.py times the LPs under

@@ -157,15 +157,6 @@ class HomotopyCertificate:
     sup_bound: float
     verdict: str
 
-    def as_dict(self):
-        return {
-            "t_grid": list(self.t_grid),
-            "per_t_upper": [e.upper for e in self.per_t],
-            "segment_bounds": list(self.segment_bounds),
-            "sup_bound": self.sup_bound,
-            "verdict": self.verdict,
-        }
-
 
 def _homotopy_coefficients(h0, h1, gens):
     """Per-pair quadratic coefficients of t -> omega_{h_t}(x, y) over the

@@ -179,7 +179,8 @@ def _run_apple(payload, cfg):
         "h_approximately_multiplicative":
             report["h_approximately_multiplicative"],
         "sigma_rates": report["sigma_rates"],
-        "homotopy": report["homotopy"].as_dict() if report["homotopy"] else None,
+        "homotopy": (serialize.homotopy_to_json(report["homotopy"])
+                     if report["homotopy"] else None),
         "verdict": report["verdict"],
     }
     return {"apple": report["verdict"]}, results

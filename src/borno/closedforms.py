@@ -99,10 +99,9 @@ def decay_start(ratio, power, start=0, shift=1, cap=None):
 
 
 def geom_poly_sup(c, b, p, start):
-    """sup_{k >= start} c b^k (k+1)^p for c, p >= 0; inf when unbounded."""
+    """sup_{k >= start} c b^k (k+1)^p for c > 0 and p >= 0; inf when
+    unbounded.  Every caller settles c = 0 first."""
     c, b = _frac(c), _frac(b)
-    if c == 0:
-        return Fraction(0)
     if b > 1 or (b == 1 and p > 0):
         return INF
     # the values rise up to the decay start and never exceed it after
@@ -248,13 +247,6 @@ class EpsForm:
             raise ValueError("geometric eps needs 0 < q <= 1")
         return EpsForm("geom", a, q)
 
-    @staticmethod
-    def inverse_poly(a, p):
-        """eps_m = a / (m+1)^p with p >= 1."""
-        if p < 1:
-            raise ValueError("inverse-polynomial eps needs power >= 1")
-        return EpsForm("invpoly", _frac(a), power=p)
-
     @property
     def is_null(self):
         if self.kind == "geom":
@@ -346,8 +338,7 @@ class Envelope:
         self.infinite = bool(infinite)
 
     def value(self, m):
-        if self.infinite:
-            return INF
+        """The finite envelope's value; every caller checks ``infinite`` first."""
         return sum((t.value(m) for t in self.terms), Fraction(0))
 
     def sup_from(self, n0, divisor=Fraction(1)):

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .closedforms import INF, SUP, CoordForm, WeightForm, _frac
+from .closedforms import INF, SUP, CoordForm, WeightForm, _frac, first_true
 from .errors import BornoError, EquiboundednessError, InvariantViolation
 
 L1 = "l1"
@@ -410,15 +410,12 @@ def local_approx_property_check(s, t_gauge, tolerance, rank_budget=128):
             rank = n + 1  # coordinates 0..n
             break
     if rank is None:
-        required = len(raws)
-        n = rank_budget
-        while n < 10**6:
-            n += max(1, n)
-            if _rate_of_pair(OperatorModel.truncation(n), identity, s,
-                             t_gauge)[0] <= target:
-                required = n + 1
-                break
-        raise RankBudgetError(rank_budget, required)
+        # the rate of truncation(n) is the box's tail gauge from n + 1: it
+        # does not grow with n and tends to 0 on a compact box
+        n = first_true(lambda n: _rate_of_pair(
+            OperatorModel.truncation(n), identity, s, t_gauge)[0] <= target,
+            rank_budget + 1)
+        raise RankBudgetError(rank_budget, n + 1)
     scale = t_gauge.finalize(
         t_gauge.of_magnitudes([(s.envelope.abs_form(), 0, None)]))
     return ApproxPropertyReport(rank, tuple(t_gauge.finalize(r) for r in raws),

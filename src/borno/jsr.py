@@ -378,12 +378,6 @@ class _HullStack:
                     self.basis_cols[-1], self.pinvs[-1], prods), out=upper)
 
 
-def _closure_max(generators, stack=None):
-    """:meth:`_HullStack.closure_max` on the generators' ``stack``, or a new one."""
-    stack = stack or _HullStack([_real_rows(g.coords) for g in generators])
-    return stack.closure_max(generators)
-
-
 def submultiplicative_hull(s, r, max_products=512):
     """Finite disked hull T with S <= r*T and T*T inside (1+defect)*T.
 
@@ -435,7 +429,7 @@ def submultiplicative_hull(s, r, max_products=512):
         frontier = new_frontier
 
     # S <= r*T by construction: the scaled generators are T's first ones
-    defect = max(0.0, _closure_max(generators, stack) - 1.0)
+    defect = max(0.0, stack.closure_max(generators) - 1.0)
     return HullCertificate(FiniteHull(tuple(generators)), r, defect)
 
 

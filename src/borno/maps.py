@@ -66,9 +66,6 @@ class LinearMap:
             raise DescriptorMismatch(other.source, self.source, "map difference")
         return LinearMap(self.source, self.target, self.action - other.action)
 
-    def scaled(self, c):
-        return LinearMap(self.source, self.target, c * self.action)
-
     @staticmethod
     def identity(descriptor):
         d = linear_dim(descriptor)

@@ -29,7 +29,7 @@ from .closedforms import (
     geom_poly_sup,
     sum_shift_poly_geom,
 )
-from .errors import NotDecided, UnboundedMap
+from .errors import InvariantViolation, NotDecided, UnboundedMap
 
 SUM = "sum"
 
@@ -169,8 +169,10 @@ class SeqVector:
         return self.subtract(other).is_zero
 
     def __hash__(self):
-        return hash((tuple(sorted(self.prefix.items())), self.tails,
-                     self.tail_start))
+        # equal vectors have the same merged tails, and without tails the
+        # same prefix; a tail start can move over materialized coordinates
+        return hash(self.tails if self.tails
+                    else tuple(sorted(self.prefix.items())))
 
     def __repr__(self):
         return (f"SeqVector({dict(sorted(self.prefix.items()))}, "
@@ -652,12 +654,11 @@ def _decide_single_m(x, m, disk, eps, env, env_from, limit):
         if d_inf != INF and tail_sup != INF and n + 1 >= env_from:
             if eps.ge_value(m, d_inf + tail_sup):
                 return None
-            if eps.ge_value(m, d_inf) and eps.le_value(m, d_inf):
-                # boundary: the limit sits exactly on the budget
-                if tail_sup == 0:
-                    return None
-                if _one_sided_ok(limit, xm, x, n + 1):
-                    return None
+            # boundary: the limit sits exactly on the budget (tail_sup > 0,
+            # or the check above would have closed the pair)
+            if (eps.ge_value(m, d_inf) and eps.le_value(m, d_inf)
+                    and _one_sided_ok(limit, xm, x, n + 1)):
+                return None
         n += 1
         steps += 1
         if steps > _SCAN_CAP:
@@ -720,23 +721,18 @@ def pair_deviation_envelope(x, disk):
 
 def dominating_eps(envelope):
     """A geometric EpsForm with eps(m) >= envelope(m) for all m >= 0, with
-    ratio at least 1/2."""
-    floor = Fraction(1, 2)
-    if envelope.infinite:
-        return None
-    if not envelope.terms:
-        return EpsForm.geometric(1, floor)
+    ratio at least 1/2, for a finite envelope of terms with ratios below 1.
+
+    Its one caller passes the canonical witness's pair envelope: nonzero
+    terms whose ratio base * s is at most 1/2, so the sup below is finite
+    and positive.
+    """
     ratio_max = max(t.ratio for t in envelope.terms)
-    if ratio_max >= 1:
-        return None
     if any(t.power > 0 and t.ratio == ratio_max for t in envelope.terms):
         q = (1 + ratio_max) / 2
     else:
-        q = max(ratio_max, floor)
-    amp = envelope.sup_from(0, q)
-    if amp == INF:
-        return None
-    return EpsForm.geometric(max(amp, Fraction(1, 10**9)), q)
+        q = max(ratio_max, Fraction(1, 2))
+    return EpsForm.geometric(envelope.sup_from(0, q), q)
 
 
 def cauchy_check(x, space, disk_index, eps):
@@ -893,16 +889,6 @@ def _canonical_witness(space, disk_index):
     return SequenceModel.partial_sums_of_geometric(Fraction(1), s)
 
 
-def _witness_eps(space, disk_index):
-    disk = space.disk(disk_index)
-    model = _canonical_witness(space, disk_index)
-    env, _vf = pair_deviation_envelope(model, disk)
-    eps = dominating_eps(env)
-    if eps is None:
-        raise NotDecided("canonical witness has no dominating descriptor")
-    return eps
-
-
 @dataclass(frozen=True)
 class CompletenessVerdict:
     disk_index: int
@@ -939,17 +925,16 @@ def completeness_check(space, condition="iii"):
                                   "infinite-support limit"))
         elif condition == "iv":
             model = _canonical_witness(space, idx)
-            eps = _witness_eps(space, idx)
-            cauchy = cauchy_check(model, space, idx, eps)
+            env, _vf = pair_deviation_envelope(model, space.disk(idx))
+            eps = dominating_eps(env)
+            # every pair gauge of the partial sums at m is at most the pair
+            # envelope's sup from m, which the decreasing eps dominates, so
+            # the decision can only be "yes"
+            if not cauchy_check(model, space, idx, eps).holds:
+                raise InvariantViolation("canonical witness is not Cauchy "
+                                         "under its dominating eps")
             limit = model.limit_vector()
-            in_space = space.contains(limit)
-            if not cauchy.holds:
-                verdicts.append(CompletenessVerdict(
-                    idx, True,
-                    justification="witness not Cauchy at this gauge; "
-                                  "no counterexample"))
-                continue
-            if not in_space:
+            if not space.contains(limit):
                 verdicts.append(CompletenessVerdict(
                     idx, False, witness=model,
                     justification="Cauchy witness has its limit outside "
@@ -1044,20 +1029,25 @@ class Completion:
 
 
 def _combine_eps(e1, e2):
-    """A descriptor dominating e1 + e2, staying in the closed family."""
-    if (e1.kind, e1.level) == (e2.kind, e2.level):
-        if e1.kind == "geom":
-            if e1.ratio == e2.ratio:
-                return EpsForm("geom", e1.amp + e2.amp, e1.ratio,
-                               level=e1.level)
-            slower = e1 if e1.ratio > e2.ratio else e2
-            return slower.scaled(2)
-        if (e1.alpha, e1.beta) == (e2.alpha, e2.beta):
-            smaller_p = min(e1.power, e2.power)
-            amp = max(e1.amp, e2.amp)
-            return EpsForm("invpoly", 2 * amp, alpha=e1.alpha, beta=e1.beta,
-                           power=smaller_p, level=e1.level)
-    raise NotDecided("cannot combine eps descriptors of different shapes")
+    """A descriptor with eps(m) >= e1(m) + e2(m) for all m >= 0, staying in
+    the closed family.
+
+    At tower level L both sides are compared at the power n = 2^L, where
+    (x + y)^n <= 2^(n-1) (x^n + y^n).  Geometric towers a_i r_i^m then add
+    up below (a_1 + a_2) max(r_1, r_2)^m; inverse-polynomial towers with one
+    alpha and beta below (a_1 + a_2) beta^-|p_1 - p_2| / (alpha m + beta)^p
+    for the smaller power p, as alpha m + beta >= beta.
+    """
+    if (e1.kind, e1.level) != (e2.kind, e2.level) or (
+            e1.kind == "invpoly" and (e1.alpha, e1.beta) != (e2.alpha, e2.beta)):
+        raise NotDecided("cannot combine eps descriptors of different shapes")
+    amp = 2 ** (2**e1.level - 1) * (e1.amp + e2.amp)
+    if e1.kind == "geom":
+        return EpsForm("geom", amp, max(e1.ratio, e2.ratio), level=e1.level)
+    gap = abs(e1.power - e2.power)
+    return EpsForm("invpoly", amp * max(1, e1.beta**-gap), alpha=e1.alpha,
+                   beta=e1.beta, power=min(e1.power, e2.power),
+                   level=e1.level)
 
 
 def completion_construct(space):

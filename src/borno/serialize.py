@@ -481,6 +481,18 @@ def decision_to_json(report):
     }
 
 
+def homotopy_to_json(cert):
+    """A linear-homotopy certificate, each grid point's radius estimate by
+    its upper bound."""
+    return {
+        "t_grid": list(cert.t_grid),
+        "per_t_upper": [e.upper for e in cert.per_t],
+        "segment_bounds": list(cert.segment_bounds),
+        "sup_bound": cert.sup_bound,
+        "verdict": cert.verdict,
+    }
+
+
 # ---------------------------------------------------------------------------
 # canonical hashing
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from borno.algebra import (
     unvec,
     vec,
 )
-from borno.errors import DescriptorMismatch, UnsupportedDisk
+from borno.errors import DescriptorMismatch, NumericalFailure, UnsupportedDisk
 
 
 def random_matrix(rng, dim, norm_kind="op2"):
@@ -351,6 +351,12 @@ class TestEquality:
             assert hash(a) == hash(b)
             assert len({a, b}) == 1
 
+    def test_repr_and_foreign_operands(self):
+        a = matrix_element([[2.0]])
+        assert repr(a) == ("AlgebraElement(M1[op2], "
+                           "coords=array([2.+0.j]))")
+        assert a != 2.0 and a != [[2.0]]
+
 
 ROW_DESCS = [
     MatrixAlgebra(1), MatrixAlgebra(3), MatrixAlgebra(3, "maxrow"),
@@ -481,3 +487,51 @@ class TestFallbackKernels:
             lo, hi = _gelfand_bracket(m, "op2", kmax=32)
             rho = float(np.max(np.abs(np.linalg.eigvals(m))))
             assert lo <= rho <= hi * (1 + 1e-9)
+
+    @staticmethod
+    def failing(real, stacks_only=False):
+        """``real`` that raises LinAlgError, on every call or only on
+        stacks of more than one matrix."""
+        def call(a, *args, **kwargs):
+            if not stacks_only or (a.ndim == 3 and len(a) > 1):
+                raise np.linalg.LinAlgError("did not converge")
+            return real(a, *args, **kwargs)
+        return call
+
+    @pytest.mark.parametrize("data, bracket", [
+        # A^H A kills the start vector (1, 1)/sqrt 2, though |A| = 2
+        ([[1.0, -1.0], [1.0, -1.0]], (0.0, 2.0)),
+        # singular values 1 and 0.999: 2,000 steps do not settle sigma
+        ([[1.0, 0.0], [0.0, 0.999]], (0.9999996651526147, 1.4135066324570253)),
+    ])
+    def test_power_iteration_that_cannot_certify_raises(self, monkeypatch,
+                                                        data, bracket):
+        from borno.algebra import _power_iteration_bracket
+        est, ok, got = _power_iteration_bracket(np.array(data, complex))
+        assert not ok and got == pytest.approx(bracket, rel=1e-12)
+        monkeypatch.setattr(np.linalg, "svd", self.failing(np.linalg.svd))
+        with pytest.raises(NumericalFailure, match="best bracket") as info:
+            norm(matrix_element(data))
+        assert info.value.bracket == got
+
+    def test_eigvals_failing_on_stacks_retries_each_matrix(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        desc = GridFunctionAlgebra(GridSpec.circle(3), MatrixAlgebra(2))
+        rows = rng.standard_normal((4, 12)) + 1j * rng.standard_normal((4, 12))
+        want = spectral_radii(desc, rows)
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            self.failing(np.linalg.eigvals, stacks_only=True))
+        assert spectral_radii(desc, rows).tobytes() == want.tobytes()
+
+    def test_eigvals_failing_on_a_matrix_raises_its_gelfand_bracket(
+            self, monkeypatch):
+        # the square of a matrix with entries 2^600 overflows (with numpy's
+        # warnings), which stops the bracket after its first power
+        big = matrix_element(math.ldexp(1.0, 600) * np.array([[1.0, 1.0],
+                                                              [0.0, 1.0]]))
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            self.failing(np.linalg.eigvals))
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(NumericalFailure, match="eigenvalue") as info:
+                spectral_radius_single(big)
+        assert info.value.bracket == (0.0, norm(big))

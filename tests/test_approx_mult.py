@@ -120,6 +120,16 @@ class TestApproximateMultiplicativity:
         assert abs(cs.set.generators[0].data[0, 0]) == pytest.approx(1.0)
 
 
+    def test_wide_interval_is_inconclusive(self):
+        # g(1) = A = [[1/5, 5], [0, 1/5]] has curvature A - A^2 =
+        # [[4/25, 3], [0, 4/25]]: radius 4/25, norm above 3, so depth 1
+        # brackets the radius by [4/25, 3.01] around 1
+        g = LinearMap(SCALAR, MatrixAlgebra(2), [[0.2], [5.0], [0.0], [0.2]])
+        assert is_approximately_multiplicative(g, unit_scalar_set(),
+                                               depth=1) == "inconclusive"
+        assert is_approximately_multiplicative(g, unit_scalar_set()) == "yes"
+
+
 class TestSigmaApproximation:
     def test_exact_inverse_gives_zero_rates(self):
         f = Homomorphism.identity(MatrixAlgebra(2))
@@ -232,6 +242,19 @@ class TestAppleCertificate:
                                 depth=4)
         assert out["verdict"] == "pass"
         assert out["homotopy"].sup_bound < 1.0
+
+    def test_rates_that_do_not_converge_are_inconclusive(self):
+        # the zero sigma leaves f o sigma - id = -id: every rate is the
+        # pushed set's norm, while the other stages pass
+        f = Homomorphism.identity(MatrixAlgebra(2))
+        sigma = LinearMap.zero(f.target, f.source)
+        s = bounded_set([scale(0.5, matrix_element(np.eye(2)))])
+        out = apple_certificate(f, [sigma], f, s, sampler=FAST, depth=4)
+        assert out["isoradial"].verdict == "pass"
+        assert out["h_approximately_multiplicative"] == "yes"
+        assert out["sigma_rates"].rates == (0.5,)
+        assert out["homotopy"] is None
+        assert out["verdict"] == "inconclusive"
 
     def test_negative_control_fails_at_isoradial_stage(self):
         fix = fixture("interval-restriction")

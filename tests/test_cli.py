@@ -414,7 +414,8 @@ class TestApproxProperty:
         assert report["verdicts"] == {"uniform": "converges",
                                       "equivalence": "agree",
                                       "approximation_property": "fail"}
-        assert ("extrapolated rank 16385"
+        # the smallest rank whose tail rate meets the tolerance
+        assert ("extrapolated rank 13809"
                 in report["results"]["property"]["error"])
 
     def test_kernel_bug_propagates(self, monkeypatch):
@@ -543,3 +544,114 @@ class TestCsv:
         assert csv_path.exists()
         text = csv_path.read_text()
         assert "rates" in text
+
+
+class TestDocumentedPaths:
+    """CLI paths the README shows, run in process."""
+
+    @staticmethod
+    def run(tmp_path, args, inst=None):
+        """(exit code, report) of ``args``, with ``inst`` as the input file."""
+        out = tmp_path / "report.json"
+        if inst is not None:
+            path = tmp_path / "instance.json"
+            path.write_text(json.dumps(inst))
+            args = [*args, "--input", str(path)]
+        code = run_cli([*args, "--out", str(out)])
+        return code, (json.loads(out.read_text()) if out.exists() else None)
+
+    @staticmethod
+    def apple_payload(**changes):
+        import numpy as np
+        from borno.algebra import MatrixAlgebra, bounded_set, matrix_element
+        from borno.maps import Homomorphism
+        from borno.serialize import bounded_set_to_json, map_to_json
+
+        ident = map_to_json(Homomorphism.identity(MatrixAlgebra(2)))
+        payload = {"map": ident, "sigmas": [ident], "h": ident,
+                   "set": bounded_set_to_json(
+                       bounded_set([matrix_element(0.5 * np.eye(2))]))}
+        return {"schema": SCHEMA, "command": "apple",
+                "payload": {**payload, **changes},
+                "config": {"depth": 3, "samples": 2, "tgrid": 5}}
+
+    def test_fixture_flag(self, tmp_path):
+        code, report = self.run(tmp_path, ["isoradial", "--fixture",
+                                           "interval-restriction",
+                                           "--samples", "2"])
+        assert code == 1
+        assert report["verdicts"] == {"isoradial": "fail"}
+        assert report["instance_digest"] == instance_digest(
+            {"schema": SCHEMA, "command": "isoradial",
+             "payload": {"fixture": "interval-restriction"}, "config": {}})
+
+    def test_bare_map_file(self, tmp_path):
+        from borno.fixtures import corner_embedding
+        from borno.serialize import map_to_json
+
+        bare = map_to_json(corner_embedding(2, 3))
+        assert set(bare) == {"source", "target", "basis_action"}
+        code, report = self.run(tmp_path, ["isoradial", "--samples", "2",
+                                           "--depth", "3"], bare)
+        assert code == 0
+        assert report["verdicts"] == {"isoradial": "pass"}
+        assert report["instance_digest"] == instance_digest(
+            {"schema": SCHEMA, "command": "isoradial",
+             "payload": {"map": bare}, "config": {}})
+        # only isoradial and apple read a bare map
+        assert self.run(tmp_path, ["run"], bare)[0] == 3
+
+    def test_inconclusive_exits_two(self, tmp_path):
+        # at depth 1 the golden pair's interval is [1, golden ratio]
+        code, report = self.run(tmp_path, ["jsr", "--depth", "1"],
+                                builtin_instances()["golden-pair"])
+        assert code == 2
+        assert report["verdicts"] == {"estimate": "inconclusive"}
+        assert report["results"]["status"] == "depth-limited"
+
+    def test_incomplete_space_with_csv(self, tmp_path):
+        from borno.seqspace import DiskForm, ModelSpace
+        from borno.serialize import model_space_to_json
+
+        space = model_space_to_json(ModelSpace((DiskForm("sum"),), False))
+        code, report = self.run(tmp_path, ["complete", "--csv"],
+                                {"schema": SCHEMA, "command": "complete",
+                                 "payload": {"space": space}, "config": {}})
+        assert code == 1
+        assert report["verdicts"] == {"disk_0": "incomplete",
+                                      "cross_validation": "agree"}
+        rows = (tmp_path / "report.csv").read_text().splitlines()
+        assert "disks[0].condition_iii,,False" in rows
+        assert "disks[0].condition_iv,,False" in rows
+
+    def test_non_finite_result_is_a_string(self, tmp_path):
+        # the search stops where a product's norm overflows (see
+        # test_jsr.py), and the report carries its upper bound as "inf"
+        from borno.algebra import bounded_set, matrix_element
+        from borno.serialize import bounded_set_to_json
+
+        big = matrix_element([[8.5e307, 8.5e307], [0.0, 8.5e307]], "maxrow")
+        inst = {"schema": SCHEMA, "command": "jsr", "config": {"depth": 4},
+                "payload": {"set": bounded_set_to_json(bounded_set([big]))}}
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code, report = self.run(tmp_path, ["run"], inst)
+        assert code == 2
+        assert report["results"]["upper"] == "inf"
+
+    def test_apple_without_sigmas_uses_the_identity(self, tmp_path):
+        code, report = self.run(tmp_path, ["apple"],
+                                self.apple_payload(sigmas=[]))
+        assert code == 0
+        assert report["verdicts"] == {"apple": "pass"}
+        assert report["results"]["sigma_rates"]["rates"] == [0.0]
+
+    def test_toolkit_error_exits_one(self, tmp_path, capsys):
+        # the set lives in M1 while h acts on M2
+        from borno.algebra import bounded_set, scalar_element
+        from borno.serialize import bounded_set_to_json
+
+        inst = self.apple_payload(set=bounded_set_to_json(
+            bounded_set([scalar_element(0.5)])))
+        assert self.run(tmp_path, ["apple"], inst) == (1, None)
+        assert capsys.readouterr().err.startswith(
+            "error: curvature set: descriptor mismatch")

@@ -193,6 +193,20 @@ class TestExactInputs:
         assert form.sup_from(0) == Fraction(1e-13)
 
 
+class TestEpsSubsequence:
+    @pytest.mark.parametrize("eps", [
+        EpsForm.geometric(3, Fraction(2, 3)),
+        EpsForm("invpoly", 3, alpha=2, beta=Fraction(1, 2), power=2),
+    ], ids=["geom", "invpoly"])
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_reindexes_the_tower(self, eps, level):
+        eps = eps.sqrt() if level else eps
+        sub = eps.subsequence(3, 4)
+        assert (sub.kind, sub.level) == (eps.kind, level)
+        for m in range(20):
+            assert sub._tower_value(m) == eps._tower_value(3 * m + 4)
+
+
 class TestEnvTerm:
     def test_negative_power_is_rejected(self):
         # (m + 1)^-5 2^-m has a smaller ratio than 0.45^m early on, which

@@ -121,6 +121,14 @@ class TestUniformConvergence:
         assert rates.rates == (0.0, 0.0)
         assert rates.verdict == "converges"
 
+    def test_l2_rate_without_a_finite_square_sum(self):
+        # |(F - 0) x|_k reaches 2^k 2^-k = 1 on the box, for every k
+        grow = OperatorModel.diagonal(CoordForm(1, 2))
+        rates, raws = uniform_convergence_on_set([grow], OperatorModel.zero(),
+                                                 GEO_BOX, L2)
+        assert raws == [INF] and rates.rates == (math.inf,)
+        assert rates.verdict == "diverges"
+
     def test_identity_vs_zero_constant_rates(self):
         fam = [OperatorModel.identity()] * 3
         rates, _ = uniform_convergence_on_set(fam, OperatorModel.zero(),
@@ -326,6 +334,17 @@ class TestOperatorBounds:
         op = OperatorModel.diagonal(CoordForm(1, HALF))
         assert operator_gauge_bound(op, L2) == 1
 
+    def test_truncation_multiplier_vanishes_past_the_cutoff(self):
+        trunc = OperatorModel.truncation(2)
+        assert [trunc.multiplier(k) for k in range(5)] == [1, 1, 1, 0, 0]
+
+    def test_unbounded_band_is_not_equibounded(self):
+        grow = OperatorModel.diagonal(CoordForm(1, 2))
+        assert operator_gauge_bound(grow, SUP) == INF
+        with pytest.raises(EquiboundednessError):
+            pointwise_vs_uniform_check(OperatorFamily((grow,), 10),
+                                       OperatorModel.identity(), GEO_BOX, SUP)
+
     def test_zero_band_bounds_zero(self):
         op = OperatorModel.banded([(0, CoordForm(0, 2, -1))])
         assert operator_gauge_bound(op, SUP) == 0
@@ -385,7 +404,9 @@ class TestLocalApproxProperty:
         with pytest.raises(RankBudgetError) as err:
             local_approx_property_check(GEO_BOX, L2, Fraction(1, 10**9),
                                         rank_budget=4)
-        assert err.value.required > 4
+        # the smallest rank, which a larger budget finds directly
+        assert err.value.required == local_approx_property_check(
+            GEO_BOX, L2, Fraction(1, 10**9), rank_budget=64).rank
 
     def test_sampling_never_exceeds_certificates(self):
         rng = np.random.default_rng(0xB00C)

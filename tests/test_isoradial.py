@@ -8,6 +8,7 @@ from borno.algebra import (
     MatrixAlgebra,
     NormBall,
     bounded_set,
+    identity,
     matrix_element,
     norm,
     spectral_radius_single,
@@ -103,6 +104,16 @@ class TestLocalDensityProbe:
             rep = local_density_probe(f, [probe], NormBall(1.0), 1e-12)
             residuals.append(rep.gauges[0])
         assert residuals[0] > residuals[1] > residuals[2] > 0
+
+
+class TestSampling:
+    def test_direct_sum_ramp_is_the_identity(self):
+        desc = DirectSum((MatrixAlgebra(2), MatrixAlgebra(1)))
+        sets = sample_bounded_sets(desc, SamplerConfig(per_size=1))
+        # the identity, the ramp (the identity again) and one set of each
+        # size 1, 2 and 3
+        assert [len(s.generators) for s in sets] == [1, 1, 1, 2, 3]
+        assert sets[1] == sets[0] == bounded_set([identity(desc)])
 
 
 class TestIsoradialCertificate:

@@ -34,7 +34,7 @@ from borno.jsr import (
     jsr_estimate,
     jsr_grid_max,
     kronecker_bound_check,
-    _closure_max,
+    _HullStack,
     pad_to,
     submultiplicative_hull,
 )
@@ -57,6 +57,12 @@ def stable_matmul(a, b):
 def real_coords(m):
     v = np.asarray(m, dtype=np.complex128).reshape(-1)
     return np.concatenate([v.real, v.imag])
+
+
+def closure_max(generators):
+    """The hull closure maximum of ``generators`` on a new column stack."""
+    stack = _HullStack([borno.algebra._real_rows(g.coords) for g in generators])
+    return stack.closure_max(generators)
 
 
 def all_pairs_closure_max(mats):
@@ -347,7 +353,7 @@ class TestClosureDifferential:
     def test_product_off_the_span_is_infinite(self):
         gens = [matrix_element([[0, 1], [0, 0]]), matrix_element([[0, 0], [1, 0]])]
         assert all_pairs_closure_max([g.data for g in gens]) == math.inf
-        assert _closure_max(gens) == math.inf
+        assert closure_max(gens) == math.inf
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
@@ -365,7 +371,7 @@ class TestClosureDifferential:
             elif kind == "diagonal":
                 m = np.diag(np.diag(m))
             mats.append(matrix_element(m))
-        assert _closure_max(mats) == all_pairs_closure_max(
+        assert closure_max(mats) == all_pairs_closure_max(
             [g.data for g in mats])
 
     def test_inaccurate_primal_raises(self, monkeypatch):
@@ -377,7 +383,7 @@ class TestClosureDifferential:
 
         monkeypatch.setattr(borno.algebra, "_solve_lp", skewed)
         with pytest.raises(NumericalFailure):
-            _closure_max([matrix_element([[2.0]]), matrix_element([[3.0]])])
+            closure_max([matrix_element([[2.0]]), matrix_element([[3.0]])])
         # the expansion's membership LPs, gauge and the grouped gauge alike
         with pytest.raises(NumericalFailure):
             submultiplicative_hull(bounded_set([scale(0.5, g) for g in GOLDEN]),
@@ -402,7 +408,7 @@ class TestClosureDifferential:
             return solve(*args)
 
         monkeypatch.setattr(borno.algebra, "_solve_lp", counting)
-        best = _closure_max(gens)
+        best = closure_max(gens)
         assert cert.closure_defect == max(0.0, best - 1.0)
         assert 0 < len(calls) <= len(gens) ** 2 / 4
 
@@ -423,7 +429,7 @@ class TestScreenedExpansion:
             # expansion's bases; TestClosureDifferential checks that loop
             # against all pairs
             ref_gens = [matrix_element(m) for m in reference]
-            assert cert.closure_defect == max(0.0, _closure_max(ref_gens) - 1.0)
+            assert cert.closure_defect == max(0.0, closure_max(ref_gens) - 1.0)
 
     @pytest.mark.parametrize("seed", range(400, 412))
     def test_hull_families(self, seed):
@@ -493,17 +499,27 @@ class TestScreenedExpansion:
             return solve(*args)
 
         monkeypatch.setattr(borno.algebra, "_solve_lp", counting)
-        monkeypatch.setattr(jsr, "_closure_max", lambda gens, stack=None: 1.0)
+        monkeypatch.setattr(jsr._HullStack, "closure_max", lambda self, gens: 1.0)
         submultiplicative_hull(s, r, 512)
         assert 0 < len(calls) <= 0.75 * reference
 
 
 class TestLpPaths:
-    """The direct HiGHS call against ``scipy.optimize.linprog``, its fallback
-    where scipy has no HiGHS binding."""
+    """The direct HiGHS call against ``scipy.optimize.linprog``."""
 
     @staticmethod
-    def both_ways(monkeypatch):
+    def linprog_lp(c, a_eq, b_eq, a_ub=None, b_ub=None):
+        """``_solve_lp``'s result by ``scipy.optimize.linprog``."""
+        from scipy.optimize import linprog
+
+        res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                      method="highs")
+        assert res.success
+        return res.x, res.fun, np.concatenate([res.ineqlin.marginals,
+                                               res.eqlin.marginals])
+
+    @classmethod
+    def both_ways(cls, monkeypatch):
         """Solve every LP by both paths, requiring the same bytes; returns
         the list of solved LPs' arguments."""
         direct = borno.algebra._solve_lp
@@ -511,7 +527,7 @@ class TestLpPaths:
 
         def both(*args):
             got = direct(*args)
-            ref = borno.algebra._linprog_lp(*args)
+            ref = cls.linprog_lp(*args)
             assert got[0].tobytes() == ref[0].tobytes()
             assert np.float64(got[1]).tobytes() == np.float64(ref[1]).tobytes()
             assert got[2].tobytes() == ref[2].tobytes()
@@ -540,16 +556,6 @@ class TestLpPaths:
         solved = self.both_ways(monkeypatch)
         assert [gauge(disk, x) for x in points] == values
         assert len(solved) == 6 and all(len(args) == 5 for args in solved)
-        monkeypatch.setattr(borno.algebra, "_highs", lambda: None)
-        assert [gauge(disk, x) for x in points] == values
-
-    def test_fallback_gives_the_same_certificate(self, monkeypatch):
-        s = bounded_set([scale(0.5, g) for g in GOLDEN])
-        cert = submultiplicative_hull(s, 1.0, 256)
-        monkeypatch.setattr(borno.algebra, "_highs", lambda: None)
-        again = submultiplicative_hull(s, 1.0, 256)
-        assert again.hull.generators == cert.hull.generators
-        assert again.closure_defect == cert.closure_defect
 
     def test_non_optimal_status_raises(self, monkeypatch):
         core, options = borno.algebra._highs()
@@ -571,17 +577,6 @@ class TestLpPaths:
         with pytest.raises(NumericalFailure):
             submultiplicative_hull(bounded_set([scale(0.5, g) for g in GOLDEN]),
                                    r=1.0, max_products=256)
-
-    def test_fallback_failure_raises(self, monkeypatch):
-        import scipy.optimize
-
-        monkeypatch.setattr(borno.algebra, "_highs", lambda: None)
-        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k:
-                            scipy.optimize.OptimizeResult(success=False,
-                                                          message="stalled"))
-        e1 = matrix_element(np.diag([1.0, 0.0]))
-        with pytest.raises(NumericalFailure, match="stalled"):
-            gauge(FiniteHull((e1,)), matrix_element(np.diag([2.0, 0.0])))
 
 
 class TestGridMax:
@@ -806,3 +801,15 @@ class TestBatchedSearch:
         assert est.depth == base.depth == 6
         assert est.lower / factor == pytest.approx(base.lower, rel=1e-12)
         assert est.upper / factor == pytest.approx(base.upper, rel=1e-12)
+
+    def test_overflowing_products_stop_the_search(self):
+        # g = M [[1, 1], [0, 1]] has maxrow norm 2M below the float limit;
+        # its rescaled square keeps finite entries, but their row sum 3M
+        # overflows, so the search stops at depth 2 with no upper bound
+        big = 8.5e307
+        g = matrix_element(big * np.array([[1.0, 1.0], [0.0, 1.0]]), "maxrow")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            est = jsr_estimate(bounded_set([g]), 4)
+        assert est.status == "depth-limited"
+        assert (est.depth, est.upper, est.witness_word) == (2, math.inf, (0,))
+        assert est.lower == pytest.approx(big, rel=1e-12)

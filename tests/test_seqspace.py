@@ -16,21 +16,27 @@ from borno.seqspace import (
     SeqVector,
     SequenceModel,
     WindowTerm,
+    _canonical_witness,
+    _combine_eps,
     _monotone_from,
+    _one_sided_ok,
     _sign_stable_index,
     absorption_constant,
     apply_coordinate_map,
+    apply_map_to_model,
     cauchy_check,
     completeness_check,
     completion_construct,
     convergence_check,
     coordinate_map_bound,
     directedness_check,
+    dominating_eps,
     extend_map_to_completion,
     gauge_value,
     metrizability_scalars,
     pair_deviation_envelope,
     strengthened_series_check,
+    window_gauge_envelope,
 )
 
 HALF = Fraction(1, 2)
@@ -62,6 +68,20 @@ class TestSeqVector:
         v = SeqVector.geometric(1, HALF)
         w = SeqVector.geometric(-1, Fraction(1, 3))
         assert not v.add(w).is_zero
+
+    def test_equal_vectors_hash_alike(self):
+        # a tail start can move over coordinates the prefix spells out
+        a = SeqVector({0: 1}, ((1, HALF),), 1)
+        b = SeqVector.geometric(1, HALF)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, SeqVector.from_coords([1, 0]),
+                    SeqVector.unit(0, 1)}) == 2
+
+    def test_repr_and_foreign_operands(self):
+        v = SeqVector({0: 2}, ((1, HALF),), 1)
+        assert repr(v) == ("SeqVector({0: Fraction(2, 1)}, tails=((Fraction(1, "
+                           "1), Fraction(1, 2)),), start=1)")
+        assert v != 2 and v != {0: 2}
 
 
 class TestGauges:
@@ -299,6 +319,13 @@ class TestMetrizability:
         partial = math.fsum(1 / (n / 2 + 0.01) ** 3 for n in range(1, 10**5))
         assert 9.1 < partial < out["bound"]
 
+    def test_strengthened_series_skips_unabsorbing_disks(self):
+        # the l1 disk does not absorb the sup disk; the sup disk does
+        space = ModelSpace((DiskForm("sum"), DiskForm("sup")))
+        out = strengthened_series_check(space, 1, EpsForm.geometric(1, HALF))
+        assert out["verdict"] == "bounded"
+        assert out["disk_index"] == 1 and out["bound"] == 1
+
     def test_strengthened_series_skips_constant_inverse_poly(self):
         # alpha = 0: eps_n = a / beta^p is not null, so no disk absorbs it
         eps = EpsForm("invpoly", 1, alpha=0, beta=2, power=2)
@@ -335,6 +362,19 @@ class TestCompleteness:
         witness = iii[0].witness
         assert witness is not None
         assert not witness.limit_vector().finitely_supported
+
+    @pytest.mark.parametrize("kind", ["sum", "sup"])
+    def test_polynomial_weights_complete_both_conditions(self, kind):
+        # the witness's pair envelope has terms (m+shift)^2 (1/2)^m, so its
+        # dominating eps slows to ratio 3/4
+        space = ModelSpace((DiskForm(kind, WeightForm.polynomial(1, 2)),))
+        env, _ = pair_deviation_envelope(_canonical_witness(space, 0),
+                                         space.disk(0))
+        eps = dominating_eps(env)
+        assert eps.ratio == Fraction(3, 4)
+        assert all(eps.ge_value(m, env.value(m)) for m in range(80))
+        assert [v.complete for v in completeness_check(space, "iv")] == [True]
+        assert [v.complete for v in completeness_check(space, "iii")] == [True]
 
     def test_zero_space_trivially_complete(self):
         # a space whose only closed forms are zero sequences
@@ -396,6 +436,17 @@ class TestCompletion:
         eq, _ = self.comp.equal(re_a, re_b)
         assert eq
 
+    def test_add_with_unequal_ratios(self):
+        # 50 2^-n e0 with eps 100 2^-m plus the constant e1 with eps (3/4)^m:
+        # the sum's deviation 50 2^-m needs 101 (3/4)^m, not 2 (3/4)^m
+        a = self.comp.element(SequenceModel.geometric_multiple(
+            SeqVector.unit(0, 1), 50, HALF), 0, EpsForm.geometric(100, HALF))
+        b = self.comp.element(SequenceModel.constant(SeqVector.unit(1, 1)), 0,
+                              EpsForm.geometric(1, Fraction(3, 4)))
+        total = self.comp.add(a, b)
+        assert total.eps == EpsForm.geometric(101, Fraction(3, 4))
+        assert total.limit_vector() == SeqVector.unit(1, 1)
+
     def test_algebra_of_classes(self):
         a = self.comp.embed(SeqVector.unit(0, 1))
         b = self.comp.embed(SeqVector.unit(0, 2))
@@ -439,6 +490,17 @@ class TestMapExtension:
                                     SeqVector.geometric(1, HALF))
         assert flip.tails == ((2, -HALF),)
         assert flip.value(3) == Fraction(-1, 4)
+
+    @pytest.mark.parametrize("f", [CoordinateMap("shift", 3),
+                                   CoordinateMap("diagonal", 2, Fraction(1, 3))],
+                             ids=["shift", "diagonal"])
+    def test_windows_map_termwise(self, f):
+        ps = SequenceModel.partial_sums_of_geometric(1, HALF)
+        for model in (ps, ps.subsequence(2, 1)):  # stride 1 and 2 windows
+            image = apply_map_to_model(f, model)
+            assert len(image.window_terms) == 1
+            for n in range(8):
+                assert image.at(n) == apply_coordinate_map(f, model.at(n))
 
     def test_null_maps_to_null(self):
         null = SequenceModel(geo_terms=(
@@ -626,3 +688,138 @@ class TestConvertedWalks:
                  (Fraction(98, 100), Fraction(-weight))]
         assert (outcome(_sign_stable_index, terms)
                 == outcome(sign_stable_index_scan, terms))
+
+
+class TestInfiniteWindowEnvelopes:
+    """A window of a tail with ratio s under a weight base b with b |s| >= 1
+    has no finite gauge, so every envelope built from it is infinite, and
+    the pair gauges grow until the hunt meets the budget."""
+
+    @pytest.mark.parametrize("disk, pair", [
+        (DiskForm("sum", WeightForm.geometric(1, 2)), (0, 2)),  # n - m
+        (DiskForm("sup", WeightForm.geometric(1, 3)), (0, 1)),  # (3/2)^n
+    ], ids=["sum", "sup"])
+    def test_partial_sums(self, disk, pair):
+        ps = SequenceModel.partial_sums_of_geometric(1, HALF)
+        assert window_gauge_envelope(SeqVector.geometric(1, HALF),
+                                     disk)[0].infinite
+        assert ps.deviation_envelope(disk)[0].infinite
+        assert pair_deviation_envelope(ps, disk)[0].infinite
+        rep = cauchy_check(ps, ModelSpace((disk,)), 0,
+                           EpsForm.geometric(1, HALF))
+        assert rep.violating_pair == pair
+
+    def test_growing_window_ratio(self):
+        # 3^n times the window of 2^-k beyond n: the deviation envelope's
+        # term has ratio 3/2, which no pair envelope bounds
+        x = SequenceModel(window_terms=(
+            WindowTerm(1, SeqVector.geometric(1, HALF), ratio=3),))
+        assert not x.deviation_envelope(L1.disk(0))[0].infinite
+        assert pair_deviation_envelope(x, L1.disk(0))[0].infinite
+        assert not cauchy_check(x, L1, 0, EpsForm.geometric(1, HALF)).holds
+
+
+class TestUndecidedHunt:
+    def test_cancelling_terms_are_not_decided(self, monkeypatch):
+        # x_n = 2^-n e0 - 2^-n e0 = 0, but the pair envelope adds both terms
+        # to 2 2^-m, twice the budget, and no pair violates it; a small scan
+        # cap keeps the hunt short
+        monkeypatch.setattr("borno.seqspace._SCAN_CAP", 4)
+        e0 = SeqVector.unit(0, 1)
+        x = SequenceModel(geo_terms=(GeoTerm(1, HALF, e0),
+                                     GeoTerm(-1, HALF, e0)))
+        with pytest.raises(NotDecided, match="no envelope domination"):
+            cauchy_check(x, L1, 0, EpsForm.geometric(1, HALF))
+
+
+E0 = SeqVector.unit(0, 1)
+
+
+def one_sided(base, terms, n0=0, x=None):
+    """_one_sided_ok for limit - x_m = ``base`` on the sequence e0 plus the
+    decaying terms ``(coeff, ratio)`` on e0, or on ``x``."""
+    if x is None:
+        x = SequenceModel(geo_terms=(GeoTerm(1, 1, E0),) + tuple(
+            GeoTerm(c, r, E0) for c, r in terms))
+    limit = x.limit_vector()
+    return _one_sided_ok(limit, limit.subtract(base), x, n0)
+
+
+class TestOneSided:
+    """_one_sided_ok certifies |a_k + d_k(n)| <= |a_k| for each coordinate k
+    of a = limit - x_m and the deviation d(n) = x_n - limit."""
+
+    def test_pull_toward_zero(self):
+        # a = 2 e0 - 3 e1 and d_0(n) = -2^-n - 4^-n: e1 has no deviation, and
+        # d_0 lies in [-2, 0] before its dominant term settles the sign
+        assert one_sided(SeqVector({0: 2, 1: -3}),
+                         [(-1, HALF), (-1, Fraction(1, 4))])
+
+    @pytest.mark.parametrize("base, terms, x", [
+        # a growing term
+        (SeqVector({0: 1}), [], SequenceModel(geo_terms=(
+            GeoTerm(1, 1, E0), GeoTerm(-1, HALF, E0, power=1)))),
+        # a = limit - x_m has a tail
+        (SeqVector.geometric(1, HALF), [(-1, HALF)], None),
+        # a_0 = 0 while d_0 moves
+        (SeqVector({1: 1}), [(-1, HALF)], None),
+        # d_0(0) = -3 overshoots a_0 = 1
+        (SeqVector({0: 1}), [(-3, HALF)], None),
+        # d_0 has the sign of a_0: it pushes away from zero
+        (SeqVector({0: 1}), [(1, HALF)], None),
+        # d_0(0) = -1 + 3/2 > 0 before the dominant -2^-n settles the sign
+        (SeqVector({0: 2}), [(-1, HALF), (Fraction(3, 2), Fraction(1, 4))],
+         None),
+    ], ids=["growing", "tail", "zero-coordinate", "overshoot", "same-sign",
+            "early-sign"])
+    def test_rejections(self, base, terms, x):
+        assert not one_sided(base, terms, x=x)
+
+
+def tower(eps, level):
+    for _ in range(level):
+        eps = eps.sqrt()
+    return eps
+
+
+COMBINED = [
+    (EpsForm.geometric(100, HALF), EpsForm.geometric(1, Fraction(3, 4))),
+    (EpsForm.geometric(1, HALF), EpsForm.geometric(1, HALF)),
+    (EpsForm.geometric(3, Fraction(9, 10)), EpsForm.geometric(5, Fraction(1, 10))),
+    (EpsForm("invpoly", 1, alpha=1, beta=HALF, power=1),
+     EpsForm("invpoly", 1, alpha=1, beta=HALF, power=3)),
+    (EpsForm("invpoly", 2, alpha=3, beta=2, power=2),
+     EpsForm("invpoly", 7, alpha=3, beta=2, power=1)),
+]
+
+
+class TestCombineEps:
+    @pytest.mark.parametrize("level", range(3))
+    @pytest.mark.parametrize("e1, e2", COMBINED, ids=[
+        "unequal-ratios", "equal", "far-ratios", "invpoly-beta-half",
+        "invpoly-beta-two"])
+    def test_dominates_the_sum(self, e1, e2, level):
+        e1, e2 = tower(e1, level), tower(e2, level)
+        combined = _combine_eps(e1, e2)
+        assert combined.level == level
+        for m in range(60):
+            if level == 0:  # exact
+                assert combined.ge_value(m, e1._tower_value(m)
+                                         + e2._tower_value(m))
+            else:  # equal towers meet the bound, so allow rounding
+                assert (combined.value_float(m) >= (e1.value_float(m)
+                        + e2.value_float(m)) * (1 - 1e-12))
+
+    def test_equal_ratios_add_their_amplitudes(self):
+        assert (_combine_eps(EpsForm.geometric(2, HALF),
+                             EpsForm.geometric(3, HALF))
+                == EpsForm.geometric(5, HALF))
+
+    @pytest.mark.parametrize("e1, e2", [
+        (EpsForm.geometric(1, HALF), EpsForm.geometric(1, HALF).sqrt()),
+        (EpsForm.geometric(1, HALF), EpsForm("invpoly", 1)),
+        (EpsForm("invpoly", 1, beta=1), EpsForm("invpoly", 1, beta=2)),
+    ], ids=["levels", "kinds", "betas"])
+    def test_other_shapes_are_not_decided(self, e1, e2):
+        with pytest.raises(NotDecided, match="different shapes"):
+            _combine_eps(e1, e2)

@@ -6,10 +6,10 @@ Runs pytest in this process with the given arguments under a line tracer
 (``sys.settrace`` and ``threading.settrace``) that follows only frames whose
 code lives in ``src/borno``.  Then it prints, per module, the executable
 lines that never ran: the line numbers of the compiled code objects
-(``co_lines``), leaving out lines that only ``raise``.  Code run in a child
-process (the CLI tests' subprocesses) is not seen.  Standard library only;
-tracing makes the run two to three times slower.  Exits with pytest's exit
-code.
+(``co_lines``), leaving out lines that only ``raise``, and their total.
+Code run in a child process (the CLI tests' subprocesses) is not seen.
+Standard library only; tracing makes the run two to three times slower.
+Exits with pytest's exit code.
 """
 
 from __future__ import annotations
@@ -89,10 +89,13 @@ def main(argv):
     finally:
         sys.settrace(None)
         threading.settrace(None)
+    total = 0
     for path in sorted(PACKAGE.glob("*.py")):
         missed = executable_lines(path) - tracer.hits.get(str(path), set())
+        total += len(missed)
         print(f"borno/{path.name}: {len(missed)} never ran"
               + (f": {ranges(missed)}" if missed else ""))
+    print(f"total: {total} never ran")
     return int(code)
 
 
