@@ -43,7 +43,6 @@ from .isoradial import (
     local_density_probe,
 )
 from .approx_mult import (
-    CurvatureSet,
     HomotopyCertificate,
     apple_certificate,
     curvature,

@@ -331,11 +331,14 @@ def _unsafe_peaks(peaks):
 
 
 def _bracket(mat_s, exp, failure):
-    """The power-iteration estimate for ``mat_s``, scaled back by 2^exp."""
+    """The power-iteration estimate for ``mat_s``, scaled back by 2^exp: inf
+    where that exceeds the float range."""
     est, ok, bracket = _power_iteration_bracket(mat_s)
+    with np.errstate(over="ignore"):
+        est, *bracket = np.ldexp([est, *bracket], exp).tolist()
     if not ok:
-        raise NumericalFailure(failure, tuple(math.ldexp(b, exp) for b in bracket))
-    return math.ldexp(est, exp)
+        raise NumericalFailure(failure, tuple(bracket))
+    return est
 
 
 def _matrix_norms(stack, kind):
@@ -369,10 +372,12 @@ def _matrix_norms(stack, kind):
             "operator-2-norm iteration did not converge")])
     sigma, left, right = s[:, 0], u[:, :, 0], vh[:, 0, :].conj()
     sigma_s = np.ldexp(sigma, -exps)
-    r1 = np.linalg.norm(np.einsum("nij,nj->ni", scaled, right)
-                        - sigma_s[:, None] * left, axis=1)
-    r2 = np.linalg.norm(np.einsum("nji,nj->ni", scaled.conj(), left)
-                        - sigma_s[:, None] * right, axis=1)
+    # an overflowing SVD's sigma = inf gives nan residuals: bracketed below
+    with np.errstate(invalid="ignore"):
+        r1 = np.linalg.norm(np.einsum("nij,nj->ni", scaled, right)
+                            - sigma_s[:, None] * left, axis=1)
+        r2 = np.linalg.norm(np.einsum("nji,nj->ni", scaled.conj(), left)
+                            - sigma_s[:, None] * right, axis=1)
     limit = NORM_TOL * sigma_s + 1e-13 * np.linalg.norm(scaled, axis=(1, 2))
     for i in np.flatnonzero((sigma != 0.0) & ~(np.maximum(r1, r2) <= limit)):
         sigma[i] = _bracket(scaled[i], int(exps[i]),
@@ -464,6 +469,49 @@ def basis(descriptor):
 
 
 # ---------------------------------------------------------------------------
+# bounded sets
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BoundedSet:
+    """A finite generator list of one descriptor.
+
+    The set and its disked hull have the same spectral radius, so the
+    joint-spectral-radius kernel reads only the generators; as a disk the
+    hull is :class:`FiniteHull`.
+    """
+
+    generators: tuple
+
+    def __post_init__(self):
+        if not self.generators:
+            raise ValueError("bounded set needs at least one generator")
+        d0 = self.generators[0].descriptor
+        for g in self.generators[1:]:
+            if g.descriptor != d0:
+                raise DescriptorMismatch(g.descriptor, d0, "bounded set generator")
+
+    @property
+    def descriptor(self):
+        return self.generators[0].descriptor
+
+    @property
+    def rows(self):
+        """The generators' coordinates as a new ``(k, L)`` array."""
+        return np.stack([g.coords for g in self.generators])
+
+    def scaled(self, c):
+        return BoundedSet(tuple(scale(c, g) for g in self.generators))
+
+
+def bounded_set(elements):
+    """A BoundedSet of ``elements``; a BoundedSet is returned as it is."""
+    if isinstance(elements, BoundedSet):
+        return elements
+    return BoundedSet(tuple(elements))
+
+
+# ---------------------------------------------------------------------------
 # disks and gauges
 # ---------------------------------------------------------------------------
 
@@ -476,19 +524,8 @@ class NormBall:
             raise ValueError("norm ball radius must be positive")
 
 
-@dataclass(frozen=True)
-class FiniteHull:
-    """Absolutely convex hull of finitely many elements, real coefficients."""
-
-    generators: tuple
-
-    def __post_init__(self):
-        if not self.generators:
-            raise ValueError("finite hull needs at least one generator")
-        d0 = self.generators[0].descriptor
-        for g in self.generators[1:]:
-            if g.descriptor != d0:
-                raise DescriptorMismatch(g.descriptor, d0, "hull generator")
+class FiniteHull(BoundedSet):
+    """Absolutely convex hull of a bounded set's generators, real coefficients."""
 
 
 @dataclass(frozen=True)
@@ -513,14 +550,14 @@ def _real_rows(rows):
 
 
 def _flatten_disk(disk, mult=1.0):
-    """Normalize a disk term into ('ball', r) or ('hull', [(gens, scale)...]).
+    """Normalize a disk term into ('ball', r) or ('hull', [(hull, scale)...]).
 
     Mixed ball/hull sums have no exact formula and raise UnsupportedDisk.
     """
     if isinstance(disk, NormBall):
         return ("ball", disk.radius * mult)
     if isinstance(disk, FiniteHull):
-        return ("hull", [(disk.generators, mult)])
+        return ("hull", [(disk, mult)])
     if isinstance(disk, Scaled):
         return _flatten_disk(disk.inner, mult * disk.factor)
     if isinstance(disk, SumDisk):
@@ -627,15 +664,16 @@ def _hull_gauge_groups(groups, target):
     grouped LP that minimizes t subject to target = sum_i sum_j lambda_ij g_ij
     and sum_j |lambda_ij| <= t * scale_i for each group i.
     """
-    cols = np.stack([_real_rows(g.coords) for gens, _s in groups for g in gens],
-                    axis=1)
+    cols = np.ascontiguousarray(
+        np.concatenate([_real_rows(hull.rows) for hull, _s in groups]).T)
     if len(groups) == 1 and groups[0][1] == 1.0:
         return _hull_gauge_lp(cols, target)[0]
     if _misses(cols, np.linalg.lstsq(cols, target, rcond=None)[0], target):
         return math.inf
     n = cols.shape[1]
     # variables p, q (n each) and t; row i bounds group i's sum of |lambda|
-    group = np.repeat(np.arange(len(groups)), [len(gens) for gens, _s in groups])
+    group = np.repeat(np.arange(len(groups)),
+                      [len(hull.generators) for hull, _s in groups])
     member = (group == np.arange(len(groups))[:, None]).astype(float)
     a_ub = np.concatenate([member, member, -np.array([[s] for _g, s in groups])],
                           axis=1)
@@ -659,40 +697,3 @@ def gauges(disk, desc, rows):
 def gauge(disk, x):
     """Minkowski gauge of ``x`` with respect to ``disk``; may be +inf."""
     return float(gauges(disk, x.descriptor, x.coords[None])[0])
-
-
-# ---------------------------------------------------------------------------
-# bounded sets
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundedSet:
-    """A finite generator list.
-
-    The set and its disked hull have the same spectral radius, so the
-    joint-spectral-radius kernel reads only the generators.
-    """
-
-    generators: tuple
-
-    def __post_init__(self):
-        if not self.generators:
-            raise ValueError("bounded set needs at least one generator")
-        d0 = self.generators[0].descriptor
-        for g in self.generators[1:]:
-            if g.descriptor != d0:
-                raise DescriptorMismatch(g.descriptor, d0, "bounded set generator")
-
-    @property
-    def descriptor(self):
-        return self.generators[0].descriptor
-
-    def scaled(self, c):
-        return BoundedSet(tuple(scale(c, g) for g in self.generators))
-
-
-def bounded_set(elements):
-    """A BoundedSet of ``elements``; a BoundedSet is returned as it is."""
-    if isinstance(elements, BoundedSet):
-        return elements
-    return BoundedSet(tuple(elements))

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import algebra
 from .algebra import (
-    BoundedSet,
     NormBall,
     bounded_set,
     gauges,
@@ -45,14 +44,6 @@ NO = "no"
 # curvature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CurvatureSet:
-    """omega_g(x, y) over all ordered generator pairs of S, as a bounded set."""
-
-    pairs: tuple  # ((i, j), element) in pair order
-    set: BoundedSet
-
-
 def _pairs(desc, a, b):
     """The products a_i b_j of coordinate rows, over all pairs in pair order."""
     return products(desc, a[:, None], b).reshape(len(a) * len(b), -1)
@@ -65,18 +56,17 @@ def _pair_curvature(g, gens):
 
 
 def curvature(g, s):
+    """omega_g over all ordered generator pairs of S as a bounded set in pair
+    order: generator i * k + j is omega_g(x_i, x_j), for the k generators."""
     s = bounded_set(s)
     if s.descriptor != g.source:
         raise DescriptorMismatch(s.descriptor, g.source, "curvature set")
-    gens = np.stack([x.coords for x in s.generators])
-    entries = [unvec(g.target, row) for row in _pair_curvature(g, gens)]
-    k = len(gens)
-    return CurvatureSet(tuple(((p // k, p % k), e) for p, e in enumerate(entries)),
-                        bounded_set(entries))
+    return bounded_set([unvec(g.target, row)
+                        for row in _pair_curvature(g, s.rows)])
 
 
 def curvature_radius(g, s, depth=6):
-    return jsr_estimate(curvature(g, s).set, depth, 1e-6)
+    return jsr_estimate(curvature(g, s), depth, 1e-6)
 
 
 def is_approximately_multiplicative(g, s, depth=6):
@@ -111,7 +101,7 @@ def sigma_approximation_check(f, sigmas, s, t_disk, modulus=None):
     smoothing bound eps_n <= modulus * pi / (n + 1) is verified as well.
     """
     s = bounded_set(s)
-    gens = np.stack([x.coords for x in s.generators])
+    gens = s.rows
     rates = [max([0.0] + gauges(t_disk, s.descriptor,
                                 f.compose(sigma).rows(gens) - gens).tolist())
              for sigma in sigmas]
@@ -227,7 +217,7 @@ def linear_homotopy_certificate(h0, h1, s, t_points=None, depth=6):
         raise DescriptorMismatch(h0.source, h1.source, "homotopy endpoints")
     s = bounded_set(s)
     grid = tuple(t_points) if t_points is not None else chebyshev_grid()
-    gens = np.stack([x.coords for x in s.generators])
+    gens = s.rows
     c0, c1, c2 = coeffs = _homotopy_coefficients(h0, h1, gens)
     coeff_norms = (None if algebra.linear_dim(h0.target) == 1
                    else norms(h0.target, np.concatenate([c1, c2])).reshape(2, -1))
@@ -280,7 +270,7 @@ def apple_certificate(f, sigmas, h, s, depth=6, t_points=None, sampler=None,
     h_mult = is_approximately_multiplicative(h, s, depth)
 
     # the set the proof pushes through the sigmas: h(S u S.S) and h(S) h(S)
-    gens = np.stack([x.coords for x in s.generators])
+    gens = s.rows
     h_img = h.rows(gens)
     pushed = np.concatenate([h_img, h.rows(_pairs(s.descriptor, gens, gens)),
                              _pairs(h.target, h_img, h_img)])

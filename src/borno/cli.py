@@ -46,7 +46,7 @@ from .finrank import (
 )
 from .fixtures import fixture
 from .isoradial import SamplerConfig, isoradial_certificate
-from .jsr import jsr_estimate, submultiplicative_hull
+from .jsr import CERTIFIED, jsr_estimate, submultiplicative_hull
 from .maps import Homomorphism
 from .seqspace import (
     DiskForm,
@@ -60,9 +60,8 @@ from .seqspace import (
 from . import serialize
 from .serialize import SCHEMA, entries, fields, integer, real, tagged
 
-PASS_VERDICTS = {"pass", "yes", "certified", "complete", "converges",
-                 "bounded", "agree"}
-FAIL_VERDICTS = {"fail", "no", "diverges", "incomplete", "violated"}
+PASS_VERDICTS = {"pass", "yes", "complete", "converges", "agree"}
+FAIL_VERDICTS = {"fail", "no", "diverges", "incomplete"}
 
 # the config keys, each also set by the flag of its name, with their types
 _CONFIG_KEYS = {"depth": int, "gap": float, "tol": float, "seed": int,
@@ -116,7 +115,7 @@ def _run_jsr(payload, cfg):
     (s,) = fields(payload, "payload", ("set",))
     est = jsr_estimate(serialize.bounded_set_from_json(s, "payload.set"),
                        cfg.get("depth", 10), cfg.get("gap", 1e-3))
-    verdict = "pass" if est.status == "certified" else "inconclusive"
+    verdict = "pass" if est.status == CERTIFIED else "inconclusive"
     return {"estimate": verdict}, est
 
 

@@ -34,7 +34,6 @@ from .algebra import (
     products,
     spectral_radii,
     unvec,
-    vec,
     _hull_gauge_lp,
     _real_rows,
 )
@@ -110,7 +109,8 @@ def jsr_estimate(s, depth, gap_target=1e-3):
     product, one SVD and one ``eigvals`` call per chunk give every child the
     bits it gets alone.  A scalar pass then visits the chunk's children in
     lexicographic order of their words and updates the lower bound child by
-    child, so pruning, witnesses and ties do not depend on the chunking.
+    child, so pruning, witnesses and ties do not depend on the chunking.  A
+    norm that overflows ends the search with the levels before its own.
     """
     s = bounded_set(s)
     if depth < 1:
@@ -118,7 +118,7 @@ def jsr_estimate(s, depth, gap_target=1e-3):
     if not gap_target > 0:
         raise ValueError("gap target must be positive")
     desc = s.descriptor
-    gens = np.stack([g.coords for g in s.generators])
+    gens = s.rows
     k = len(gens)
     gen_max = float(np.max(norms(desc, gens)))
     log2_gen_max = math.log2(gen_max) if gen_max > 0 else -math.inf
@@ -178,7 +178,7 @@ def jsr_estimate(s, depth, gap_target=1e-3):
                 kept_exponents.append(exponent)
             kept_rows.append(coords[keep])
         if overflowed:
-            return RadiusEstimate(lower, math.inf, witness, explored, DEPTH_LIMITED)
+            break
         upper = min(upper, level_max)
         words, rows, exponents = kept_words, np.concatenate(kept_rows), kept_exponents
         if upper - lower <= gap_target or not words:
@@ -192,8 +192,14 @@ def jsr_estimate(s, depth, gap_target=1e-3):
 # identities of the spectral radius
 # ---------------------------------------------------------------------------
 
-def _intervals_intersect(lo1, hi1, lo2, hi2, slack):
-    return lo1 <= hi2 + slack and lo2 <= hi1 + slack
+def _require_meet(what, a, b, rel, scale):
+    """Raise InvariantViolation unless the intervals ``a`` and ``b`` meet
+    within ``rel * max(1, scale)``, a non-finite scale read as 1.  A nan
+    endpoint (0 * inf) bounds nothing."""
+    slack = rel * max(1.0, scale if math.isfinite(scale) else 1.0)
+    if a[0] > b[1] + slack or b[0] > a[1] + slack:
+        raise InvariantViolation(
+            f"{what}: [{a[0]}, {a[1]}] misses [{b[0]}, {b[1]}]")
 
 
 def _expand_products(s, n):
@@ -220,20 +226,12 @@ def check_specrad_identities(s, c, n, depth, gap_target=1e-6):
     powered = jsr_estimate(_expand_products(s, n), power_depth, gap_target)
 
     mag = abs(c)
-    slack = 1e-9 * max(1.0, mag * base.upper if math.isfinite(base.upper) else 1.0)
-    if not _intervals_intersect(mag * base.lower, mag * base.upper,
-                                scaled.lower, scaled.upper, slack):
-        raise InvariantViolation(
-            f"rho(cS) interval [{scaled.lower}, {scaled.upper}] misses "
-            f"|c|*rho(S) interval [{mag * base.lower}, {mag * base.upper}]"
-        )
-    pow_slack = 1e-9 * max(1.0, base.upper ** n if math.isfinite(base.upper) else 1.0)
-    if not _intervals_intersect(base.lower ** n, base.upper ** n,
-                                powered.lower, powered.upper, pow_slack):
-        raise InvariantViolation(
-            f"rho(S^{n}) interval [{powered.lower}, {powered.upper}] misses "
-            f"rho(S)^{n} interval [{base.lower ** n}, {base.upper ** n}]"
-        )
+    _require_meet("|c| rho(S) against rho(cS)",
+                  (mag * base.lower, mag * base.upper),
+                  (scaled.lower, scaled.upper), 1e-9, mag * base.upper)
+    lower, upper = base.lower ** n, base.upper ** n
+    _require_meet(f"rho(S)^{n} against rho(S^{n})", (lower, upper),
+                  (powered.lower, powered.upper), 1e-9, upper)
     return {
         "base": base,
         "scaled": scaled,
@@ -351,15 +349,16 @@ class _HullStack:
             return decided
         return self.gauge(target) <= 1.0 + _INSIDE_TOL
 
-    def closure_max(self, generators):
-        """max(1, the largest hull gauge of a pairwise product of the hull's
-        generators): the float an LP for every pair gives, with LPs only for
-        the pairs whose :meth:`upper` bound could still set it; each new basis
-        tightens the bounds.  A gauge <= 1 cannot change the clamped defect,
-        so the maximum starts at 1; a product off the span keeps bound inf.
+    def closure_max(self, hull):
+        """max(1, the largest hull gauge of a pairwise product of the generators
+        of ``hull``, whose columns these are): the float an LP for every pair
+        gives, with LPs only for the pairs whose :meth:`upper` bound could
+        still set it; each new basis tightens the bounds.  A gauge <= 1 cannot
+        change the clamped defect, so the maximum starts at 1; a product off
+        the span keeps bound inf.
         """
-        rows = np.stack([g.coords for g in generators])
-        prods = products(generators[0].descriptor, rows[:, None], rows)
+        rows = hull.rows
+        prods = products(hull.descriptor, rows[:, None], rows)
         prods = _real_rows(prods.reshape(len(rows) ** 2, -1)).T
         upper = self.upper(prods)
         best = 1.0
@@ -393,7 +392,7 @@ def submultiplicative_hull(s, r, max_products=512):
     if not r > 0:
         raise ValueError("scale r must be positive")
     desc = s.descriptor
-    gens = (1.0 / r) * np.stack([g.coords for g in s.generators])
+    gens = (1.0 / r) * s.rows
     generators = [unvec(desc, row) for row in gens]  # rejects non-finite rows
     stack = _HullStack(list(_real_rows(gens)))
     decay_profile = {}
@@ -429,8 +428,8 @@ def submultiplicative_hull(s, r, max_products=512):
         frontier = new_frontier
 
     # S <= r*T by construction: the scaled generators are T's first ones
-    defect = max(0.0, stack.closure_max(generators) - 1.0)
-    return HullCertificate(FiniteHull(tuple(generators)), r, defect)
+    hull = FiniteHull(tuple(generators))
+    return HullCertificate(hull, r, max(0.0, stack.closure_max(hull) - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -447,21 +446,17 @@ def jsr_grid_max(s, depth, gap_target=1e-3):
     desc = s.descriptor
     if not isinstance(desc, GridFunctionAlgebra):
         raise TypeError("jsr_grid_max requires a grid-function algebra")
-    fibers = [vec(g).reshape(len(desc.grid.points), -1) for g in s.generators]
+    fibers = s.rows.reshape(len(s.generators), len(desc.grid.points), -1)
     profile = []
     for i in range(len(desc.grid.points)):
-        fiber_set = bounded_set([unvec(desc.fiber, f[i]) for f in fibers])
+        fiber_set = bounded_set([unvec(desc.fiber, f) for f in fibers[:, i]])
         profile.append(jsr_estimate(fiber_set, depth, gap_target))
     global_est = jsr_estimate(s, depth, gap_target)
     max_lower = max(p.lower for p in profile)
     max_upper = max(p.upper for p in profile)
-    slack = 1e-9 * max(1.0, max_upper if math.isfinite(max_upper) else 1.0)
-    if not _intervals_intersect(global_est.lower, global_est.upper,
-                                max_lower, max_upper, slack):
-        raise InvariantViolation(
-            f"global interval [{global_est.lower}, {global_est.upper}] misses "
-            f"fiber max interval [{max_lower}, {max_upper}]"
-        )
+    _require_meet("global interval against fiber max interval",
+                  (global_est.lower, global_est.upper), (max_lower, max_upper),
+                  1e-9, max_upper)
     return {"global": global_est, "profile": profile}
 
 
@@ -483,12 +478,8 @@ def kronecker_bound_check(s_a, s_b, depth, gap_target=1e-3):
     est_b = jsr_estimate(s_b, depth, gap_target)
     est_ab = jsr_estimate(bounded_set(prods), depth, gap_target)
     bound = est_a.upper * est_b.upper
-    slack = 1e-9 * max(1.0, bound if math.isfinite(bound) else 1.0)
-    if est_ab.lower > bound + slack:
-        raise InvariantViolation(
-            f"Kronecker lower bound {est_ab.lower} exceeds "
-            f"rho(S_A) rho(S_B) bound {bound}"
-        )
+    _require_meet("rho(S_A (x) S_B) against [0, rho(S_A) rho(S_B)]",
+                  (est_ab.lower, est_ab.upper), (0.0, bound), 1e-9, bound)
     return {"left": est_a, "right": est_b, "product": est_ab, "bound": bound}
 
 
@@ -513,13 +504,11 @@ def direct_union_liminf(chain, depth, gap_target=1e-3):
     produce the same interval up to solver noise.
     """
     stages = [jsr_estimate(s, depth, gap_target) for s in chain]
-    reference = stages[0]
-    scale_ref = max(1.0, reference.upper if math.isfinite(reference.upper) else 1.0)
+    ref = stages[0]
     for est in stages[1:]:
-        if (abs(est.lower - reference.lower) > _UNION_SLACK * scale_ref
-                or abs(est.upper - reference.upper) > _UNION_SLACK * scale_ref):
-            raise InvariantViolation(
-                "direct-union stages disagree: "
-                f"[{reference.lower}, {reference.upper}] vs [{est.lower}, {est.upper}]"
-            )
+        # an end's difference against [0, 0] misses iff |difference| > slack
+        for diff in (est.lower - ref.lower, est.upper - ref.upper):
+            _require_meet(f"direct-union stages [{ref.lower}, {ref.upper}] and "
+                          f"[{est.lower}, {est.upper}] differ", (diff, diff),
+                          (0.0, 0.0), _UNION_SLACK, ref.upper)
     return {"stages": stages}

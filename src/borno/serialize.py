@@ -33,7 +33,6 @@ from .algebra import (
     SumDisk,
     components,
     linear_dim,
-    vec,
 )
 from .closedforms import EpsForm, WeightForm
 from .errors import SchemaError
@@ -195,7 +194,7 @@ def _coords_to_json(desc, coords):
 
 
 def element_data_to_json(element):
-    return _coords_to_json(element.descriptor, vec(element))
+    return _coords_to_json(element.descriptor, element.coords)
 
 
 def _data_from_json(desc, data, context):
@@ -225,10 +224,11 @@ def element_from_json(obj, context="element"):
         f"{context}.data")
 
 
-def _generators_from_json(desc, gens, context):
+def _family_from_json(family, desc, gens, context):
     desc = descriptor_from_json(desc, f"{context}.descriptor")
-    return tuple(element_data_from_json(desc, g, path)
-                 for g, path in entries(gens, f"{context}.generators"))
+    return _build(family, context, tuple(
+        element_data_from_json(desc, g, path)
+        for g, path in entries(gens, f"{context}.generators")))
 
 
 def bounded_set_to_json(s):
@@ -237,11 +237,8 @@ def bounded_set_to_json(s):
 
 
 def bounded_set_from_json(obj, context="bounded set"):
-    gens = _generators_from_json(
-        *fields(obj, context, ("descriptor", "generators")), context)
-    if not gens:
-        raise SchemaError(f"{context}: needs at least one generator")
-    return BoundedSet(gens)
+    return _family_from_json(
+        BoundedSet, *fields(obj, context, ("descriptor", "generators")), context)
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +249,7 @@ def disk_to_json(disk):
     if isinstance(disk, NormBall):
         return {"kind": "norm_ball", "radius": disk.radius}
     if isinstance(disk, FiniteHull):
-        return {"kind": "finite_hull",
-                "descriptor": descriptor_to_json(
-                    disk.generators[0].descriptor),
-                "generators": [element_data_to_json(g)
-                               for g in disk.generators]}
+        return {"kind": "finite_hull", **bounded_set_to_json(disk)}
     if isinstance(disk, Scaled):
         return {"kind": "scaled", "factor": disk.factor,
                 "inner": disk_to_json(disk.inner)}
@@ -274,8 +267,7 @@ def disk_from_json(obj, context="disk"):
     if kind == "norm_ball":
         return _build(NormBall, context, real(values[0], f"{context}.radius"))
     if kind == "finite_hull":
-        return _build(FiniteHull, context,
-                      _generators_from_json(*values, context))
+        return _family_from_json(FiniteHull, *values, context)
     if kind == "scaled":
         factor, inner = values
         return _build(Scaled, context, real(factor, f"{context}.factor"),

@@ -92,6 +92,14 @@ class TestNorm:
                                      matrix_element([[5.0]])))
         assert norm(elem) == pytest.approx(5.0)
 
+    def test_beyond_the_float_range_is_infinite(self):
+        # finite entries whose op2 norm 1.5e308 * sqrt(2) overflows: inf,
+        # with neither an OverflowError nor a RuntimeWarning
+        big = np.array([[1.5e308, 1.5e308], [0.0, 0.0]])
+        assert norm(matrix_element(big)) == math.inf
+        stack = np.stack([big, np.eye(2)]).reshape(2, 4)
+        assert norms(MatrixAlgebra(2), stack).tolist() == [math.inf, 1.0]
+
     def test_submultiplicative_both_kinds(self):
         rng = np.random.default_rng(7)
         for kind in ("op2", "maxrow"):

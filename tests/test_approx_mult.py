@@ -57,7 +57,7 @@ class TestCurvature:
         s = bounded_set([unvec(f.source, rng.standard_normal(4))
                          for _ in range(2)])
         cs = curvature(f, s)
-        assert all(np.all(e.data == 0) for _, e in cs.pairs)
+        assert all(np.all(e.data == 0) for e in cs.generators)
         est = curvature_radius(f, s)
         assert (est.lower, est.upper) == (0.0, 0.0)
 
@@ -70,7 +70,7 @@ class TestCurvature:
         eps = 0.1
         g = scalar_map(1 + eps)
         cs = curvature(g, unit_scalar_set())
-        value = cs.set.generators[0].data[0, 0]
+        value = cs.generators[0].data[0, 0]
         assert value == pytest.approx(-eps * (1 + eps), abs=1e-15)
         est = curvature_radius(g, unit_scalar_set())
         assert est.lower == pytest.approx(eps * (1 + eps), abs=1e-9)
@@ -117,7 +117,7 @@ class TestApproximateMultiplicativity:
         verdict = is_approximately_multiplicative(g, unit_scalar_set())
         assert verdict in ("no", "inconclusive")
         cs = curvature(g, unit_scalar_set())
-        assert abs(cs.set.generators[0].data[0, 0]) == pytest.approx(1.0)
+        assert abs(cs.generators[0].data[0, 0]) == pytest.approx(1.0)
 
 
     def test_wide_interval_is_inconclusive(self):
@@ -382,10 +382,11 @@ class TestRowFamilies:
 
     @pytest.mark.parametrize("name, f, s", MAP_CASES, ids=CASE_IDS)
     def test_curvature(self, name, f, s):
-        got = curvature(f, s).pairs
+        got = curvature(f, s).generators
         want = per_pair_curvature(f, s)
-        assert [p for p, _e in got] == [p for p, _e in want]
-        assert same_bytes([e.coords for _p, e in got], [e for _p, e in want])
+        k = len(s.generators)
+        assert [p for p, _e in want] == [divmod(q, k) for q in range(len(got))]
+        assert same_bytes([e.coords for e in got], [e for _p, e in want])
 
     @pytest.mark.parametrize("name, f, s", MAP_CASES, ids=CASE_IDS)
     def test_homotopy_coefficients(self, name, f, s):

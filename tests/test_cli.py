@@ -7,7 +7,13 @@ import types
 
 import pytest
 
-from borno.cli import builtin_instances, main, run_instance
+from borno.cli import (
+    FAIL_VERDICTS,
+    PASS_VERDICTS,
+    builtin_instances,
+    main,
+    run_instance,
+)
 from borno.errors import SchemaError
 from borno.serialize import SCHEMA, instance_digest
 
@@ -152,6 +158,13 @@ class TestFixtures:
             code, report = report_of(tmp_path, name)
             assert code in (0, 1, 2)
             assert report["schema"] == "borno/2"
+
+    @pytest.mark.parametrize("name", sorted(builtin_instances()))
+    def test_builtin_verdicts_are_known_words(self, tmp_path, name):
+        # every verdict word is one the exit code reads, or "inconclusive"
+        _code, report = report_of(tmp_path, name)
+        assert set(report["verdicts"].values()) <= (
+            PASS_VERDICTS | FAIL_VERDICTS | {"inconclusive"})
 
     def test_unknown_fixture_exits_three(self, tmp_path, capsys):
         assert run_cli(["fixture", "nope",
@@ -626,16 +639,30 @@ class TestDocumentedPaths:
 
     def test_non_finite_result_is_a_string(self, tmp_path):
         # the search stops where a product's norm overflows (see
-        # test_jsr.py), and the report carries its upper bound as "inf"
+        # test_jsr.py); here a generator's row sum does, so no level bounds
+        # rho and the report carries its upper bound as "inf"
         from borno.algebra import bounded_set, matrix_element
         from borno.serialize import bounded_set_to_json
 
-        big = matrix_element([[8.5e307, 8.5e307], [0.0, 8.5e307]], "maxrow")
+        big = matrix_element([[1e308, 1e308], [0.0, 1e308]], "maxrow")
         inst = {"schema": SCHEMA, "command": "jsr", "config": {"depth": 4},
                 "payload": {"set": bounded_set_to_json(bounded_set([big]))}}
         with pytest.warns(RuntimeWarning, match="overflow"):
             code, report = self.run(tmp_path, ["run"], inst)
         assert code == 2
+        assert report["results"]["upper"] == "inf"
+
+    def test_overflowing_op2_norm_is_depth_limited(self, tmp_path):
+        # the generator's op2 norm exceeds the float range: no upper bound
+        from borno.algebra import bounded_set, matrix_element
+        from borno.serialize import bounded_set_to_json
+
+        big = matrix_element([[1.5e308, 1.5e308], [0.0, 0.0]])
+        inst = {"schema": SCHEMA, "command": "jsr", "config": {"depth": 4},
+                "payload": {"set": bounded_set_to_json(bounded_set([big]))}}
+        code, report = self.run(tmp_path, ["run"], inst)
+        assert code == 2
+        assert report["verdicts"] == {"estimate": "inconclusive"}
         assert report["results"]["upper"] == "inf"
 
     def test_apple_without_sigmas_uses_the_identity(self, tmp_path):

@@ -136,6 +136,21 @@ class TestDisks:
         back_ball = roundtrip(ball, disk_to_json, disk_from_json)
         assert back_ball == ball
 
+    def test_hull_is_a_bounded_set_with_a_kind(self):
+        gens = (matrix_element(np.eye(2)), matrix_element([[0, 1j], [0, 0]]))
+        obj = disk_to_json(FiniteHull(gens))
+        assert obj == {"kind": "finite_hull",
+                       **bounded_set_to_json(bounded_set(gens))}
+        assert disk_from_json(obj) == FiniteHull(gens)
+
+    def test_empty_family_rejected(self):
+        obj = {"descriptor": {"kind": "matrix", "dim": 1, "norm": "op2"},
+               "generators": []}
+        with pytest.raises(SchemaError, match="^set: .*at least one generator"):
+            bounded_set_from_json(obj, "set")
+        with pytest.raises(SchemaError, match="^disk: .*at least one generator"):
+            disk_from_json({"kind": "finite_hull", **obj})
+
 
 class TestMaps:
     def test_homomorphism_roundtrip(self):
