@@ -38,10 +38,10 @@ from .isoradial import (
     CertificateReport,
     DensityReport,
     SamplerConfig,
-    fixture_catalog,
     isoradial_certificate,
     local_density_probe,
 )
+from .fixtures import fixture_catalog
 from .approx_mult import (
     HomotopyCertificate,
     apple_certificate,

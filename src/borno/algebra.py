@@ -21,7 +21,6 @@ import numpy as np
 from .errors import DescriptorMismatch, NumericalFailure, UnsupportedDisk
 
 NORM_TOL = 1e-10
-EIG_TOL = 1e-9
 RANK_TOL = 1e-9
 LP_TOL = 1e-9
 
@@ -292,7 +291,9 @@ def scale(c, a):
 def _power_iteration_bracket(mat):
     """Largest singular value by power iteration on A^H A.
 
-    Returns (estimate, converged, bracket).
+    Returns (estimate, converged, bracket).  An estimate counts as converged
+    only when its A^H A residual is within NORM_TOL * sigma^2, the limit of
+    the SVD path's residual check.
     """
     n = mat.shape[0]
     upper = float(np.linalg.norm(mat, "fro"))
@@ -311,7 +312,7 @@ def _power_iteration_bracket(mat):
         sigma_new = math.sqrt(nw)
         if abs(sigma_new - sigma) <= NORM_TOL * max(sigma_new, 1e-300):
             resid = float(np.linalg.norm(gram @ v_new - nw * v_new))
-            if resid <= math.sqrt(NORM_TOL) * nw:
+            if resid <= NORM_TOL * nw:
                 return sigma_new, True, (sigma_new, upper)
         sigma, v = sigma_new, v_new
     return sigma, False, (sigma, upper)

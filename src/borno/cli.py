@@ -396,14 +396,9 @@ def _exit_code(verdicts):
 
 
 def _parse_threads(value):
-    if value is None:
-        value = os.environ.get("BORNO_THREADS")
-    if value in (None, "", "0"):
-        return os.cpu_count() or 1
-    n = int(value)
-    if n < 1:
+    """Validate --threads; absent, empty or 0 stand for any count."""
+    if value not in (None, "", "0") and int(value) < 1:
         raise SchemaError("--threads must be a positive integer")
-    return n
 
 
 def main(argv=None):

@@ -400,23 +400,18 @@ def local_approx_property_check(s, t_gauge, tolerance, rank_budget=128):
     tol = _frac(tolerance)
     target = tol * tol if t_gauge.kind == L2 else tol
     identity = OperatorModel.identity()
-    raws = []
-    rank = None
-    for n in range(-1, rank_budget + 1):  # truncation(-1) is the zero map
-        raw, _exact = _rate_of_pair(OperatorModel.truncation(n), identity, s,
-                                    t_gauge)
-        raws.append(raw)
-        if raw <= target:
-            rank = n + 1  # coordinates 0..n
-            break
-    if rank is None:
-        # the rate of truncation(n) is the box's tail gauge from n + 1: it
-        # does not grow with n and tends to 0 on a compact box
-        n = first_true(lambda n: _rate_of_pair(
-            OperatorModel.truncation(n), identity, s, t_gauge)[0] <= target,
-            rank_budget + 1)
+
+    def rate(n):  # truncation(-1) is the zero map
+        return _rate_of_pair(OperatorModel.truncation(n), identity, s,
+                             t_gauge)[0]
+
+    # the rate of truncation(n) is the box's tail gauge from n + 1: it does
+    # not grow with n and tends to 0 on a compact box
+    n = first_true(lambda n: rate(n) <= target, -1)
+    if n > rank_budget:
         raise RankBudgetError(rank_budget, n + 1)
     scale = t_gauge.finalize(
         t_gauge.of_magnitudes([(s.envelope.abs_form(), 0, None)]))
-    return ApproxPropertyReport(rank, tuple(t_gauge.finalize(r) for r in raws),
-                                scale, float(tol))
+    return ApproxPropertyReport(
+        n + 1, tuple(t_gauge.finalize(rate(k)) for k in range(-1, n + 1)),
+        scale, float(tol))

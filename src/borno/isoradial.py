@@ -28,18 +28,6 @@ from .algebra import (
 )
 from .jsr import jsr_estimate
 from .maps import Homomorphism, check_multiplicative, HOM_DEFECT_TOL
-from .fixtures import fixture_catalog  # re-exported: the catalog is part of this surface
-
-__all__ = [
-    "DensityReport",
-    "SamplerConfig",
-    "CertificateReport",
-    "check_multiplicative",
-    "local_density_probe",
-    "isoradial_certificate",
-    "fixture_catalog",
-    "Homomorphism",
-]
 
 PASS = "pass"
 FAIL = "fail"

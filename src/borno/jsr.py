@@ -75,17 +75,16 @@ class HullCertificate:
     closure_defect: float
 
 
-def _exp2(x):
-    return math.pow(2.0, x)
-
-
 def _rate(value, exponent, length):
-    """(value * 2^exponent)^(1/length) without forming the scaled number."""
+    """(value * 2^exponent)^(1/length) without forming the scaled number;
+    exact at length 1."""
     if value == 0.0:
         return 0.0
+    if length == 1:
+        return math.ldexp(value, exponent)
     if exponent == 0:
         return value ** (1.0 / length)
-    return _exp2((math.log2(value) + exponent) / length)
+    return math.pow(2.0, (math.log2(value) + exponent) / length)
 
 
 def _optimistic_rate(child_norm, exponent, length, log2_gen_max, depth):
@@ -98,8 +97,8 @@ def _optimistic_rate(child_norm, exponent, length, log2_gen_max, depth):
     if child_norm == 0.0:
         return 0.0
     base = math.log2(child_norm) + exponent
-    return _exp2(max(base / length,
-                     (base + (depth - length) * log2_gen_max) / depth))
+    return math.pow(2.0, max(base / length,
+                             (base + (depth - length) * log2_gen_max) / depth))
 
 
 def jsr_estimate(s, depth, gap_target=1e-3):
@@ -120,7 +119,8 @@ def jsr_estimate(s, depth, gap_target=1e-3):
     desc = s.descriptor
     gens = s.rows
     k = len(gens)
-    gen_max = float(np.max(norms(desc, gens)))
+    gen_norms = norms(desc, gens)
+    gen_max = float(np.max(gen_norms))
     log2_gen_max = math.log2(gen_max) if gen_max > 0 else -math.inf
     slack = gap_target / 2.0
     step = max(1, _CHUNK // k)
@@ -128,23 +128,21 @@ def jsr_estimate(s, depth, gap_target=1e-3):
     lower = 0.0
     upper = math.inf
     witness = ()
-    explored = 0
 
     # the surviving words, their products' coordinate rows (none for the
     # empty word) and the power-of-two exponents the rows are scaled by
     words, rows, exponents = [()], None, [0]
     for level in range(1, depth + 1):
-        explored = level
         kept_words, kept_rows, kept_exponents = [], [], []
         level_max = 0.0
         overflowed = False
         for first in range(0, len(words), step):
             if rows is None:
-                coords = gens.copy()
+                coords, child_norms = gens.copy(), gen_norms.tolist()
             else:
                 coords = products(desc, rows[first:first + step, None], gens)
                 coords = coords.reshape(-1, gens.shape[1])
-            child_norms = norms(desc, coords).tolist()
+                child_norms = norms(desc, coords).tolist()
             child_exponents = [e for e in exponents[first:first + step]
                                for _ in range(k)]
             for j, child_norm in enumerate(child_norms):
@@ -185,7 +183,7 @@ def jsr_estimate(s, depth, gap_target=1e-3):
             break
 
     status = CERTIFIED if upper - lower <= gap_target else DEPTH_LIMITED
-    return RadiusEstimate(lower, upper, witness, explored, status)
+    return RadiusEstimate(lower, upper, witness, level, status)
 
 
 # ---------------------------------------------------------------------------

@@ -558,18 +558,25 @@ def absorption_constant(target, source):
                             source.kind, target.kind)
 
 
+def _absorbing_disk(space, sources):
+    """The first family disk m with a finite absorption constant against
+    every source disk, as (m, those constants), or None."""
+    for m, target in enumerate(space.disks):
+        kappas = [absorption_constant(target, space.disk(i)) for i in sources]
+        if INF not in kappas:
+            return m, kappas
+    return None
+
+
 def directedness_check(space):
     """For each pair (j, k), find m absorbing both after scaling."""
     report = {}
     for j in range(len(space.disks)):
         for k in range(len(space.disks)):
-            found = None
-            for m in range(len(space.disks)):
-                cj = absorption_constant(space.disk(m), space.disk(j))
-                ck = absorption_constant(space.disk(m), space.disk(k))
-                if cj != INF and ck != INF:
-                    found = (m, max(cj, ck, Fraction(1)))
-                    break
+            found = _absorbing_disk(space, (j, k))
+            if found is not None:
+                m, kappas = found
+                found = (m, max(*kappas, Fraction(1)))
             report[(j, k)] = found
     directed = all(v is not None for v in report.values())
     return {"directed": directed, "witnesses": report}
@@ -809,25 +816,19 @@ def metrizability_scalars(space, disk_indices):
     """Closed-form epsilons with all partial sums of eps_n S_n in one disk.
 
     Searches the family for an absorbing disk M; gauge_M(sum eps_n x_n) <=
-    sum eps_n kappa_n <= sum 2^-n = 1 is the certificate, and ``bound`` is
-    the middle sum.
+    sum eps_n max(kappa_n, 1) = sum_{n<N} 2^-(n+1) = 1 - 2^-N is the
+    certificate, and ``bound`` is that middle sum.
     An inconclusive outcome means the family is too small to absorb, which
     is reported, not asserted as a property of the abstract space.
     """
-    for m_idx in range(len(space.disks)):
-        kappas = [absorption_constant(space.disk(m_idx), space.disk(i))
-                  for i in disk_indices]
-        if all(k != INF for k in kappas):
-            epsilons = tuple(
-                Fraction(1, 2 ** (n + 1)) / max(k, Fraction(1))
-                for n, k in enumerate(kappas)
-            )
-            bound = sum(
-                (e * max(k, Fraction(1)) for e, k in zip(epsilons, kappas)),
-                Fraction(0),
-            )
-            return MetrizabilityReport("bounded", m_idx, epsilons, bound)
-    return MetrizabilityReport("not-within-family")
+    found = _absorbing_disk(space, disk_indices)
+    if found is None:
+        return MetrizabilityReport("not-within-family")
+    m_idx, kappas = found
+    epsilons = tuple(Fraction(1, 2 ** (n + 1)) / max(k, Fraction(1))
+                     for n, k in enumerate(kappas))
+    bound = 1 - Fraction(1, 2 ** len(kappas))
+    return MetrizabilityReport("bounded", m_idx, epsilons, bound)
 
 
 def _rational_root_upper(x, tower):
@@ -847,35 +848,30 @@ def strengthened_series_check(space, disk_index, eps):
     """Do the full infinite sums sum lambda_n x_n (|lambda_n| <= eps_n,
     x_n in S) land in a family disk?  Exact geometric comparison, with sound
     rational bounds for inverse-polynomial and root-tower descriptors."""
-    source = space.disk(disk_index)
-    for m_idx in range(len(space.disks)):
-        kappa = absorption_constant(space.disk(m_idx), source)
-        if kappa == INF:
-            continue
-        kappa = max(kappa, Fraction(1))
-        if eps.kind == "geom":
-            ratio = eps.ratio if eps.level == 0 else _rational_root_upper(
-                eps.ratio, eps.level)
-            amp = eps.amp if eps.level == 0 else _rational_root_upper(
-                eps.amp, eps.level)
-            if ratio >= 1:
-                continue
+    total = None
+    if eps.kind == "geom":
+        ratio = eps.ratio if eps.level == 0 else _rational_root_upper(
+            eps.ratio, eps.level)
+        amp = eps.amp if eps.level == 0 else _rational_root_upper(
+            eps.amp, eps.level)
+        if ratio < 1:
             total = amp * ratio / (1 - ratio)  # sum over n >= 1
-        else:
-            if eps.power < 2 or eps.level > 0 or eps.alpha == 0:
-                continue
-            # (alpha n + beta)^p >= alpha^p n^2 for n >= 1 and p >= 2, so
-            # sum_{n>=1} a/(alpha n + beta)^p <= (a/alpha^p) sum 1/n^2 < 5a/(3 alpha^p)
-            total = Fraction(5, 3) * eps.amp / eps.alpha ** eps.power
-        bound = total * kappa
-        return {
-            "verdict": "bounded",
-            "disk_index": m_idx,
-            "bound": bound,
-            "certificate": f"sum eps_n * kappa <= {bound}",
-        }
-    return {"verdict": "fail", "disk_index": None, "bound": None,
-            "certificate": "no family disk absorbs the series"}
+    elif eps.power >= 2 and eps.level == 0 and eps.alpha != 0:
+        # (alpha n + beta)^p >= alpha^p n^2 for n >= 1 and p >= 2, so
+        # sum_{n>=1} a/(alpha n + beta)^p <= (a/alpha^p) sum 1/n^2 < 5a/(3 alpha^p)
+        total = Fraction(5, 3) * eps.amp / eps.alpha ** eps.power
+    found = None if total is None else _absorbing_disk(space, (disk_index,))
+    if found is None:
+        return {"verdict": "fail", "disk_index": None, "bound": None,
+                "certificate": "no family disk absorbs the series"}
+    m_idx, (kappa,) = found
+    bound = total * max(kappa, Fraction(1))
+    return {
+        "verdict": "bounded",
+        "disk_index": m_idx,
+        "bound": bound,
+        "certificate": f"sum eps_n * kappa <= {bound}",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -511,6 +511,9 @@ class TestFallbackKernels:
         ([[1.0, -1.0], [1.0, -1.0]], (0.0, 2.0)),
         # singular values 1 and 0.999: 2,000 steps do not settle sigma
         ([[1.0, 0.0], [0.0, 0.999]], (0.9999996651526147, 1.4135066324570253)),
+        # singular values 1 and 1 - 10^-5: sigma settles below 1, but its
+        # A^H A residual stays above NORM_TOL * sigma^2
+        ([[1.0, 0.0], [0.0, 1 - 1e-5]], (0.9999951998319997, 1.414206491322961)),
     ])
     def test_power_iteration_that_cannot_certify_raises(self, monkeypatch,
                                                         data, bracket):

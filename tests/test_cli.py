@@ -457,6 +457,12 @@ class TestDeterminism:
             outputs.append(json.dumps(report, sort_keys=True))
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_threads_environment_is_not_read(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BORNO_THREADS", "x")
+        inst = write_fixture(tmp_path, "golden-pair")
+        assert run_cli(["run", "--input", str(inst),
+                        "--out", str(tmp_path / "report.json")]) == 0
+
     def test_builtin_digests_are_pinned(self):
         digests = {name: instance_digest(inst)
                    for name, inst in builtin_instances().items()}

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from borno.closedforms import INF, WeightForm
+from borno.closedforms import INF, WeightForm, first_true
 from borno.errors import EquiboundednessError
 from borno.finrank import (
     CompactSetModel,
@@ -16,6 +16,7 @@ from borno.finrank import (
     OperatorFamily,
     OperatorModel,
     RankBudgetError,
+    _rate_of_pair,
     local_approx_property_check,
     operator_gauge_bound,
     pointwise_vs_uniform_check,
@@ -378,6 +379,36 @@ class TestOperatorBounds:
                     or gauge.of_vector(image) <= factor * gauge.of_vector(x))
 
 
+def approx_rank_walk(box, gauge, tolerance, rank_budget):
+    """The linear walk within the budget and the first_true search past it
+    that one first_true search from n = -1 replaced: (rank, rates), or the
+    extrapolated rank of the budget error."""
+    tol = Fraction(tolerance)
+    target = tol * tol if gauge.kind == "l2" else tol
+    identity = OperatorModel.identity()
+    raws = []
+    for n in range(-1, rank_budget + 1):
+        raw, _exact = _rate_of_pair(OperatorModel.truncation(n), identity,
+                                    box, gauge)
+        raws.append(raw)
+        if raw <= target:
+            return n + 1, tuple(gauge.finalize(r) for r in raws)
+    n = first_true(lambda n: _rate_of_pair(
+        OperatorModel.truncation(n), identity, box, gauge)[0] <= target,
+        rank_budget + 1)
+    return ("budget", n + 1)
+
+
+def approx_rank(box, gauge, tolerance, rank_budget):
+    try:
+        report = local_approx_property_check(box, gauge, tolerance,
+                                             rank_budget)
+    except RankBudgetError as exc:
+        assert exc.budget == rank_budget
+        return ("budget", exc.required)
+    return report.rank, report.rates
+
+
 class TestLocalApproxProperty:
     def test_geometric_envelope_rank_eleven(self):
         report = local_approx_property_check(GEO_BOX, L2, Fraction(1, 1000))
@@ -407,6 +438,17 @@ class TestLocalApproxProperty:
         # the smallest rank, which a larger budget finds directly
         assert err.value.required == local_approx_property_check(
             GEO_BOX, L2, Fraction(1, 10**9), rank_budget=64).rank
+
+    @settings(max_examples=120, deadline=None)
+    @given(box=BOXES, gauge=st.sampled_from(GAUGES),
+           tolerance=st.sampled_from([Fraction(1, 10), Fraction(1, 1000),
+                                      Fraction(1, 10**6)]),
+           budget=st.sampled_from([4, 64]))
+    def test_rank_matches_the_linear_walk(self, box, gauge, tolerance,
+                                          budget):
+        assume(precompactness_check(box, gauge))
+        assert (approx_rank(box, gauge, tolerance, budget)
+                == approx_rank_walk(box, gauge, tolerance, budget))
 
     def test_sampling_never_exceeds_certificates(self):
         rng = np.random.default_rng(0xB00C)

@@ -813,8 +813,16 @@ class TestBatchedSearch:
         assert est.status == "depth-limited"
         assert (est.depth, est.witness_word) == (2, (0,))
         assert est.upper == jsr_estimate(bounded_set([g]), 1).upper
-        assert est.upper == pytest.approx(2 * big, rel=1e-12)
-        assert est.lower == pytest.approx(big, rel=1e-12)
+        assert (est.upper, est.lower) == (2 * big, big)
+
+    @pytest.mark.parametrize("exponent", [700, -700])
+    def test_rescaled_level_one_rates_are_exact(self, exponent):
+        # a level-1 norm outside 2^(+-500) is rescaled; its rate is the
+        # rescaled value times 2^shift, with no log2/exp2 round trip
+        for x in np.linspace(1.01, 1.99, 50).tolist():
+            x = math.ldexp(x, exponent)
+            est = jsr_estimate(bounded_set([matrix_element([[x]])]), 1)
+            assert est.lower == est.upper == x
 
     def test_overflowing_first_level_leaves_no_upper_bound(self):
         g = matrix_element([[1.5e308, 1.5e308], [0.0, 0.0]])

@@ -20,6 +20,7 @@ from borno.seqspace import (
     _combine_eps,
     _monotone_from,
     _one_sided_ok,
+    _rational_root_upper,
     _sign_stable_index,
     absorption_constant,
     apply_coordinate_map,
@@ -344,6 +345,130 @@ class TestMetrizability:
         out = strengthened_series_check(space, 0,
                                         EpsForm.geometric(1, Fraction(1)))
         assert out["verdict"] == "fail"
+
+
+def directedness_scan(space):
+    """The per-pair disk loop _absorbing_disk replaced."""
+    report = {}
+    for j in range(len(space.disks)):
+        for k in range(len(space.disks)):
+            found = None
+            for m in range(len(space.disks)):
+                cj = absorption_constant(space.disk(m), space.disk(j))
+                ck = absorption_constant(space.disk(m), space.disk(k))
+                if cj != math.inf and ck != math.inf:
+                    found = (m, max(cj, ck, Fraction(1)))
+                    break
+            report[(j, k)] = found
+    directed = all(v is not None for v in report.values())
+    return {"directed": directed, "witnesses": report}
+
+
+def metrizability_scan(space, disk_indices):
+    """The disk loop and epsilon sum _absorbing_disk replaced."""
+    for m_idx in range(len(space.disks)):
+        kappas = [absorption_constant(space.disk(m_idx), space.disk(i))
+                  for i in disk_indices]
+        if all(k != math.inf for k in kappas):
+            epsilons = tuple(
+                Fraction(1, 2 ** (n + 1)) / max(k, Fraction(1))
+                for n, k in enumerate(kappas)
+            )
+            bound = sum(
+                (e * max(k, Fraction(1)) for e, k in zip(epsilons, kappas)),
+                Fraction(0),
+            )
+            return ("bounded", m_idx, epsilons, bound)
+    return ("not-within-family", None, (), None)
+
+
+def series_scan(space, disk_index, eps):
+    """The disk loop that recomputed the eps sum for every disk."""
+    source = space.disk(disk_index)
+    for m_idx in range(len(space.disks)):
+        kappa = absorption_constant(space.disk(m_idx), source)
+        if kappa == math.inf:
+            continue
+        kappa = max(kappa, Fraction(1))
+        if eps.kind == "geom":
+            ratio = eps.ratio if eps.level == 0 else _rational_root_upper(
+                eps.ratio, eps.level)
+            amp = eps.amp if eps.level == 0 else _rational_root_upper(
+                eps.amp, eps.level)
+            if ratio >= 1:
+                continue
+            total = amp * ratio / (1 - ratio)
+        else:
+            if eps.power < 2 or eps.level > 0 or eps.alpha == 0:
+                continue
+            total = Fraction(5, 3) * eps.amp / eps.alpha ** eps.power
+        bound = total * kappa
+        return {"verdict": "bounded", "disk_index": m_idx, "bound": bound,
+                "certificate": f"sum eps_n * kappa <= {bound}"}
+    return {"verdict": "fail", "disk_index": None, "bound": None,
+            "certificate": "no family disk absorbs the series"}
+
+
+# rational weights and scales where sup weights k+1 or (k+1)^2 meet flat or
+# geometric sums, so that some pairs have no absorbing disk in the family
+RATIONALS = st.sampled_from([Fraction(1, 3), HALF, Fraction(1), Fraction(2),
+                             Fraction(3, 2)])
+DISKS = st.one_of(
+    st.builds(DiskForm, st.sampled_from(["sum", "sup"]),
+              st.builds(WeightForm, RATIONALS,
+                        st.sampled_from([HALF, Fraction(1), Fraction(3, 2),
+                                         Fraction(2)]),
+                        st.integers(0, 2)),
+              RATIONALS),
+    st.sampled_from([DiskForm("sup", WeightForm.polynomial(1, 1)),
+                     DiskForm("sum")]))
+SPACES = st.lists(DISKS, min_size=1, max_size=4).map(
+    lambda disks: ModelSpace(tuple(disks)))
+EPS = st.one_of(
+    st.builds(lambda a, q, level: EpsForm("geom", a, q, level=level),
+              RATIONALS, st.sampled_from([Fraction(1, 4), HALF,
+                                          Fraction(9, 10), Fraction(1),
+                                          Fraction(3, 2)]),
+              st.integers(0, 2)),
+    st.builds(lambda a, alpha, beta, power, level: EpsForm(
+                  "invpoly", a, alpha=alpha, beta=beta, power=power,
+                  level=level),
+              RATIONALS, st.sampled_from([Fraction(0), HALF, Fraction(2)]),
+              RATIONALS, st.integers(0, 3), st.integers(0, 1)))
+
+
+class TestAbsorbingDiskSearch:
+    """The one absorbing-disk search against the three loops it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(space=SPACES)
+    def test_directedness_witnesses(self, space):
+        assert directedness_check(space) == directedness_scan(space)
+
+    @settings(max_examples=150, deadline=None)
+    @given(space=SPACES, data=st.data())
+    def test_metrizability_scalars(self, space, data):
+        indices = data.draw(st.lists(st.integers(0, len(space.disks) - 1),
+                                     max_size=5))
+        rep = metrizability_scalars(space, indices)
+        assert ((rep.verdict, rep.absorbing_index, rep.epsilons, rep.bound)
+                == metrizability_scan(space, indices))
+
+    @settings(max_examples=150, deadline=None)
+    @given(space=SPACES, eps=EPS, data=st.data())
+    def test_strengthened_series(self, space, eps, data):
+        index = data.draw(st.integers(0, len(space.disks) - 1))
+        assert (strengthened_series_check(space, index, eps)
+                == series_scan(space, index, eps))
+
+    def test_incomparable_pair_has_no_witness(self):
+        # sup weights k+1 against flat sums: neither absorbs the other
+        space = ModelSpace((DiskForm("sup", WeightForm.polynomial(1, 1)),
+                            DiskForm("sum")))
+        out = directedness_check(space)
+        assert not out["directed"]
+        assert out["witnesses"] == {(0, 0): (0, 1), (0, 1): None,
+                                    (1, 0): None, (1, 1): (1, 1)}
 
 
 class TestCompleteness:
