@@ -12,9 +12,13 @@ spectral radii act on whole stacks at once.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 
@@ -255,6 +259,9 @@ def products(desc, a, b):
     :func:`multiply` gives it alone; a non-finite entry raises ValueError."""
     runs = []
     for (x, _), (y, _) in zip(_stacks(desc, a), _stacks(desc, b)):
+        # equal ndims, as in multiply: numpy multiplies one complex entry
+        # by operands of unequal ndims in a loop that rounds differently
+        x, y = x[(None,) * (y.ndim - x.ndim)], y[(None,) * (x.ndim - y.ndim)]
         z = np.zeros(np.broadcast(x, y).shape, dtype=np.complex128)
         _matmul_stable(x, y, z)
         if not np.isfinite(z).all():
@@ -576,16 +583,34 @@ def _flatten_disk(disk, mult=1.0):
 
 @cache
 def _highs():
-    """scipy's HiGHS binding and the options ``linprog(method="highs")`` sets.
-    Loaded on the first LP: importing scipy's optimizer costs more than
-    ``import borno``."""
-    from scipy.optimize._highspy import _core
-    options = _core.HighsOptions()
+    """scipy's HiGHS extension and the options ``linprog(method="highs")``
+    sets, loaded on the first LP.
+
+    borno never imports ``scipy.optimize``, whose package init also loads
+    scipy.sparse, scipy.linalg and more.  It loads only the extension, from
+    its file under scipy's install directory, and registers it under its
+    scipy name, so that a later ``import scipy.optimize`` reuses it; if
+    scipy's optimizer is already imported, its module is used.  After
+    ``import numpy`` (Python 3.11.7, scipy 1.17.1, a 2-core x86-64 host),
+    ``import scipy.optimize`` takes 0.56-0.61 s and raises peak RSS from 27
+    to 76 MB; the extension alone takes 5-7 ms and raises it to 31 MB.
+    """
+    name = "scipy.optimize._highspy._core"
+    core = sys.modules.get(name)
+    if core is None:
+        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        stem = os.path.join(root, "optimize", "_highspy", "_core")
+        path = next(stem + suffix for suffix in EXTENSION_SUFFIXES
+                    if os.path.isfile(stem + suffix))
+        spec = importlib.util.spec_from_file_location(name, path)
+        core = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(core)
+    options = core.HighsOptions()
     options.presolve = "on"
-    options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
     options.output_flag = options.log_to_console = False
-    return _core, options
+    return core, options
 
 
 def _solve_lp(c, a_eq, b_eq, a_ub=None, b_ub=None):

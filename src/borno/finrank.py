@@ -393,11 +393,14 @@ def local_approx_property_check(s, t_gauge, tolerance, rank_budget=128):
 
     The witness disk is the ambient gauge ball scaled to contain the box;
     rates are reported in the ambient gauge.  Returns the smallest rank
-    (number of kept coordinates) meeting the tolerance.
+    (number of kept coordinates) meeting the tolerance, which must be
+    positive.
     """
+    tol = _frac(tolerance)
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     if not precompactness_check(s, t_gauge):
         raise ValueError("envelope is not compact under this gauge")
-    tol = _frac(tolerance)
     target = tol * tol if t_gauge.kind == L2 else tol
     identity = OperatorModel.identity()
 

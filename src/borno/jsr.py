@@ -39,6 +39,10 @@ from .algebra import (
 )
 from .errors import CapExceeded, InvariantViolation
 
+# no code here multiplies elements one at a time; the name stays bound because
+# perfbench/test_perfbench.py checks that its tracer rewraps this binding
+multiply = multiply
+
 CERTIFIED = "certified"
 DEPTH_LIMITED = "depth-limited"
 
@@ -201,12 +205,13 @@ def _require_meet(what, a, b, rel, scale):
 
 
 def _expand_products(s, n):
-    """All length-n products of generators, expanded explicitly."""
-    gens = list(s.generators)
-    current = gens
+    """All length-n products of generators, in lexicographic word order:
+    one row-kernel call per level."""
+    desc, gens = s.descriptor, s.rows
+    rows = gens
     for _ in range(n - 1):
-        current = [multiply(p, g) for p in current for g in gens]
-    return bounded_set(current)
+        rows = products(desc, rows[:, None], gens).reshape(-1, gens.shape[1])
+    return bounded_set(unvec(desc, row) for row in rows)
 
 
 def check_specrad_identities(s, c, n, depth, gap_target=1e-6):

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import subprocess
@@ -34,6 +35,20 @@ from borno.algebra import (
     vec,
 )
 from borno.errors import DescriptorMismatch, NumericalFailure, UnsupportedDisk
+
+
+def run_python(code):
+    """The words ``code`` prints in a fresh interpreter that imports
+    borno from this checkout."""
+    import borno
+
+    src = os.path.dirname(os.path.dirname(borno.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.split()
 
 
 def random_matrix(rng, dim, norm_kind="op2"):
@@ -279,8 +294,8 @@ class TestGauge:
                                                                     abs=1e-8)
 
     def test_import_defers_scipy_until_first_hull_gauge(self):
-        import borno
-
+        # the gauge solves an LP, which loads HiGHS's extension and neither
+        # scipy's optimizer nor the sparse package its init imports
         code = (
             "import sys\n"
             "import borno, borno.cli\n"
@@ -291,15 +306,12 @@ class TestGauge:
             "e2 = matrix_element(np.diag([0.0, 1.0]))\n"
             "print(repr(gauge(FiniteHull((e1, e2)),"
             " matrix_element(np.eye(2)))))\n"
+            "print('scipy.optimize._highspy._core' in sys.modules,"
+            " 'scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)\n"
         )
-        src = os.path.dirname(os.path.dirname(borno.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        loaded, value = out.stdout.split()
+        loaded, value, *after = run_python(code)
         assert loaded == "False"
+        assert after == ["True", "False", "False"]
         e1 = matrix_element(np.diag([1.0, 0.0]))
         e2 = matrix_element(np.diag([0.0, 1.0]))
         assert float(value) == gauge(FiniteHull((e1, e2)),
@@ -326,6 +338,56 @@ class TestGauge:
             assert gxy <= gx + gy + 1e-7
             assert gauge(hull, scale(2.0, x)) == pytest.approx(2 * gx,
                                                                abs=1e-7)
+
+
+HIGHS_CORE = "scipy.optimize._highspy._core"
+
+# one LP with inequality and equality rows by borno's direct HiGHS call and by
+# linprog, with scipy's optimizer imported before the first borno LP or after
+LP_BOTH_WAYS = """\
+import sys
+import numpy as np
+{before}import borno.algebra
+c = np.array([1.0, 2.0, 1.0, 3.0])
+a_ub, b_ub = np.array([[1.0, -1.0, 0.5, 0.0]]), np.array([0.25])
+a_eq, b_eq = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 1.0, -1.0, 2.0]]), np.array([2.0, 0.5])
+x, fun, duals = borno.algebra._solve_lp(c, a_eq, b_eq, a_ub, b_ub)
+from scipy.optimize import linprog
+res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, method="highs")
+ref = np.concatenate([res.ineqlin.marginals, res.eqlin.marginals])
+print(x.tobytes() == res.x.tobytes(),
+      np.float64(fun).tobytes() == np.float64(res.fun).tobytes(),
+      duals.tobytes() == ref.tobytes(),
+      sys.modules["scipy.optimize._highspy._core"] is borno.algebra._highs()[0])
+"""
+
+
+class TestHighsLoader:
+    """``_highs`` loads HiGHS's extension alone, or reuses scipy's."""
+
+    @pytest.mark.parametrize("before", ["", "from scipy.optimize import linprog\n"],
+                             ids=["linprog-after", "linprog-before"])
+    def test_direct_lp_matches_linprog_in_either_import_order(self, before):
+        assert run_python(LP_BOTH_WAYS.format(before=before)) == ["True"] * 4
+
+    def test_reuses_the_module_scipy_loaded(self):
+        import scipy.optimize  # noqa: F401
+        from borno.algebra import _highs
+
+        core, options = _highs.__wrapped__()
+        assert core is sys.modules[HIGHS_CORE]
+        assert options.presolve == "on" and not options.output_flag
+
+    def test_loads_the_extension_from_its_file(self, monkeypatch):
+        from borno.algebra import _highs
+
+        monkeypatch.delitem(sys.modules, HIGHS_CORE)
+        core, _options = _highs.__wrapped__()
+        assert sys.modules[HIGHS_CORE] is core
+        scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        assert os.path.dirname(core.__spec__.origin) == os.path.join(
+            scipy_dir, "optimize", "_highspy")
+        assert isinstance(core.HighsOptions(), core.HighsOptions)
 
 
 class TestCoordinates:
@@ -393,6 +455,23 @@ class TestRowKernels:
         assert norms(desc, rows).tolist() == [norm(a) for a in elems]
         assert (spectral_radii(desc, rows).tolist()
                 == [spectral_radius_single(a) for a in elems])
+
+    @pytest.mark.parametrize("desc", [
+        MatrixAlgebra(1), DirectSum((MatrixAlgebra(2), MatrixAlgebra(1)))],
+        ids=str)
+    def test_lone_one_by_one_products_match_multiply(self, desc):
+        # one row times one generator makes each 1x1 block's product a lone
+        # complex entry, which numpy rounds in another loop when the two
+        # operands' ndims differ
+        rng = np.random.default_rng(89)
+        dim = linear_dim(desc)
+        for _ in range(50):
+            a, g = (rng.standard_normal((2, dim))
+                    + 1j * rng.standard_normal((2, dim)))
+            want = multiply(unvec(desc, a), unvec(desc, g)).coords.tobytes()
+            assert products(desc, a[None, None], g[None])[0, 0].tobytes() == want
+            assert products(desc, a, g[None])[0].tobytes() == want
+            assert products(desc, a[None], g)[0].tobytes() == want
 
     @pytest.mark.parametrize("desc", ROW_DESCS, ids=str)
     def test_gauges_match_gauge(self, desc):

@@ -366,6 +366,26 @@ class TestDeferredScipy:
         assert self.run_python("import sys\nimport borno\n"
                                + self.LOADED) == ["False", "False"]
 
+    def test_hull_lps_load_only_the_highs_extension(self, tmp_path):
+        # golden-pair's hull at r = 2 solves LPs: HiGHS's extension is
+        # loaded, scipy's optimizer package is not
+        inst = builtin_instances()["golden-pair"]
+        path, out = tmp_path / "hull.json", tmp_path / "report.json"
+        path.write_text(json.dumps({
+            "schema": SCHEMA, "command": "hull",
+            "payload": {"set": inst["payload"]["set"], "r": 2.0,
+                        "max_products": 256},
+            "config": {}}))
+        code = (
+            "import sys\n"
+            "import borno.algebra\n"
+            "from borno.cli import main\n"
+            f"print(main(['run', '--input', {str(path)!r}, '--out', {str(out)!r}]))\n"
+            "print(borno.algebra._highs.cache_info().currsize)\n"
+            + self.LOADED
+        )
+        assert self.run_python(code) == ["0", "1", "False", "False"]
+
     def test_hull_without_lp_never_imports_scipy(self, tmp_path):
         # contraction-hull's one candidate and its closure product are
         # decided by decompositions, so no LP and no scipy.optimize import
@@ -410,6 +430,22 @@ class TestApproxProperty:
         path.write_text(json.dumps(inst))
         assert run_cli(["run", "--input", str(path)]) == 3
         assert "not compact" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["0", "-1/100"])
+    @pytest.mark.parametrize("kind", ["l1", "l2", "sup"])
+    def test_nonpositive_tolerance_exits_three(self, tmp_path, capsys, kind,
+                                               tol):
+        # a tolerance of 0 is never met by a geometric box's truncations,
+        # and -1/100 would pass under l2, where it is squared
+        inst = builtin_instances()["approx-truncation"]
+        inst["payload"]["gauge"]["kind"] = kind
+        inst["payload"]["tol"] = tol
+        path = tmp_path / "approx.json"
+        path.write_text(json.dumps(inst))
+        start = time.perf_counter()
+        assert run_cli(["run", "--input", str(path)]) == 3
+        assert time.perf_counter() - start < 10
+        assert "tolerance must be positive" in capsys.readouterr().err
 
     def test_box_ratio_near_one_finishes(self, tmp_path):
         # ratio 999/1000 starts the box's tail sums near index 2,000; their

@@ -439,6 +439,15 @@ class TestLocalApproxProperty:
         assert err.value.required == local_approx_property_check(
             GEO_BOX, L2, Fraction(1, 10**9), rank_budget=64).rank
 
+    @pytest.mark.parametrize("tolerance", [Fraction(0), Fraction(-1, 100),
+                                           -0.0])
+    @pytest.mark.parametrize("gauge", [L1, L2, SUP], ids=lambda g: g.kind)
+    def test_tolerance_must_be_positive(self, gauge, tolerance):
+        # no truncation rate of the geometric box reaches 0, and under l2 a
+        # negative tolerance would be squared
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            local_approx_property_check(GEO_BOX, gauge, tolerance)
+
     @settings(max_examples=120, deadline=None)
     @given(box=BOXES, gauge=st.sampled_from(GAUGES),
            tolerance=st.sampled_from([Fraction(1, 10), Fraction(1, 1000),

@@ -273,6 +273,22 @@ class TestIdentities:
         check_specrad_identities(bounded_set(mats), c=c, n=2 + seed % 2,
                                  depth=6)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_power_set_matches_elementwise_products(self, n):
+        # S^n by one row-kernel call per level against n - 1 rounds of
+        # per-element products, in the same (lexicographic) word order
+        rng = np.random.default_rng(2718)
+        gens = [matrix_element(rng.standard_normal((3, 3))
+                               + 1j * rng.standard_normal((3, 3)))
+                for _ in range(3)]
+        current = gens
+        for _ in range(n - 1):
+            current = [multiply(p, g) for p in current for g in gens]
+        got = jsr._expand_products(bounded_set(gens), n)
+        assert len(got.generators) == 3 ** n
+        assert ([g.coords.tobytes() for g in got.generators]
+                == [g.coords.tobytes() for g in current])
+
 
 class TestHull:
     def test_commuting_contraction(self):
