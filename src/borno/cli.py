@@ -11,7 +11,8 @@ at every level, the payload and ``config`` included, rejects a missing
 required field and any unknown one, and the error names the object's path.
 ``config`` takes exactly the keys the flags set (depth, gap, tol, seed,
 samples, tgrid), and a flag overrides its key.  A cauchy ``disk`` must index
-the payload's space.
+the payload's space.  Each handler imports its kernel modules when it runs,
+so a process loads only what its command needs.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .algebra import bounded_set, identity, matrix_element
-from .approx_mult import apple_certificate, chebyshev_grid
-from .closedforms import EpsForm, WeightForm
+from . import serialize
 from .errors import (
     BornoError,
     CapExceeded,
@@ -37,27 +36,6 @@ from .errors import (
     NumericalFailure,
     SchemaError,
 )
-from .finrank import (
-    OperatorFamily,
-    OperatorModel,
-    RankBudgetError,
-    local_approx_property_check,
-    pointwise_vs_uniform_check,
-)
-from .fixtures import fixture
-from .isoradial import SamplerConfig, isoradial_certificate
-from .jsr import CERTIFIED, jsr_estimate, submultiplicative_hull
-from .maps import Homomorphism
-from .seqspace import (
-    DiskForm,
-    ModelSpace,
-    SeqVector,
-    SequenceModel,
-    cauchy_check,
-    completeness_check,
-    convergence_check,
-)
-from . import serialize
 from .serialize import SCHEMA, entries, fields, integer, real, tagged
 
 PASS_VERDICTS = {"pass", "yes", "complete", "converges", "agree"}
@@ -112,6 +90,7 @@ def _config(instance, args):
 # ---------------------------------------------------------------------------
 
 def _run_jsr(payload, cfg):
+    from .jsr import CERTIFIED, jsr_estimate
     (s,) = fields(payload, "payload", ("set",))
     est = jsr_estimate(serialize.bounded_set_from_json(s, "payload.set"),
                        cfg.get("depth", 10), cfg.get("gap", 1e-3))
@@ -120,6 +99,7 @@ def _run_jsr(payload, cfg):
 
 
 def _run_hull(payload, cfg):
+    from .jsr import submultiplicative_hull
     s, r, cap = fields(payload, "payload", ("set", "r"), {"max_products": 512})
     cert = submultiplicative_hull(
         serialize.bounded_set_from_json(s, "payload.set"),
@@ -136,10 +116,12 @@ def _map_fixture(payload):
     """The built-in fixture a payload {"fixture": name} names, else None."""
     if not (isinstance(payload, dict) and "fixture" in payload):
         return None
+    from .fixtures import fixture
     return fixture(*fields(payload, "payload", ("fixture",)))
 
 
 def _run_isoradial(payload, cfg):
+    from .isoradial import SamplerConfig, isoradial_certificate
     named = _map_fixture(payload)
     hom = named.map if named is not None else serialize.map_from_json(
         *fields(payload, "payload", ("map",)), context="payload.map")
@@ -151,6 +133,10 @@ def _run_isoradial(payload, cfg):
 
 
 def _run_apple(payload, cfg):
+    from .algebra import bounded_set, identity
+    from .approx_mult import apple_certificate, chebyshev_grid
+    from .isoradial import SamplerConfig
+    from .maps import Homomorphism
     named = _map_fixture(payload)
     if named is not None:
         hom = named.map
@@ -186,6 +172,7 @@ def _run_apple(payload, cfg):
 
 
 def _run_cauchy(payload, cfg):
+    from .seqspace import cauchy_check, convergence_check
     space, model, eps, disk, mode, limit = fields(
         payload, "payload", ("space", "sequence", "eps"),
         {"disk": 0, "mode": "cauchy", "limit": None})
@@ -209,6 +196,7 @@ def _run_cauchy(payload, cfg):
 
 
 def _run_complete(payload, cfg):
+    from .seqspace import completeness_check
     space = serialize.model_space_from_json(
         *fields(payload, "payload", ("space",)), "payload.space")
     direct = completeness_check(space, "iii")
@@ -230,6 +218,9 @@ def _run_complete(payload, cfg):
 
 
 def _run_approx(payload, cfg):
+    from .finrank import (OperatorFamily, OperatorModel, RankBudgetError,
+                          local_approx_property_check,
+                          pointwise_vs_uniform_check)
     box, gauge, ops, tol = fields(payload, "payload", ("set", "gauge", "ops"),
                                   {"tol": "1/100"})
     box = serialize.box_from_json(box, "payload.set")
@@ -272,6 +263,10 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 
 def builtin_instances():
+    from .algebra import bounded_set, matrix_element
+    from .closedforms import EpsForm, WeightForm
+    from .seqspace import DiskForm, ModelSpace, SeqVector, SequenceModel
+
     def matrix_set(*mats):
         return serialize.bounded_set_to_json(
             bounded_set([matrix_element(m) for m in mats]))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -89,16 +90,20 @@ class GaugeModel:
                 total += s
         return total
 
+    @cached_property
+    def _weight_at(self):
+        """k -> w(k), each weight computed once per gauge."""
+        return cache(self.weight.value)
+
     def of_vector(self, values):
         """Gauge of explicit coordinates (index -> Fraction magnitude)."""
+        w = self._weight_at
         if self.kind == SUP:
-            return max((self.weight.value(k) * abs(v)
-                        for k, v in values.items()), default=Fraction(0))
+            return max((w(k) * abs(v) for k, v in values.items()),
+                       default=Fraction(0))
         if self.kind == L1:
-            return sum((self.weight.value(k) * abs(v)
-                        for k, v in values.items()), Fraction(0))
-        return sum((self.weight.value(k) * v * v
-                    for k, v in values.items()), Fraction(0))
+            return sum((w(k) * abs(v) for k, v in values.items()), Fraction(0))
+        return sum((w(k) * v * v for k, v in values.items()), Fraction(0))
 
     def finalize(self, raw):
         """Convert a raw bound (radicand for l2) to a float rate."""
@@ -345,10 +350,10 @@ def pointwise_vs_uniform_check(family, f_inf, s, t_gauge, n_patterns=8):
                                                t_gauge)
     rng = np.random.default_rng(0xB00C)
     pointwise_ok = True
+    bounds = [s.coordinate_bound(k) for k in range(64)]
     for _ in range(n_patterns):
         signs = rng.integers(0, 2, size=64) * 2 - 1
-        x = {k: Fraction(int(signs[k])) * s.coordinate_bound(k)
-             for k in range(64)}
+        x = {k: Fraction(int(signs[k])) * bounds[k] for k in range(64)}
         x = {k: v for k, v in x.items() if v != 0}
         f_x = f_inf.apply(x)
         values = []

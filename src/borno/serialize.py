@@ -8,7 +8,8 @@ is read by :func:`fields`, or by :func:`tagged` for a ``kind`` union: a
 non-object, a missing required field or any other field is a SchemaError
 that names the object's path.  Bit-exactness across platforms is not
 required; reports carry floats at full repr precision (17 significant
-digits).
+digits).  Each codec imports the module whose objects it builds or tests
+when it runs, so reading a sequence-space instance never loads numpy.
 """
 
 from __future__ import annotations
@@ -18,34 +19,7 @@ import json
 import math
 from fractions import Fraction
 
-import numpy as np
-
-from .algebra import (
-    AlgebraElement,
-    BoundedSet,
-    DirectSum,
-    FiniteHull,
-    GridFunctionAlgebra,
-    GridSpec,
-    MatrixAlgebra,
-    NormBall,
-    Scaled,
-    SumDisk,
-    components,
-    linear_dim,
-)
-from .closedforms import EpsForm, WeightForm
 from .errors import SchemaError
-from .finrank import CompactSetModel, GaugeModel
-from .maps import Homomorphism, LinearMap
-from .seqspace import (
-    DiskForm,
-    GeoTerm,
-    ModelSpace,
-    SeqVector,
-    SequenceModel,
-    WindowTerm,
-)
 
 SCHEMA = "borno/2"
 
@@ -120,6 +94,7 @@ def _build(make, context, *args, **kwargs):
 # ---------------------------------------------------------------------------
 
 def descriptor_to_json(desc):
+    from .algebra import DirectSum, GridFunctionAlgebra, MatrixAlgebra
     if isinstance(desc, MatrixAlgebra):
         return {"kind": "matrix", "dim": desc.dim,
                 "norm": "op2" if desc.norm_kind == "op2" else "maxrow"}
@@ -146,6 +121,7 @@ def _grid_points(points, context):
 
 
 def descriptor_from_json(obj, context="descriptor"):
+    from .algebra import DirectSum, GridFunctionAlgebra, GridSpec, MatrixAlgebra
     kind, values = tagged(obj, context, {
         "matrix": (("dim",), {"norm": "op2"}),
         "direct_sum": (("summands",), {}),
@@ -179,6 +155,7 @@ def _matrix_to_json(mat):
 
 
 def _matrix_from_json(rows, context):
+    import numpy as np
     return _build(np.array, context,
                   [[_complex_from_json(v, p) for v, p in entries(row, path)]
                    for row, path in entries(rows, context)],
@@ -186,6 +163,8 @@ def _matrix_from_json(rows, context):
 
 
 def _coords_to_json(desc, coords):
+    import numpy as np
+    from .algebra import MatrixAlgebra, components, linear_dim
     if isinstance(desc, MatrixAlgebra):
         return _matrix_to_json(coords.reshape(desc.dim, desc.dim))
     parts = components(desc)
@@ -198,6 +177,7 @@ def element_data_to_json(element):
 
 
 def _data_from_json(desc, data, context):
+    from .algebra import MatrixAlgebra, components
     if isinstance(desc, MatrixAlgebra):
         return _matrix_from_json(data, context)
     parts = components(desc)
@@ -208,6 +188,7 @@ def _data_from_json(desc, data, context):
 
 
 def element_data_from_json(desc, data, context="element"):
+    from .algebra import AlgebraElement
     return _build(AlgebraElement, context, desc,
                   _data_from_json(desc, data, context))
 
@@ -237,6 +218,7 @@ def bounded_set_to_json(s):
 
 
 def bounded_set_from_json(obj, context="bounded set"):
+    from .algebra import BoundedSet
     return _family_from_json(
         BoundedSet, *fields(obj, context, ("descriptor", "generators")), context)
 
@@ -246,6 +228,7 @@ def bounded_set_from_json(obj, context="bounded set"):
 # ---------------------------------------------------------------------------
 
 def disk_to_json(disk):
+    from .algebra import FiniteHull, NormBall, Scaled
     if isinstance(disk, NormBall):
         return {"kind": "norm_ball", "radius": disk.radius}
     if isinstance(disk, FiniteHull):
@@ -258,6 +241,7 @@ def disk_to_json(disk):
 
 
 def disk_from_json(obj, context="disk"):
+    from .algebra import FiniteHull, NormBall, Scaled, SumDisk
     kind, values = tagged(obj, context, {
         "norm_ball": ((), {"radius": 1.0}),
         "finite_hull": (("descriptor", "generators"), {}),
@@ -288,6 +272,7 @@ def map_to_json(f):
 
 
 def map_from_json(obj, homomorphism=True, context="map"):
+    from .maps import Homomorphism, LinearMap
     source, target, action = fields(obj, context,
                                     ("source", "target", "basis_action"))
     cls = Homomorphism if homomorphism else LinearMap
@@ -316,6 +301,7 @@ def weight_to_json(w):
 
 
 def weight_from_json(obj, context="weight"):
+    from .closedforms import WeightForm
     coeff, base, power = fields(obj, context, (),
                                 {"coeff": "1", "base": "1", "power": 0})
     return _build(WeightForm, context, _frac_from_json(coeff, context),
@@ -333,6 +319,7 @@ def eps_to_json(eps):
 
 
 def eps_from_json(obj, context="eps"):
+    from .closedforms import EpsForm
     kind, values = tagged(obj, context, {
         "geom": (("amp", "ratio"), {"level": 0}),
         "invpoly": (("amp", "power"), {"alpha": "1", "beta": "1", "level": 0}),
@@ -352,6 +339,7 @@ def disk_form_to_json(disk):
 
 
 def disk_form_from_json(obj, context="disk"):
+    from .seqspace import DiskForm
     kind, weight, scale = fields(obj, context, ("kind",),
                                  {"weight": {}, "scale": "1"})
     return _build(DiskForm, context, kind,
@@ -366,6 +354,7 @@ def vector_to_json(v):
 
 
 def vector_from_json(obj, context="vector"):
+    from .seqspace import SeqVector
     prefix, tails, start = fields(obj, context, (),
                                   {"prefix": {}, "tails": [], "tail_start": 0})
     if not isinstance(prefix, dict):
@@ -385,6 +374,7 @@ def model_space_to_json(space):
 
 
 def model_space_from_json(obj, context="space"):
+    from .seqspace import ModelSpace
     disks, tails = fields(obj, context, ("disks",), {"tails_admitted": True})
     if not isinstance(tails, bool):
         raise SchemaError(f"{context}.tails_admitted: expected true or false")
@@ -409,6 +399,7 @@ def sequence_to_json(model):
 
 
 def _geo_term_from_json(obj, context):
+    from .seqspace import GeoTerm
     coeff, ratio, vector, power = fields(obj, context,
                                          ("coeff", "ratio", "vector"),
                                          {"power": 0})
@@ -419,6 +410,7 @@ def _geo_term_from_json(obj, context):
 
 
 def _window_term_from_json(obj, context):
+    from .seqspace import WindowTerm
     coeff, vector, stride, offset, ratio = fields(
         obj, context, ("coeff", "vector"),
         {"stride": 1, "offset": 0, "ratio": "1"})
@@ -430,6 +422,7 @@ def _window_term_from_json(obj, context):
 
 
 def sequence_from_json(obj, context="sequence"):
+    from .seqspace import SequenceModel
     prefix, geo, win = fields(obj, context, (), {
         "prefix": [], "geo_terms": [], "window_terms": []})
     return _build(SequenceModel, context,
@@ -443,6 +436,7 @@ def sequence_from_json(obj, context="sequence"):
 
 def box_from_json(obj, context="box"):
     """A compact envelope box: geometric a*s^k or inverse-polynomial a/(k+1)^p."""
+    from .finrank import CompactSetModel
     kind, values = tagged(obj, context, {
         "geometric": (("ratio",), {"amp": "1"}),
         "invpoly": (("power",), {"amp": "1"}),
@@ -456,6 +450,7 @@ def box_from_json(obj, context="box"):
 
 
 def gauge_from_json(obj, context="gauge"):
+    from .finrank import GaugeModel
     kind, weight = fields(obj, context, ("kind",), {"weight": {}})
     return _build(GaugeModel, context, kind,
                   weight_from_json(weight, f"{context}.weight"))

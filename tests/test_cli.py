@@ -471,7 +471,7 @@ class TestApproxProperty:
         def broken(*args, **kwargs):
             raise ZeroDivisionError("kernel bug")
 
-        monkeypatch.setattr("borno.cli.local_approx_property_check", broken)
+        monkeypatch.setattr("borno.finrank.local_approx_property_check", broken)
         with pytest.raises(ZeroDivisionError):
             run_instance(builtin_instances()["approx-truncation"], {})
 

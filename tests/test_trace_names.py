@@ -4,7 +4,9 @@ wraps must exist, and uninstalling must restore the originals."""
 import importlib.util
 import pathlib
 
+import borno
 import borno.algebra
+import borno.jsr
 from borno.seqspace import SequenceModel
 
 TRACING = (pathlib.Path(__file__).resolve().parents[1]
@@ -29,3 +31,16 @@ def test_tracer_wraps_every_name_and_restores_it():
         tracer.uninstall()
     assert borno.algebra.norm is norm
     assert SequenceModel.__dict__["at"] is at
+
+
+def test_package_exports_follow_the_rebinding_and_its_undoing():
+    # the package looks each export up in its module on access, so it sees
+    # the tracer's wrapper while installed and the original afterwards
+    original = borno.jsr.jsr_estimate
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        assert borno.jsr_estimate is borno.jsr.jsr_estimate is not original
+    finally:
+        tracer.uninstall()
+    assert borno.jsr_estimate is original
