@@ -10,9 +10,10 @@ Instances are read by :mod:`borno.serialize`'s strict reader: every object
 at every level, the payload and ``config`` included, rejects a missing
 required field and any unknown one, and the error names the object's path.
 ``config`` takes exactly the keys the flags set (depth, gap, tol, seed,
-samples, tgrid), and a flag overrides its key.  A cauchy ``disk`` must index
-the payload's space.  Each handler imports its kernel modules when it runs,
-so a process loads only what its command needs.
+samples, tgrid), and a flag overrides its key; a sample count must not be
+negative.  A cauchy ``disk`` must index the payload's space.  Each handler
+imports its kernel modules when it runs, and ``borno fixture`` builds only
+the instance it names, so a process loads only what its command needs.
 """
 
 from __future__ import annotations
@@ -82,6 +83,9 @@ def _config(instance, args):
            if val is not None}
     flags = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
     cfg.update((key, v) for key, v in flags.items() if v is not None)
+    if cfg.get("samples", 0) < 0:
+        raise SchemaError(f"config.samples: sample count must be "
+                          f"nonnegative, got {cfg['samples']}")
     return cfg
 
 
@@ -262,54 +266,64 @@ _HANDLERS = {
 # fixtures as ready-made instance files
 # ---------------------------------------------------------------------------
 
-def builtin_instances():
+def _matrix_set(*mats):
     from .algebra import bounded_set, matrix_element
-    from .closedforms import EpsForm, WeightForm
-    from .seqspace import DiskForm, ModelSpace, SeqVector, SequenceModel
+    return serialize.bounded_set_to_json(
+        bounded_set([matrix_element(m) for m in mats]))
 
-    def matrix_set(*mats):
-        return serialize.bounded_set_to_json(
-            bounded_set([matrix_element(m) for m in mats]))
 
-    def sum_space():
-        return serialize.model_space_to_json(ModelSpace((DiskForm("sum"),)))
+def _sum_space():
+    from .seqspace import DiskForm, ModelSpace
+    return serialize.model_space_to_json(ModelSpace((DiskForm("sum"),)))
 
+
+def _cauchy_geometric():
+    from .closedforms import EpsForm
+    from .seqspace import SeqVector, SequenceModel
     half = Fraction(1, 2)
     geo_seq = SequenceModel.geometric_multiple(SeqVector.unit(1, 1), 1, half)
-    return {
-        "golden-pair": _instance(
-            "jsr", {"set": matrix_set([[1, 1], [0, 1]], [[1, 0], [1, 1]])},
-            depth=12, gap=1e-3),
-        "nilpotent": _instance("jsr", {"set": matrix_set([[0, 1], [0, 0]])},
-                               depth=2, gap=1e-3),
-        "contraction-hull": _instance("hull", {
-            "set": matrix_set([[0.5, 0], [0, 0.5]]), "r": 1.0,
-            "max_products": 64}),
-        "trig-grid": _instance("isoradial", {"fixture": "trig-grid-d3"},
-                               depth=6, samples=8),
-        "matrix-tower": _instance("isoradial", {"fixture": "matrix-tower-2-6"},
-                                  depth=4, samples=4),
-        "interval-restriction": _instance(
-            "isoradial", {"fixture": "interval-restriction"},
-            depth=6, samples=8),
-        "trig-fejer": _instance("apple", {"fixture": "trig-fejer"},
-                                depth=4, samples=4),
-        "cauchy-geometric": _instance("cauchy", {
-            "space": sum_space(),
-            "sequence": serialize.sequence_to_json(geo_seq),
-            "disk": 0,
-            "eps": serialize.eps_to_json(EpsForm.geometric(2, half)),
-            "mode": "cauchy",
-        }),
-        "completion-demo": _instance("complete", {"space": sum_space()}),
-        "approx-truncation": _instance("approx", {
-            "set": {"kind": "geometric", "amp": "1", "ratio": "1/2"},
-            "gauge": {"kind": "l2",
-                      "weight": serialize.weight_to_json(WeightForm())},
-            "ops": {"kind": "truncation", "orders": list(range(1, 12))},
-            "tol": "1/1000",
-        }),
-    }
+    return _instance("cauchy", {
+        "space": _sum_space(),
+        "sequence": serialize.sequence_to_json(geo_seq),
+        "disk": 0,
+        "eps": serialize.eps_to_json(EpsForm.geometric(2, half)),
+        "mode": "cauchy",
+    })
+
+
+# each built-in instance's builder, so that one instance is built, and its
+# modules loaded, only when it is asked for
+_BUILTINS = {
+    "golden-pair": lambda: _instance(
+        "jsr", {"set": _matrix_set([[1, 1], [0, 1]], [[1, 0], [1, 1]])},
+        depth=12, gap=1e-3),
+    "nilpotent": lambda: _instance(
+        "jsr", {"set": _matrix_set([[0, 1], [0, 0]])}, depth=2, gap=1e-3),
+    "contraction-hull": lambda: _instance("hull", {
+        "set": _matrix_set([[0.5, 0], [0, 0.5]]), "r": 1.0,
+        "max_products": 64}),
+    "trig-grid": lambda: _instance("isoradial", {"fixture": "trig-grid-d3"},
+                                   depth=6, samples=8),
+    "matrix-tower": lambda: _instance(
+        "isoradial", {"fixture": "matrix-tower-2-6"}, depth=4, samples=4),
+    "interval-restriction": lambda: _instance(
+        "isoradial", {"fixture": "interval-restriction"}, depth=6, samples=8),
+    "trig-fejer": lambda: _instance("apple", {"fixture": "trig-fejer"},
+                                    depth=4, samples=4),
+    "cauchy-geometric": _cauchy_geometric,
+    "completion-demo": lambda: _instance("complete", {"space": _sum_space()}),
+    "approx-truncation": lambda: _instance("approx", {
+        "set": {"kind": "geometric", "amp": "1", "ratio": "1/2"},
+        "gauge": {"kind": "l2",
+                  "weight": {"coeff": "1", "base": "1", "power": 0}},
+        "ops": {"kind": "truncation", "orders": list(range(1, 12))},
+        "tol": "1/1000",
+    }),
+}
+
+
+def builtin_instances():
+    return {name: build() for name, build in _BUILTINS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +438,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.subcommand == "fixture":
-        instances = builtin_instances()
-        if args.name not in instances:
+        if args.name not in _BUILTINS:
             print(f"unknown fixture {args.name!r}; known: "
-                  f"{sorted(instances)}", file=sys.stderr)
+                  f"{sorted(_BUILTINS)}", file=sys.stderr)
             return 3
-        _write(json.dumps(instances[args.name], sort_keys=True, indent=2),
+        _write(json.dumps(_BUILTINS[args.name](), sort_keys=True, indent=2),
                args.out)
         return 0
 

@@ -1,8 +1,9 @@
 """Exact rational closed forms used by the sequence-space and finite-rank
-modules: weights c*b^k*(k+1)^p, coordinate forms with their sups and tail
-sums, series tails in closed form (O(p^2) terms whatever the start), decay
-starts of c*r^k*(k+s)^p, null sequence descriptors closed under square
-roots, and nonnegative envelopes with sups and a domination comparator.
+modules: coordinate forms c*r^k*(k+1)^p with their sups and tail sums (a
+weight is a coordinate form with positive c and r and p >= 0), series tails
+in closed form (O(p^2) terms whatever the start), decay starts of
+c*r^k*(k+s)^p, null sequence descriptors closed under square roots, and
+nonnegative envelopes with sups and a domination comparator.
 
 Everything here is Fraction arithmetic; no decision ever goes through a
 float.  Square roots of descriptors are handled by tracking a power-of-two
@@ -171,23 +172,21 @@ class CoordForm:
 
 
 @dataclass(frozen=True)
-class WeightForm:
-    """w(k) = coeff * base^k * (k+1)^power with positive rational coeff/base."""
+class WeightForm(CoordForm):
+    """A weight: a coordinate form with positive coeff and ratio, power >= 0."""
 
     coeff: Fraction = Fraction(1)
-    base: Fraction = Fraction(1)
-    power: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", _frac(self.coeff))
-        object.__setattr__(self, "base", _frac(self.base))
-        if self.coeff <= 0 or self.base <= 0:
+        coeff, ratio = _frac(self.coeff), _frac(self.ratio)
+        if coeff <= 0 or ratio <= 0:
             raise ValueError("weights must be strictly positive")
         if self.power < 0:
             raise ValueError("weight powers are nonnegative")
+        super().__post_init__()
 
-    def value(self, k):
-        return self.coeff * self.base**k * Fraction(k + 1) ** self.power
+    # its own binding, so a profiler can time weights apart from other forms
+    value = CoordForm.value
 
     @staticmethod
     def constant(c=1):
@@ -367,8 +366,6 @@ class Envelope:
         scan_cap = 4096
         if self.infinite:
             return None
-        if not self.terms:
-            return m_start
         m_ratio = m_start
         for t in self.terms:
             m = m_start

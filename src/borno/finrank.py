@@ -59,15 +59,11 @@ class GaugeModel:
         if self.kind not in (SUP, L1, L2):
             raise ValueError(f"unknown gauge kind {self.kind!r}")
 
-    def weight_form(self):
-        return CoordForm(self.weight.coeff, self.weight.base,
-                         self.weight.power)
-
     def of_magnitudes(self, pieces):
         """Certified bound for the gauge of |x_k| = the sum of ``pieces``:
         nonnegative forms ``(form, first, last)`` that vanish outside
         first <= k <= last (``last`` None: no end)."""
-        w = self.weight_form()
+        w = self.weight
         if self.kind == SUP:
             live = sorted(((lo, hi, (w * f).sup_from(lo)) for f, lo, hi in pieces
                            if hi is None or hi >= lo), key=lambda p: p[0])
@@ -127,7 +123,7 @@ def _window_sum(form, first, last):
 def precompactness_check(s, gauge):
     """Envelope summability surrogate: the box is gauge-compact."""
     a = s.envelope.abs_form()
-    prod = gauge.weight_form() * a
+    prod = gauge.weight * a
     if prod.coeff == 0:
         return True  # the zero box, compact under every gauge
     if gauge.kind == L1:
@@ -286,9 +282,7 @@ def uniform_convergence_on_set(family, f_inf, s, t_gauge):
 
 
 def _raws_converge(raws):
-    if any(r == INF for r in raws):
-        return False
-    if not raws:
+    if not raws or INF in raws:
         return False
     # closed forms: nonincreasing down to (near) zero within the family plus
     # a final value consistent with decay
@@ -312,18 +306,17 @@ def operator_gauge_bound(op, gauge):
 
     A band (d, mu) adds sup_k |mu(k)| q_k under sum and sup gauges and
     sup_k |mu(k)| sqrt(q_k) <= sup_k |mu(k)| max(1, q_k) under l2 gauges,
-    where q_k = w(k)/w(k+d) = b^-d ((k+1)/(k+1+d))^p is at most b^-d (1-d)^p
-    for k >= -d when d < 0 and at most b^-d when d >= 0.
+    where q_k = w(k)/w(k+d) = r^-d ((k+1)/(k+1+d))^p is at most r^-d (1-d)^p
+    for k >= -d when d < 0 and at most r^-d when d >= 0, for the weight's
+    ratio r.  A cutoff only drops coordinates, so a cut operator keeps it.
     """
-    if op.cutoff is not None:
-        return Fraction(1)
     w = gauge.weight
     total = Fraction(0)
     for d, form in op.bands:
         b = form.abs_form().sup_from(0)
         if b == INF:
             return INF
-        ratio = w.base ** -d * (Fraction(1 - d) ** w.power if d < 0 else 1)
+        ratio = w.ratio ** -d * (Fraction(1 - d) ** w.power if d < 0 else 1)
         total += b * (max(1, ratio) if gauge.kind == L2 else ratio)
     return total
 

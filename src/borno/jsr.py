@@ -204,6 +204,14 @@ def _require_meet(what, a, b, rel, scale):
             f"{what}: [{a[0]}, {a[1]}] misses [{b[0]}, {b[1]}]")
 
 
+def _power(x, n):
+    """x ** n for a float x >= 0, inf where it overflows."""
+    try:
+        return x ** n
+    except OverflowError:
+        return math.inf
+
+
 def _expand_products(s, n):
     """All length-n products of generators, in lexicographic word order:
     one row-kernel call per level."""
@@ -218,21 +226,28 @@ def check_specrad_identities(s, c, n, depth, gap_target=1e-6):
     """Interval consistency of rho(cS) = |c| rho(S) and rho(S^n) = rho(S)^n.
 
     Raises InvariantViolation on any inconsistency, which would indicate a
-    kernel bug rather than a property of the input.
+    kernel bug rather than a property of the input.  Where a product of n
+    generators overflows, rho(S^n) gets the depth-limited interval [0, inf],
+    which bounds nothing.
     """
     s = bounded_set(s)
     if n not in (2, 3):
         raise ValueError("power identity is checked for n in {2, 3}")
     base = jsr_estimate(s, depth, gap_target)
     scaled = jsr_estimate(s.scaled(c), depth, gap_target)
-    power_depth = max(1, depth // n)
-    powered = jsr_estimate(_expand_products(s, n), power_depth, gap_target)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            s_n = _expand_products(s, n)
+    except ValueError:  # a product of n generators overflows
+        powered = RadiusEstimate(0.0, math.inf, (), 0, DEPTH_LIMITED)
+    else:
+        powered = jsr_estimate(s_n, max(1, depth // n), gap_target)
 
     mag = abs(c)
     _require_meet("|c| rho(S) against rho(cS)",
                   (mag * base.lower, mag * base.upper),
                   (scaled.lower, scaled.upper), 1e-9, mag * base.upper)
-    lower, upper = base.lower ** n, base.upper ** n
+    lower, upper = (_power(x, n) for x in (base.lower, base.upper))
     _require_meet(f"rho(S)^{n} against rho(S^{n})", (lower, upper),
                   (powered.lower, powered.upper), 1e-9, upper)
     return {

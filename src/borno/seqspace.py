@@ -119,8 +119,6 @@ class SeqVector:
 
     def scale(self, c):
         c = _frac(c)
-        if c == 0:
-            return SeqVector()
         return SeqVector({k: c * v for k, v in self.prefix.items()},
                          tuple((c * a, s) for a, s in self.tails),
                          self.tail_start)
@@ -246,7 +244,7 @@ def gauge_value(disk, x):
         for k, v in x.prefix.items():
             total += w.value(k) * abs(v)
         for offset, stride, alphas in _tail_classes(x.tails, x.tail_start):
-            if w.base**stride * alphas[0][0] >= 1:
+            if w.ratio**stride * alphas[0][0] >= 1:
                 return INF
             t_star, sign = _sign_stable_index(alphas)
             for t in range(t_star):
@@ -254,8 +252,8 @@ def gauge_value(disk, x):
                 val = sum(a * r**t for r, a in alphas)
                 total += w.value(k) * abs(val)
             for rho, alpha in alphas:
-                y_i = w.base**stride * rho
-                total += (sign * alpha * w.coeff * w.base**offset
+                y_i = w.ratio**stride * rho
+                total += (sign * alpha * w.coeff * w.ratio**offset
                           * sum_shift_poly_geom(w.power, offset + 1, y_i,
                                                 t_star, stride))
         return total / disk.scale
@@ -265,11 +263,11 @@ def gauge_value(disk, x):
         best = max(best, w.value(k) * abs(v))
     for offset, stride, alphas in _tail_classes(x.tails, x.tail_start):
         rho_d, alpha_d = alphas[0]
-        y_d = w.base**stride * rho_d
+        y_d = w.ratio**stride * rho_d
         if y_d > 1 or (y_d == 1 and w.power > 0):
             return INF
         t_star, _sign = _sign_stable_index(alphas)
-        limit = (w.coeff * w.base**offset * abs(alpha_d)) if y_d == 1 else Fraction(0)
+        limit = (w.coeff * w.ratio**offset * abs(alpha_d)) if y_d == 1 else Fraction(0)
         t = 0
         while True:
             k = offset + stride * t
@@ -280,9 +278,9 @@ def gauge_value(disk, x):
                 # per-ratio sups (finite: y_i <= y_d) bound the remainder;
                 # (k+1)^p <= ((offset+stride)(t+1))^p at k = offset+stride*t
                 remainder = sum((geom_poly_sup(
-                    abs(alpha) * w.coeff * w.base**offset
+                    abs(alpha) * w.coeff * w.ratio**offset
                     * Fraction(offset + stride) ** w.power,
-                    w.base**stride * rho, w.power, t) for rho, alpha in alphas),
+                    w.ratio**stride * rho, w.power, t) for rho, alpha in alphas),
                     Fraction(0))
                 if remainder <= max(best, limit):
                     break
@@ -301,7 +299,7 @@ def window_gauge_envelope(u, disk):
     valid_from = max(u.tail_start - 1, max(u.prefix, default=-1), 0)
     terms = []
     for a, s in u.tails:
-        y = w.base * abs(s)
+        y = w.ratio * abs(s)
         if disk.kind == SUM:
             if y >= 1:
                 return Envelope((), True), valid_from
@@ -554,7 +552,7 @@ def absorption_constant(target, source):
     """
     wt, ws = target.weight, source.weight
     c = (wt.coeff / ws.coeff) * (source.scale / target.scale)
-    return _unit_ball_bound(CoordForm(c, wt.base / ws.base, wt.power - ws.power),
+    return _unit_ball_bound(CoordForm(c, wt.ratio / ws.ratio, wt.power - ws.power),
                             source.kind, target.kind)
 
 
@@ -780,7 +778,7 @@ def convergence_check(x, space, disk_index, eps, limit=None):
         limit = x.limit_vector()
     y = x.subtract(SequenceModel.constant(limit))
     const = y.limit_vector()
-    g_const = gauge_value(disk, const) if not const.is_zero else Fraction(0)
+    g_const = gauge_value(disk, const)
     env, env_from = y.deviation_envelope(disk)
     n_star = None if g_const else env.dominated_from(eps, env_from)
     # below n_star every index is checked; without a certificate the same
@@ -881,7 +879,7 @@ def strengthened_series_check(space, disk_index, eps):
 def _canonical_witness(space, disk_index):
     """Partial sums of a geometric vector that is summable under the disk."""
     w = space.disk(disk_index).weight
-    s = min(Fraction(1, 2), Fraction(1, 2) / w.base)
+    s = min(Fraction(1, 2), Fraction(1, 2) / w.ratio)
     return SequenceModel.partial_sums_of_geometric(Fraction(1), s)
 
 
@@ -1002,8 +1000,7 @@ class Completion:
 
     def scale(self, c, a):
         c = _frac(c)
-        factor = abs(c) if c != 0 else Fraction(1)
-        eps = a.eps.scaled(max(factor, Fraction(1)))
+        eps = a.eps.scaled(max(abs(c), 1))
         return CompletionElement(a.model.scale(c), a.disk_index, eps, self)
 
     def equal(self, a, b):
@@ -1079,12 +1076,12 @@ def coordinate_map_bound(f, source_disk, target_disk):
     c = abs(f.coeff) * source_disk.scale / (target_disk.scale * ws.coeff)
     kind, start = target_disk.kind, 0
     if f.kind == "summation":  # f(e_k) = coeff e_0: all coordinates add up
-        form, kind = CoordForm(c * wt.value(0), 1 / ws.base, -ws.power), SUM
+        form, kind = CoordForm(c * wt.value(0), 1 / ws.ratio, -ws.power), SUM
     elif f.kind == "shift":  # f(e_k) = coeff e_{k-1} for k >= 1
-        form, start = CoordForm(c * wt.coeff / wt.base, wt.base / ws.base,
+        form, start = CoordForm(c * wt.coeff / wt.ratio, wt.ratio / ws.ratio,
                                 wt.power - ws.power), 1
     else:
-        form = CoordForm(c * wt.coeff, abs(f.ratio) * wt.base / ws.base,
+        form = CoordForm(c * wt.coeff, abs(f.ratio) * wt.ratio / ws.ratio,
                          f.power + wt.power - ws.power)
     return _unit_ball_bound(form, source_disk.kind, kind, start)
 

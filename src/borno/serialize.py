@@ -135,8 +135,9 @@ def descriptor_from_json(obj, context="descriptor"):
             descriptor_from_json(s, path)
             for s, path in entries(values[0], f"{context}.summands")))
     points, fiber = values
-    return GridFunctionAlgebra(GridSpec(_grid_points(points, context)),
-                               descriptor_from_json(fiber, f"{context}.fiber"))
+    return GridFunctionAlgebra(
+        _build(GridSpec, context, _grid_points(points, context)),
+        descriptor_from_json(fiber, f"{context}.fiber"))
 
 
 def _complex_to_json(z):
@@ -297,7 +298,7 @@ def _frac_from_json(v, context):
 
 
 def weight_to_json(w):
-    return {"coeff": str(w.coeff), "base": str(w.base), "power": w.power}
+    return {"coeff": str(w.coeff), "base": str(w.ratio), "power": w.power}
 
 
 def weight_from_json(obj, context="weight"):

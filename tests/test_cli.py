@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from borno.cli import (
     run_instance,
 )
 from borno.errors import SchemaError
-from borno.serialize import SCHEMA, instance_digest
+from borno.serialize import SCHEMA, canonical_json, instance_digest
 
 
 # sha256 of each built-in instance's canonical JSON: a change to the instance
@@ -41,6 +42,18 @@ BUILTIN_DIGESTS = {
         "a8faa50410461003a92fd3c0ffeb2eb8800505113ab64dee9c547195257bdba0",
     "approx-truncation":
         "736aacf79c9ae2c1fcb5111b87f4652da1c348ac16c98be36a50d0381e704cdc",
+}
+
+# sha256 of the canonical JSON of a built-in report without its wall time,
+# for the reports made only of Fractions and correctly rounded square roots:
+# the same bits on every platform, unlike the reports that go through LAPACK
+REPORT_DIGESTS = {
+    "cauchy-geometric":
+        "ea3dddf4a20974020a535c8fe6d043b318a596f7772a72a1b2d9f9621b70305d",
+    "completion-demo":
+        "d00b352d611967af4bf99843feb92def73bef4bb08ea9b86b0a01126e6ec05b2",
+    "approx-truncation":
+        "d350dbf4ab30709d77effd4f9aff4f72fe34a5752f81805705debcfc40a4f126",
 }
 
 
@@ -80,6 +93,10 @@ MALFORMED = [
     ("cauchy-geometric", ("payload", "disk"), 5, "payload.disk"),
     ("cauchy-geometric", ("payload", "eps"),
      {"kind": "invpoly", "amp": "1", "power": 1, "beta": "0"}, "payload.eps"),
+    ("golden-pair", ("payload", "set", "descriptor"),
+     {"kind": "grid", "points": [], "fiber": {"kind": "matrix", "dim": 2}},
+     "payload.set.descriptor"),
+    ("trig-grid", ("config", "samples"), -1, "config.samples"),
 ]
 
 # values of the wrong type or shape, which crashed with a traceback or were
@@ -289,6 +306,11 @@ class TestErrors:
         bad.write_text(json.dumps(edited(name, path, value)))
         assert run_cli(["run", "--input", str(bad)]) == 3
         assert f"input error: {where}:" in capsys.readouterr().err
+
+    def test_negative_samples_flag_exits_three(self, tmp_path, capsys):
+        path = write_fixture(tmp_path, "trig-grid")
+        assert run_cli(["run", "--input", str(path), "--samples", "-1"]) == 3
+        assert "input error: config.samples:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, path, value, message", MISTYPED,
                              ids=[message for *_, message in MISTYPED])
@@ -503,6 +525,14 @@ class TestDeterminism:
         digests = {name: instance_digest(inst)
                    for name, inst in builtin_instances().items()}
         assert digests == BUILTIN_DIGESTS
+
+    @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+    def test_exact_reports_are_pinned(self, tmp_path, name):
+        code, report = report_of(tmp_path, name)
+        report.pop("wall_time_ms")
+        assert code == 0
+        assert hashlib.sha256(canonical_json(report).encode()).hexdigest() \
+            == REPORT_DIGESTS[name]
 
     def test_digest_is_stable(self):
         inst = builtin_instances()["golden-pair"]

@@ -331,6 +331,16 @@ class TestOperatorBounds:
     def test_truncation_bound_one(self):
         assert operator_gauge_bound(OperatorModel.truncation(3), L2) == 1
 
+    @pytest.mark.parametrize("gauge", [SUP, L1, L2], ids=["sup", "l1", "l2"])
+    def test_cut_operator_keeps_its_band_bound(self, gauge):
+        # the cutoff drops coordinates past 3, so the cut 5 I has norm 5
+        cut = OperatorModel(((0, CoordForm(5)),), 3)
+        assert operator_gauge_bound(cut, gauge) == 5
+        with pytest.raises(EquiboundednessError):
+            pointwise_vs_uniform_check(OperatorFamily((cut,), 1),
+                                       OperatorModel.identity(), GEO_BOX,
+                                       gauge)
+
     def test_decaying_diagonal(self):
         op = OperatorModel.diagonal(CoordForm(1, HALF))
         assert operator_gauge_bound(op, L2) == 1

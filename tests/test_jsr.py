@@ -1,6 +1,7 @@
 import functools
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -1009,15 +1010,20 @@ class TestIdentityChecks:
         run_kronecker(est(1.0, 2.0), est(1.0, 2.0), est(3.0, 4.0))
         run_union([est(1.0, math.inf), est(1.0, math.inf)])
 
-    # Two inputs of rho(cS) = |c| rho(S) decide otherwise than at the parent:
-    # where |c| times an end of rho(S)'s interval is nan (0 * inf), which the
-    # parent read as a miss; and where |c| times a finite upper end overflows,
-    # which the parent gave an infinite slack.  The property leaves them out,
-    # and the two tests after it pin them.
+    # Three inputs decide otherwise than at the parent: where |c| times an
+    # end of rho(S)'s interval is nan (0 * inf), which the parent read as a
+    # miss; where |c| times a finite upper end overflows, which the parent
+    # gave an infinite slack; and where an end of rho(S)'s interval to the
+    # n-th power overflows, where the parent raised OverflowError.  The
+    # property leaves them out, and the three tests after it pin them.
 
     @staticmethod
-    def parent_differs(base, c):
+    def parent_differs(base, c, n):
         mag = abs(c)
+        try:
+            base.lower ** n, base.upper ** n
+        except OverflowError:
+            return True
         return (math.isnan(mag * base.lower) or math.isnan(mag * base.upper)
                 or (math.isfinite(base.upper)
                     and not math.isfinite(mag * base.upper)))
@@ -1028,8 +1034,8 @@ class TestIdentityChecks:
         base = data.draw(interval())
         c = data.draw(st.one_of(st.sampled_from([0.0, 1.0, -0.5, 3.0]),
                                 st.floats(allow_nan=False, allow_infinity=False)))
-        assume(not self.parent_differs(base, c))
         n = data.draw(st.sampled_from([2, 3]))
+        assume(not self.parent_differs(base, c, n))
         mag = abs(c)
         scaled = data.draw(interval_near(mag * base.lower, mag * base.upper,
                                          unit_of(mag * base.upper)))
@@ -1054,6 +1060,27 @@ class TestIdentityChecks:
         args = (est(1e150, 1e150), est(0.0, 1.0), est(1e300, 1e300), 1e200, 2)
         assert outcome(parent_specrad, *args) == "passes"
         assert outcome(run_specrad, *args) == "raises"
+
+    def test_overflowing_power_reads_infinity(self):
+        # (1e200)^2 overflows: the parent raised OverflowError, the rule
+        # reads rho(S)^2 as [inf, inf], which meets [0, inf] only
+        args = (est(1e200, 1e200), est(1e200, 1e200), est(0.0, math.inf),
+                1.0, 2)
+        assert outcome(parent_specrad, *args) == "overflows"
+        assert outcome(run_specrad, *args) == "passes"
+        args = (est(1e200, 1e200), est(1e200, 1e200), est(0.0, 1e300), 1.0, 2)
+        assert outcome(run_specrad, *args) == "raises"
+
+    def test_overflowing_products_bound_nothing(self):
+        # the products of {1e200 I} overflow: rho(S^2) is the depth-limited
+        # [0, inf], with no overflow warning on the way
+        s = bounded_set([matrix_element(1e200 * np.eye(2))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_specrad_identities(s, c=1, n=2, depth=4)
+        assert report["base"].lower == report["base"].upper == 1e200
+        assert report["powered"] == RadiusEstimate(0.0, math.inf, (), 0,
+                                                   "depth-limited")
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

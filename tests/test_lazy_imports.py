@@ -84,6 +84,17 @@ def test_sequence_instances_never_load_numpy(name, tmp_path):
     assert "borno.algebra" not in modules and "borno.seqspace" in modules
 
 
+@pytest.mark.parametrize("name", ["cauchy-geometric", "completion-demo"])
+def test_sequence_fixtures_build_without_numpy(name, tmp_path):
+    out = tmp_path / f"{name}.json"
+    code, numpy_loaded, modules = probe(
+        f"from borno.cli import main\ncode = main(['fixture', {name!r},"
+        f" '--out', {str(out)!r}])")
+    assert code == 0 and not numpy_loaded
+    assert "borno.algebra" not in modules
+    assert json.loads(out.read_text()) == builtin_instances()[name]
+
+
 def test_jsr_instance_loads_no_sequence_or_map_engine(tmp_path):
     code, numpy_loaded, modules = run_builtin("golden-pair", tmp_path)
     assert code == 0 and numpy_loaded and "borno.jsr" in modules
