@@ -9,11 +9,13 @@ deterministic and order-independent).
 Instances are read by :mod:`borno.serialize`'s strict reader: every object
 at every level, the payload and ``config`` included, rejects a missing
 required field and any unknown one, and the error names the object's path.
-``config`` takes exactly the keys the flags set (depth, gap, tol, seed,
-samples, tgrid), and a flag overrides its key; a sample count must not be
-negative.  A cauchy ``disk`` must index the payload's space.  Each handler
-imports its kernel modules when it runs, and ``borno fixture`` builds only
-the instance it names, so a process loads only what its command needs.
+``config`` takes exactly the settings its command reads (``_SETTINGS``),
+each also set by the flag of its name, which overrides the key; any other
+key or flag, --csv without --out and --fixture with --input are input
+errors, and a sample count must not be negative.  A cauchy ``disk`` must
+index the payload's space.  Each handler imports its kernel modules when it
+runs, and ``borno fixture`` builds only the instance it names, so a process
+loads only what its command needs.
 """
 
 from __future__ import annotations
@@ -42,9 +44,16 @@ from .serialize import SCHEMA, entries, fields, integer, real, tagged
 PASS_VERDICTS = {"pass", "yes", "complete", "converges", "agree"}
 FAIL_VERDICTS = {"fail", "no", "diverges", "incomplete"}
 
-# the config keys, each also set by the flag of its name, with their types
-_CONFIG_KEYS = {"depth": int, "gap": float, "tol": float, "seed": int,
-                "samples": int, "tgrid": int}
+# the settings each command reads, with their defaults: each is set by its
+# config key and by the flag of its name, and has the type of its default
+_SETTINGS = {
+    "jsr": {"depth": 10, "gap": 1e-3}, "hull": {"tol": 1e-6},
+    "isoradial": {"depth": 6, "tol": 1e-2, "samples": 32, "seed": 0xB00C},
+    "apple": {"depth": 4, "tol": 1e-2, "samples": 8, "seed": 0xB00C,
+              "tgrid": 65},
+    "cauchy": {}, "complete": {}, "approx": {},
+}
+_FLAGS = {key: type(v) for s in _SETTINGS.values() for key, v in s.items()}
 
 
 def _instance(command, payload, **config):
@@ -74,15 +83,19 @@ def _load_instance(path, subcommand):
     return obj
 
 
-def _config(instance, args):
-    """The instance's config, each key overridden by its flag when given."""
+def _config(instance, flags):
+    """Its command's settings: the defaults, under the instance's config,
+    under ``flags``; a key or flag the command never reads is an error."""
+    command = instance["command"]
+    defaults = _SETTINGS[command]
     values = fields(instance.get("config", {}), "config", (),
-                    dict.fromkeys(_CONFIG_KEYS))
-    cfg = {key: (integer if kind is int else real)(val, f"config.{key}")
-           for (key, kind), val in zip(_CONFIG_KEYS.items(), values)
-           if val is not None}
-    flags = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
-    cfg.update((key, v) for key, v in flags.items() if v is not None)
+                    dict.fromkeys(defaults))
+    cfg = {key: d if v is None else (integer if type(d) is int else real)(
+        v, f"config.{key}") for (key, d), v in zip(defaults.items(), values)}
+    inert = sorted(set(flags) - set(defaults))
+    if inert:
+        raise SchemaError(f"--{inert[0]}: the {command} command never reads it")
+    cfg.update(flags)
     if cfg.get("samples", 0) < 0:
         raise SchemaError(f"config.samples: sample count must be "
                           f"nonnegative, got {cfg['samples']}")
@@ -97,7 +110,7 @@ def _run_jsr(payload, cfg):
     from .jsr import CERTIFIED, jsr_estimate
     (s,) = fields(payload, "payload", ("set",))
     est = jsr_estimate(serialize.bounded_set_from_json(s, "payload.set"),
-                       cfg.get("depth", 10), cfg.get("gap", 1e-3))
+                       cfg["depth"], cfg["gap"])
     verdict = "pass" if est.status == CERTIFIED else "inconclusive"
     return {"estimate": verdict}, est
 
@@ -108,7 +121,7 @@ def _run_hull(payload, cfg):
     cert = submultiplicative_hull(
         serialize.bounded_set_from_json(s, "payload.set"),
         real(r, "payload.r"), integer(cap, "payload.max_products"))
-    verdict = "pass" if cert.closure_defect <= cfg.get("tol", 1e-6) else "fail"
+    verdict = "pass" if cert.closure_defect <= cfg["tol"] else "fail"
     return {"closure": verdict}, {
         "scale": cert.scale,
         "closure_defect": cert.closure_defect,
@@ -129,10 +142,9 @@ def _run_isoradial(payload, cfg):
     named = _map_fixture(payload)
     hom = named.map if named is not None else serialize.map_from_json(
         *fields(payload, "payload", ("map",)), context="payload.map")
-    sampler = SamplerConfig(per_size=cfg.get("samples", 32),
-                            seed=cfg.get("seed", 0xB00C))
-    report = isoradial_certificate(hom, sampler, depth=cfg.get("depth", 6),
-                                   tol=cfg.get("tol", 1e-2))
+    sampler = SamplerConfig(per_size=cfg["samples"], seed=cfg["seed"])
+    report = isoradial_certificate(hom, sampler, depth=cfg["depth"],
+                                   tol=cfg["tol"])
     return {"isoradial": report.verdict}, report
 
 
@@ -157,12 +169,10 @@ def _run_apple(payload, cfg):
         family = serialize.bounded_set_from_json(family, "payload.set")
     if not sigmas:
         sigmas = [Homomorphism.identity(hom.target)]
-    sampler = SamplerConfig(per_size=cfg.get("samples", 8),
-                            seed=cfg.get("seed", 0xB00C))
-    t_points = chebyshev_grid(cfg["tgrid"]) if "tgrid" in cfg else None
-    report = apple_certificate(hom, sigmas, h, family,
-                               depth=cfg.get("depth", 4), t_points=t_points,
-                               sampler=sampler, tol=cfg.get("tol", 1e-2))
+    sampler = SamplerConfig(per_size=cfg["samples"], seed=cfg["seed"])
+    report = apple_certificate(hom, sigmas, h, family, depth=cfg["depth"],
+                               t_points=chebyshev_grid(cfg["tgrid"]),
+                               sampler=sampler, tol=cfg["tol"])
     results = {
         "isoradial": report["isoradial"],
         "h_approximately_multiplicative":
@@ -342,7 +352,7 @@ def _write(text, path):
 def _emit_report(report, out_path, want_csv):
     _write(json.dumps(report, sort_keys=True, indent=2, allow_nan=False),
            out_path)
-    if want_csv and out_path:
+    if want_csv:
         csv_path = os.path.splitext(out_path)[0] + ".csv"
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -378,8 +388,8 @@ def _sanitize(obj):
     return obj
 
 
-def run_instance(instance, cfg):
-    handler = _HANDLERS[instance["command"]]
+def run_instance(instance, flags):
+    handler, cfg = _HANDLERS[instance["command"]], _config(instance, flags)
     started = time.perf_counter()
     verdicts, results = handler(instance.get("payload", {}), cfg)
     results = _sanitize(results)
@@ -421,8 +431,8 @@ def main(argv=None):
         p.add_argument("--out", default=None)
         p.add_argument("--csv", action="store_true")
         p.add_argument("--threads", default=None)
-        for key, kind in _CONFIG_KEYS.items():
-            p.add_argument(f"--{key}", type=kind, default=None)
+        for key, kind in _FLAGS.items():
+            p.add_argument(f"--{key}", type=kind, default=argparse.SUPPRESS)
 
     add_common(sub.add_parser("run", help="dispatch on the instance's command"))
     for name in _HANDLERS:
@@ -448,18 +458,20 @@ def main(argv=None):
 
     try:
         _parse_threads(args.threads)  # validated; results never depend on it
-        if args.input:
-            instance = _load_instance(args.input, args.subcommand)
-        elif getattr(args, "fixture", None):
-            instance = _instance(args.subcommand, {"fixture": args.fixture})
-        else:
-            raise SchemaError("an --input file (or --fixture) is required")
+        if args.csv and not args.out:
+            raise SchemaError("--csv writes beside the --out file: give --out")
+        fixture = getattr(args, "fixture", None)
+        if bool(args.input) == bool(fixture):
+            raise SchemaError("an instance comes from an --input file or a "
+                              "--fixture: give exactly one")
+        instance = (_load_instance(args.input, args.subcommand) if args.input
+                    else _instance(args.subcommand, {"fixture": fixture}))
         if args.subcommand != "run" and instance["command"] != args.subcommand:
             raise SchemaError(
                 f"instance command {instance['command']!r} does not match "
                 f"subcommand {args.subcommand!r}")
-        cfg = _config(instance, args)
-        report = run_instance(instance, cfg)
+        report = run_instance(instance, {
+            key: v for key, v in vars(args).items() if key in _FLAGS})
         _emit_report(report, args.out, args.csv)
         return _exit_code(report["verdicts"])
     except (SchemaError, ValueError) as exc:

@@ -138,12 +138,20 @@ class CoordForm:
     def abs_form(self):
         return CoordForm(abs(self.coeff), self.ratio, self.power)
 
-    def sup_from(self, start):
-        """Exact sup_{k >= start} value(k) for coeff >= 0, or inf."""
-        if self.coeff == 0:
+    def sup_from(self, start, last=None):
+        """Exact sup_{start <= k <= last} value(k) for coeff >= 0 (no end
+        when ``last`` is None), or inf.  A power >= 0 makes the values
+        log-concave, rising up to the decay start and falling after it; a
+        negative one makes them log-convex, so the sup is at an end."""
+        if self.coeff == 0 or (last is not None and last < start):
             return Fraction(0)
         if self.power >= 0:
-            return geom_poly_sup(self.coeff, self.ratio, self.power, start)
+            if last is None:
+                return geom_poly_sup(self.coeff, self.ratio, self.power, start)
+            peak = decay_start(self.ratio, self.power, start, cap=last)
+            return self.value(last if peak is None else peak)
+        if last is not None:
+            return max(self.value(start), self.value(last))
         if self.ratio > 1:
             return INF
         return self.value(start)  # nonincreasing from the start

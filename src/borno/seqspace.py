@@ -1142,7 +1142,6 @@ def apply_map_to_model(f, model):
 class ExtendedMap:
     base: CoordinateMap
     bound: Fraction
-    source_disk: int
     target_disk: int
 
     def __call__(self, completion, element):
@@ -1165,4 +1164,4 @@ def extend_map_to_completion(f, completion, source_disk=0, target_disk=0):
         raise UnboundedMap(
             f"{f.kind} map has no finite gauge bound from disk "
             f"{source_disk} to disk {target_disk}")
-    return ExtendedMap(f, bound, source_disk, target_disk)
+    return ExtendedMap(f, bound, target_disk)

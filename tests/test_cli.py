@@ -97,7 +97,31 @@ MALFORMED = [
      {"kind": "grid", "points": [], "fiber": {"kind": "matrix", "dim": 2}},
      "payload.set.descriptor"),
     ("trig-grid", ("config", "samples"), -1, "config.samples"),
+    # a key the instance's command never reads
+    ("approx-truncation", ("config", "tol"), 0.5, "config"),
+    ("cauchy-geometric", ("config", "depth"), 3, "config"),
+    ("completion-demo", ("config", "seed"), 1, "config"),
+    ("golden-pair", ("config", "samples"), 2, "config"),
+    ("contraction-hull", ("config", "depth"), 3, "config"),
+    ("trig-grid", ("config", "tgrid"), 9, "config"),
 ]
+
+# the settings each command reads; every other key or flag is an input error
+READS = {
+    "jsr": {"depth", "gap"},
+    "hull": {"tol"},
+    "isoradial": {"depth", "tol", "samples", "seed"},
+    "apple": {"depth", "tol", "samples", "seed", "tgrid"},
+    "cauchy": set(), "complete": set(), "approx": set(),
+}
+SETTINGS = ("depth", "gap", "tol", "seed", "samples", "tgrid")
+# a built-in instance of each command
+OF_COMMAND = {"jsr": "golden-pair", "hull": "contraction-hull",
+              "isoradial": "trig-grid", "apple": "trig-fejer",
+              "cauchy": "cauchy-geometric", "complete": "completion-demo",
+              "approx": "approx-truncation"}
+INERT = [(command, key) for command, keys in READS.items()
+         for key in SETTINGS if key not in keys]
 
 # values of the wrong type or shape, which crashed with a traceback or were
 # misread before every value had a reader: (instance, path, value, the
@@ -306,6 +330,42 @@ class TestErrors:
         bad.write_text(json.dumps(edited(name, path, value)))
         assert run_cli(["run", "--input", str(bad)]) == 3
         assert f"input error: {where}:" in capsys.readouterr().err
+
+    def test_settings_table_is_the_twelve_read(self):
+        # 12 settings, each a config key and a flag: 24 settable values
+        from borno.cli import _SETTINGS
+        assert {command: set(s) for command, s in _SETTINGS.items()} == READS
+        assert sum(map(len, READS.values())) == 12 and len(INERT) == 30
+
+    @pytest.mark.parametrize("command, key", INERT,
+                             ids=[f"{c}-{k}" for c, k in INERT])
+    def test_inert_setting_exits_three(self, tmp_path, capsys, command,
+                                       key):
+        name = OF_COMMAND[command]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edited(name, ("config", key), 3)))
+        assert run_cli(["run", "--input", str(bad)]) == 3
+        assert (f"input error: config: unknown fields ['{key}']"
+                in capsys.readouterr().err)
+        path = write_fixture(tmp_path, name)
+        assert run_cli(["run", "--input", str(path), f"--{key}", "3"]) == 3
+        assert f"input error: --{key}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, flag", [
+        (["run", "--input", "golden-pair", "--seed", "3"], "--seed"),
+        (["cauchy", "--input", "cauchy-geometric", "--depth", "3"],
+         "--depth"),
+        (["run", "--input", "completion-demo", "--csv"], "--csv"),
+        (["isoradial", "--input", "trig-grid", "--fixture",
+          "interval-restriction"], "--fixture"),
+    ], ids=["seed-on-jsr", "depth-on-cauchy", "csv-without-out",
+            "fixture-with-input"])
+    def test_inert_flag_exits_three(self, tmp_path, capsys, args, flag):
+        args[2] = str(write_fixture(tmp_path, args[2]))
+        capsys.readouterr()
+        assert run_cli(args) == 3
+        err = capsys.readouterr()
+        assert flag in err.err and err.out == ""
 
     def test_negative_samples_flag_exits_three(self, tmp_path, capsys):
         path = write_fixture(tmp_path, "trig-grid")
@@ -538,6 +598,14 @@ class TestDeterminism:
         inst = builtin_instances()["golden-pair"]
         assert instance_digest(inst) == instance_digest(
             json.loads(json.dumps(inst)))
+
+    @pytest.mark.parametrize("name", sorted(builtin_instances()))
+    def test_run_instance_reads_the_instance_config(self, tmp_path, name):
+        # run_instance(inst, {}) runs the instance as the CLI does
+        _code, report = report_of(tmp_path, name)
+        direct = run_instance(builtin_instances()[name], {})
+        report.pop("wall_time_ms"), direct.pop("wall_time_ms")
+        assert json.loads(json.dumps(direct)) == report
 
     def test_rerun_identical_modulo_timing(self, tmp_path):
         inst = builtin_instances()["nilpotent"]

@@ -57,6 +57,16 @@ class TestSupFrom:
     def test_unit_ratio_with_growing_power_is_unbounded(self, c, p, start):
         assert CoordForm(c, 1, p).sup_from(start) == INF
 
+    @SETTINGS
+    @given(c=coeffs, r=st.one_of(decaying, growing, st.just(Fraction(1))),
+           p=st.integers(-4, 4), start=starts, length=st.integers(0, 60))
+    def test_sup_over_a_window_matches_the_window(self, c, r, p, start,
+                                                  length):
+        # the last index may fall before, at or past the peak
+        form = CoordForm(c, r, p)
+        assert form.sup_from(start, start + length - 1) == max(
+            window(form, start, length), default=0)
+
     def test_unit_ratio_constant_and_zero_form(self):
         assert CoordForm(Fraction(3, 2)).sup_from(7) == Fraction(3, 2)
         assert CoordForm(0, 2, 3).sup_from(0) == 0

@@ -341,6 +341,28 @@ class TestOperatorBounds:
                                        OperatorModel.identity(), GEO_BOX,
                                        gauge)
 
+    @pytest.mark.parametrize("gauge", [SUP, L1, L2], ids=["sup", "l1", "l2"])
+    def test_cut_band_is_bounded_over_its_kept_coordinates(self, gauge):
+        # 2^k on 0 <= k <= 3 peaks at 8, though it is unbounded over all k;
+        # 2^k / (k+1) is log-convex, so on 0 <= k <= 5 it peaks at k = 5
+        grow = OperatorModel(((0, CoordForm(1, 2)),), 3)
+        assert operator_gauge_bound(grow, gauge) == 8
+        convex = OperatorModel(((0, CoordForm(1, 2, -1)),), 5)
+        assert operator_gauge_bound(convex, gauge) == Fraction(16, 3)
+        pointwise_vs_uniform_check(OperatorFamily((grow,), 8),
+                                   OperatorModel.zero(), GEO_BOX, gauge)
+        with pytest.raises(EquiboundednessError):
+            pointwise_vs_uniform_check(OperatorFamily((grow,), 7),
+                                       OperatorModel.zero(), GEO_BOX, gauge)
+
+    def test_band_peaking_past_the_cutoff_is_bounded_at_the_cutoff(self):
+        # (9/10)^k (k+1)^5 rises up to k = 46, so cut at 10 it peaks at 10
+        form = CoordForm(1, Fraction(9, 10), 5)
+        cut = OperatorModel(((0, form),), 10)
+        assert operator_gauge_bound(cut, SUP) == form.value(10)
+        assert form.value(10) < operator_gauge_bound(
+            OperatorModel.diagonal(form), SUP) == form.value(46)
+
     def test_decaying_diagonal(self):
         op = OperatorModel.diagonal(CoordForm(1, HALF))
         assert operator_gauge_bound(op, L2) == 1

@@ -1,6 +1,6 @@
 """A process loads only the modules its work runs: ``import borno`` loads
-none, a sequence-space command never loads numpy, and a jsr command never
-loads the sequence-space or finite-rank engines."""
+none, a sequence-space or finite-rank command never loads numpy, and a jsr
+command never loads the sequence-space or finite-rank engines."""
 
 import importlib
 import json
@@ -82,6 +82,12 @@ def test_sequence_instances_never_load_numpy(name, tmp_path):
     code, numpy_loaded, modules = run_builtin(name, tmp_path)
     assert code == 0 and not numpy_loaded
     assert "borno.algebra" not in modules and "borno.seqspace" in modules
+
+
+def test_approx_instance_never_loads_numpy(tmp_path):
+    code, numpy_loaded, modules = run_builtin("approx-truncation", tmp_path)
+    assert code == 0 and not numpy_loaded
+    assert "borno.algebra" not in modules and "borno.finrank" in modules
 
 
 @pytest.mark.parametrize("name", ["cauchy-geometric", "completion-demo"])

@@ -60,6 +60,12 @@ class TestSeqVector:
         w = SeqVector.geometric(-1, HALF)
         assert v.add(w).is_zero
 
+    def test_zero_tail_coefficients_are_dropped(self):
+        # scaling by 0 gives a tail with coefficient 0, which the vector
+        # drops; otherwise only some hypothesis draws reach this case
+        v = SeqVector({0: 1}, ((2, HALF),), 1)
+        assert v.scale(0) == SeqVector() and v.scale(0).tails == ()
+
     def test_restrict_beyond(self):
         v = SeqVector.geometric(1, HALF)
         w = v.restrict_beyond(2)
