@@ -10,9 +10,11 @@ Instances are read by :mod:`borno.serialize`'s strict reader: every object
 at every level, the payload and ``config`` included, rejects a missing
 required field and any unknown one, and the error names the object's path.
 ``config`` takes exactly the settings its command reads (``_SETTINGS``),
-each also set by the flag of its name, which overrides the key; any other
-key or flag, --csv without --out and --fixture with --input are input
-errors, and a sample count must not be negative.  A cauchy ``disk`` must
+each also set by the flag of its name, which overrides the key and is read
+as the key is (a non-finite real is an input error); any other key or flag,
+--csv without --out and --fixture with --input are input errors, and a
+sample count must not be negative.  For isoradial, a bare map JSON stands
+for the payload {"map": ...}.  A cauchy ``disk`` must
 index the payload's space.  Each handler imports its kernel modules when it
 runs, and ``borno fixture`` builds only the instance it names, so a process
 loads only what its command needs.
@@ -62,7 +64,7 @@ def _instance(command, payload, **config):
 
 
 def _load_instance(path, subcommand):
-    """The instance in ``path``; for isoradial and apple, a bare map JSON
+    """The instance in ``path``; for isoradial, a bare map JSON
     {"source", "target", "basis_action"} stands for the payload {"map": ...}."""
     try:
         with open(path) as fh:
@@ -71,7 +73,7 @@ def _load_instance(path, subcommand):
         raise SchemaError(f"cannot read instance: {exc}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed JSON: {exc}")
-    if (subcommand in ("isoradial", "apple") and isinstance(obj, dict)
+    if (subcommand == "isoradial" and isinstance(obj, dict)
             and set(obj) == {"source", "target", "basis_action"}):
         return _instance(subcommand, {"map": obj})
     schema, command, _payload, _config = fields(
@@ -88,14 +90,18 @@ def _config(instance, flags):
     under ``flags``; a key or flag the command never reads is an error."""
     command = instance["command"]
     defaults = _SETTINGS[command]
+
+    def read(key, v, context):  # a flag is read as its config key is
+        return (integer if type(defaults[key]) is int else real)(v, context)
+
     values = fields(instance.get("config", {}), "config", (),
                     dict.fromkeys(defaults))
-    cfg = {key: d if v is None else (integer if type(d) is int else real)(
-        v, f"config.{key}") for (key, d), v in zip(defaults.items(), values)}
+    cfg = {key: d if v is None else read(key, v, f"config.{key}")
+           for (key, d), v in zip(defaults.items(), values)}
     inert = sorted(set(flags) - set(defaults))
     if inert:
         raise SchemaError(f"--{inert[0]}: the {command} command never reads it")
-    cfg.update(flags)
+    cfg.update((key, read(key, v, f"--{key}")) for key, v in flags.items())
     if cfg.get("samples", 0) < 0:
         raise SchemaError(f"config.samples: sample count must be "
                           f"nonnegative, got {cfg['samples']}")

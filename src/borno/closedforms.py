@@ -156,19 +156,29 @@ class CoordForm:
             return INF
         return self.value(start)  # nonincreasing from the start
 
-    def tail_sum(self, start):
-        """Certified upper bound for sum_{k >= start} value(k), or inf; exact
-        when the power is nonnegative, an integral bound otherwise."""
-        if self.coeff == 0:
+    @property
+    def _diverges(self):  # the series of a nonzero form
+        return self.ratio > 1 or (self.ratio == 1 and self.power > -2)
+
+    def tail_sum(self, start, last=None):
+        """Certified upper bound for sum_{start <= k <= last} value(k) (no
+        end when ``last`` is None), or inf; :meth:`sums_exactly` says when it
+        is the sum.  A series sums in closed form for a power >= 0, else by
+        an integral bound; a window sums as the difference of its two tails
+        where they converge (each bound drops by at least the terms it
+        skips), else as its length times its sup."""
+        if self.coeff == 0 or (last is not None and last < start):
             return Fraction(0)
         if self.coeff < 0:
             raise ValueError("tail sums are for nonnegative forms")
-        if self.ratio >= 1:
-            p = -self.power
-            if self.ratio > 1 or p < 2:
-                return INF
+        if self._diverges:
+            return INF if last is None else (
+                (last - start + 1) * self.sup_from(start, last))
+        if last is not None:
+            return self.tail_sum(start) - self.tail_sum(last + 1)
+        if self.ratio == 1:
             # sum_{k>=K} (k+1)^-p <= K^(1-p)/(p-1) for K >= 1
-            k0 = max(start, 1)
+            p, k0 = -self.power, max(start, 1)
             head = sum((self.value(k) for k in range(start, k0)), Fraction(0))
             return head + self.coeff * Fraction(k0) ** (1 - p) / (p - 1)
         if self.power >= 0:
@@ -177,6 +187,15 @@ class CoordForm:
         # decaying ratio, negative power: drop the decaying polynomial factor
         return (self.coeff * Fraction(start + 1) ** self.power
                 * self.ratio**start / (1 - self.ratio))
+
+    def sums_exactly(self, last=None):
+        """Whether tail_sum(start, last) is the sum itself: the closed forms
+        of a power >= 0, inf for a divergent series and a constant's sums."""
+        if self.coeff == 0 or (self.ratio, self.power) == (1, 0):
+            return True
+        if last is None:
+            return self.power >= 0 or self._diverges
+        return self.power >= 0 and self.ratio < 1
 
 
 @dataclass(frozen=True)

@@ -59,31 +59,26 @@ class GaugeModel:
             raise ValueError(f"unknown gauge kind {self.kind!r}")
 
     def of_magnitudes(self, pieces):
-        """Certified bound for the gauge of |x_k| = the sum of ``pieces``:
-        nonnegative forms ``(form, first, last)`` that vanish outside
-        first <= k <= last (``last`` None: no end)."""
+        """(certified bound, exact flag) for the gauge of |x_k| = the sum of
+        ``pieces``: nonnegative forms ``(form, first, last)`` that vanish
+        outside first <= k <= last (``last`` None: no end).  Each piece is
+        measured on its own window by its form's ``sup_from`` or
+        ``tail_sum``, and the bound is exact where every such measure is."""
         w = self.weight
-        if self.kind == SUP:
-            live = sorted(((lo, hi, (w * f).sup_from(lo)) for f, lo, hi in pieces
-                           if hi is None or hi >= lo), key=lambda p: p[0])
-            sups = [sup for _lo, _hi, sup in live]
-            # pieces on disjoint windows never add up at one index
-            if all(a[1] is not None and a[1] < b[0] for a, b in zip(live, live[1:])):
-                return max(sups, default=Fraction(0))
-            return sum(sups, Fraction(0))
-        if self.kind == L1:
-            return sum((_window_sum(w * f, lo, hi) for f, lo, hi in pieces),
-                       Fraction(0))
-        # l2: expand the square exactly, each product on its common window
-        total = Fraction(0)
-        for f, lo, hi in pieces:
-            for g, lo_g, hi_g in pieces:
-                last = min((h for h in (hi, hi_g) if h is not None), default=None)
-                s = _window_sum(w * f * g, max(lo, lo_g), last)
-                if s == INF:
-                    return INF
-                total += s
-        return total
+        if self.kind == L2:  # expand the square, each product on its common window
+            pieces = [(f * g, max(lo, lo_g),
+                       min((h for h in (hi, hi_g) if h is not None), default=None))
+                      for f, lo, hi in pieces for g, lo_g, hi_g in pieces]
+        live = sorted(((w * f, lo, hi) for f, lo, hi in pieces
+                       if hi is None or hi >= lo), key=lambda p: p[1])
+        if self.kind != SUP:
+            return (sum((f.tail_sum(lo, hi) for f, lo, hi in live), Fraction(0)),
+                    all(f.sums_exactly(hi) for f, _lo, hi in live))
+        sups = [f.sup_from(lo, hi) for f, lo, hi in live]
+        # pieces on disjoint windows never add up at one index
+        if all(a[2] is not None and a[2] < b[1] for a, b in zip(live, live[1:])):
+            return max(sups, default=Fraction(0)), True
+        return sum(sups, Fraction(0)), False
 
     @cached_property
     def _weight_at(self):
@@ -105,18 +100,6 @@ class GaugeModel:
         if raw == INF:
             return math.inf
         return math.sqrt(float(raw)) if self.kind == L2 else float(raw)
-
-
-def _window_sum(form, first, last):
-    """Certified bound for sum_{first <= k <= last} form(k), or inf.  The
-    tail sums' integral bounds decrease in the start by at least the terms
-    they skip, so the difference of two tails bounds the window."""
-    if last is not None and last < first:
-        return Fraction(0)
-    total = form.tail_sum(first)
-    if last is None or total == INF:
-        return total
-    return total - form.tail_sum(last + 1)
 
 
 def precompactness_check(s, gauge):
@@ -257,19 +240,16 @@ class RateSequence:
 def _rate_of_pair(f_n, f_inf, s, t_gauge):
     """(certified raw rate, exact flag); raw is the radicand for l2 gauges."""
     pieces, exact = _difference_magnitude_forms(f_n, f_inf, s)
-    raw = t_gauge.of_magnitudes(pieces)
-    # a sup over a window is bounded by the sup from its start, and an
-    # infinite bound for a window's finite sum is no supremum
-    windowed = any(hi is not None and hi >= lo for _f, lo, hi in pieces)
-    return raw, exact and not (windowed and (t_gauge.kind == SUP or raw == INF))
+    raw, measured = t_gauge.of_magnitudes(pieces)
+    return raw, exact and measured
 
 
 def uniform_convergence_on_set(family, f_inf, s, t_gauge):
     """Certified rates eps_n with (F_n - f)(box) inside eps_n * (gauge ball).
 
     For truncation and matching-diagonal pairs the supremum over the box is
-    attained at x_k = a_k up to phase, so the rates are exact (one floating
-    square root for the l2 gauge); otherwise they are certified upper bounds.
+    attained at x_k = a_k up to phase, so a rate is exact where its window
+    measures are (one floating square root for l2), else a certified bound.
     """
     pairs = [_rate_of_pair(f_n, f_inf, s, t_gauge) for f_n in family]
     raws = [r for r, _ in pairs]
@@ -411,7 +391,7 @@ def local_approx_property_check(s, t_gauge, tolerance, rank_budget=128):
     if n > rank_budget:
         raise RankBudgetError(rank_budget, n + 1)
     scale = t_gauge.finalize(
-        t_gauge.of_magnitudes([(s.envelope.abs_form(), 0, None)]))
+        t_gauge.of_magnitudes([(s.envelope.abs_form(), 0, None)])[0])
     return ApproxPropertyReport(
         n + 1, tuple(t_gauge.finalize(rate(k)) for k in range(-1, n + 1)),
         scale, float(tol))

@@ -682,20 +682,14 @@ def _hunt_violation(x, disk, eps):
     return None
 
 
-def _monotone_from(ratio, shift, power):
-    """First index from which ratio^m (m+shift)^power is nonincreasing."""
-    k = decay_start(ratio, power, 0, shift, 4 * _SCAN_CAP)
-    if k is None:
-        raise NotDecided("envelope term does not become monotone")
-    return k
-
-
 def pair_deviation_envelope(x, disk):
     """(Envelope U, valid_from): gauge(x_n - x_m) <= U(m), all n > m >= valid_from.
 
     Sharper than doubling the one-sided deviation envelope: a positive-ratio
     geometric term contributes |c| g (r^m - r^n) <= |c| g r^m, and nested
-    windows differ exactly on the coordinates between the two cuts.
+    windows differ exactly on the coordinates between the two cuts.  Every
+    decay start searched below exists, as its ratio is below 1: a growing
+    ratio-1 geometric term ends the scan in _deviation_scan.
     """
     scan = _deviation_scan(x, disk)
     if scan is None:
@@ -705,7 +699,7 @@ def pair_deviation_envelope(x, disk):
     for t, g in geo:
         r = abs(t.ratio)
         if t.power > 0 and r > 0:
-            valid_from = max(valid_from, _monotone_from(r, 1, t.power))
+            valid_from = max(valid_from, decay_start(r, t.power))
             terms.append(EnvTerm(2 * abs(t.coeff) * g, r, 1, t.power))
         else:
             factor = 1 if t.ratio >= 0 else 2
@@ -719,7 +713,7 @@ def pair_deviation_envelope(x, disk):
                 return Envelope((), True), x.start
             if e.ratio < 1:
                 valid_from = max(valid_from,
-                                 _monotone_from(e.ratio, e.shift, e.power))
+                                 decay_start(e.ratio, e.power, 0, e.shift))
             terms.append(EnvTerm(2 * e.coeff, e.ratio, e.shift, e.power))
     return Envelope(terms), valid_from
 

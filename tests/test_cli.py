@@ -367,6 +367,21 @@ class TestErrors:
         err = capsys.readouterr()
         assert flag in err.err and err.out == ""
 
+    @pytest.mark.parametrize("name, flag, value", [
+        # unread, --gap inf certifies [1, 1.618...] at depth 1 and --tol nan
+        # fails the contraction hull's closure
+        ("golden-pair", "--gap", "inf"), ("contraction-hull", "--tol", "nan"),
+        ("contraction-hull", "--tol", "inf")],
+        ids=["gap-inf", "tol-nan", "tol-inf"])
+    def test_non_finite_flag_exits_three(self, tmp_path, capsys, name, flag,
+                                         value):
+        # a flag is read as its config key is
+        path = write_fixture(tmp_path, name)
+        assert run_cli(["run", "--input", str(path), flag, value]) == 3
+        err = capsys.readouterr()
+        assert f"input error: {flag}: expected a finite number" in err.err
+        assert err.out == ""
+
     def test_negative_samples_flag_exits_three(self, tmp_path, capsys):
         path = write_fixture(tmp_path, "trig-grid")
         assert run_cli(["run", "--input", str(path), "--samples", "-1"]) == 3
@@ -751,8 +766,17 @@ class TestDocumentedPaths:
         assert report["instance_digest"] == instance_digest(
             {"schema": SCHEMA, "command": "isoradial",
              "payload": {"map": bare}, "config": {}})
-        # only isoradial and apple read a bare map
+        # only isoradial reads a bare map: an apple payload needs more
         assert self.run(tmp_path, ["run"], bare)[0] == 3
+
+    def test_apple_bare_map_is_no_instance(self, tmp_path, capsys):
+        from borno.fixtures import corner_embedding
+        from borno.serialize import map_to_json
+
+        code, _ = self.run(tmp_path, ["apple"],
+                           map_to_json(corner_embedding(2, 3)))
+        assert code == 3
+        assert "input error: instance:" in capsys.readouterr().err
 
     def test_inconclusive_exits_two(self, tmp_path):
         # at depth 1 the golden pair's interval is [1, golden ratio]

@@ -100,6 +100,31 @@ class TestTailSum:
         form = CoordForm(c, r, p)
         assert form.tail_sum(start) >= sum(window(form, start), Fraction(0))
 
+    @settings(max_examples=200, deadline=None)
+    @given(c=st.integers(0, 12),
+           r=st.one_of(st.just(Fraction(1)),
+                       st.fractions(0, 3, max_denominator=6)),
+           p=st.integers(-3, 3), a=st.integers(0, 40), b=st.integers(0, 40))
+    def test_window_measures_match_the_window(self, c, r, p, a, b):
+        a, b = min(a, b), max(a, b)
+        form = CoordForm(c, r, p)
+        values = [form.value(k) for k in range(a, b + 1)]
+        assert form.sup_from(a, b) == max(values)
+        total = sum(values, Fraction(0))
+        assert form.tail_sum(a, b) >= total
+        if form.sums_exactly(b):
+            assert form.tail_sum(a, b) == total
+        assert form.sup_from(b + 1, b) == form.tail_sum(b + 1, b) == 0
+
+    def test_window_of_a_growing_form_is_its_length_times_its_sup(self):
+        # 4^k on 0 <= k <= 3 sums to 85; 2^k / (k+1) is log-convex
+        assert CoordForm(1, 4).tail_sum(0, 3) == 4 * 64
+        assert not CoordForm(1, 4).sums_exactly(3)
+        assert CoordForm(1, 4).sums_exactly(None)  # inf is the sum
+        assert CoordForm(1, 2, -1).tail_sum(2, 5) == 4 * Fraction(32, 6)
+        assert CoordForm(3).tail_sum(2, 5) == 12
+        assert CoordForm(3).sums_exactly(5)
+
 
 class TestShiftedSums:
     @SETTINGS

@@ -207,12 +207,12 @@ class TestUniformConvergence:
 
     @pytest.mark.parametrize("other, gauge, rate, exact", [
         # the box point x = a cut after coordinate 3
-        (OperatorModel.zero(), SUP, 1, False),
+        (OperatorModel.zero(), SUP, 1, True),
         (OperatorModel.zero(), L1, Fraction(15, 8), True),
         (OperatorModel.zero(), L2, Fraction(85, 64), True),
         (OperatorModel.zero(), GROWING_L1, Fraction(175, 64), True),
         # |1 - 1/2| a_k up to the cutoff and |1/2| a_k past it
-        (OperatorModel.diagonal(CoordForm(HALF)), SUP, HALF, False),
+        (OperatorModel.diagonal(CoordForm(HALF)), SUP, HALF, True),
         (OperatorModel.diagonal(CoordForm(HALF)), L1, 1, True),
         (OperatorModel.diagonal(CoordForm(HALF)), L2, Fraction(1, 3), True),
         # the triangle: a_k on 0..3 plus a_{k+1} everywhere
@@ -225,6 +225,32 @@ class TestUniformConvergence:
             [OperatorModel.truncation(3)], other, GEO_BOX, gauge)
         assert raw == rate
         assert rates.exact == exact
+
+    @pytest.mark.parametrize("ratio, gauge, rate, exact", [
+        # 4^k 2^-k = 2^k on 0 <= k <= 3: the window's sup is exact, its sums
+        # are bounded by its length times its sup (they are 15 and 85)
+        (4, SUP, 8, True), (4, L1, 32, False), (4, L2, 256, False),
+        # 2^k 2^-k = 1 on 0 <= k <= 3: a constant's window sums exactly
+        (2, SUP, 1, True), (2, L1, 4, True), (2, L2, 4, True),
+    ], ids=["4-sup", "4-l1", "4-l2", "2-sup", "2-l1", "2-l2"])
+    def test_cut_growing_band_has_a_finite_rate(self, ratio, gauge, rate,
+                                                exact):
+        # a finite-rank operator, whose band grows past its cutoff
+        cut = OperatorModel(((0, CoordForm(1, ratio)),), 3)
+        rates, (raw,) = uniform_convergence_on_set(
+            [cut], OperatorModel.zero(), GEO_BOX, gauge)
+        assert raw == rate and rates.exact == exact
+        assert raw >= window_max(cut, OperatorModel.zero(), GEO_BOX, gauge)
+
+    def test_integral_bound_rates_are_not_exact(self):
+        # sum_{k>n} (k+1)^-2 <= 1/(n+1); at n = 0 the sum is pi^2/6 - 1
+        box = CompactSetModel.inverse_poly(1, 2)
+        rates, raws = uniform_convergence_on_set(
+            [OperatorModel.truncation(n) for n in range(4)],
+            OperatorModel.identity(), box, L1)
+        assert raws == [1, HALF, Fraction(1, 3), Fraction(1, 4)]
+        assert not rates.exact
+        assert math.pi**2 / 6 - 1 < rates.rates[0]
 
     @pytest.mark.parametrize("band, diagonal, rate", [
         # the same operator built two ways
@@ -290,6 +316,17 @@ class TestPointwiseVsUniform:
                                          GEO_BOX, gauge)
         assert out["uniform"].rates == (0.0, 0.0) and out["uniform"].exact
         assert out["uniform"].verdict == out["pointwise"] == "converges"
+
+    @pytest.mark.parametrize("gauge", [SUP, L1, L2], ids=["sup", "l1", "l2"])
+    def test_cut_growing_bands_get_finite_rates(self, gauge):
+        # 4^k / n cut at 3: finite rates, which the sampled points respect,
+        # and a uniform verdict that agrees with theirs
+        fam = tuple(OperatorModel(((0, CoordForm(Fraction(1, n), 4)),), 3)
+                    for n in range(1, 5))
+        out = pointwise_vs_uniform_check(OperatorFamily(fam, 64),
+                                         OperatorModel.zero(), GEO_BOX, gauge)
+        rates = out["uniform"].rates
+        assert rates[0] < math.inf and rates[-1] == rates[0] / 4
 
     def test_non_compact_box_is_an_input_error(self):
         fam = OperatorFamily((OperatorModel.truncation(1),), Fraction(1))

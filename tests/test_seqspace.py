@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borno.closedforms import EnvTerm, EpsForm, WeightForm, sum_shift_poly_geom
+from borno.closedforms import (EnvTerm, EpsForm, WeightForm, decay_start,
+                               sum_shift_poly_geom)
 from borno.errors import NotDecided, UnboundedMap
 from borno.seqspace import (
     _SCAN_CAP,
@@ -18,7 +19,6 @@ from borno.seqspace import (
     WindowTerm,
     _canonical_witness,
     _combine_eps,
-    _monotone_from,
     _one_sided_ok,
     _rational_root_upper,
     _sign_stable_index,
@@ -743,13 +743,13 @@ class TestAbsorption:
         assert absorption_constant(DiskForm("sum"), decaying) != math.inf
 
 
-def monotone_from_scan(ratio, shift, power):
-    """The walk _monotone_from replaced: k = 0, 1, ... up to 4 caps."""
+def decay_start_scan(ratio, shift, power, cap=None):
+    """The walk decay_start replaced: k = 0, 1, ... up to the cap, if any."""
     k = 0
     while ratio * (Fraction(k + 1 + shift) / Fraction(k + shift)) ** power > 1:
         k += 1
-        if k > 4 * _SCAN_CAP:
-            raise NotDecided("envelope term does not become monotone")
+        if cap is not None and k > cap:
+            return None
     return k
 
 
@@ -782,23 +782,16 @@ class TestConvertedWalks:
 
     @pytest.mark.parametrize("ratio", [
         Fraction(0), Fraction(1, 2), Fraction(9, 10), Fraction(99, 100),
-        # k near 2,000 and 4,000 against the inclusive cap of 2,048
+        # decay starts near 2,000 and 4,000
         Fraction(998, 1000), Fraction(999, 1000), Fraction(1)], ids=str)
     @pytest.mark.parametrize("power", range(5))
     @pytest.mark.parametrize("shift", [1, 2, 5])
     def test_monotone_from(self, ratio, power, shift):
-        assert (outcome(_monotone_from, ratio, shift, power)
-                == outcome(monotone_from_scan, ratio, shift, power))
-
-    def test_monotone_from_cap_is_inclusive(self):
-        # r (m+2)/(m+1) <= 1 with r = (c+1)/(c+2) holds from m = c on, so
-        # c = cap is the last index the scan reaches and c = cap + 1 is not
-        cap = 4 * _SCAN_CAP
-        ratio = Fraction(cap + 1, cap + 2)
-        assert monotone_from_scan(ratio, 1, 1) == cap
-        assert _monotone_from(ratio, 1, 1) == cap
-        with pytest.raises(NotDecided):
-            _monotone_from(Fraction(cap + 2, cap + 3), 1, 1)
+        # pair_deviation_envelope searches only ratios below 1, with no cap;
+        # at ratio 1 a positive power never decays, and only a cap ends both
+        cap = None if ratio < 1 else 4096
+        assert (decay_start(ratio, power, 0, shift, cap)
+                == decay_start_scan(ratio, shift, power, cap))
 
     @settings(max_examples=60, deadline=None)
     @given(rhos=st.lists(st.integers(1, 99), min_size=1, max_size=3,

@@ -243,7 +243,7 @@ def test_weighted_windowed_decisions_match_window(seed):
 # sha256 of golden_decisions(); a change to any decision, certified_from,
 # violating pair or NotDecided message of these cases shows here
 GOLDEN_DIGEST = (
-    "04228ae0ac30f6ea5b895066452c9191cabdb13a83695dc12b1ae638da2e9292")
+    "641cb6e79b663938a7cd05f212da1f7522c1f2a6b0e00e9e88f9a3a4639d9f31")
 
 
 def golden_decisions():
