@@ -12,8 +12,9 @@ required field and any unknown one, and the error names the object's path.
 ``config`` takes exactly the settings its command reads (``_SETTINGS``),
 each also set by the flag of its name, which overrides the key and is read
 as the key is (a non-finite real is an input error); any other key or flag,
---csv without --out and --fixture with --input are input errors, and a
-sample count must not be negative.  For isoradial, a bare map JSON stands
+--csv without --out and --fixture with --input are input errors, as are
+argparse's usage errors (a mistyped or unknown flag), and a sample count must
+not be negative.  For isoradial, a bare map JSON stands
 for the payload {"map": ...}.  A cauchy ``disk`` must
 index the payload's space.  Each handler imports its kernel modules when it
 runs, and ``borno fixture`` builds only the instance it names, so a process
@@ -92,7 +93,11 @@ def _config(instance, flags):
     defaults = _SETTINGS[command]
 
     def read(key, v, context):  # a flag is read as its config key is
-        return (integer if type(defaults[key]) is int else real)(v, context)
+        value = (integer if type(defaults[key]) is int else real)(v, context)
+        if key == "samples" and value < 0:
+            raise SchemaError(f"{context}: sample count must be nonnegative, "
+                              f"got {value}")
+        return value
 
     values = fields(instance.get("config", {}), "config", (),
                     dict.fromkeys(defaults))
@@ -102,9 +107,6 @@ def _config(instance, flags):
     if inert:
         raise SchemaError(f"--{inert[0]}: the {command} command never reads it")
     cfg.update((key, read(key, v, f"--{key}")) for key, v in flags.items())
-    if cfg.get("samples", 0) < 0:
-        raise SchemaError(f"config.samples: sample count must be "
-                          f"nonnegative, got {cfg['samples']}")
     return cfg
 
 
@@ -451,7 +453,12 @@ def main(argv=None):
     fix_p.add_argument("name")
     fix_p.add_argument("--out", default=None)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code != 2:  # --help
+            raise
+        return 3  # argparse printed its usage error; 2 means inconclusive
 
     if args.subcommand == "fixture":
         if args.name not in _BUILTINS:

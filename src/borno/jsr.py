@@ -58,6 +58,12 @@ _CHUNK = 256
 # relative slack within which the stages of a direct union must agree
 _UNION_SLACK = 1e-8
 
+# a child gets eigenvalues only when its norm rate times (1 + _EIG_MARGIN)
+# exceeds the lower bound: rho <= ||.|| holds for the computed values within
+# far less than this (LAPACK's backward errors, NORM_TOL, maxrow row sums),
+# so a skipped child's eigenvalues could not have raised the lower bound
+_EIG_MARGIN = 1e-8
+
 
 @dataclass(frozen=True)
 class RadiusEstimate:
@@ -110,10 +116,13 @@ def jsr_estimate(s, depth, gap_target=1e-3):
 
     Each level is expanded in chunks of about ``_CHUNK`` children: one
     product, one SVD and one ``eigvals`` call per chunk give every child the
-    bits it gets alone.  A scalar pass then visits the chunk's children in
-    lexicographic order of their words and updates the lower bound child by
-    child, so pruning, witnesses and ties do not depend on the chunking.  A
-    norm that overflows ends the search with the levels before its own.
+    bits it gets alone.  The ``eigvals`` call takes only the children whose
+    norm rate could raise the lower bound the chunk starts with; the others
+    count as rho = 0, which leaves the lower bound where their rho would.  A
+    scalar pass then visits the chunk's children in lexicographic order of
+    their words and updates the lower bound child by child, so pruning,
+    witnesses and ties do not depend on the chunking.  A norm that overflows
+    ends the search with the levels before its own.
     """
     s = bounded_set(s)
     if depth < 1:
@@ -156,17 +165,20 @@ def jsr_estimate(s, depth, gap_target=1e-3):
                     coords[j] = math.ldexp(1.0, -shift) * coords[j]
                     child_exponents[j] += shift
                     child_norms[j] = float(norms(desc, coords[j:j + 1])[0])
-            finite = np.isfinite(child_norms)
+            rates = [_rate(n, e, level)
+                     for n, e in zip(child_norms, child_exponents)]
+            live = np.isfinite(child_norms) & (
+                np.array(rates) * (1.0 + _EIG_MARGIN) > lower)
             rhos = np.zeros(len(coords))
-            rhos[finite] = spectral_radii(desc, coords[finite])
+            rhos[live] = spectral_radii(desc, coords[live])
             keep = []
-            for j, (child_norm, exponent, rho) in enumerate(
-                    zip(child_norms, child_exponents, rhos.tolist())):
+            for j, (child_norm, exponent, rate, rho) in enumerate(
+                    zip(child_norms, child_exponents, rates, rhos.tolist())):
                 if not math.isfinite(child_norm):
                     overflowed = True
                     continue
                 word = words[first + j // k] + (j % k,)
-                level_max = max(level_max, _rate(child_norm, exponent, level))
+                level_max = max(level_max, rate)
                 rrate = _rate(rho, exponent, level)
                 if rrate > lower:
                     lower = rrate

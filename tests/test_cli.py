@@ -385,7 +385,33 @@ class TestErrors:
     def test_negative_samples_flag_exits_three(self, tmp_path, capsys):
         path = write_fixture(tmp_path, "trig-grid")
         assert run_cli(["run", "--input", str(path), "--samples", "-1"]) == 3
+        assert "input error: --samples:" in capsys.readouterr().err
+
+    def test_negative_samples_key_exits_three(self, tmp_path, capsys):
+        inst = builtin_instances()["trig-grid"]
+        inst["config"]["samples"] = -1
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps(inst))
+        assert run_cli(["run", "--input", str(path)]) == 3
         assert "input error: config.samples:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, message", [
+        (["--depth", "3.5"], "argument --depth: invalid int value: '3.5'"),
+        (["--bogus", "1"], "unrecognized arguments: --bogus 1")],
+        ids=["mistyped", "unknown"])
+    def test_usage_error_exits_three(self, tmp_path, capsys, args, message):
+        # argparse's own exit code 2 would read as "inconclusive"
+        path = write_fixture(tmp_path, "golden-pair")
+        assert run_cli(["run", "--input", str(path), *args]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage: borno")
+        assert f"error: {message}" in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: borno run")
 
     @pytest.mark.parametrize("name, path, value, message", MISTYPED,
                              ids=[message for *_, message in MISTYPED])

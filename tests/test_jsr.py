@@ -776,13 +776,29 @@ class TestBatchedSearch:
         for gap in (1e-2, 1e-9):
             assert jsr_estimate(s, depth, gap) == per_node_jsr(s, depth, gap)
 
-    def test_pruning_across_chunk_boundaries(self, monkeypatch):
+    @staticmethod
+    def deep_witness_set():
         # the witness has length 7: the lower bound still rises inside the
         # last, multi-chunk levels, which moves later prunes
         rng = np.random.default_rng(30)
-        s = bounded_set([matrix_element((rng.standard_normal((3, 3))
-                                         + 1j * rng.standard_normal((3, 3)))
-                                        / 2.5) for _ in range(3)])
+        return bounded_set([matrix_element((rng.standard_normal((3, 3))
+                                            + 1j * rng.standard_normal((3, 3)))
+                                           / 2.5) for _ in range(3)])
+
+    @staticmethod
+    def record(monkeypatch, name, calls):
+        """Append each call's (rows, values) of the jsr module's kernel
+        ``name`` to ``calls``."""
+        kernel = getattr(jsr, name)
+
+        def recorded(desc, rows):
+            values = kernel(desc, rows)
+            calls.append((rows.copy(), values.tolist()))
+            return values
+        monkeypatch.setattr(jsr, name, recorded)
+
+    def test_pruning_across_chunk_boundaries(self, monkeypatch):
+        s = self.deep_witness_set()
         trace = []
         ref = per_node_jsr(s, 7, 1e-2, trace)
         per_chunk = (jsr._CHUNK // 3) * 3
@@ -791,16 +807,83 @@ class TestBatchedSearch:
                    for n, pruned in trace)
         assert len(ref.witness_word) == 7
         # safe pruning leaves the estimate alone, so count the children the
-        # search evaluates: a prune missed or misplaced changes the count
+        # search evaluates: a prune missed or misplaced changes the count.
+        # Each child is normed once, the generators by the first call, and
+        # no product of this set is rescaled
         evaluated = []
-        radii = jsr.spectral_radii
-        monkeypatch.setattr(jsr, "spectral_radii", lambda desc, rows: (
-            evaluated.append(len(rows)) or radii(desc, rows)))
+        self.record(monkeypatch, "norms", evaluated)
         for chunk in (jsr._CHUNK, 1, 7):
             monkeypatch.setattr(jsr, "_CHUNK", chunk)
             evaluated.clear()
             assert jsr_estimate(s, 7, 1e-2) == ref
-            assert sum(evaluated) == sum(n for n, _pruned in trace)
+            assert (sum(len(rows) for rows, _ in evaluated)
+                    == sum(n for n, _pruned in trace))
+
+    def test_eigenvalues_only_where_the_norm_rate_can_raise_the_lower_bound(
+            self, monkeypatch):
+        s = self.deep_witness_set()
+        trace = []
+        ref = per_node_jsr(s, 7, 1e-2, trace)
+        level_sizes = [n for n, _pruned in trace]
+        normed, radii = [], []
+        self.record(monkeypatch, "norms", normed)
+        self.record(monkeypatch, "spectral_radii", radii)
+        for chunk in (jsr._CHUNK, 1, 7):
+            monkeypatch.setattr(jsr, "_CHUNK", chunk)
+            normed.clear()
+            radii.clear()
+            assert jsr_estimate(s, 7, 1e-2) == ref
+            # one norms and one spectral_radii call a chunk, level by level
+            assert len(normed) == len(radii)
+            assert (sum(len(rows) for rows, _ in radii)
+                    < sum(len(rows) for rows, _ in normed))
+            lower, level, seen = 0.0, 1, 0
+            for (rows, child_norms), (taken, rhos) in zip(normed, radii):
+                taken = {row.tobytes() for row in taken}
+                for row, child_norm in zip(rows, child_norms):
+                    rate = jsr._rate(child_norm, 0, level)
+                    if rate > lower * (1 + jsr._EIG_MARGIN):
+                        assert row.tobytes() in taken
+                lower = max([lower] + [jsr._rate(r, 0, level) for r in rhos])
+                seen += len(rows)
+                if seen == level_sizes[level - 1]:
+                    level, seen = level + 1, 0
+            assert lower == ref.lower
+            # with one parent a chunk, some chunk has no child to take
+            if chunk == 1:
+                assert any(len(taken) == 0 for taken, _ in radii)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4),
+           count=st.integers(1, 3), depth=st.integers(1, 5),
+           gap=st.sampled_from([1e-2, 1e-9]),
+           kind=st.sampled_from(["diagonal", "unitary", "permutation",
+                                 "maxrow", "general", "grid"]))
+    def test_random_families_match_per_node_search(self, seed, dim, count,
+                                                   depth, gap, kind):
+        # diagonal, scaled unitary and permutation words have rho = ||.||,
+        # up to rounding: the children the eigenvalue filter skips or keeps
+        # by the narrowest margins
+        rng = np.random.default_rng(seed)
+        if kind == "grid":
+            desc = GridFunctionAlgebra(GridSpec.circle(3), MatrixAlgebra(dim))
+            s = bounded_set(random_elements(desc, count, rng, 0.5))
+        else:
+            mats = []
+            for _ in range(count):
+                m = (rng.standard_normal((dim, dim))
+                     + 1j * rng.standard_normal((dim, dim))) / 2
+                if kind == "diagonal":
+                    m = np.diag(np.diag(m))
+                elif kind == "unitary":
+                    m = rng.choice([0.5, 1.0, 1.5]) * np.linalg.qr(m)[0]
+                elif kind == "permutation":
+                    m = rng.choice([0.5, 1.0, 2.0]) * np.eye(dim)[
+                        rng.permutation(dim)]
+                mats.append(matrix_element(
+                    m, "maxrow" if kind == "maxrow" else "op2"))
+            s = bounded_set(mats)
+        assert jsr_estimate(s, depth, gap) == per_node_jsr(s, depth, gap)
 
     @pytest.mark.parametrize("exponent", [300, -300])
     def test_rescaled_products_keep_the_interval(self, exponent):
