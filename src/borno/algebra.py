@@ -393,16 +393,75 @@ def _matrix_norms(stack, kind):
     return sigma
 
 
+# the relative margin by which a norm bound exceeds the computed norm and
+# eigenvalue moduli it bounds: far above LAPACK's backward errors, NORM_TOL
+# and the rounding of a Frobenius norm or a row sum
+_BOUND_MARGIN = 1e-8
+
+
+def _matrix_bounds(stack, kind):
+    """An upper bound, with no SVD, on the computed ``kind`` norm and
+    eigenvalue moduli of each matrix of a ``(count, d, d)`` stack: its
+    Frobenius norm for ``op2``, its norm for ``maxrow``, widened by
+    ``_BOUND_MARGIN``, and inf where :func:`_unsafe_peaks` says its squares
+    overflow or underflow."""
+    mags = np.abs(stack)
+    if kind == MAXROW:
+        size = np.max(np.sum(mags, axis=2), axis=1)
+    else:
+        with np.errstate(over="ignore"):
+            size = np.sqrt(np.einsum("nij,nij->n", mags, mags))
+    return np.where(_unsafe_peaks(np.max(mags, axis=(1, 2))), np.inf,
+                    size * (1.0 + _BOUND_MARGIN))
+
+
+def _block_bounds(stacks):
+    """:func:`_matrix_bounds` of each block of ``(n, count, d, d)``
+    ``stacks``, as an ``(n, blocks)`` array in :func:`vec` order."""
+    return np.concatenate([_matrix_bounds(stack.reshape(-1, *stack.shape[2:]),
+                                          kind).reshape(stack.shape[:2])
+                           for stack, kind in stacks], axis=1)
+
+
 def _row_max(desc, rows, per_matrix):
     """The maximum over each row's matrix blocks of ``per_matrix(stack,
-    norm_kind)``, which maps a ``(count, d, d)`` stack to one value a matrix;
-    ``rows`` is an ``(n, L)`` coordinate array."""
-    best = None
-    for stack, kind in _stacks(desc, rows):
-        per = per_matrix(stack.reshape((-1,) + stack.shape[-2:]), kind)
-        per = per.reshape(stack.shape[:2]).max(axis=1)
-        best = per if best is None else np.maximum(best, per)
-    return best
+    norm_kind)``, which maps a ``(count, d, d)`` stack to one value a matrix,
+    at most its :func:`_matrix_bounds`; ``rows`` is an ``(n, L)`` coordinate
+    array.
+
+    A row of several blocks has ``per_matrix`` evaluated first on its block
+    of largest bound, and then only on the blocks whose bound exceeds that
+    value: no other block can exceed it.  Each matrix gets the bits it gets
+    alone, so the maxima are bytewise those over every block; a block
+    skipped this way raises no NumericalFailure.
+    """
+    stacks = _stacks(desc, rows)
+    if len(stacks) == 1 and stacks[0][0].shape[1] == 1:
+        stack, kind = stacks[0]
+        return per_matrix(stack[:, 0], kind)
+    bounds = _block_bounds(stacks)
+    values = np.full(bounds.shape, -np.inf)
+
+    def evaluate(chosen):
+        at = 0
+        for stack, kind in stacks:
+            row, block = np.nonzero(chosen[:, at:at + stack.shape[1]])
+            if len(row):
+                values[row, at + block] = per_matrix(stack[row, block], kind)
+            at += stack.shape[1]
+
+    top = np.zeros(bounds.shape, dtype=bool)
+    top[np.arange(len(rows)), np.argmax(bounds, axis=1)] = True
+    evaluate(top)
+    evaluate(~top & (bounds > values.max(axis=1, keepdims=True)))
+    return values.max(axis=1)
+
+
+def norm_bounds(desc, rows):
+    """An upper bound, with no SVD, on :func:`norms` and
+    :func:`spectral_radii` of each row of an ``(n, L)`` coordinate array:
+    the largest :func:`_matrix_bounds` of its blocks."""
+    return _block_bounds(_stacks(desc, rows)).max(axis=1)
 
 
 def norms(desc, rows):

@@ -30,6 +30,7 @@ from .algebra import (
     MatrixAlgebra,
     bounded_set,
     multiply,
+    norm_bounds,
     norms,
     products,
     spectral_radii,
@@ -111,18 +112,43 @@ def _optimistic_rate(child_norm, exponent, length, log2_gen_max, depth):
                              (base + (depth - length) * log2_gen_max) / depth))
 
 
+def _inert(bounds, exponents, level, depth, log2_gen_max, lower, slack):
+    """``(bound rates, inert)`` of children whose norms and eigenvalue moduli
+    are at most ``bounds``, scaled by 2^``exponents``.
+
+    A child is inert when its bound shows, against the ``lower`` bound its
+    chunk starts with, that the search prunes it and gives it no eigenvalues:
+    its optimistic rate is at most ``lower - slack`` and its norm rate times
+    (1 + ``_EIG_MARGIN``) at most ``lower``.  Only its norm rate, through the
+    level maximum, can still count.  Such a bound is finite, so the child's
+    norm is 0 or within [2^-250, 2^256] and needs no rescaling.  The bounds'
+    margin dwarfs the rounding of numpy's ``log2`` and ``exp2``.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        base = np.log2(bounds) + exponents
+        rates = np.exp2(base / level)
+        reach = np.exp2(np.maximum(
+            base / level, (base + (depth - level) * log2_gen_max) / depth))
+    return rates, ((reach <= lower - slack)
+                   & (rates * (1.0 + _EIG_MARGIN) <= lower))
+
+
 def jsr_estimate(s, depth, gap_target=1e-3):
     """Certified interval for the spectral radius of a bounded set.
 
     Each level is expanded in chunks of about ``_CHUNK`` children: one
     product, one SVD and one ``eigvals`` call per chunk give every child the
-    bits it gets alone.  The ``eigvals`` call takes only the children whose
-    norm rate could raise the lower bound the chunk starts with; the others
-    count as rho = 0, which leaves the lower bound where their rho would.  A
-    scalar pass then visits the chunk's children in lexicographic order of
-    their words and updates the lower bound child by child, so pruning,
-    witnesses and ties do not depend on the chunking.  A norm that overflows
-    ends the search with the levels before its own.
+    bits it gets alone.  From level 2 on, :func:`norm_bounds` first bounds
+    every child, and the :func:`_inert` ones, which the search would prune
+    without eigenvalues, get neither call.  The ``eigvals`` call takes only
+    the children whose norm rate could raise the lower bound the chunk starts
+    with; the others count as rho = 0, which leaves the lower bound where
+    their rho would.  A scalar pass then visits the chunk's other children in
+    lexicographic order of their words and updates the lower bound child by
+    child, so pruning, witnesses and ties do not depend on the chunking.
+    Last, the inert children whose bound rate exceeds the level maximum so
+    far get their norms, so the upper bound is the one every norm gives.  A
+    norm that overflows ends the search with the levels before its own.
     """
     s = bounded_set(s)
     if depth < 1:
@@ -150,30 +176,38 @@ def jsr_estimate(s, depth, gap_target=1e-3):
         level_max = 0.0
         overflowed = False
         for first in range(0, len(words), step):
+            # the children's exponents, before any rescaling of their own
+            inherited = [e for e in exponents[first:first + step]
+                         for _ in range(k)]
             if rows is None:
-                coords, child_norms = gens.copy(), gen_norms.tolist()
+                coords, active = gens.copy(), np.arange(k)
+                child_norms = gen_norms.tolist()
             else:
                 coords = products(desc, rows[first:first + step, None], gens)
                 coords = coords.reshape(-1, gens.shape[1])
-                child_norms = norms(desc, coords).tolist()
-            child_exponents = [e for e in exponents[first:first + step]
-                               for _ in range(k)]
-            for j, child_norm in enumerate(child_norms):
+                bound_rates, inert = _inert(
+                    norm_bounds(desc, coords), np.array(inherited),
+                    level, depth, log2_gen_max, lower, slack)
+                active = np.flatnonzero(~inert)
+                child_norms = norms(desc, coords[active]).tolist()
+            child_exponents = [inherited[j] for j in active]
+            for i, (j, child_norm) in enumerate(zip(active, child_norms)):
                 if (child_norm != 0.0 and math.isfinite(child_norm)
                         and not _RESCALE_LO <= child_norm <= _RESCALE_HI):
                     shift = int(math.floor(math.log2(child_norm)))
                     coords[j] = math.ldexp(1.0, -shift) * coords[j]
-                    child_exponents[j] += shift
-                    child_norms[j] = float(norms(desc, coords[j:j + 1])[0])
+                    child_exponents[i] += shift
+                    child_norms[i] = float(norms(desc, coords[j:j + 1])[0])
             rates = [_rate(n, e, level)
                      for n, e in zip(child_norms, child_exponents)]
             live = np.isfinite(child_norms) & (
                 np.array(rates) * (1.0 + _EIG_MARGIN) > lower)
-            rhos = np.zeros(len(coords))
-            rhos[live] = spectral_radii(desc, coords[live])
+            rhos = np.zeros(len(active))
+            rhos[live] = spectral_radii(desc, coords[active[live]])
             keep = []
-            for j, (child_norm, exponent, rate, rho) in enumerate(
-                    zip(child_norms, child_exponents, rates, rhos.tolist())):
+            for j, child_norm, exponent, rate, rho in zip(
+                    active.tolist(), child_norms, child_exponents, rates,
+                    rhos.tolist()):
                 if not math.isfinite(child_norm):
                     overflowed = True
                     continue
@@ -191,6 +225,13 @@ def jsr_estimate(s, depth, gap_target=1e-3):
                 kept_words.append(word)
                 kept_exponents.append(exponent)
             kept_rows.append(coords[keep])
+            if rows is not None:
+                # an inert child needs its norm only for the level maximum
+                late = np.flatnonzero(inert & (bound_rates > level_max))
+                if len(late):
+                    level_max = max([level_max] + [
+                        _rate(n, inherited[j], level) for n, j in zip(
+                            norms(desc, coords[late]).tolist(), late)])
         if overflowed:
             break
         upper = min(upper, level_max)

@@ -3,9 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borno.algebra import (
     AlgebraElement,
@@ -26,6 +29,7 @@ from borno.algebra import (
     matrix_element,
     multiply,
     norm,
+    norm_bounds,
     norms,
     products,
     scale,
@@ -489,6 +493,99 @@ class TestRowKernels:
         for disk in disks:
             assert (gauges(disk, desc, rows).tolist()
                     == [gauge(disk, unvec(desc, r)) for r in rows])
+
+
+BOUND_DESCS = [
+    MatrixAlgebra(1), MatrixAlgebra(3), MatrixAlgebra(1, "maxrow"),
+    MatrixAlgebra(3, "maxrow"),
+    GridFunctionAlgebra(GridSpec.circle(4), MatrixAlgebra(2)),
+    GridFunctionAlgebra(GridSpec.circle(3), MatrixAlgebra(2, "maxrow")),
+    GridFunctionAlgebra(GridSpec.circle(2),
+                        DirectSum((MatrixAlgebra(2),
+                                   MatrixAlgebra(1, "maxrow")))),
+    GridFunctionAlgebra(GridSpec.circle(3),
+                        DirectSum((MatrixAlgebra(2),
+                                   MatrixAlgebra(3, "maxrow")))),
+]
+
+
+@st.composite
+def block_rows(draw):
+    """``(desc, rows)``: up to four coordinate rows whose blocks are zero,
+    rank one or general, with entries near 1, 2^+-250 or 2^+-600."""
+    desc = draw(st.sampled_from(BOUND_DESCS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.zeros((draw(st.integers(1, 4)), linear_dim(desc)), complex)
+    for row in rows:
+        for start, stop, count, dim, _kind in desc.runs:
+            for at in range(start, stop, dim * dim):
+                shape = draw(st.sampled_from(["zero", "rank-1", "general"]))
+                exp = draw(st.sampled_from([0, 0, 249, 250, -250, -251,
+                                            600, -600]))
+                u, v = (rng.standard_normal((2, dim, dim))
+                        + 1j * rng.standard_normal((2, dim, dim)))
+                mat = {"zero": 0.0 * u, "rank-1": np.outer(u[0], v[0]),
+                       "general": u}[shape]
+                row[at:at + dim * dim] = math.ldexp(
+                    rng.uniform(0.5, 2.0), exp) * mat.reshape(-1)
+    return desc, rows
+
+
+def blockwise_max(desc, rows, kernel):
+    """The largest ``kernel`` value of each row's blocks, one matrix at a
+    time."""
+    return [max(kernel(matrix_element(row[at:at + dim * dim].reshape(dim, dim),
+                                      kind))
+                for start, stop, _count, dim, kind in desc.runs
+                for at in range(start, stop, dim * dim))
+            for row in rows]
+
+
+class TestNormBounds:
+    """The row kernels skip the blocks their bounds rule out."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=block_rows())
+    def test_bounds_hold_row_by_row(self, case):
+        desc, rows = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bounds = norm_bounds(desc, rows).tolist()
+            for values in (norms(desc, rows), spectral_radii(desc, rows)):
+                assert all(v <= b for v, b in zip(values.tolist(), bounds))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=block_rows())
+    def test_row_maxima_are_the_blockwise_maxima(self, case):
+        desc, rows = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [norms(desc, rows).tolist(),
+                   spectral_radii(desc, rows).tolist()]
+        want = [blockwise_max(desc, rows, norm),
+                blockwise_max(desc, rows, spectral_radius_single)]
+        assert ([[x.hex() for x in xs] for xs in got]
+                == [[x.hex() for x in xs] for xs in want])
+
+    @pytest.mark.parametrize("kind", ["op2", "maxrow"])
+    def test_blocks_of_equal_norm(self, kind):
+        # permuted, phase-turned copies of one rank-1 matrix (op2) or of a
+        # scaled permutation (maxrow) have one exact norm, which is also the
+        # maxrow spectral radius; their computed norms and radii differ in
+        # the last bits, so each may exceed its unwidened bound
+        desc = GridFunctionAlgebra(GridSpec.circle(8), MatrixAlgebra(3, kind))
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            u, v = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+            base = np.outer(u, v) if kind == "op2" else 0.7 * np.eye(3)
+            rows = np.concatenate([
+                (np.exp(2j * np.pi * rng.uniform(size=(3, 1)))
+                 * base[rng.permutation(3)][:, rng.permutation(3)]).reshape(-1)
+                for _ in range(8)])[None]
+            assert (norms(desc, rows).tolist()
+                    == blockwise_max(desc, rows, norm))
+            assert (spectral_radii(desc, rows).tolist()
+                    == blockwise_max(desc, rows, spectral_radius_single))
 
 
 class TestBoundedSet:

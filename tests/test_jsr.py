@@ -22,6 +22,7 @@ from borno.algebra import (
     matrix_element,
     multiply,
     norm,
+    norms,
     Scaled,
     scale,
     SumDisk,
@@ -808,16 +809,20 @@ class TestBatchedSearch:
         assert len(ref.witness_word) == 7
         # safe pruning leaves the estimate alone, so count the children the
         # search evaluates: a prune missed or misplaced changes the count.
-        # Each child is normed once, the generators by the first call, and
-        # no product of this set is rescaled
-        evaluated = []
-        self.record(monkeypatch, "norms", evaluated)
+        # Each child after level 1 is bounded once; only some are normed
+        children = sum(n for n, _pruned in trace)
+        bounded, normed = [], []
+        self.record(monkeypatch, "norm_bounds", bounded)
+        self.record(monkeypatch, "norms", normed)
         for chunk in (jsr._CHUNK, 1, 7):
             monkeypatch.setattr(jsr, "_CHUNK", chunk)
-            evaluated.clear()
+            bounded.clear()
+            normed.clear()
             assert jsr_estimate(s, 7, 1e-2) == ref
-            assert (sum(len(rows) for rows, _ in evaluated)
-                    == sum(n for n, _pruned in trace))
+            assert (sum(len(rows) for rows, _ in bounded)
+                    == children - len(s.generators))
+            # the bounds spare some children their SVD
+            assert sum(len(rows) for rows, _ in normed) < children
 
     def test_eigenvalues_only_where_the_norm_rate_can_raise_the_lower_bound(
             self, monkeypatch):
@@ -825,22 +830,25 @@ class TestBatchedSearch:
         trace = []
         ref = per_node_jsr(s, 7, 1e-2, trace)
         level_sizes = [n for n, _pruned in trace]
-        normed, radii = [], []
-        self.record(monkeypatch, "norms", normed)
+        bounded, radii = [], []
+        self.record(monkeypatch, "norm_bounds", bounded)
         self.record(monkeypatch, "spectral_radii", radii)
         for chunk in (jsr._CHUNK, 1, 7):
             monkeypatch.setattr(jsr, "_CHUNK", chunk)
-            normed.clear()
+            bounded.clear()
             radii.clear()
             assert jsr_estimate(s, 7, 1e-2) == ref
-            # one norms and one spectral_radii call a chunk, level by level
-            assert len(normed) == len(radii)
+            # one spectral_radii call a chunk, level by level: the generators
+            # first, then each chunk of children the bounds see
+            chunks = [s.rows] + [rows for rows, _ in bounded]
+            assert len(chunks) == len(radii)
             assert (sum(len(rows) for rows, _ in radii)
-                    < sum(len(rows) for rows, _ in normed))
+                    < sum(len(rows) for rows in chunks))
             lower, level, seen = 0.0, 1, 0
-            for (rows, child_norms), (taken, rhos) in zip(normed, radii):
+            for rows, (taken, rhos) in zip(chunks, radii):
                 taken = {row.tobytes() for row in taken}
-                for row, child_norm in zip(rows, child_norms):
+                for row, child_norm in zip(rows, norms(s.descriptor,
+                                                       rows).tolist()):
                     rate = jsr._rate(child_norm, 0, level)
                     if rate > lower * (1 + jsr._EIG_MARGIN):
                         assert row.tobytes() in taken
@@ -852,6 +860,28 @@ class TestBatchedSearch:
             # with one parent a chunk, some chunk has no child to take
             if chunk == 1:
                 assert any(len(taken) == 0 for taken, _ in radii)
+
+    def test_inert_children_still_set_the_level_maximum(self, monkeypatch):
+        # with rho = 0.99 ||P|| (LAPACK's rho <= ||P||, nearly attained), A
+        # sets lower = 0.99 at level 1 and every level-2 child is inert: the
+        # upper bound 0.1 = ||A^2||^(1/2) comes from the norms the search
+        # takes after the chunk, only for the level maximum
+        monkeypatch.setattr(
+            borno.algebra, "_eig_radii",
+            lambda stack, kind: 0.99 * borno.algebra._matrix_norms(stack, kind))
+        eps = 1e-2
+        s = bounded_set([matrix_element([[0.0, 1.0], [eps, 0.0]]),
+                         matrix_element([[0.0, 0.5], [0.0, 0.0]])])
+        bounded, normed = [], []
+        self.record(monkeypatch, "norm_bounds", bounded)
+        self.record(monkeypatch, "norms", normed)
+        est = jsr_estimate(s, 4, 1e-3)
+        assert est == per_node_jsr(s, 4, 1e-3)
+        assert (est.lower, est.upper, est.depth) == (0.99, 0.1, 2)
+        # norms for the generators, for none of the chunk's inert children
+        # in the chunk, and for both after it
+        assert [len(rows) for rows, _ in bounded] == [2]
+        assert [len(rows) for rows, _ in normed] == [2, 0, 2]
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4),
