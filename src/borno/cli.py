@@ -291,7 +291,8 @@ def _matrix_set(*mats):
 
 
 def _sum_space():
-    from .seqspace import DiskForm, ModelSpace
+    from .closedforms import DiskForm
+    from .seqspace import ModelSpace
     return serialize.model_space_to_json(ModelSpace((DiskForm("sum"),)))
 
 

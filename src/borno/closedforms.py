@@ -1,9 +1,9 @@
-"""Exact rational closed forms used by the sequence-space and finite-rank
-modules: coordinate forms c*r^k*(k+1)^p with their sups and tail sums (a
-weight is a coordinate form with positive c and r and p >= 0), series tails
-in closed form (O(p^2) terms whatever the start), decay starts of
-c*r^k*(k+s)^p, null sequence descriptors closed under square roots, and
-nonnegative envelopes with sups and a domination comparator.
+"""Exact rational closed forms for the sequence-space and finite-rank
+engines: coordinate forms c*r^k*(k+1)^p with their sups and tail sums (a
+weight is one with positive c and r and p >= 0), the weighted gauges both
+engines measure with, series tails in closed form (O(p^2) terms whatever the
+start), decay starts of c*r^k*(k+s)^p, null sequence descriptors closed under
+square roots, and nonnegative envelopes with sups and a domination comparator.
 
 Everything here is Fraction arithmetic; no decision ever goes through a
 float.  Square roots of descriptors are handled by tracking a power-of-two
@@ -14,11 +14,14 @@ be raised to the tower power).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, cached_property
 
 INF = math.inf
+SUM = "sum"
 SUP = "sup"
+L2 = "l2"
 
 
 def _frac(x):
@@ -226,6 +229,76 @@ class WeightForm(CoordForm):
     @staticmethod
     def polynomial(c, p):
         return WeightForm(_frac(c), Fraction(1), p)
+
+
+# ---------------------------------------------------------------------------
+# weighted gauges
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DiskForm:
+    """gauge(x) = (1/scale) agg_k weight(k) |x_k| for agg sum or sup, or
+    (1/scale) sqrt(sum_k weight(k) |x_k|^2) for l2."""
+
+    kind: str
+    weight: WeightForm = field(default_factory=WeightForm)
+    scale: Fraction = Fraction(1)
+
+    def __post_init__(self):
+        if self.kind not in (SUM, SUP, L2):
+            raise ValueError(f"unknown gauge kind {self.kind!r}")
+        object.__setattr__(self, "scale", _frac(self.scale))
+        if self.scale <= 0:
+            raise ValueError("disk scale must be positive")
+
+    @property
+    def _divisor(self):  # an l2 aggregate is the radicand
+        return self.scale**2 if self.kind == L2 else self.scale
+
+    def of_magnitudes(self, pieces):
+        """(certified bound, exact flag) for the gauge of |x_k| = the sum of
+        ``pieces``: nonnegative forms ``(form, first, last)`` that vanish
+        outside first <= k <= last (``last`` None: no end); the bound is the
+        radicand under l2.  Each piece is measured on its own window by its
+        form's ``sup_from`` or ``tail_sum``, and the bound is exact where
+        every such measure is."""
+        w = self.weight
+        if self.kind == L2:  # expand the square, each product on its common window
+            pieces = [(f * g, max(lo, lo_g),
+                       min((h for h in (hi, hi_g) if h is not None), default=None))
+                      for f, lo, hi in pieces for g, lo_g, hi_g in pieces]
+        live = sorted(((w * f, lo, hi) for f, lo, hi in pieces
+                       if hi is None or hi >= lo), key=lambda p: p[1])
+        if self.kind != SUP:
+            raw = sum((f.tail_sum(lo, hi) for f, lo, hi in live), Fraction(0))
+            exact = all(f.sums_exactly(hi) for f, _lo, hi in live)
+        else:
+            sups = [f.sup_from(lo, hi) for f, lo, hi in live]
+            # pieces on disjoint windows never add up at one index
+            exact = all(a[2] is not None and a[2] < b[1]
+                        for a, b in zip(live, live[1:]))
+            raw = max(sups, default=Fraction(0)) if exact else sum(sups, Fraction(0))
+        return raw / self._divisor, exact
+
+    @cached_property
+    def _weight_at(self):
+        """k -> w(k), each weight computed once per gauge."""
+        return cache(self.weight.value)
+
+    def of_vector(self, values):
+        """Gauge of explicit coordinates (index -> Fraction); the radicand
+        under l2."""
+        w, l2 = self._weight_at, self.kind == L2
+        terms = [w(k) * (v * v if l2 else abs(v)) for k, v in values.items()]
+        raw = (max(terms, default=Fraction(0)) if self.kind == SUP
+               else sum(terms, Fraction(0)))
+        return raw / self._divisor
+
+    def finalize(self, raw):
+        """Convert a bound (radicand for l2) to a float rate."""
+        if raw == INF:
+            return math.inf
+        return math.sqrt(float(raw)) if self.kind == L2 else float(raw)
 
 
 # ---------------------------------------------------------------------------

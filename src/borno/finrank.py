@@ -14,19 +14,15 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
 
-from .closedforms import INF, SUP, CoordForm, WeightForm, _frac, first_true
+from .closedforms import INF, L2, SUP, CoordForm, _frac, first_true
 from .errors import BornoError, EquiboundednessError, InvariantViolation
-
-L1 = "l1"
-L2 = "l2"
 
 
 # ---------------------------------------------------------------------------
-# compact boxes, gauges, operators
+# compact boxes and operators
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -47,71 +43,14 @@ class CompactSetModel:
         return self.envelope.value(k)
 
 
-@dataclass(frozen=True)
-class GaugeModel:
-    """gauge(x) = sup_k w_k |x_k|, sum_k w_k |x_k|, or sqrt(sum w_k |x_k|^2)."""
-
-    kind: str
-    weight: WeightForm = field(default_factory=WeightForm)
-
-    def __post_init__(self):
-        if self.kind not in (SUP, L1, L2):
-            raise ValueError(f"unknown gauge kind {self.kind!r}")
-
-    def of_magnitudes(self, pieces):
-        """(certified bound, exact flag) for the gauge of |x_k| = the sum of
-        ``pieces``: nonnegative forms ``(form, first, last)`` that vanish
-        outside first <= k <= last (``last`` None: no end).  Each piece is
-        measured on its own window by its form's ``sup_from`` or
-        ``tail_sum``, and the bound is exact where every such measure is."""
-        w = self.weight
-        if self.kind == L2:  # expand the square, each product on its common window
-            pieces = [(f * g, max(lo, lo_g),
-                       min((h for h in (hi, hi_g) if h is not None), default=None))
-                      for f, lo, hi in pieces for g, lo_g, hi_g in pieces]
-        live = sorted(((w * f, lo, hi) for f, lo, hi in pieces
-                       if hi is None or hi >= lo), key=lambda p: p[1])
-        if self.kind != SUP:
-            return (sum((f.tail_sum(lo, hi) for f, lo, hi in live), Fraction(0)),
-                    all(f.sums_exactly(hi) for f, _lo, hi in live))
-        sups = [f.sup_from(lo, hi) for f, lo, hi in live]
-        # pieces on disjoint windows never add up at one index
-        if all(a[2] is not None and a[2] < b[1] for a, b in zip(live, live[1:])):
-            return max(sups, default=Fraction(0)), True
-        return sum(sups, Fraction(0)), False
-
-    @cached_property
-    def _weight_at(self):
-        """k -> w(k), each weight computed once per gauge."""
-        return cache(self.weight.value)
-
-    def of_vector(self, values):
-        """Gauge of explicit coordinates (index -> Fraction magnitude)."""
-        w = self._weight_at
-        if self.kind == SUP:
-            return max((w(k) * abs(v) for k, v in values.items()),
-                       default=Fraction(0))
-        if self.kind == L1:
-            return sum((w(k) * abs(v) for k, v in values.items()), Fraction(0))
-        return sum((w(k) * v * v for k, v in values.items()), Fraction(0))
-
-    def finalize(self, raw):
-        """Convert a raw bound (radicand for l2) to a float rate."""
-        if raw == INF:
-            return math.inf
-        return math.sqrt(float(raw)) if self.kind == L2 else float(raw)
-
-
 def precompactness_check(s, gauge):
     """Envelope summability surrogate: the box is gauge-compact."""
     a = s.envelope.abs_form()
     prod = gauge.weight * a
     if prod.coeff == 0:
         return True  # the zero box, compact under every gauge
-    if gauge.kind == L1:
-        return prod.tail_sum(0) != INF
-    if gauge.kind == L2:
-        return (prod * a).tail_sum(0) != INF
+    if gauge.kind != SUP:
+        return gauge.of_magnitudes([(a, 0, None)])[0] != INF
     # sup-type needs w_k a_k -> 0, which also makes the sup finite
     return prod.ratio < 1 or (prod.ratio == 1 and prod.power < 0)
 
@@ -192,7 +131,7 @@ def _shifted_envelope(env, d):
 
 
 def _difference_magnitude_forms(f_n, f_inf, s):
-    """Pieces ``(form, first, last)`` (see :meth:`GaugeModel.of_magnitudes`)
+    """Pieces ``(form, first, last)`` (see :meth:`DiskForm.of_magnitudes`)
     whose sum bounds sup_{x in box} |(F-f)x|_k, and whether the sum equals
     that supremum.  Diagonal closed forms that match (a truncation's is 1)
     subtract exactly up to the first cutoff, past which the later-cut

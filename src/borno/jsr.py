@@ -239,6 +239,9 @@ def jsr_estimate(s, depth, gap_target=1e-3):
         if upper - lower <= gap_target or not words:
             break
 
+    # a computed rho above a later level's norms would invert the interval
+    _require_meet("jsr lower bound against its upper bound", (lower, lower),
+                  (0.0, upper), _EIG_MARGIN, upper)
     status = CERTIFIED if upper - lower <= gap_target else DEPTH_LIMITED
     return RadiusEstimate(lower, upper, witness, level, status)
 

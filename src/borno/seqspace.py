@@ -17,12 +17,13 @@ from fractions import Fraction
 
 from .closedforms import (
     INF,
+    SUM,
     SUP,
     CoordForm,
+    DiskForm,
     Envelope,
     EnvTerm,
     EpsForm,
-    WeightForm,
     _frac,
     decay_start,
     first_true,
@@ -30,8 +31,6 @@ from .closedforms import (
     sum_shift_poly_geom,
 )
 from .errors import InvariantViolation, NotDecided, UnboundedMap
-
-SUM = "sum"
 
 _SCAN_CAP = 512
 
@@ -181,22 +180,6 @@ class SeqVector:
 # disks: weighted sup / weighted l1 gauges, exact on SeqVectors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiskForm:
-    """gauge(x) = (1/scale) * agg_k weight(k) |x_k|, agg in {sum, sup}."""
-
-    kind: str
-    weight: WeightForm = field(default_factory=WeightForm)
-    scale: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        if self.kind not in (SUM, SUP):
-            raise ValueError(f"unknown gauge kind {self.kind!r}")
-        object.__setattr__(self, "scale", _frac(self.scale))
-        if self.scale <= 0:
-            raise ValueError("disk scale must be positive")
-
-
 def _tail_classes(tails, start):
     """Parity classes of the tail coordinates, with positive ratios.
 
@@ -239,11 +222,12 @@ def _sign_stable_index(alphas):
 def gauge_value(disk, x):
     """Exact gauge of a SeqVector; a Fraction, or math.inf."""
     w = disk.weight
+    # tails over the scale: every term is in the gauge's units, as of_vector's
+    classes = _tail_classes(tuple((a / disk.scale, s) for a, s in x.tails),
+                            x.tail_start)
     if disk.kind == SUM:
-        total = Fraction(0)
-        for k, v in x.prefix.items():
-            total += w.value(k) * abs(v)
-        for offset, stride, alphas in _tail_classes(x.tails, x.tail_start):
+        total = disk.of_vector(x.prefix)
+        for offset, stride, alphas in classes:
             if w.ratio**stride * alphas[0][0] >= 1:
                 return INF
             t_star, sign = _sign_stable_index(alphas)
@@ -256,12 +240,10 @@ def gauge_value(disk, x):
                 total += (sign * alpha * w.coeff * w.ratio**offset
                           * sum_shift_poly_geom(w.power, offset + 1, y_i,
                                                 t_star, stride))
-        return total / disk.scale
+        return total
 
-    best = Fraction(0)
-    for k, v in x.prefix.items():
-        best = max(best, w.value(k) * abs(v))
-    for offset, stride, alphas in _tail_classes(x.tails, x.tail_start):
+    best = disk.of_vector(x.prefix)
+    for offset, stride, alphas in classes:
         rho_d, alpha_d = alphas[0]
         y_d = w.ratio**stride * rho_d
         if y_d > 1 or (y_d == 1 and w.power > 0):
@@ -289,7 +271,7 @@ def gauge_value(disk, x):
                     "sup gauge with interfering non-decaying tails is outside "
                     "the exact fragment")
         best = max(best, limit)
-    return best / disk.scale
+    return best
 
 
 def window_gauge_envelope(u, disk):
@@ -527,6 +509,11 @@ class ModelSpace:
     disks: tuple
     tails_admitted: bool = True
 
+    def __post_init__(self):  # gauge_value would measure l2 as a sup
+        for d in self.disks:
+            if not (isinstance(d, DiskForm) and d.kind in (SUM, SUP)):
+                raise ValueError(f"not a sum or sup DiskForm: {d!r}")
+
     def disk(self, index):
         return self.disks[index]
 
@@ -534,33 +521,14 @@ class ModelSpace:
         return self.tails_admitted or v.finitely_supported
 
 
-def _unit_ball_bound(form, source_kind, target_kind, start=0):
-    """Bound for the target gauge over the source unit ball of a map taking
-    e_k, k >= start, of source gauge 1 to target gauge ``form``(k).  A sup
-    ball spreads over all coordinates, so into a sum it is the tail sum;
-    else the sup over unit vectors."""
-    if source_kind == SUP and target_kind == SUM:
-        return form.tail_sum(start)
-    return form.sup_from(start)
-
-
-def absorption_constant(target, source):
-    """Upper bound for sup{gauge_target(u) : gauge_source(u) <= 1}, or inf.
-
-    Exact except for a sup source with a negative power against a sum
-    target, which gets the certified bound of :meth:`CoordForm.tail_sum`.
-    """
-    wt, ws = target.weight, source.weight
-    c = (wt.coeff / ws.coeff) * (source.scale / target.scale)
-    return _unit_ball_bound(CoordForm(c, wt.ratio / ws.ratio, wt.power - ws.power),
-                            source.kind, target.kind)
-
-
 def _absorbing_disk(space, sources):
     """The first family disk m with a finite absorption constant against
-    every source disk, as (m, those constants), or None."""
+    every source disk, as (m, those constants), or None.  The absorption
+    constant sup{gauge_m(u) : gauge_i(u) <= 1} is the identity map's bound."""
+    identity = CoordinateMap("diagonal")
     for m, target in enumerate(space.disks):
-        kappas = [absorption_constant(target, space.disk(i)) for i in sources]
+        kappas = [coordinate_map_bound(identity, space.disk(i), target)
+                  for i in sources]
         if INF not in kappas:
             return m, kappas
     return None
@@ -1064,7 +1032,16 @@ class CoordinateMap:
 
 
 def coordinate_map_bound(f, source_disk, target_disk):
-    """Upper bound for sup{gauge_target(f u) : gauge_source(u) <= 1}, or inf."""
+    """Upper bound for sup{gauge_target(f u) : gauge_source(u) <= 1}, or inf;
+    for the identity, ``CoordinateMap("diagonal")``, the constant with which
+    the target disk absorbs the source disk.
+
+    f takes the unit vector of source gauge 1 at each k >= start to one of
+    target gauge form(k).  A sup ball spreads over all coordinates, so into
+    a sum the bound is the form's tail sum, else its sup.  Exact except for
+    a sup source against a sum target with a negative power left in the
+    form, which gets the certified bound of :meth:`CoordForm.tail_sum`.
+    """
     ws, wt = source_disk.weight, target_disk.weight
     # gauge_source(e_k) = ws(k) / source scale
     c = abs(f.coeff) * source_disk.scale / (target_disk.scale * ws.coeff)
@@ -1077,7 +1054,9 @@ def coordinate_map_bound(f, source_disk, target_disk):
     else:
         form = CoordForm(c * wt.coeff, abs(f.ratio) * wt.ratio / ws.ratio,
                          f.power + wt.power - ws.power)
-    return _unit_ball_bound(form, source_disk.kind, kind, start)
+    if source_disk.kind == SUP and kind == SUM:
+        return form.tail_sum(start)
+    return form.sup_from(start)
 
 
 def apply_coordinate_map(f, v):

@@ -339,13 +339,19 @@ def disk_form_to_json(disk):
             "scale": str(disk.scale)}
 
 
+def _disk_form(kinds, context, kind, weight, scale="1"):
+    """The DiskForm of a wire ``kind`` that ``kinds`` maps to a gauge kind."""
+    from .closedforms import DiskForm
+    weight = weight_from_json(weight, f"{context}.weight")
+    scale = _frac_from_json(scale, context)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise SchemaError(f"{context}: unknown gauge kind {kind!r}")
+    return _build(DiskForm, context, kinds[kind], weight, scale)
+
+
 def disk_form_from_json(obj, context="disk"):
-    from .seqspace import DiskForm
-    kind, weight, scale = fields(obj, context, ("kind",),
-                                 {"weight": {}, "scale": "1"})
-    return _build(DiskForm, context, kind,
-                  weight_from_json(weight, f"{context}.weight"),
-                  _frac_from_json(scale, context))
+    return _disk_form({"sum": "sum", "sup": "sup"}, context, *fields(
+        obj, context, ("kind",), {"weight": {}, "scale": "1"}))
 
 
 def vector_to_json(v):
@@ -451,10 +457,9 @@ def box_from_json(obj, context="box"):
 
 
 def gauge_from_json(obj, context="gauge"):
-    from .finrank import GaugeModel
-    kind, weight = fields(obj, context, ("kind",), {"weight": {}})
-    return _build(GaugeModel, context, kind,
-                  weight_from_json(weight, f"{context}.weight"))
+    """An approx gauge, with no scale; its sum kind is named l1."""
+    return _disk_form({"l1": "sum", "sup": "sup", "l2": "l2"}, context,
+                      *fields(obj, context, ("kind",), {"weight": {}}))
 
 
 def decision_to_json(report):

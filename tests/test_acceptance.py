@@ -27,10 +27,9 @@ from borno.approx_mult import (
     sigma_approximation_check,
 )
 from borno.cli import builtin_instances, main as cli_main
-from borno.closedforms import EpsForm
+from borno.closedforms import DiskForm, EpsForm
 from borno.finrank import (
     CompactSetModel,
-    GaugeModel,
     OperatorModel,
     uniform_convergence_on_set,
 )
@@ -39,7 +38,6 @@ from borno.isoradial import SamplerConfig, isoradial_certificate
 from borno.jsr import check_specrad_identities, jsr_estimate, jsr_grid_max
 from borno.maps import LinearMap
 from borno.seqspace import (
-    DiskForm,
     GeoTerm,
     ModelSpace,
     SeqVector,
@@ -305,7 +303,7 @@ def test_criterion_9_sequence_machinery():
 
 def test_criterion_10_finite_rank_rates():
     box = CompactSetModel.geometric(1, Fraction(1, 2))
-    gauge = GaugeModel("l2")
+    gauge = DiskForm("l2")
     family = [OperatorModel.truncation(n) for n in range(1, 17)]
     rates, raws = uniform_convergence_on_set(family, OperatorModel.identity(),
                                              box, gauge)

@@ -153,6 +153,14 @@ MISTYPED = [
      "payload.sequence.geo_terms[0].vector.tails[0]:"),
     ("approx-truncation", ("payload", "ops", "orders"), 5,
      "payload.ops.orders:"),
+    # one gauge class, two wire forms: sequence-space disks are sum or sup
+    # with a scale, approx gauges l1 (the sum), sup or l2 without one
+    ("cauchy-geometric", ("payload", "space", "disks", 0), {"kind": "l2"},
+     "payload.space.disks[0]: unknown gauge kind 'l2'"),
+    ("approx-truncation", ("payload", "gauge"), {"kind": "sum"},
+     "payload.gauge: unknown gauge kind 'sum'"),
+    ("approx-truncation", ("payload", "gauge"), {"kind": "l1", "scale": "2"},
+     "payload.gauge: unknown fields ['scale']"),
 ]
 
 

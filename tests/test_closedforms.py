@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 import pytest
 
-from borno.closedforms import (CoordForm, EnvTerm, Envelope, EpsForm, _frac,
-                               decay_start, first_true, geom_poly_sup,
-                               sum_poly_geom, sum_shift_poly_geom)
+from borno.closedforms import (CoordForm, DiskForm, EnvTerm, Envelope,
+                               EpsForm, WeightForm, _frac, decay_start,
+                               first_true, geom_poly_sup, sum_poly_geom,
+                               sum_shift_poly_geom)
 
 INF = math.inf
 
@@ -214,6 +215,38 @@ def shift_sum_by_head(power, shift, y, start, stride=1):
         return full - head
     return sum((math.comb(power, i) * shift ** (power - i) * stride**i
                 * poly_geom(i) for i in range(power + 1)), Fraction(0))
+
+
+class TestDiskFormScale:
+    """A gauge at scale c is the scale-1 gauge over c; an l2 bound is a
+    radicand, so over c^2."""
+
+    pieces = st.lists(st.tuples(
+        st.builds(CoordForm, coeffs, decaying, st.integers(-2, 3)),
+        st.integers(0, 10), st.one_of(st.none(), st.integers(0, 30))),
+        max_size=3)
+
+    @SETTINGS
+    @given(kind=st.sampled_from(["sum", "sup", "l2"]),
+           weight=st.builds(WeightForm, coeffs, st.sampled_from(
+               [Fraction(1, 2), Fraction(1), Fraction(3, 2)]),
+               st.integers(0, 3)),
+           scale=coeffs, pieces=pieces,
+           coords=st.dictionaries(st.integers(0, 40), st.builds(
+               Fraction, st.integers(-9, 9), st.integers(1, 9)), max_size=6))
+    def test_scale_divides_the_aggregate(self, kind, weight, scale, pieces,
+                                         coords):
+        unit, scaled = DiskForm(kind, weight), DiskForm(kind, weight, scale)
+        divisor = scale**2 if kind == "l2" else scale
+        assert scaled.of_vector(coords) == unit.of_vector(coords) / divisor
+        bound, exact = unit.of_magnitudes(pieces)
+        assert scaled.of_magnitudes(pieces) == (bound / divisor, exact)
+
+    def test_unknown_kind_and_scale_are_rejected(self):
+        with pytest.raises(ValueError, match="unknown gauge kind 'l1'"):
+            DiskForm("l1")
+        with pytest.raises(ValueError, match="scale must be positive"):
+            DiskForm("l2", scale=0)
 
 
 class TestExactInputs:

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from borno.closedforms import INF, WeightForm, first_true
+from borno.closedforms import INF, DiskForm, WeightForm, first_true
 from borno.errors import EquiboundednessError
 from borno.finrank import (
     CompactSetModel,
     CoordForm,
-    GaugeModel,
     OperatorFamily,
     OperatorModel,
     RankBudgetError,
@@ -26,11 +25,11 @@ from borno.finrank import (
 
 HALF = Fraction(1, 2)
 GEO_BOX = CompactSetModel.geometric(1, HALF)
-L2 = GaugeModel("l2")
-L1 = GaugeModel("l1")
-SUP = GaugeModel("sup")
-GROWING_L1 = GaugeModel("l1", WeightForm.geometric(1, Fraction(3, 2)))
-GAUGES = [GaugeModel(kind, weight) for kind in ("sup", "l1", "l2")
+L2 = DiskForm("l2")
+L1 = DiskForm("sum")
+SUP = DiskForm("sup")
+GROWING_L1 = DiskForm("sum", WeightForm.geometric(1, Fraction(3, 2)))
+GAUGES = [DiskForm(kind, weight) for kind in ("sup", "sum", "l2")
           for weight in (WeightForm(), WeightForm.geometric(1, Fraction(3, 2)),
                          WeightForm(1, HALF, 2))]
 
@@ -423,7 +422,7 @@ class TestOperatorBounds:
         # F e_0 = e_1, whose weight is 3/2 times that of e_0
         pytest.param(-1, GROWING_L1, Fraction(3, 2), id="left-growing"),
         # F e_1 = e_0, whose weight is 2 times that of e_1
-        pytest.param(1, GaugeModel("l1", WeightForm.geometric(1, HALF)),
+        pytest.param(1, DiskForm("sum", WeightForm.geometric(1, HALF)),
                      Fraction(2), id="right-decaying"),
     ])
     def test_shift_bound_reads_the_weight(self, offset, gauge, ratio):
@@ -510,7 +509,7 @@ class TestLocalApproxProperty:
 
     @pytest.mark.parametrize("tolerance", [Fraction(0), Fraction(-1, 100),
                                            -0.0])
-    @pytest.mark.parametrize("gauge", [L1, L2, SUP], ids=lambda g: g.kind)
+    @pytest.mark.parametrize("gauge", [L1, L2, SUP], ids=["l1", "l2", "sup"])
     def test_tolerance_must_be_positive(self, gauge, tolerance):
         # no truncation rate of the geometric box reaches 0, and under l2 a
         # negative tolerance would be squared

@@ -865,19 +865,22 @@ class TestBatchedSearch:
         # with rho = 0.99 ||P|| (LAPACK's rho <= ||P||, nearly attained), A
         # sets lower = 0.99 at level 1 and every level-2 child is inert: the
         # upper bound 0.1 = ||A^2||^(1/2) comes from the norms the search
-        # takes after the chunk, only for the level maximum
+        # takes after the chunk, only for the level maximum, and the
+        # inverted interval [0.99, 0.1] is refused, not called certified
         monkeypatch.setattr(
             borno.algebra, "_eig_radii",
             lambda stack, kind: 0.99 * borno.algebra._matrix_norms(stack, kind))
         eps = 1e-2
         s = bounded_set([matrix_element([[0.0, 1.0], [eps, 0.0]]),
                          matrix_element([[0.0, 0.5], [0.0, 0.0]])])
+        ref = per_node_jsr(s, 4, 1e-3)
+        assert (ref.lower, ref.upper, ref.depth) == (0.99, 0.1, 2)
         bounded, normed = [], []
         self.record(monkeypatch, "norm_bounds", bounded)
         self.record(monkeypatch, "norms", normed)
-        est = jsr_estimate(s, 4, 1e-3)
-        assert est == per_node_jsr(s, 4, 1e-3)
-        assert (est.lower, est.upper, est.depth) == (0.99, 0.1, 2)
+        with pytest.raises(InvariantViolation, match=r"\[0\.99, 0\.99\] "
+                           r"misses \[0\.0, 0\.1\]"):
+            jsr_estimate(s, 4, 1e-3)
         # norms for the generators, for none of the chunk's inert children
         # in the chunk, and for both after it
         assert [len(rows) for rows, _ in bounded] == [2]

@@ -30,14 +30,14 @@ EXPORTS = {
                     "curvature_radius", "is_approximately_multiplicative",
                     "linear_homotopy_certificate",
                     "sigma_approximation_check"],
-    "closedforms": ["CoordForm", "EpsForm", "WeightForm"],
-    "seqspace": ["CoordinateMap", "DiskForm", "GeoTerm", "ModelSpace",
-                 "SeqVector", "SequenceModel", "WindowTerm", "cauchy_check",
+    "closedforms": ["CoordForm", "DiskForm", "EpsForm", "WeightForm"],
+    "seqspace": ["CoordinateMap", "GeoTerm", "ModelSpace", "SeqVector",
+                 "SequenceModel", "WindowTerm", "cauchy_check",
                  "completeness_check", "completion_construct",
                  "convergence_check", "extend_map_to_completion",
                  "gauge_value", "metrizability_scalars",
                  "strengthened_series_check"],
-    "finrank": ["CompactSetModel", "GaugeModel", "OperatorFamily",
+    "finrank": ["CompactSetModel", "OperatorFamily",
                 "OperatorModel", "local_approx_property_check",
                 "pointwise_vs_uniform_check", "uniform_convergence_on_set"],
 }

@@ -22,7 +22,6 @@ from borno.seqspace import (
     _one_sided_ok,
     _rational_root_upper,
     _sign_stable_index,
-    absorption_constant,
     apply_coordinate_map,
     apply_map_to_model,
     cauchy_check,
@@ -43,6 +42,22 @@ from borno.seqspace import (
 HALF = Fraction(1, 2)
 L1 = ModelSpace((DiskForm("sum"),))
 SUP = ModelSpace((DiskForm("sup"),))
+# absorption constants are the identity map's bounds
+IDENTITY = CoordinateMap("diagonal")
+
+# sum and sup disks with weight powers 0-3 and scales other than 1
+SCALED_DISKS = st.builds(
+    DiskForm, st.sampled_from(["sum", "sup"]),
+    st.builds(WeightForm, st.sampled_from([Fraction(1, 3), HALF, Fraction(2)]),
+              st.sampled_from([HALF, Fraction(1), Fraction(3, 2)]),
+              st.integers(0, 3)),
+    st.sampled_from([Fraction(1, 3), HALF, Fraction(2), Fraction(5, 2)]))
+
+
+def unit_gauge(disk, k):
+    """gauge(e_k) = w(k) / scale, written out."""
+    w = disk.weight
+    return w.coeff * w.ratio**k * (k + 1) ** w.power / disk.scale
 
 
 def geometric_seq(ratio=HALF, coord=1):
@@ -123,6 +138,21 @@ class TestGauges:
         # sum (k+1) 2^-k = 4
         assert gauge_value(disk, SeqVector.geometric(1, HALF)) == 4
         assert sum_shift_poly_geom(1, 1, HALF, 0) == 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(disk=SCALED_DISKS, coords=st.dictionaries(
+        st.integers(0, 40), st.builds(Fraction, st.integers(-20, 20),
+                                      st.integers(1, 9)), max_size=8))
+    def test_gauge_of_a_finite_vector_is_written_out(self, disk, coords):
+        terms = [unit_gauge(disk, k) * abs(v) for k, v in coords.items()]
+        expected = (sum(terms, Fraction(0)) if disk.kind == "sum"
+                    else max(terms, default=Fraction(0)))
+        assert gauge_value(disk, SeqVector(coords)) == expected
+
+    def test_model_spaces_take_only_sum_and_sup_disks(self):
+        # gauge_value would measure an l2 disk as a sup
+        with pytest.raises(ValueError, match="not a sum or sup DiskForm"):
+            ModelSpace((DiskForm("sum"), DiskForm("l2")))
 
 
 class TestCauchyCheck:
@@ -286,7 +316,8 @@ class TestMetrizability:
             DiskForm("sup", WeightForm.polynomial(1, 2)),
             DiskForm("sum", WeightForm.constant(1)),
         ))
-        assert absorption_constant(space.disk(1), space.disk(0)) == 2
+        assert coordinate_map_bound(IDENTITY, space.disk(0),
+                                    space.disk(1)) == 2
         rep = metrizability_scalars(space, [0, 1])
         assert rep.verdict == "bounded"
         assert rep.absorbing_index == 1
@@ -360,8 +391,10 @@ def directedness_scan(space):
         for k in range(len(space.disks)):
             found = None
             for m in range(len(space.disks)):
-                cj = absorption_constant(space.disk(m), space.disk(j))
-                ck = absorption_constant(space.disk(m), space.disk(k))
+                cj = coordinate_map_bound(IDENTITY, space.disk(j),
+                                          space.disk(m))
+                ck = coordinate_map_bound(IDENTITY, space.disk(k),
+                                          space.disk(m))
                 if cj != math.inf and ck != math.inf:
                     found = (m, max(cj, ck, Fraction(1)))
                     break
@@ -373,7 +406,8 @@ def directedness_scan(space):
 def metrizability_scan(space, disk_indices):
     """The disk loop and epsilon sum _absorbing_disk replaced."""
     for m_idx in range(len(space.disks)):
-        kappas = [absorption_constant(space.disk(m_idx), space.disk(i))
+        kappas = [coordinate_map_bound(IDENTITY, space.disk(i),
+                                       space.disk(m_idx))
                   for i in disk_indices]
         if all(k != math.inf for k in kappas):
             epsilons = tuple(
@@ -392,7 +426,7 @@ def series_scan(space, disk_index, eps):
     """The disk loop that recomputed the eps sum for every disk."""
     source = space.disk(disk_index)
     for m_idx in range(len(space.disks)):
-        kappa = absorption_constant(space.disk(m_idx), source)
+        kappa = coordinate_map_bound(IDENTITY, source, space.disk(m_idx))
         if kappa == math.inf:
             continue
         kappa = max(kappa, Fraction(1))
@@ -730,17 +764,27 @@ class TestZeroTerms:
 
 
 class TestAbsorption:
+    @settings(max_examples=150, deadline=None)
+    @given(source=SCALED_DISKS, target=SCALED_DISKS)
+    def test_identity_bound_covers_the_unit_vectors(self, source, target):
+        # e_k / gauge_source(e_k) lies in the source ball
+        bound = coordinate_map_bound(IDENTITY, source, target)
+        for k in range(65):
+            assert bound >= unit_gauge(target, k) / unit_gauge(source, k)
+
     def test_scale_enters_linearly(self):
         big = DiskForm("sum", scale=Fraction(3))
         unit = DiskForm("sum")
-        assert absorption_constant(unit, big) == 3
-        assert absorption_constant(big, unit) == Fraction(1, 3)
+        assert coordinate_map_bound(IDENTITY, big, unit) == 3
+        assert coordinate_map_bound(IDENTITY, unit, big) == Fraction(1, 3)
 
     def test_sup_into_sum_needs_summability(self):
-        assert absorption_constant(DiskForm("sum"), DiskForm("sup")) == math.inf
+        assert coordinate_map_bound(IDENTITY, DiskForm("sup"),
+                                    DiskForm("sum")) == math.inf
         decaying = DiskForm("sup", WeightForm.geometric(1, 2))
         # sup ball with growing weights sits inside the l1 unit ball region
-        assert absorption_constant(DiskForm("sum"), decaying) != math.inf
+        assert coordinate_map_bound(IDENTITY, decaying,
+                                    DiskForm("sum")) != math.inf
 
 
 def decay_start_scan(ratio, shift, power, cap=None):
