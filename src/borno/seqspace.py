@@ -222,7 +222,8 @@ def _sign_stable_index(alphas):
 def gauge_value(disk, x):
     """Exact gauge of a SeqVector; a Fraction, or math.inf."""
     w = disk.weight
-    # tails over the scale: every term is in the gauge's units, as of_vector's
+    # the tail coefficients over the scale put the tail terms in the gauge's
+    # units, those of the prefix's of_vector
     classes = _tail_classes(tuple((a / disk.scale, s) for a, s in x.tails),
                             x.tail_start)
     if disk.kind == SUM:
