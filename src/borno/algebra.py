@@ -16,6 +16,7 @@ import importlib.util
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib.machinery import EXTENSION_SUFFIXES
@@ -653,6 +654,7 @@ def _highs():
     ``import numpy`` (Python 3.11.7, scipy 1.17.1, a 2-core x86-64 host),
     ``import scipy.optimize`` takes 0.56-0.61 s and raises peak RSS from 27
     to 76 MB; the extension alone takes 5-7 ms and raises it to 31 MB.
+    :func:`_solve_lp` builds one solver instance per thread from these.
     """
     name = "scipy.optimize._highspy._core"
     core = sys.modules.get(name)
@@ -672,6 +674,11 @@ def _highs():
     return core, options
 
 
+# per thread: ``solver``, the HiGHS instance _solve_lp reuses, and ``model``,
+# the (shape, matrix bytes, cost bytes) of the model it holds
+_LP = threading.local()
+
+
 def _solve_lp(c, a_eq, b_eq, a_ub=None, b_ub=None):
     """``(x, objective, row duals)`` of min c.x over x >= 0 with
     ``a_ub @ x <= b_ub`` and ``a_eq @ x = b_eq``, inequality rows first.
@@ -679,24 +686,38 @@ def _solve_lp(c, a_eq, b_eq, a_ub=None, b_ub=None):
     HiGHS gets the model and options that linprog gives it, so the bits are
     linprog's.  As in linprog, an optimum must be feasible within ``LP_TOL``;
     any other outcome raises NumericalFailure.
+
+    Each thread reuses one HiGHS instance, built again only when
+    :func:`_highs` returns another solver class, and passes a model only when
+    the constraint matrix or the costs differ from its previous LP's; else it
+    changes the row bounds alone.  Building an instance, passing it options
+    and a model took about as long as the solve.  Every solve still starts
+    cold: the instance's basis and solution are cleared first, so the bits
+    are those of a new instance.  Warm-started from the previous LP's basis,
+    the hull closure LPs end in other last bits, which changed the closure
+    defect of every hull measured and left one optimum infeasible.
     """
     core, options = _highs()
+    c = np.asarray(c, dtype=np.float64)
+    a = np.asarray(a_eq if a_ub is None else np.concatenate([a_ub, a_eq]),
+                   dtype=np.float64)
     n_ub = 0 if a_ub is None else len(a_ub)
-    a = a_eq if a_ub is None else np.concatenate([a_ub, a_eq])
+    lower = np.concatenate([np.full(n_ub, -np.inf), b_eq])
     upper = b_eq if a_ub is None else np.concatenate([b_ub, b_eq])
-    col, row = np.nonzero(a.T)  # the nonzeros of linprog's CSC matrix
-    lp = core.HighsLp()
-    matrix = lp.a_matrix_
-    matrix.num_row_, matrix.num_col_ = lp.num_row_, lp.num_col_ = a.shape
-    matrix.format_ = core.MatrixFormat.kColwise
-    matrix.start_ = np.searchsorted(col, np.arange(a.shape[1] + 1))
-    matrix.index_, matrix.value_ = row, a[row, col]
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, np.zeros(len(c)), np.full(len(c), np.inf)
-    lp.row_lower_ = np.concatenate([np.full(n_ub, -np.inf), b_eq])
-    lp.row_upper_ = upper
-    solver = core._Highs()
-    solver.passOptions(options)
-    solver.passModel(lp)
+    solver = getattr(_LP, "solver", None)
+    if type(solver) is not core._Highs:
+        solver = _LP.solver = core._Highs()
+        solver.passOptions(options)
+        _LP.model = None
+    model = (a.shape, a.tobytes(), c.tobytes())
+    if model == _LP.model:
+        for row, bounds in enumerate(zip(lower.tolist(), upper.tolist())):
+            solver.changeRowBounds(row, *bounds)
+        solver.clearSolver()
+    else:
+        _LP.model = None  # until the new model is in place
+        solver.passModel(_highs_lp(core, c, a, lower, upper))
+        _LP.model = model
     ran, status = solver.run(), solver.getModelStatus()
     if ran == core.HighsStatus.kError or status != core.HighsModelStatus.kOptimal:
         raise NumericalFailure(f"LP failed: {solver.modelStatusToString(status)}")
@@ -707,6 +728,21 @@ def _solve_lp(c, a_eq, b_eq, a_ub=None, b_ub=None):
             and np.all(np.abs(slack[n_ub:]) <= LP_TOL)):
         raise NumericalFailure(f"LP optimum is infeasible by more than {LP_TOL}")
     return x, solver.getInfo().objective_function_value, np.array(solution.row_dual)
+
+
+def _highs_lp(core, c, a, lower, upper):
+    """The HiGHS model of min c.x over x >= 0 with lower <= a @ x <= upper,
+    its matrix in linprog's CSC form."""
+    col, row = np.nonzero(a.T)
+    lp = core.HighsLp()
+    matrix = lp.a_matrix_
+    matrix.num_row_, matrix.num_col_ = lp.num_row_, lp.num_col_ = a.shape
+    matrix.format_ = core.MatrixFormat.kColwise
+    matrix.start_ = np.searchsorted(col, np.arange(a.shape[1] + 1))
+    matrix.index_, matrix.value_ = row, a[row, col]
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, np.zeros(len(c)), np.full(len(c), np.inf)
+    lp.row_lower_, lp.row_upper_ = lower, upper
+    return lp
 
 
 linprog = _solve_lp  # the name perfbench/tracing.py times the LPs under
@@ -724,15 +760,18 @@ def _check_primal(cols, lam, target, context):
         raise NumericalFailure(f"{context} primal misses its target")
 
 
-def _hull_gauge_lp(cols, target):
+def _hull_gauge_lp(cols, target, spanned=False):
     """min sum |lambda_i| with cols @ lambda = target over real lambda.
 
     ``cols`` holds the hull generators' real coordinates as columns.  Returns
     ``(value, lambda, y)`` with the LP's dual ``y``: ``|cols^T y| <= 1`` and
     ``y . target = value``.  A target off the columns' span, which least
-    squares misses, gives ``(inf, None, None)``.
+    squares misses, gives ``(inf, None, None)``.  ``spanned`` says that the
+    caller holds a decomposition of ``target`` that shows least squares
+    would not miss it (``jsr._spanned``): the span test is skipped.
     """
-    if _misses(cols, np.linalg.lstsq(cols, target, rcond=None)[0], target):
+    if not spanned and _misses(cols, np.linalg.lstsq(cols, target, rcond=None)[0],
+                               target):
         return math.inf, None, None
     n = cols.shape[1]
     # lambda = p - q with p, q >= 0; minimize 1.(p + q)

@@ -333,13 +333,33 @@ def _decomposition_bounds(cols, pinv, targets):
     pseudo-inverse ``pinv`` may be stacks.
 
     A decomposition that fits is a feasible point of the target's gauge LP,
-    so its ||z||_1 bounds the gauge; half the tolerance keeps the targets it
-    accepts ones that the LP's own span test also accepts.
+    so its ||z||_1 bounds the gauge.  Where :func:`_spanned` also holds, the
+    LP's own span test accepts the target too.
     """
     z = pinv @ targets
     tol = RANK_TOL * (1.0 + np.linalg.norm(targets, axis=0))
     fits = np.linalg.norm(cols @ z - targets, axis=-2) <= 0.5 * tol
     return np.where(fits, np.abs(z).sum(axis=-2), math.inf)
+
+
+# the largest ||G||_F ||z||_1 / (1 + ||t||) of a fitting decomposition z that
+# _spanned takes as proof that least squares finds t in the span of G
+_SPAN_WITNESS = 1e4
+
+
+def _spanned(cols, bound, target):
+    """Whether a decomposition z of ``target`` over ``cols`` that fits, with
+    ||z||_1 = ``bound`` (:func:`_decomposition_bounds`), shows that least
+    squares, the span test of :func:`_hull_gauge_lp`, accepts ``target``.
+
+    A fit leaves half the span tolerance to least squares, whose rounding
+    grows like eps ||cols|| ||z||: on nearly dependent stacks it was seen to
+    miss such targets from ||cols||_2 ||z||_1 / (1 + ||target||) = 9e5 on,
+    so a fit counts only up to ``_SPAN_WITNESS``.  An infinite bound, no
+    fit, shows nothing.
+    """
+    return bool(bound * np.linalg.norm(cols)
+                <= _SPAN_WITNESS * (1.0 + np.linalg.norm(target)))
 
 
 class _HullStack:
@@ -363,6 +383,8 @@ class _HullStack:
         self.cols = np.stack(columns, axis=1)
         # pinv(cols) and rank(cols), computed when first needed
         self._pinv = self._rank = None
+        # whether a decomposition of the last screened target is _spanned
+        self.fits = False
         dim = self.cols.shape[0]
         self.duals = np.empty((0, dim))
         # each distinct basis of the solved LPs, in solving order: its columns
@@ -389,19 +411,26 @@ class _HullStack:
         return bound
 
     def screen(self, target):
-        """True (inside) or False (outside) when a certificate decides, else None."""
+        """True (inside) or False (outside) when a certificate decides, else
+        None; :attr:`fits` says whether a decomposition of ``target`` shows it
+        :func:`_spanned`."""
+        self.fits = False
         if len(self.duals):
             lower = (self.duals @ target) / np.abs(self.duals @ self.cols).max(axis=1)
             if lower.max() > 1.0 + _BOUND_MARGIN:
                 return False
-        if self.upper(target[:, None])[0] <= 1.0 - _BOUND_MARGIN:
+        bound = self.upper(target[:, None])[0]
+        self.fits = _spanned(self.cols, bound, target)
+        if bound <= 1.0 - _BOUND_MARGIN:
             return True
         return None
 
-    def gauge(self, target):
-        """The hull gauge of ``target`` by LP.  Records the LP's dual and its
-        basis: the rank-many columns with the largest |lambda|."""
-        value, lam, dual = _hull_gauge_lp(self.cols, target)
+    def gauge(self, target, spanned=False):
+        """The hull gauge of ``target`` by LP, with no span test where
+        ``spanned`` says a decomposition shows it :func:`_spanned`.  Records
+        the LP's dual and its basis: the rank-many columns with the largest
+        |lambda|."""
+        value, lam, dual = _hull_gauge_lp(self.cols, target, spanned)
         if lam is None:
             return value
         if self._rank is None:
@@ -421,7 +450,7 @@ class _HullStack:
         decided = self.screen(target)
         if decided is not None:
             return decided
-        return self.gauge(target) <= 1.0 + _INSIDE_TOL
+        return self.gauge(target, self.fits) <= 1.0 + _INSIDE_TOL
 
     def closure_max(self, hull):
         """max(1, the largest hull gauge of a pairwise product of the generators
@@ -440,9 +469,10 @@ class _HullStack:
             p = int(np.argmax(upper))
             if upper[p] < best - _BOUND_MARGIN * (1.0 + best):
                 return best
+            spanned = _spanned(self.cols, upper[p], prods[:, p])
             upper[p] = -math.inf
             known = len(self.pinvs)
-            value = self.gauge(prods[:, p])
+            value = self.gauge(prods[:, p], spanned)
             if value == math.inf:
                 return value
             best = max(best, value)

@@ -1,11 +1,13 @@
 import functools
 import math
+import sys
+import threading
 import types
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import borno.algebra
@@ -595,6 +597,196 @@ class TestLpPaths:
         with pytest.raises(NumericalFailure):
             submultiplicative_hull(bounded_set([scale(0.5, g) for g in GOLDEN]),
                                    r=1.0, max_products=256)
+
+    @staticmethod
+    def same_bits(got, ref):
+        return (got[0].tobytes() == ref[0].tobytes()
+                and np.float64(got[1]).tobytes() == np.float64(ref[1]).tobytes()
+                and got[2].tobytes() == ref[2].tobytes())
+
+    @settings(max_examples=25, deadline=None)
+    @example(seed=1, steps=[(0, False), (0, False), (1, False), (0, True),
+                            (0, False), (2, False), (2, False), (1, False),
+                            (0, False)])
+    @given(seed=st.integers(0, 2**32 - 1),
+           steps=st.lists(st.tuples(st.integers(0, 2), st.booleans()),
+                          min_size=2, max_size=10))
+    def test_kept_model_solves_cold(self, seed, steps):
+        # LPs from three models in any order: gauge LPs over 3 and over 5
+        # columns, and a grouped LP over the 5 with two inequality rows.  A
+        # model kept from the previous LP gets new row bounds only, and every
+        # LP must give linprog's bits; a target off the 3 columns' span is
+        # infeasible and raises, and the LPs after it are unaffected
+        rng = np.random.default_rng(seed)
+        narrow, wide = rng.standard_normal((4, 3)), rng.standard_normal((4, 5))
+        normal = np.linalg.svd(narrow)[0][:, -1]
+        member = np.array([[1.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0, 1.0]])
+        for which, off in steps:
+            cols = (narrow, wide, wide)[which]
+            target = cols @ rng.standard_normal(cols.shape[1])
+            n = cols.shape[1]
+            if which < 2:
+                args = (np.ones(2 * n), np.concatenate([cols, -cols], axis=1),
+                        target)
+            else:
+                args = (np.eye(2 * n + 1)[-1],
+                        np.concatenate([cols, -cols, np.zeros((4, 1))], axis=1),
+                        target,
+                        np.concatenate([member, member, [[-1.0], [-2.5]]], axis=1),
+                        np.zeros(2))
+            if which == 0 and off:
+                args = args[:2] + (target + normal,)
+                with pytest.raises(NumericalFailure, match="Infeasible"):
+                    borno.algebra._solve_lp(*args)
+                continue
+            assert self.same_bits(borno.algebra._solve_lp(*args),
+                                  self.linprog_lp(*args))
+
+    def test_threads_keep_their_own_models(self):
+        # three threads, more than the cores CI has, switching often: each
+        # alternates between two matrices, out of step with the next thread,
+        # and must get linprog's bits for every LP
+        rng = np.random.default_rng(5)
+        stacks = [rng.standard_normal((4, n)) for n in (3, 5)]
+        runs = []
+        for i in range(3):
+            run = []
+            for k in range(20):
+                cols = stacks[(i + k // 2) % 2]
+                run.append((np.ones(2 * cols.shape[1]),
+                            np.concatenate([cols, -cols], axis=1),
+                            cols @ rng.standard_normal(cols.shape[1])))
+            runs.append(run)
+        refs = [[self.linprog_lp(*args) for args in run] for run in runs]
+        results = [None] * len(runs)
+        start = threading.Barrier(len(runs))
+
+        def work(i):
+            start.wait(timeout=30)
+            results[i] = [borno.algebra._solve_lp(*args) for args in runs[i]]
+
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(runs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, ref in zip(results, refs):
+            assert got is not None
+            assert all(self.same_bits(g, r) for g, r in zip(got, ref))
+
+    def test_hull_lps_keep_the_model_and_test_the_span_once(self, monkeypatch):
+        # family 411's hull: most LPs keep the previous LP's matrix, and least
+        # squares runs only for the targets no decomposition shows spanned
+        est, cert = hull_family(411)
+        core, options = borno.algebra._highs()
+        passed = []
+
+        class Counting(core._Highs):
+            def passModel(self, lp):
+                passed.append(1)
+                return super().passModel(lp)
+
+        counting = types.SimpleNamespace(**{**vars(core), "_Highs": Counting})
+        monkeypatch.setattr(borno.algebra, "_highs", lambda: (counting, options))
+        events, lps = [], []
+        lstsq, gauge = np.linalg.lstsq, jsr._HullStack.gauge
+        solve = borno.algebra._solve_lp
+
+        def counting_lstsq(*args, **kwargs):
+            events.append("lstsq")
+            return lstsq(*args, **kwargs)
+
+        def recording_gauge(self, target, spanned=False):
+            events.append(spanned)
+            return gauge(self, target, spanned)
+
+        def counting_solve(*args):
+            lps.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        monkeypatch.setattr(jsr._HullStack, "gauge", recording_gauge)
+        monkeypatch.setattr(borno.algebra, "_solve_lp", counting_solve)
+        again = submultiplicative_hull(family_set(411), 1.1 * est.upper, 512)
+        assert again.hull.generators == cert.hull.generators
+        assert again.closure_defect == cert.closure_defect
+        assert 0 < len(passed) < len(lps)
+        spans = [e for e in events if e != "lstsq"]
+        assert True in spans
+        assert events == [e for spanned in spans
+                          for e in ([True] if spanned else [False, "lstsq"])]
+
+
+def span_case(seed, dim, count, kind, gap, magnitude):
+    """(columns, targets, basis) of a seeded span test: a ``dim`` x ``count``
+    stack that is rank-deficient, has its last column within 10^-gap of the
+    others' span, or is a plain Gaussian one, scaled by 10^magnitude; three
+    targets on its span, three near it and three off it; and a random subset
+    of its columns zero-padded to ``dim`` x ``dim``, as a hull basis is."""
+    rng = np.random.default_rng(seed)
+    if kind == "deficient":
+        rank = int(rng.integers(1, min(dim, count) + 1))
+        cols = rng.standard_normal((dim, rank)) @ rng.standard_normal((rank, count))
+    else:
+        cols = rng.standard_normal((dim, count))
+        if kind == "dependent" and count > 1:
+            cols[:, -1] = (cols[:, :-1] @ rng.standard_normal(count - 1)
+                           + 10.0 ** -gap * rng.standard_normal(dim))
+    cols *= 10.0 ** magnitude
+    size = np.abs(cols).max()
+    on = cols @ rng.standard_normal((count, 3))
+    near = on + (10.0 ** -rng.integers(6, 14, size=3) * size
+                 * rng.standard_normal((dim, 3)))
+    off = size * rng.standard_normal((dim, 3))
+    k = int(rng.integers(1, min(dim, count) + 1))
+    basis = np.zeros((1, dim, dim))
+    basis[0, :, :k] = cols[:, rng.choice(count, k, replace=False)]
+    return cols, np.concatenate([on, near, off], axis=1), basis
+
+
+class TestSpanWitness:
+    """A hull LP skips its least-squares span test where a decomposition
+    shows the target spanned (``jsr._spanned``): least squares must not miss
+    such a target."""
+
+    @settings(max_examples=200, deadline=None)
+    # a nearly dependent square stack whose basis decomposition fits, with
+    # ||z||_1 = 2e8, where least squares misses: a fit alone shows nothing
+    @example(seed=5, dim=4, count=4, kind="dependent", gap=6, magnitude=-2)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 8),
+           count=st.integers(1, 12),
+           kind=st.sampled_from(["deficient", "dependent", "conditioned"]),
+           gap=st.integers(4, 15), magnitude=st.integers(-3, 3))
+    def test_spanned_targets_pass_the_span_test(self, seed, dim, count, kind,
+                                                gap, magnitude):
+        cols, targets, basis = span_case(seed, dim, count, kind, gap, magnitude)
+        for bounds in (
+                jsr._decomposition_bounds(cols, np.linalg.pinv(cols), targets),
+                jsr._decomposition_bounds(basis, np.linalg.pinv(basis),
+                                          targets)[0]):
+            for bound, target in zip(bounds, targets.T):
+                if jsr._spanned(cols, bound, target):
+                    lam = np.linalg.lstsq(cols, target, rcond=None)[0]
+                    assert not borno.algebra._misses(cols, lam, target)
+
+    def test_a_fit_is_not_enough_on_a_nearly_dependent_stack(self):
+        # the example above: the basis decomposition of its eighth target
+        # fits, yet least squares misses it, and _spanned rejects the fit
+        cols, targets, basis = span_case(5, 4, 4, "dependent", 6, -2)
+        target = targets[:, 7]
+        bound = jsr._decomposition_bounds(basis, np.linalg.pinv(basis),
+                                          targets)[0][7]
+        assert bound < math.inf
+        lam = np.linalg.lstsq(cols, target, rcond=None)[0]
+        assert borno.algebra._misses(cols, lam, target)
+        assert not jsr._spanned(cols, bound, target)
 
 
 class TestGridMax:
