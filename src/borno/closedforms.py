@@ -2,13 +2,17 @@
 engines: coordinate forms c*r^k*(k+1)^p with their sups and tail sums (a
 weight is one with positive c and r and p >= 0), the weighted gauges both
 engines measure with, series tails in closed form (O(p^2) terms whatever the
-start), decay starts of c*r^k*(k+s)^p, null sequence descriptors closed under
-square roots, and nonnegative envelopes with sups and a domination comparator.
+start), decay starts of c*r^k*(k+s)^p, a filtered exact comparison, null
+sequence descriptors closed under square roots, and nonnegative envelopes
+with sups and a domination comparator.
 
-Everything here is Fraction arithmetic; no decision ever goes through a
-float.  Square roots of descriptors are handled by tracking a power-of-two
-tower, so comparisons stay in the rationals (both sides are positive and can
-be raised to the tower power).
+Every value here is an exact Fraction and every decision the exact one.
+Floats only filter: at_least encloses log2 of both sides of a comparison
+with a proven error margin and decides when the enclosures are disjoint;
+near-ties and zeros are decided in Fraction arithmetic.  Square roots of
+descriptors are handled by tracking a power-of-two tower, so comparisons
+stay in the rationals (both sides are positive and can be raised to the
+tower power).
 """
 
 from __future__ import annotations
@@ -302,6 +306,98 @@ class DiskForm:
 
 
 # ---------------------------------------------------------------------------
+# filtered exact comparison of sums of products
+# ---------------------------------------------------------------------------
+
+_LOG2_MARGIN = 2.0**-40  # enclosure radius per unit of magnitude
+
+
+def _log2_product(factors, log=0.0, mag=0.0):
+    """(log2, magnitude) of the product of ``factors`` times a part whose
+    (log2, magnitude) are ``log`` and ``mag`` (by default none), or None
+    when a factor is 0.
+
+    A factor is (base, exponent): a rational base >= 0 and an integer
+    exponent below 2^53 in size; a base 0 makes the product 0 when its
+    exponent is positive, and no caller raises 0 to a negative power.  A
+    base's log2 is that of its integer numerator minus that of its
+    denominator, never that of a float of the base, which underflows for
+    10^-400.  Each factor adds |exponent| (1 + both logs) to the magnitude,
+    the unit of the error budget in _log2_sum."""
+    for base, exp in factors:
+        if exp:
+            top = base.numerator
+            if not top:
+                return None
+            top, bottom = math.log2(top), math.log2(base.denominator)
+            log += exp * (top - bottom)
+            mag += abs(exp) * (1.0 + top + bottom)
+    return log, mag
+
+
+def _log2_sum(parts):
+    """(centre, size) with log2 of a sum of products within 2^-40 size of
+    centre, given each product's (log2, magnitude) from _log2_product (None
+    for a product 0); None when the sum is 0.
+
+    Error budget, with u = 2^-53.  math.log2 of an integer n >= 1 rounds n
+    to a double (or, from 2^1024 on, to a double mantissa times a power of
+    two) with relative error u, which moves log2 by at most 1.5u, and libm's
+    log2 is within a few ulps (glibc's within one): allowing 4 ulps, a log
+    is within 10u (1 + log2 n).  A base's log, the difference of two such
+    logs, is then within 21u (1 + both logs), and scaling it by the exponent
+    keeps a factor within 22u times its magnitude.  Adding up f factors
+    rounds f times by at most u times the product's magnitude, so a
+    product's log is within (22 + f) u times its magnitude, whatever order
+    the factors are added in.  The log-sum of k > 1 products, the largest log
+    plus math.log2 of the sum of 2^(log - largest), adds at most 8ku plus u
+    times the largest magnitude.  |centre| never exceeds size, so the
+    caller's scaling and subtraction round by a few u times the sizes.  The
+    radius 2^-40 size = 2^13 u size covers all of this for products of
+    fewer than 2^12 factors; the ones built here have at most three."""
+    parts = [part for part in parts if part is not None]
+    if len(parts) < 2:
+        return parts[0] if parts else None
+    logs, mags = zip(*parts)
+    top = max(logs)
+    return (top + math.log2(sum([2.0 ** (log - top) for log in logs])),
+            max(mags) + len(parts))
+
+
+def at_least(lhs, rhs, power=1, enclosures=None):
+    """Whether sum(lhs) >= sum(rhs)^power, decided exactly, for lists of
+    products of factors as in _log2_product and an integer power >= 1.
+    ``enclosures``, when given, are those of both sums as _log2_sum gives
+    them (for one product, its _log2_product).
+
+    A filtered predicate (H. Brönnimann, C. Burnikel and S. Pion, Discrete
+    Appl. Math. 109, 2001; J. R. Shewchuk, Discrete Comput. Geom. 18, 1997):
+    two disjoint log2 enclosures decide at once; where they overlap, or a
+    side is 0, the Fraction comparison of _exact_at_least decides.
+    """
+    left, right = enclosures or (_log2_sum(map(_log2_product, lhs)),
+                                 _log2_sum(map(_log2_product, rhs)))
+    if left is not None and right is not None:
+        gap = left[0] - power * right[0]
+        width = _LOG2_MARGIN * (left[1] + power * right[1])
+        if gap > width:
+            return True
+        if gap < -width:
+            return False
+    return _exact_at_least(lhs, rhs, power)
+
+
+def _exact_sum(products):
+    return sum((math.prod(Fraction(b) ** e for b, e in p) for p in products),
+               Fraction(0))
+
+
+def _exact_at_least(lhs, rhs, power=1):
+    """at_least in Fraction arithmetic."""
+    return _exact_sum(lhs) >= _exact_sum(rhs) ** power
+
+
+# ---------------------------------------------------------------------------
 # null-sequence descriptors, closed under subsequences and square roots
 # ---------------------------------------------------------------------------
 
@@ -358,6 +454,12 @@ class EpsForm:
             return self.amp * self.ratio**m
         return self.amp / (self.alpha * m + self.beta) ** self.power
 
+    def _tower_factors(self, m):
+        """value(m)^(2^level) as the (base, exponent) factors of at_least."""
+        if self.kind == "geom":
+            return (self.amp, 1), (self.ratio, m)
+        return (self.amp, 1), (self.alpha * m + self.beta, -self.power)
+
     def value_float(self, m):
         return float(self._tower_value(m)) ** (0.5 ** self.level)
 
@@ -366,20 +468,64 @@ class EpsForm:
         x = _frac(x)
         if x < 0:
             raise ValueError("comparisons are for nonnegative values")
-        return self._tower_value(m) >= x ** (2 ** self.level)
+        return self.ge_sum(m, [((x, 1),)])
+
+    def ge_sum(self, m, products, logs=None):
+        """Does value(m) >= the sum of ``products`` hold?  Each product is a
+        tuple of (base, exponent) factors as in at_least; ``logs``, when
+        given, are their (log2, magnitude) from _log2_product."""
+        if logs is None:
+            logs = map(_log2_product, products)
+        return at_least([self._tower_factors(m)], products, 2**self.level,
+                        (self._tower_log2(m), _log2_sum(logs)))
 
     def le_value(self, m, x):
         x = _frac(x)
         if x < 0:
             raise ValueError("comparisons are for nonnegative values")
-        return self._tower_value(m) <= x ** (2 ** self.level)
+        power = ((x, 2**self.level),)
+        return at_least([power], [self._tower_factors(m)], 1,
+                        (_log2_product(power), self._tower_log2(m)))
+
+    @cached_property
+    def _logs(self):
+        """The (log2, magnitude) of amp and of a geometric ratio, taken once."""
+        return (_log2_product(((self.amp, 1),)),
+                _log2_product(((self.ratio, 1),)) if self.kind == "geom" else None)
+
+    def _tower_log2(self, m):
+        """The (log2, magnitude) of value(m)^(2^level), as _log2_product
+        gives them for _tower_factors(m)."""
+        (log, mag), ratio = self._logs
+        if self.kind == "geom":
+            return log + m * ratio[0], mag + m * ratio[1]
+        return _log2_product(((self.alpha * m + self.beta, -self.power),),
+                             log, mag)
 
     def ratio_at_least(self, m, r):
-        """Does value(m+1)/value(m) >= r hold, for rational r > 0?"""
+        """Does value(m+1)/value(m) >= r hold, for rational r >= 0?"""
         r = _frac(r)
-        lhs = self._tower_value(m + 1)
-        rhs = self._tower_value(m) * r ** (2 ** self.level)
-        return lhs >= rhs
+        if r < 0:
+            raise ValueError("comparisons are for nonnegative values")
+        return self.ratio_at_least_product(m, ((r, 1),))
+
+    def ratio_at_least_product(self, m, factors, log=None):
+        """Does value(m+1)/value(m) >= the product of ``factors`` hold?
+        ``log``, when given, is the product's (log2, magnitude) from
+        _log2_product.
+
+        The tower's step value(m+1)^(2^level) / value(m)^(2^level) is its
+        ratio (geometric) or ((alpha m + beta) / (alpha (m+1) + beta))^power
+        (inverse-polynomial)."""
+        if self.kind == "geom":
+            step, step_log = ((self.ratio, 1),), self._logs[1]
+        else:
+            base = self.alpha * m + self.beta
+            step = ((base, self.power), (base + self.alpha, -self.power))
+            step_log = _log2_product(step)
+        if log is None:
+            log = _log2_product(factors)
+        return at_least([step], [factors], 2**self.level, (step_log, log))
 
     def sqrt(self):
         return EpsForm(self.kind, self.amp, self.ratio, self.alpha,
@@ -421,12 +567,48 @@ class EnvTerm:
 
     def __post_init__(self):
         # dominated_from's ratio certificate needs terms that never grow
-        # faster than ratio^m
+        # faster than ratio^m, and _step_ratio and at_least need m + shift >= 1
+        # and bases >= 0
         if self.power < 0:
             raise ValueError("envelope powers are nonnegative")
+        if self.shift < 1:
+            raise ValueError("envelope shifts are at least 1")
+        if self.coeff < 0 or self.ratio < 0:
+            raise ValueError("envelope coefficients and ratios are nonnegative")
 
     def value(self, m):
         return self.coeff * self.ratio**m * Fraction(m + self.shift) ** self.power
+
+    def factors(self, m):
+        """value(m) as the (base, exponent) factors of at_least."""
+        return (self.coeff, 1), (self.ratio, m), (m + self.shift, self.power)
+
+    @cached_property
+    def _logs(self):
+        """The (log2, magnitude) of coeff and of ratio (None for 0)."""
+        return (_log2_product(((self.coeff, 1),)),
+                _log2_product(((self.ratio, 1),)))
+
+    def step(self, m):
+        """value(m+1)/value(m) as the factors of _step_ratio, with their
+        (log2, magnitude) from _log2_product (None when it is 0)."""
+        ratio = self._logs[1]
+        if not self.power:
+            return ((self.ratio, 1),), ratio
+        shifts = ((m + 1 + self.shift, self.power), (m + self.shift, -self.power))
+        return (((self.ratio, 1),) + shifts,
+                ratio and _log2_product(shifts, *ratio))
+
+    def log2_at(self, m):
+        """The (log2, magnitude) of value(m), as _log2_product gives them
+        for factors(m), or None when it is 0."""
+        coeff, ratio = self._logs
+        if coeff is None or (m and ratio is None):
+            return None
+        log, mag = coeff
+        if m:
+            log, mag = log + m * ratio[0], mag + m * ratio[1]
+        return _log2_product(((m + self.shift, self.power),), log, mag)
 
 
 class Envelope:
@@ -448,7 +630,7 @@ class Envelope:
         total = Fraction(0)
         for t in self.terms:
             # (m + shift)^p <= shift^p (m + 1)^p for shift >= 1
-            sup = geom_poly_sup(t.coeff * Fraction(max(t.shift, 1)) ** t.power,
+            sup = geom_poly_sup(t.coeff * Fraction(t.shift) ** t.power,
                                 t.ratio / divisor, t.power, n0)
             if sup == INF:
                 return INF
@@ -461,7 +643,8 @@ class Envelope:
         Certifies by per-term ratio domination: beyond M every term shrinks
         at least as fast as eps does, and the value at M already fits.
         Returns None when no such certificate exists within 4,096 steps of
-        m_start.
+        m_start.  Each step is one at_least comparison, with the logs of
+        each term's coefficient and ratio taken once.
         """
         scan_cap = 4096
         if self.infinite:
@@ -470,8 +653,7 @@ class Envelope:
         for t in self.terms:
             m = m_start
             while True:
-                if eps.ratio_at_least(m, _step_ratio(t.ratio, t.power, m,
-                                                     t.shift)):
+                if eps.ratio_at_least_product(m, *t.step(m)):
                     break
                 m += 1
                 if m > m_start + scan_cap:
@@ -479,7 +661,8 @@ class Envelope:
             m_ratio = max(m_ratio, m)
         m = m_ratio
         while m <= m_start + scan_cap:
-            if eps.ge_value(m, self.value(m)):
+            if eps.ge_sum(m, [t.factors(m) for t in self.terms],
+                          [t.log2_at(m) for t in self.terms]):
                 return m
             m += 1
         return None

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 import pytest
 
+from borno import closedforms
 from borno.closedforms import (CoordForm, DiskForm, EnvTerm, Envelope,
-                               EpsForm, WeightForm, _frac, decay_start,
-                               first_true, geom_poly_sup, sum_poly_geom,
+                               EpsForm, WeightForm, _exact_at_least, _frac,
+                               _step_ratio, at_least, decay_start, first_true,
+                               geom_poly_sup, sum_poly_geom,
                                sum_shift_poly_geom)
 
 INF = math.inf
@@ -284,6 +286,19 @@ class TestEnvTerm:
         with pytest.raises(ValueError, match="nonnegative"):
             EnvTerm(Fraction(1), Fraction(1, 2), 1, -5)
 
+    @pytest.mark.parametrize("shift", [0, -1])
+    def test_shift_below_one_is_rejected(self, shift):
+        # the step ratio divides by m + shift, and the filter takes its log
+        with pytest.raises(ValueError, match="shift"):
+            EnvTerm(Fraction(1), Fraction(1, 2), shift, 0)
+
+    @pytest.mark.parametrize("coeff, ratio", [(-1, Fraction(1, 2)),
+                                              (1, Fraction(-1, 2))])
+    def test_negative_coefficient_or_ratio_is_rejected(self, coeff, ratio):
+        # the filter takes the log of both
+        with pytest.raises(ValueError, match="nonnegative"):
+            EnvTerm(Fraction(coeff), ratio)
+
     def test_zero_power_dominates_as_before(self):
         env = Envelope([EnvTerm(Fraction(1), Fraction(1, 3), 1, 0)])
         assert env.dominated_from(EpsForm.geometric(1, Fraction(1, 2)), 0) == 0
@@ -391,3 +406,205 @@ class TestEnvelopeSup:
         assert env.sup_from(0) == INF
         assert Envelope((), True).sup_from(0) == INF
         assert Envelope(()).sup_from(7) == 0
+
+
+# ---------------------------------------------------------------------------
+# filtered comparisons against Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+def exact_ge_value(eps, m, x):
+    return eps._tower_value(m) >= Fraction(x) ** (2**eps.level)
+
+
+def exact_ratio_at_least(eps, m, r):
+    return (eps._tower_value(m + 1)
+            >= eps._tower_value(m) * Fraction(r) ** (2**eps.level))
+
+
+def dominated_from_walk(env, eps, m_start):
+    """Envelope.dominated_from as an exact linear walk: the same two loops
+    and the same cap, every comparison in Fraction arithmetic."""
+    scan_cap = 4096
+    if env.infinite:
+        return None
+    m_ratio = m_start
+    for t in env.terms:
+        m = m_start
+        while not exact_ratio_at_least(
+                eps, m, _step_ratio(t.ratio, t.power, m, t.shift)):
+            m += 1
+            if m > m_start + scan_cap:
+                return None
+        m_ratio = max(m_ratio, m)
+    for m in range(m_ratio, m_start + scan_cap + 1):
+        if exact_ge_value(eps, m, env.value(m)):
+            return m
+    return None
+
+
+@st.composite
+def big_rationals(draw):
+    """Positive rationals of magnitude 10^-400 to 10^400."""
+    return (Fraction(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6)))
+            * Fraction(10) ** draw(st.integers(-400, 400)))
+
+
+@st.composite
+def products(draw):
+    """c r^m (m+s)^p as at_least's factors, now and then with c = 0."""
+    c = draw(st.one_of(big_rationals(), st.just(Fraction(0))))
+    r = Fraction(draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    m = draw(st.one_of(st.integers(0, 64), st.integers(0, 2**16)))
+    return ((c, 1), (r, m),
+            (m + draw(st.integers(1, 5)), draw(st.integers(-3, 3))))
+
+
+def nudged(product, sign, digits):
+    """product times 1 + sign 10^-digits."""
+    return product + ((Fraction(10**digits + sign, 10**digits), 1),)
+
+
+class TestFilteredComparison:
+    @settings(max_examples=150, deadline=None)
+    @given(rhs=st.lists(products(), max_size=3), level=st.integers(0, 2),
+           how=st.sampled_from(["equal", "near", "far"]),
+           sign=st.sampled_from([1, -1]), digits=st.integers(1, 400),
+           far=st.lists(products(), max_size=3))
+    def test_matches_the_exact_comparison(self, rhs, level, how, sign,
+                                          digits, far):
+        power = 2**level
+        if power > 1:  # one product on the right: its power is a product
+            rhs = rhs[:1]
+        lhs = [tuple((b, e * power) for b, e in p) for p in reversed(rhs)]
+        if how == "near" and lhs:
+            lhs[0] = nudged(lhs[0], sign, digits)
+        elif how == "far":
+            lhs = far
+        assert at_least(lhs, rhs, power) == _exact_at_least(lhs, rhs, power)
+        assert at_least(rhs, lhs) == _exact_at_least(rhs, lhs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=big_rationals(), q=st.fractions(Fraction(1, 40), 1, max_denominator=40),
+           kind=st.sampled_from(["geom", "invpoly"]), level=st.integers(0, 2),
+           m=st.one_of(st.integers(0, 64), st.integers(0, 2**16)),
+           how=st.sampled_from(["equal", "near", "far"]),
+           sign=st.sampled_from([1, -1]), digits=st.integers(1, 400),
+           far=big_rationals())
+    def test_eps_comparisons_match_fraction_arithmetic(
+            self, a, q, kind, level, m, how, sign, digits, far):
+        # value(m) is rational: a q^m, or a / (m + 1/2)^2 (power 2 per level)
+        power = 2**level
+        if kind == "geom":
+            eps = EpsForm("geom", a**power, q**power, level=level)
+            value = lambda k: a * q**k  # noqa: E731
+        else:
+            eps = EpsForm("invpoly", a**power, alpha=1, beta=Fraction(1, 2),
+                          power=2 * power, level=level)
+            value = lambda k: a / (k + Fraction(1, 2)) ** 2  # noqa: E731
+        value, step = value(m), value(m + 1) / value(m)
+        x, r = {"equal": (value, step),
+                "near": (value * (1 + Fraction(sign, 10**digits)),
+                         step * (1 + Fraction(sign, 10**digits))),
+                "far": (far, far)}[how]
+        assert eps.ge_value(m, x) == exact_ge_value(eps, m, x)
+        assert eps.le_value(m, x) == (eps._tower_value(m) <= x**power)
+        assert eps.ratio_at_least(m, r) == exact_ratio_at_least(eps, m, r)
+        assert eps.ge_value(m, 0) and not eps.le_value(m, 0)
+        assert eps.ratio_at_least(m, 0)
+
+    def test_tiny_values_do_not_underflow(self):
+        # 10^-400 (3/4)^m against (1/2)^m: a float of either side is 0
+        eps = EpsForm.geometric(1, Fraction(1, 2))
+        tiny = Fraction(1, 10**400)
+        for m in (2271, 2272):
+            x = tiny * Fraction(3, 4) ** m
+            assert eps.ge_value(m, x) == exact_ge_value(eps, m, x)
+            assert eps.ge_value(m, x) == (m < 2272)
+
+
+# eps ratios at level 0 and term ratios share values, so equal ratios tie
+TIE_RATIOS = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)]
+
+
+@st.composite
+def envelopes(draw):
+    return Envelope([EnvTerm(draw(st.one_of(coeffs, big_rationals())),
+                             draw(st.sampled_from([Fraction(0), Fraction(1)]
+                                                  + TIE_RATIOS)),
+                             draw(st.integers(1, 3)), draw(st.integers(0, 2)))
+                     for _ in range(draw(st.integers(1, 3)))])
+
+
+@st.composite
+def eps_forms(draw):
+    level = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        q = draw(st.sampled_from(TIE_RATIOS))
+        eps = EpsForm.geometric(draw(st.one_of(coeffs, big_rationals())),
+                                q ** 2**level)
+    else:
+        eps = EpsForm("invpoly", draw(coeffs), alpha=draw(coeffs),
+                      beta=draw(coeffs), power=draw(st.integers(1, 3)))
+    for _ in range(level):
+        eps = eps.sqrt()
+    return eps
+
+
+class TestDominatedFrom:
+    @settings(max_examples=25, deadline=None)
+    @given(env=envelopes(), eps=eps_forms(), m_start=st.integers(0, 30))
+    def test_matches_the_exact_walk(self, env, eps, m_start):
+        assert (env.dominated_from(eps, m_start)
+                == dominated_from_walk(env, eps, m_start))
+
+    @settings(max_examples=12, deadline=None)
+    @given(m_start=st.integers(0, 30), offset=st.integers(-2, 2),
+           power=st.integers(1, 2), shift=st.integers(1, 3),
+           level=st.integers(0, 2))
+    def test_ratio_certificate_near_the_cap(self, m_start, offset, power,
+                                            shift, level):
+        # the term's step ratio r ((k+1+s)/(k+s))^p equals eps's 1/2 at
+        # k = m_start + 4096 + offset, and is below it from there on
+        k = m_start + 4096 + offset
+        r = Fraction(1, 2) * (Fraction(k + shift, k + 1 + shift)) ** power
+        env = Envelope([EnvTerm(Fraction(1, 10**9), r, shift, power)])
+        eps = EpsForm.geometric(1, Fraction(1, 2) ** 2**level)
+        for _ in range(level):
+            eps = eps.sqrt()
+        got = env.dominated_from(eps, m_start)
+        assert got == dominated_from_walk(env, eps, m_start)
+        assert got == (k if offset <= 0 else None)
+
+    @settings(max_examples=6, deadline=None)
+    @given(m_start=st.integers(0, 30), offset=st.integers(-2, 2),
+           level=st.integers(0, 2))
+    def test_value_certificate_near_the_cap(self, m_start, offset, level):
+        # 2^k (1/4)^m equals eps's (1/2)^m at k = m_start + 4096 + offset
+        k = m_start + 4096 + offset
+        env = Envelope([EnvTerm(Fraction(2**k), Fraction(1, 4), 1, 0)])
+        eps = EpsForm.geometric(1, Fraction(1, 2) ** 2**level)
+        for _ in range(level):
+            eps = eps.sqrt()
+        got = env.dominated_from(eps, m_start)
+        assert got == dominated_from_walk(env, eps, m_start)
+        assert got == (k if offset <= 0 else None)
+
+    def test_a_far_walk_to_the_cap_never_goes_exact(self, monkeypatch):
+        calls = []
+        exact = closedforms._exact_at_least
+        monkeypatch.setattr(closedforms, "_exact_at_least",
+                            lambda *a: calls.append(a) or exact(*a))
+        env = Envelope([EnvTerm(1, Fraction(3, 4))])
+        assert env.dominated_from(EpsForm.geometric(1, Fraction(2, 3)), 0) is None
+        assert calls == []
+
+    def test_an_equal_ratio_tie_goes_exact(self, monkeypatch):
+        calls = []
+        exact = closedforms._exact_at_least
+        monkeypatch.setattr(closedforms, "_exact_at_least",
+                            lambda *a: calls.append(a) or exact(*a))
+        # both ratio and value tie at m = 0: (2/3)^m against (2/3)^m
+        env = Envelope([EnvTerm(1, Fraction(2, 3))])
+        eps = EpsForm.geometric(1, Fraction(2, 3))
+        assert env.dominated_from(eps, 0) == dominated_from_walk(env, eps, 0) == 0
+        assert len(calls) == 2
