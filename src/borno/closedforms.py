@@ -37,6 +37,14 @@ def _frac(x):
     raise TypeError(f"cannot make an exact rational from {x!r}")
 
 
+def _nonnegative(x):
+    """_frac(x) for the nonnegative x that EpsForm compares with."""
+    x = _frac(x)
+    if x < 0:
+        raise ValueError("comparisons are for nonnegative values")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # geometric-polynomial series, sups and decay indices, exact for rationals
 # ---------------------------------------------------------------------------
@@ -90,9 +98,15 @@ def first_true(pred, lo, hi=None):
     return good
 
 
+def _step_factors(ratio, power, k, shift):
+    """value(k+1)/value(k) of k -> ratio^k (k+shift)^power, as the
+    (base, exponent) factors of at_least."""
+    return (ratio, 1), (k + 1 + shift, power), (k + shift, -power)
+
+
 def _step_ratio(ratio, power, k, shift):
     """value(k+1)/value(k) of k -> ratio^k (k+shift)^power."""
-    return ratio * (Fraction(k + 1 + shift) / Fraction(k + shift)) ** power
+    return _exact_sum([_step_factors(ratio, power, k, shift)])
 
 
 def decay_start(ratio, power, start=0, shift=1, cap=None):
@@ -312,10 +326,9 @@ class DiskForm:
 _LOG2_MARGIN = 2.0**-40  # enclosure radius per unit of magnitude
 
 
-def _log2_product(factors, log=0.0, mag=0.0):
-    """(log2, magnitude) of the product of ``factors`` times a part whose
-    (log2, magnitude) are ``log`` and ``mag`` (by default none), or None
-    when a factor is 0.
+def _log2_product(factors):
+    """(log2, magnitude) of the product of ``factors``, or None when a
+    factor is 0.
 
     A factor is (base, exponent): a rational base >= 0 and an integer
     exponent below 2^53 in size; a base 0 makes the product 0 when its
@@ -324,21 +337,22 @@ def _log2_product(factors, log=0.0, mag=0.0):
     denominator, never that of a float of the base, which underflows for
     10^-400.  Each factor adds |exponent| (1 + both logs) to the magnitude,
     the unit of the error budget in _log2_sum."""
+    log = mag = 0.0
     for base, exp in factors:
         if exp:
-            top = base.numerator
+            top, bottom = base.as_integer_ratio()
             if not top:
                 return None
-            top, bottom = math.log2(top), math.log2(base.denominator)
+            top, bottom = math.log2(top), math.log2(bottom)
             log += exp * (top - bottom)
             mag += abs(exp) * (1.0 + top + bottom)
     return log, mag
 
 
-def _log2_sum(parts):
-    """(centre, size) with log2 of a sum of products within 2^-40 size of
-    centre, given each product's (log2, magnitude) from _log2_product (None
-    for a product 0); None when the sum is 0.
+def _log2_sum(products):
+    """(centre, size) with log2 of the sum of ``products`` within 2^-40 size
+    of centre, from each product's (log2, magnitude) by _log2_product; None
+    when the sum is 0.
 
     Error budget, with u = 2^-53.  math.log2 of an integer n >= 1 rounds n
     to a double (or, from 2^1024 on, to a double mantissa times a power of
@@ -355,7 +369,9 @@ def _log2_sum(parts):
     caller's scaling and subtraction round by a few u times the sizes.  The
     radius 2^-40 size = 2^13 u size covers all of this for products of
     fewer than 2^12 factors; the ones built here have at most three."""
-    parts = [part for part in parts if part is not None]
+    if len(products) == 1:
+        return _log2_product(products[0])
+    parts = [part for part in map(_log2_product, products) if part is not None]
     if len(parts) < 2:
         return parts[0] if parts else None
     logs, mags = zip(*parts)
@@ -364,19 +380,16 @@ def _log2_sum(parts):
             max(mags) + len(parts))
 
 
-def at_least(lhs, rhs, power=1, enclosures=None):
+def at_least(lhs, rhs, power=1):
     """Whether sum(lhs) >= sum(rhs)^power, decided exactly, for lists of
     products of factors as in _log2_product and an integer power >= 1.
-    ``enclosures``, when given, are those of both sums as _log2_sum gives
-    them (for one product, its _log2_product).
 
     A filtered predicate (H. Brönnimann, C. Burnikel and S. Pion, Discrete
     Appl. Math. 109, 2001; J. R. Shewchuk, Discrete Comput. Geom. 18, 1997):
     two disjoint log2 enclosures decide at once; where they overlap, or a
     side is 0, the Fraction comparison of _exact_at_least decides.
     """
-    left, right = enclosures or (_log2_sum(map(_log2_product, lhs)),
-                                 _log2_sum(map(_log2_product, rhs)))
+    left, right = _log2_sum(lhs), _log2_sum(rhs)
     if left is not None and right is not None:
         gap = left[0] - power * right[0]
         width = _LOG2_MARGIN * (left[1] + power * right[1])
@@ -388,6 +401,7 @@ def at_least(lhs, rhs, power=1, enclosures=None):
 
 
 def _exact_sum(products):
+    """The sum of the products of at_least's factors, as a Fraction."""
     return sum((math.prod(Fraction(b) ** e for b, e in p) for p in products),
                Fraction(0))
 
@@ -450,9 +464,7 @@ class EpsForm:
 
     def _tower_value(self, m):
         """value(m)^(2^level), an exact Fraction; m >= 0."""
-        if self.kind == "geom":
-            return self.amp * self.ratio**m
-        return self.amp / (self.alpha * m + self.beta) ** self.power
+        return _exact_sum([self._tower_factors(m)])
 
     def _tower_factors(self, m):
         """value(m)^(2^level) as the (base, exponent) factors of at_least."""
@@ -464,68 +476,34 @@ class EpsForm:
         return float(self._tower_value(m)) ** (0.5 ** self.level)
 
     def ge_value(self, m, x):
-        """Does value(m) >= x hold, for a nonnegative rational x?"""
-        x = _frac(x)
-        if x < 0:
-            raise ValueError("comparisons are for nonnegative values")
-        return self.ge_sum(m, [((x, 1),)])
-
-    def ge_sum(self, m, products, logs=None):
-        """Does value(m) >= the sum of ``products`` hold?  Each product is a
-        tuple of (base, exponent) factors as in at_least; ``logs``, when
-        given, are their (log2, magnitude) from _log2_product."""
-        if logs is None:
-            logs = map(_log2_product, products)
-        return at_least([self._tower_factors(m)], products, 2**self.level,
-                        (self._tower_log2(m), _log2_sum(logs)))
+        """Does value(m) >= x hold?  x is a nonnegative rational, or a list
+        of products of (base, exponent) factors as in at_least standing for
+        their sum."""
+        if not isinstance(x, list):
+            x = [((_nonnegative(x), 1),)]
+        return at_least([self._tower_factors(m)], x, 2**self.level)
 
     def le_value(self, m, x):
-        x = _frac(x)
-        if x < 0:
-            raise ValueError("comparisons are for nonnegative values")
-        power = ((x, 2**self.level),)
-        return at_least([power], [self._tower_factors(m)], 1,
-                        (_log2_product(power), self._tower_log2(m)))
-
-    @cached_property
-    def _logs(self):
-        """The (log2, magnitude) of amp and of a geometric ratio, taken once."""
-        return (_log2_product(((self.amp, 1),)),
-                _log2_product(((self.ratio, 1),)) if self.kind == "geom" else None)
-
-    def _tower_log2(self, m):
-        """The (log2, magnitude) of value(m)^(2^level), as _log2_product
-        gives them for _tower_factors(m)."""
-        (log, mag), ratio = self._logs
-        if self.kind == "geom":
-            return log + m * ratio[0], mag + m * ratio[1]
-        return _log2_product(((self.alpha * m + self.beta, -self.power),),
-                             log, mag)
+        """Does value(m) <= x hold, for a nonnegative rational x?"""
+        power = ((_nonnegative(x), 2**self.level),)
+        return at_least([power], [self._tower_factors(m)])
 
     def ratio_at_least(self, m, r):
-        """Does value(m+1)/value(m) >= r hold, for rational r >= 0?"""
-        r = _frac(r)
-        if r < 0:
-            raise ValueError("comparisons are for nonnegative values")
-        return self.ratio_at_least_product(m, ((r, 1),))
-
-    def ratio_at_least_product(self, m, factors, log=None):
-        """Does value(m+1)/value(m) >= the product of ``factors`` hold?
-        ``log``, when given, is the product's (log2, magnitude) from
-        _log2_product.
+        """Does value(m+1)/value(m) >= r hold?  r is a nonnegative rational,
+        or a tuple of (base, exponent) factors as in at_least standing for
+        their product.
 
         The tower's step value(m+1)^(2^level) / value(m)^(2^level) is its
         ratio (geometric) or ((alpha m + beta) / (alpha (m+1) + beta))^power
         (inverse-polynomial)."""
+        if not isinstance(r, tuple):
+            r = ((_nonnegative(r), 1),)
         if self.kind == "geom":
-            step, step_log = ((self.ratio, 1),), self._logs[1]
+            step = ((self.ratio, 1),)
         else:
             base = self.alpha * m + self.beta
             step = ((base, self.power), (base + self.alpha, -self.power))
-            step_log = _log2_product(step)
-        if log is None:
-            log = _log2_product(factors)
-        return at_least([step], [factors], 2**self.level, (step_log, log))
+        return at_least([step], [r], 2**self.level)
 
     def sqrt(self):
         return EpsForm(self.kind, self.amp, self.ratio, self.alpha,
@@ -577,38 +555,11 @@ class EnvTerm:
             raise ValueError("envelope coefficients and ratios are nonnegative")
 
     def value(self, m):
-        return self.coeff * self.ratio**m * Fraction(m + self.shift) ** self.power
+        return _exact_sum([self.factors(m)])
 
     def factors(self, m):
         """value(m) as the (base, exponent) factors of at_least."""
         return (self.coeff, 1), (self.ratio, m), (m + self.shift, self.power)
-
-    @cached_property
-    def _logs(self):
-        """The (log2, magnitude) of coeff and of ratio (None for 0)."""
-        return (_log2_product(((self.coeff, 1),)),
-                _log2_product(((self.ratio, 1),)))
-
-    def step(self, m):
-        """value(m+1)/value(m) as the factors of _step_ratio, with their
-        (log2, magnitude) from _log2_product (None when it is 0)."""
-        ratio = self._logs[1]
-        if not self.power:
-            return ((self.ratio, 1),), ratio
-        shifts = ((m + 1 + self.shift, self.power), (m + self.shift, -self.power))
-        return (((self.ratio, 1),) + shifts,
-                ratio and _log2_product(shifts, *ratio))
-
-    def log2_at(self, m):
-        """The (log2, magnitude) of value(m), as _log2_product gives them
-        for factors(m), or None when it is 0."""
-        coeff, ratio = self._logs
-        if coeff is None or (m and ratio is None):
-            return None
-        log, mag = coeff
-        if m:
-            log, mag = log + m * ratio[0], mag + m * ratio[1]
-        return _log2_product(((m + self.shift, self.power),), log, mag)
 
 
 class Envelope:
@@ -643,8 +594,8 @@ class Envelope:
         Certifies by per-term ratio domination: beyond M every term shrinks
         at least as fast as eps does, and the value at M already fits.
         Returns None when no such certificate exists within 4,096 steps of
-        m_start.  Each step is one at_least comparison, with the logs of
-        each term's coefficient and ratio taken once.
+        m_start.  Each step is one filtered comparison, which builds no
+        Fraction power unless the comparison is a near-tie.
         """
         scan_cap = 4096
         if self.infinite:
@@ -653,7 +604,8 @@ class Envelope:
         for t in self.terms:
             m = m_start
             while True:
-                if eps.ratio_at_least_product(m, *t.step(m)):
+                if eps.ratio_at_least(m, _step_factors(t.ratio, t.power, m,
+                                                       t.shift)):
                     break
                 m += 1
                 if m > m_start + scan_cap:
@@ -661,8 +613,7 @@ class Envelope:
             m_ratio = max(m_ratio, m)
         m = m_ratio
         while m <= m_start + scan_cap:
-            if eps.ge_sum(m, [t.factors(m) for t in self.terms],
-                          [t.log2_at(m) for t in self.terms]):
+            if eps.ge_value(m, [t.factors(m) for t in self.terms]):
                 return m
             m += 1
         return None
