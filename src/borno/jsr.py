@@ -13,10 +13,17 @@ produce (within the depth budget) falls below the current lower bound by at
 least the pruning slack.  Safe pruning provably changes neither the per-level
 maxima nor the best lower bound, so the returned interval is identical to the
 one exhaustive enumeration would produce, while skipping decayed subtrees.
+
+The bound on a descendant is ||P_wv|| <= ||P_w|| max_{|v|=r} ||P_v||, and the
+levels already expanded bound the second factor: by submultiplicativity,
+max_{|v|=r} ||P_v|| <= max_{|v|=j} ||P_v|| * max_{|v|=r-j} ||P_v||, which
+is far below ||g||^r, g the largest generator, once the products decay
+(:class:`_Tail`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,6 +72,14 @@ _UNION_SLACK = 1e-8
 # so a skipped child's eigenvalues could not have raised the lower bound
 _EIG_MARGIN = 1e-8
 
+# the rounding budget of _Tail's bounds, relative to the factors they
+# multiply.  It covers a computed product's normwise error
+# ||fl(AB) - AB|| <= gamma_d ||A|| ||B||, with gamma_d about d^2 u for complex
+# d x d blocks (u = 2^-53, so below 1e-12 for d up to 100), a computed norm's
+# relative error (LAPACK's backward error, NORM_TOL for a power-iteration
+# value) and the rounding of log2 and pow, each many times over
+_TAIL_MARGIN = 1e-8
+
 
 @dataclass(frozen=True)
 class RadiusEstimate:
@@ -98,27 +113,89 @@ def _rate(value, exponent, length):
     return math.pow(2.0, (math.log2(value) + exponent) / length)
 
 
-def _optimistic_rate(child_norm, exponent, length, log2_gen_max, depth):
-    """Best norm rate any descendant of this word could reach within depth.
+class _Tail:
+    """log2 of bounds T_r on the computed norm of a product extended by any
+    r more generators, relative to the norm of the product it extends.
 
-    The log2 rate bound (base + (n - length) * log2_gen_max) / n of a
-    length-n descendant is monotone in n, so its maximum over
-    length <= n <= depth lies at an end of that range.
+    T_r starts at (g (1 + m))^r, g the largest generator norm and m =
+    ``_TAIL_MARGIN``.  Each completed level j, whose largest computed norm is
+    M_j, tightens it by submultiplicativity to at most
+    (M_j (1 + m) + 2 j m g^j) T_{r-j}: M_j + (j - 1) gamma_d g^j bounds every
+    exact length-j product, and the j factors computed onto a product add at
+    most j gamma_d g^j times its norm.  A level is folded only when the
+    search goes on past it, so its maximum rate exceeds the lower bound and
+    thus the rate of every word of its length that pruning skipped: M_j is
+    the maximum over every word.
+    """
+
+    def __init__(self, log2_gen_max, depth):
+        self.log2_gen_max = log2_gen_max
+        self.depth = depth
+        step = log2_gen_max + math.log2(1.0 + _TAIL_MARGIN)
+        # r < depth: a word of length >= 1 has at most depth - 1 more
+        # factors; log2 T_0 = 0 even where every generator is zero (no
+        # 0 * -inf)
+        self.logs = [0.0] + [r * step for r in range(1, depth)]
+
+    def fold(self, level, level_max):
+        """Tighten by the completed ``level``, whose largest norm rate is
+        ``level_max`` > 0, every T_r a later level reads (r < depth - level):
+        O(depth), as T_{r-level} is already tightened where it is read."""
+        if 2 * level >= self.depth:  # no T_r read later has r >= level
+            return
+        excess = level * (math.log2(level_max) - self.log2_gen_max)
+        factor = level * self.log2_gen_max + math.log2(
+            2.0 ** excess * (1.0 + _TAIL_MARGIN) + 2 * level * _TAIL_MARGIN)
+        logs = self.logs
+        for r in range(level, self.depth - level):
+            logs[r] = min(logs[r], factor + logs[r - level])
+
+    def lines(self, level):
+        """``(log2 T_r, level + r)`` of the lines b -> (b + log2 T_r) /
+        (level + r), r = 1 .. depth - level, that form their upper envelope:
+        the maximum over every r is the maximum over these few."""
+        hull = []
+        for n in range(self.depth, level, -1):  # slopes 1/n ascending
+            line = (self.logs[n - level], n)
+            if line[0] == -math.inf:  # every generator is zero
+                continue
+            while len(hull) > 1 and (_crossing(hull[-2], hull[-1])
+                                     >= _crossing(hull[-1], line)):
+                hull.pop()
+            hull.append(line)
+        return hull
+
+
+def _crossing(a, b):
+    """The b at which the lines of :meth:`_Tail.lines` ``a`` and ``b`` meet."""
+    (ta, na), (tb, nb) = a, b
+    return (tb * na - ta * nb) / (nb - na)
+
+
+def _optimistic_rate(child_norm, exponent, lines):
+    """Best norm rate any descendant of this word could reach within depth;
+    the word's own rate is not included.
+
+    A word of computed norm N = ``child_norm`` * 2^``exponent`` has
+    descendants r >= 1 factors longer whose computed norms are at most
+    N T_r (:class:`_Tail`), so its bound is the largest of the ``lines`` of
+    its level at b = log2 N, and 0 at the last level, which has none.
     """
     if child_norm == 0.0:
         return 0.0
     base = math.log2(child_norm) + exponent
-    return math.pow(2.0, max(base / length,
-                             (base + (depth - length) * log2_gen_max) / depth))
+    return math.pow(2.0, max([(base + t) / n for t, n in lines],
+                             default=-math.inf))
 
 
-def _inert(bounds, exponents, level, depth, log2_gen_max, lower, slack):
+def _inert(bounds, exponents, level, lines, lower, slack):
     """``(bound rates, inert)`` of children whose norms and eigenvalue moduli
     are at most ``bounds``, scaled by 2^``exponents``.
 
     A child is inert when its bound shows, against the ``lower`` bound its
     chunk starts with, that the search prunes it and gives it no eigenvalues:
-    its optimistic rate is at most ``lower - slack`` and its norm rate times
+    its norm rate and its descendants' (the envelope ``lines`` of its level)
+    are at most ``lower - slack``, and its norm rate times
     (1 + ``_EIG_MARGIN``) at most ``lower``.  Only its norm rate, through the
     level maximum, can still count.  Such a bound is finite, so the child's
     norm is 0 or within [2^-250, 2^256] and needs no rescaling.  The bounds'
@@ -127,8 +204,8 @@ def _inert(bounds, exponents, level, depth, log2_gen_max, lower, slack):
     with np.errstate(divide="ignore", over="ignore"):
         base = np.log2(bounds) + exponents
         rates = np.exp2(base / level)
-        reach = np.exp2(np.maximum(
-            base / level, (base + (depth - level) * log2_gen_max) / depth))
+        reach = np.exp2(functools.reduce(
+            np.maximum, [(base + t) / n for t, n in lines], base / level))
     return rates, ((reach <= lower - slack)
                    & (rates * (1.0 + _EIG_MARGIN) <= lower))
 
@@ -145,10 +222,12 @@ def jsr_estimate(s, depth, gap_target=1e-3):
     with; the others count as rho = 0, which leaves the lower bound where
     their rho would.  A scalar pass then visits the chunk's other children in
     lexicographic order of their words and updates the lower bound child by
-    child, so pruning, witnesses and ties do not depend on the chunking.
-    Last, the inert children whose bound rate exceeds the level maximum so
-    far get their norms, so the upper bound is the one every norm gives.  A
-    norm that overflows ends the search with the levels before its own.
+    child, so pruning, witnesses and ties do not depend on the chunking.  Both
+    :func:`_inert` and the scalar pass bound a child's descendants by the
+    levels expanded before its own (:class:`_Tail`).  Last, the inert
+    children whose bound rate exceeds the level maximum so far get their
+    norms, so the upper bound is the one every norm gives.  A norm that
+    overflows ends the search with the levels before its own.
     """
     s = bounded_set(s)
     if depth < 1:
@@ -163,6 +242,7 @@ def jsr_estimate(s, depth, gap_target=1e-3):
     log2_gen_max = math.log2(gen_max) if gen_max > 0 else -math.inf
     slack = gap_target / 2.0
     step = max(1, _CHUNK // k)
+    tail = _Tail(log2_gen_max, depth)
 
     lower = 0.0
     upper = math.inf
@@ -175,6 +255,7 @@ def jsr_estimate(s, depth, gap_target=1e-3):
         kept_words, kept_rows, kept_exponents = [], [], []
         level_max = 0.0
         overflowed = False
+        lines = tail.lines(level)
         for first in range(0, len(words), step):
             # the children's exponents, before any rescaling of their own
             inherited = [e for e in exponents[first:first + step]
@@ -187,7 +268,7 @@ def jsr_estimate(s, depth, gap_target=1e-3):
                 coords = coords.reshape(-1, gens.shape[1])
                 bound_rates, inert = _inert(
                     norm_bounds(desc, coords), np.array(inherited),
-                    level, depth, log2_gen_max, lower, slack)
+                    level, lines, lower, slack)
                 active = np.flatnonzero(~inert)
                 child_norms = norms(desc, coords[active]).tolist()
             child_exponents = [inherited[j] for j in active]
@@ -217,9 +298,8 @@ def jsr_estimate(s, depth, gap_target=1e-3):
                 if rrate > lower:
                     lower = rrate
                     witness = word
-                opt = _optimistic_rate(child_norm, exponent, level,
-                                       log2_gen_max, depth)
-                if opt <= lower - slack:
+                if rate <= lower - slack and _optimistic_rate(
+                        child_norm, exponent, lines) <= lower - slack:
                     continue
                 keep.append(j)
                 kept_words.append(word)
@@ -238,6 +318,7 @@ def jsr_estimate(s, depth, gap_target=1e-3):
         words, rows, exponents = kept_words, np.concatenate(kept_rows), kept_exponents
         if upper - lower <= gap_target or not words:
             break
+        tail.fold(level, level_max)
 
     # a computed rho above a later level's norms would invert the interval
     _require_meet("jsr lower bound against its upper bound", (lower, lower),
