@@ -29,6 +29,14 @@ NORM_TOL = 1e-10
 RANK_TOL = 1e-9
 LP_TOL = 1e-9
 
+# the one relative rounding budget of the float bounds: a computed norm,
+# eigenvalue modulus or product of j factors, a Frobenius or row-sum bound and
+# a rate taken through log2 and pow stay within a factor 1 + ROUNDING of what
+# they bound, as do two estimates of one set in nested corner embeddings; far
+# above LAPACK's backward errors, NORM_TOL, gamma_d ~ d^2 2^-53 of a product
+# of d x d blocks (||fl(AB) - AB|| <= gamma_d ||A|| ||B||) and those roundings
+ROUNDING = 1e-8
+
 OP2 = "op2"
 MAXROW = "maxrow"
 
@@ -394,17 +402,11 @@ def _matrix_norms(stack, kind):
     return sigma
 
 
-# the relative margin by which a norm bound exceeds the computed norm and
-# eigenvalue moduli it bounds: far above LAPACK's backward errors, NORM_TOL
-# and the rounding of a Frobenius norm or a row sum
-_BOUND_MARGIN = 1e-8
-
-
 def _matrix_bounds(stack, kind):
     """An upper bound, with no SVD, on the computed ``kind`` norm and
     eigenvalue moduli of each matrix of a ``(count, d, d)`` stack: its
     Frobenius norm for ``op2``, its norm for ``maxrow``, widened by
-    ``_BOUND_MARGIN``, and inf where :func:`_unsafe_peaks` says its squares
+    ``ROUNDING``, and inf where :func:`_unsafe_peaks` says its squares
     overflow or underflow."""
     mags = np.abs(stack)
     if kind == MAXROW:
@@ -413,7 +415,7 @@ def _matrix_bounds(stack, kind):
         with np.errstate(over="ignore"):
             size = np.sqrt(np.einsum("nij,nij->n", mags, mags))
     return np.where(_unsafe_peaks(np.max(mags, axis=(1, 2))), np.inf,
-                    size * (1.0 + _BOUND_MARGIN))
+                    size * (1.0 + ROUNDING))
 
 
 def _block_bounds(stacks):

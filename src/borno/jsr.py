@@ -31,6 +31,7 @@ import numpy as np
 
 from .algebra import (
     RANK_TOL,
+    ROUNDING,
     AlgebraElement,
     FiniteHull,
     GridFunctionAlgebra,
@@ -63,23 +64,6 @@ _RESCALE_LO = math.ldexp(1.0, -500)
 # whole level at once, without a whole level's temporaries in memory
 _CHUNK = 256
 
-# relative slack within which the stages of a direct union must agree
-_UNION_SLACK = 1e-8
-
-# a child gets eigenvalues only when its norm rate times (1 + _EIG_MARGIN)
-# exceeds the lower bound: rho <= ||.|| holds for the computed values within
-# far less than this (LAPACK's backward errors, NORM_TOL, maxrow row sums),
-# so a skipped child's eigenvalues could not have raised the lower bound
-_EIG_MARGIN = 1e-8
-
-# the rounding budget of _Tail's bounds, relative to the factors they
-# multiply.  It covers a computed product's normwise error
-# ||fl(AB) - AB|| <= gamma_d ||A|| ||B||, with gamma_d about d^2 u for complex
-# d x d blocks (u = 2^-53, so below 1e-12 for d up to 100), a computed norm's
-# relative error (LAPACK's backward error, NORM_TOL for a power-iteration
-# value) and the rounding of log2 and pow, each many times over
-_TAIL_MARGIN = 1e-8
-
 
 @dataclass(frozen=True)
 class RadiusEstimate:
@@ -102,15 +86,15 @@ class HullCertificate:
 
 
 def _rate(value, exponent, length):
-    """(value * 2^exponent)^(1/length) without forming the scaled number;
-    exact at length 1."""
-    if value == 0.0:
-        return 0.0
-    if length == 1:
-        return math.ldexp(value, exponent)
+    """(value * 2^exponent)^(1/length) without forming the scaled number,
+    within a few ulps and exact at length 1: 2^whole (m 2^rest)^(1/length)
+    for value = m 2^k, m in [1, 2), exponent + k = whole * length + rest."""
     if exponent == 0:
         return value ** (1.0 / length)
-    return math.pow(2.0, (math.log2(value) + exponent) / length)
+    k = math.frexp(value)[1] - 1
+    whole, rest = divmod(exponent + k, length)
+    return math.ldexp(math.ldexp(value, -k) ** (1.0 / length)
+                      * 2.0 ** (rest / length), whole)
 
 
 class _Tail:
@@ -118,7 +102,7 @@ class _Tail:
     r more generators, relative to the norm of the product it extends.
 
     T_r starts at (g (1 + m))^r, g the largest generator norm and m =
-    ``_TAIL_MARGIN``.  Each completed level j, whose largest computed norm is
+    ``ROUNDING``.  Each completed level j, whose largest computed norm is
     M_j, tightens it by submultiplicativity to at most
     (M_j (1 + m) + 2 j m g^j) T_{r-j}: M_j + (j - 1) gamma_d g^j bounds every
     exact length-j product, and the j factors computed onto a product add at
@@ -131,7 +115,7 @@ class _Tail:
     def __init__(self, log2_gen_max, depth):
         self.log2_gen_max = log2_gen_max
         self.depth = depth
-        step = log2_gen_max + math.log2(1.0 + _TAIL_MARGIN)
+        step = log2_gen_max + math.log2(1.0 + ROUNDING)
         # r < depth: a word of length >= 1 has at most depth - 1 more
         # factors; log2 T_0 = 0 even where every generator is zero (no
         # 0 * -inf)
@@ -145,7 +129,7 @@ class _Tail:
             return
         excess = level * (math.log2(level_max) - self.log2_gen_max)
         factor = level * self.log2_gen_max + math.log2(
-            2.0 ** excess * (1.0 + _TAIL_MARGIN) + 2 * level * _TAIL_MARGIN)
+            2.0 ** excess * (1.0 + ROUNDING) + 2 * level * ROUNDING)
         logs = self.logs
         for r in range(level, self.depth - level):
             logs[r] = min(logs[r], factor + logs[r - level])
@@ -196,7 +180,7 @@ def _inert(bounds, exponents, level, lines, lower, slack):
     chunk starts with, that the search prunes it and gives it no eigenvalues:
     its norm rate and its descendants' (the envelope ``lines`` of its level)
     are at most ``lower - slack``, and its norm rate times
-    (1 + ``_EIG_MARGIN``) at most ``lower``.  Only its norm rate, through the
+    (1 + ``ROUNDING``) at most ``lower``.  Only its norm rate, through the
     level maximum, can still count.  Such a bound is finite, so the child's
     norm is 0 or within [2^-250, 2^256] and needs no rescaling.  The bounds'
     margin dwarfs the rounding of numpy's ``log2`` and ``exp2``.
@@ -207,7 +191,7 @@ def _inert(bounds, exponents, level, lines, lower, slack):
         reach = np.exp2(functools.reduce(
             np.maximum, [(base + t) / n for t, n in lines], base / level))
     return rates, ((reach <= lower - slack)
-                   & (rates * (1.0 + _EIG_MARGIN) <= lower))
+                   & (rates * (1.0 + ROUNDING) <= lower))
 
 
 def jsr_estimate(s, depth, gap_target=1e-3):
@@ -281,8 +265,9 @@ def jsr_estimate(s, depth, gap_target=1e-3):
                     child_norms[i] = float(norms(desc, coords[j:j + 1])[0])
             rates = [_rate(n, e, level)
                      for n, e in zip(child_norms, child_exponents)]
+            # computed rho <= rate (1 + ROUNDING): no other can raise lower
             live = np.isfinite(child_norms) & (
-                np.array(rates) * (1.0 + _EIG_MARGIN) > lower)
+                np.array(rates) * (1.0 + ROUNDING) > lower)
             rhos = np.zeros(len(active))
             rhos[live] = spectral_radii(desc, coords[active[live]])
             keep = []
@@ -322,7 +307,7 @@ def jsr_estimate(s, depth, gap_target=1e-3):
 
     # a computed rho above a later level's norms would invert the interval
     _require_meet("jsr lower bound against its upper bound", (lower, lower),
-                  (0.0, upper), _EIG_MARGIN, upper)
+                  (0.0, upper), upper, ROUNDING)
     status = CERTIFIED if upper - lower <= gap_target else DEPTH_LIMITED
     return RadiusEstimate(lower, upper, witness, level, status)
 
@@ -331,7 +316,11 @@ def jsr_estimate(s, depth, gap_target=1e-3):
 # identities of the spectral radius
 # ---------------------------------------------------------------------------
 
-def _require_meet(what, a, b, rel, scale):
+# the relative slack within which the intervals of an identity check meet
+_IDENTITY_SLACK = 1e-9
+
+
+def _require_meet(what, a, b, scale, rel=_IDENTITY_SLACK):
     """Raise InvariantViolation unless the intervals ``a`` and ``b`` meet
     within ``rel * max(1, scale)``, a non-finite scale read as 1.  A nan
     endpoint (0 * inf) bounds nothing."""
@@ -383,10 +372,10 @@ def check_specrad_identities(s, c, n, depth, gap_target=1e-6):
     mag = abs(c)
     _require_meet("|c| rho(S) against rho(cS)",
                   (mag * base.lower, mag * base.upper),
-                  (scaled.lower, scaled.upper), 1e-9, mag * base.upper)
+                  (scaled.lower, scaled.upper), mag * base.upper)
     lower, upper = (_power(x, n) for x in (base.lower, base.upper))
     _require_meet(f"rho(S)^{n} against rho(S^{n})", (lower, upper),
-                  (powered.lower, powered.upper), 1e-9, upper)
+                  (powered.lower, powered.upper), upper)
     return {
         "base": base,
         "scaled": scaled,
@@ -402,9 +391,9 @@ def check_specrad_identities(s, c, n, depth, gap_target=1e-6):
 
 _DECAY_CUT = 1e-12
 _INSIDE_TOL = 1e-12
-# an unsolved pair is skipped once its bound is this far (relative) below the
-# running maximum: far above the LP solver's error, so the skip is safe
-_BOUND_MARGIN = 1e-6
+# the relative margin each hull screen keeps from its threshold: far above the
+# LP solver's error, so a screened decision, or a skipped pair, is the LP's
+_SCREEN_MARGIN = 1e-6
 
 
 def _decomposition_bounds(cols, pinv, targets):
@@ -456,7 +445,7 @@ class _HullStack:
     * inside: a decomposition G z = t bounds it by ||z||_1 from above
       (:meth:`upper`).
 
-    Each screen keeps ``_BOUND_MARGIN`` from the threshold, far above the LP
+    Each screen keeps ``_SCREEN_MARGIN`` from the threshold, far above the LP
     solver's error, so a screened decision is the one the LP would make.
     """
 
@@ -498,11 +487,11 @@ class _HullStack:
         self.fits = False
         if len(self.duals):
             lower = (self.duals @ target) / np.abs(self.duals @ self.cols).max(axis=1)
-            if lower.max() > 1.0 + _BOUND_MARGIN:
+            if lower.max() > 1.0 + _SCREEN_MARGIN:
                 return False
         bound = self.upper(target[:, None])[0]
         self.fits = _spanned(self.cols, bound, target)
-        if bound <= 1.0 - _BOUND_MARGIN:
+        if bound <= 1.0 - _SCREEN_MARGIN:
             return True
         return None
 
@@ -533,22 +522,20 @@ class _HullStack:
             return decided
         return self.gauge(target, self.fits) <= 1.0 + _INSIDE_TOL
 
-    def closure_max(self, hull):
-        """max(1, the largest hull gauge of a pairwise product of the generators
-        of ``hull``, whose columns these are): the float an LP for every pair
-        gives, with LPs only for the pairs whose :meth:`upper` bound could
-        still set it; each new basis tightens the bounds.  A gauge <= 1 cannot
-        change the clamped defect, so the maximum starts at 1; a product off
-        the span keeps bound inf.
+    def closure_max(self, prods):
+        """max(1, the largest hull gauge of ``prods``, the (n, n, L) rows of
+        the pairwise products of the n generators whose columns these are):
+        the float an LP for every pair gives, with LPs only for the pairs
+        whose :meth:`upper` bound could still set it; each new basis tightens
+        the bounds.  A gauge <= 1 cannot change the clamped defect, so the
+        maximum starts at 1; a product off the span keeps bound inf.
         """
-        rows = hull.rows
-        prods = products(hull.descriptor, rows[:, None], rows)
-        prods = _real_rows(prods.reshape(len(rows) ** 2, -1)).T
+        prods = _real_rows(prods.reshape(-1, prods.shape[-1])).T
         upper = self.upper(prods)
         best = 1.0
         while True:
             p = int(np.argmax(upper))
-            if upper[p] < best - _BOUND_MARGIN * (1.0 + best):
+            if upper[p] < best - _SCREEN_MARGIN * (1.0 + best):
                 return best
             spanned = _spanned(self.cols, upper[p], prods[:, p])
             upper[p] = -math.inf
@@ -585,6 +572,15 @@ def submultiplicative_hull(s, r, max_products=512):
     def note(level, value):
         decay_profile[level] = max(decay_profile.get(level, 0.0), value)
 
+    def grown(a, b, where):
+        """``products(desc, a, b)``; an overflow is a numerical failure."""
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return products(desc, a, b)
+        except ValueError:
+            raise CapExceeded(f"hull product overflows {where}",
+                              decay_profile) from None
+
     first_norms = norms(desc, gens).tolist()
     for n in first_norms:
         note(1, n)
@@ -594,7 +590,7 @@ def submultiplicative_hull(s, r, max_products=512):
         level += 1
         new_frontier = []
         for p in frontier:
-            children = products(desc, p, gens)
+            children = grown(p, gens, f"at product length {level}")
             for q, nq in zip(children, norms(desc, children).tolist()):
                 note(level, nq)
                 x = _real_rows(q)
@@ -614,7 +610,9 @@ def submultiplicative_hull(s, r, max_products=512):
 
     # S <= r*T by construction: the scaled generators are T's first ones
     hull = FiniteHull(tuple(generators))
-    return HullCertificate(hull, r, max(0.0, stack.closure_max(hull) - 1.0))
+    rows = hull.rows
+    closure = stack.closure_max(grown(rows[:, None], rows, "in the closure"))
+    return HullCertificate(hull, r, max(0.0, closure - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +639,7 @@ def jsr_grid_max(s, depth, gap_target=1e-3):
     max_upper = max(p.upper for p in profile)
     _require_meet("global interval against fiber max interval",
                   (global_est.lower, global_est.upper), (max_lower, max_upper),
-                  1e-9, max_upper)
+                  max_upper)
     return {"global": global_est, "profile": profile}
 
 
@@ -664,7 +662,7 @@ def kronecker_bound_check(s_a, s_b, depth, gap_target=1e-3):
     est_ab = jsr_estimate(bounded_set(prods), depth, gap_target)
     bound = est_a.upper * est_b.upper
     _require_meet("rho(S_A (x) S_B) against [0, rho(S_A) rho(S_B)]",
-                  (est_ab.lower, est_ab.upper), (0.0, bound), 1e-9, bound)
+                  (est_ab.lower, est_ab.upper), (0.0, bound), bound)
     return {"left": est_a, "right": est_b, "product": est_ab, "bound": bound}
 
 
@@ -695,5 +693,5 @@ def direct_union_liminf(chain, depth, gap_target=1e-3):
         for diff in (est.lower - ref.lower, est.upper - ref.upper):
             _require_meet(f"direct-union stages [{ref.lower}, {ref.upper}] and "
                           f"[{est.lower}, {est.upper}] differ", (diff, diff),
-                          (0.0, 0.0), _UNION_SLACK, ref.upper)
+                          (0.0, 0.0), ref.upper, ROUNDING)
     return {"stages": stages}

@@ -450,6 +450,18 @@ class TestErrors:
         path.write_text(json.dumps(hull_inst))
         assert run_cli(["run", "--input", str(path)]) == 4
 
+    def test_overflowing_hull_exits_four(self, tmp_path, capsys):
+        # a hull product that overflows is a numerical failure, not an
+        # input error
+        inst = builtin_instances()["contraction-hull"]
+        inst["payload"]["set"] = {
+            "descriptor": {"dim": 1, "kind": "matrix", "norm": "op2"},
+            "generators": [[[[1e200, 0.0]]]]}
+        path = tmp_path / "hull.json"
+        path.write_text(json.dumps(inst))
+        assert run_cli(["run", "--input", str(path)]) == 4
+        assert "decay profile {1: 1e+200}" in capsys.readouterr().err
+
     def test_non_optimal_lp_exits_four(self, tmp_path, monkeypatch):
         # the hull instance's LPs report HiGHS's iteration limit: a numerical
         # failure (exit 4), not a fail verdict

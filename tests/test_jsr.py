@@ -4,6 +4,7 @@ import sys
 import threading
 import types
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -66,7 +67,9 @@ def real_coords(m):
 def closure_max(generators):
     """The hull closure maximum of ``generators`` on a new column stack."""
     hull = FiniteHull(tuple(generators))
-    return _HullStack(list(borno.algebra._real_rows(hull.rows))).closure_max(hull)
+    rows = hull.rows
+    prods = borno.algebra.products(hull.descriptor, rows[:, None], rows)
+    return _HullStack(list(borno.algebra._real_rows(rows))).closure_max(prods)
 
 
 def all_pairs_closure_max(mats):
@@ -314,6 +317,16 @@ class TestHull:
         # certificate: S inside r * hull
         for g in s.generators:
             assert gauge(cert.hull, g) <= 1 + 1e-9
+
+    def test_overflowing_products_are_a_numerical_failure(self):
+        # the products of [[1e200]] overflow at length 2: CapExceeded with
+        # the decay profile so far, with no overflow warning on the way
+        s = bounded_set([matrix_element([[1e200]])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapExceeded) as err:
+                submultiplicative_hull(s, r=1.0, max_products=64)
+        assert err.value.decay_profile == {1: 1e200}
 
     def test_cap_exceeded_reports_decay(self):
         s = bounded_set([scale(0.5, g) for g in GOLDEN])
@@ -1063,7 +1076,7 @@ class TestBatchedSearch:
                 for row, child_norm in zip(rows, norms(s.descriptor,
                                                        rows).tolist()):
                     rate = jsr._rate(child_norm, 0, level)
-                    if rate > lower * (1 + jsr._EIG_MARGIN):
+                    if rate > lower * (1 + jsr.ROUNDING):
                         assert row.tobytes() in taken
                 lower = max([lower] + [jsr._rate(r, 0, level) for r in rhos])
                 seen += len(rows)
@@ -1174,6 +1187,44 @@ class TestBatchedSearch:
         g = matrix_element([[1.5e308, 1.5e308], [0.0, 0.0]])
         est = jsr_estimate(bounded_set([g]), 4)
         assert (est.status, est.depth, est.upper) == ("depth-limited", 1, math.inf)
+
+
+def within_ulps(got, value, exponent, length, ulps):
+    """Whether ``got`` is within ``ulps`` ulps of (value 2^exponent)^(1/length),
+    decided in exact arithmetic."""
+    target = Fraction(value) * Fraction(2) ** exponent
+    step = ulps * Fraction(math.ulp(got))
+    return ((Fraction(got) - step) ** length <= target
+            <= (Fraction(got) + step) ** length)
+
+
+class TestRate:
+    @settings(max_examples=400, deadline=None)
+    @given(mantissa=st.floats(1.0, 2.0, exclude_max=True),
+           scale=st.integers(-500, 500), length=st.integers(1, 12),
+           exponent=st.one_of(st.just(0), st.integers(-3000, 3000)))
+    def test_rate_is_within_four_ulps(self, mantissa, scale, length, exponent):
+        value = math.ldexp(mantissa, scale)
+        assume(abs(scale + exponent) <= 1000 * length)  # a normal float
+        got = jsr._rate(value, exponent, length)
+        if exponent == 0:  # the search's usual case keeps its bits
+            assert got == value ** (1.0 / length)
+        elif length == 1:  # a rescaled level-1 norm
+            assert got == math.ldexp(value, exponent)
+        else:
+            assert within_ulps(got, value, exponent, length, 4)
+        assert jsr._rate(0.0, exponent, length) == 0.0
+
+    @pytest.mark.parametrize("c", [3e250, 1e200])
+    def test_rescaled_words_bracket_the_nilpotent_radius(self, c):
+        # rho{c E12, c E21} = c, attained by the word (0, 1), whose product
+        # c^2 E11 is rescaled; a log2/pow round trip of its exponent gave
+        # 2.9999999999999006e250 for c = 3e250, below rho, and for c = 1e200
+        # a lower bound 1.0000000000000336e200 above the upper bound
+        s = bounded_set([matrix_element([[0, c], [0, 0]]),
+                         matrix_element([[0, 0], [c, 0]])])
+        est = jsr_estimate(s, 4)
+        assert (est.lower, est.upper, est.witness_word) == (c, c, (0, 1))
 
 
 def word_levels(s, depth):
@@ -1390,8 +1441,8 @@ def parent_union(stages):
     reference = stages[0]
     scale_ref = max(1.0, reference.upper if math.isfinite(reference.upper) else 1.0)
     for e in stages[1:]:
-        if (abs(e.lower - reference.lower) > jsr._UNION_SLACK * scale_ref
-                or abs(e.upper - reference.upper) > jsr._UNION_SLACK * scale_ref):
+        if (abs(e.lower - reference.lower) > jsr.ROUNDING * scale_ref
+                or abs(e.upper - reference.upper) > jsr.ROUNDING * scale_ref):
             raise InvariantViolation("union")
 
 
@@ -1566,7 +1617,7 @@ class TestIdentityChecks:
     @given(st.data())
     def test_union_decides_as_the_parent(self, data):
         ref = data.draw(interval())
-        unit = jsr._UNION_SLACK / 1e-9 * unit_of(ref.upper)
+        unit = jsr.ROUNDING / 1e-9 * unit_of(ref.upper)
         stages = [ref] + [data.draw(interval_near(ref.lower, ref.upper, unit))
                           for _ in range(data.draw(st.integers(1, 3)))]
         assert outcome(run_union, stages) == outcome(parent_union, stages)
