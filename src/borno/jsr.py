@@ -447,6 +447,7 @@ class _HullStack:
 
     Each screen keeps ``_SCREEN_MARGIN`` from the threshold, far above the LP
     solver's error, so a screened decision is the one the LP would make.
+    Only the expansion's LPs record certificates; :meth:`closure_max` reads them.
     """
 
     def __init__(self, columns):
@@ -525,40 +526,36 @@ class _HullStack:
     def closure_max(self, prods):
         """max(1, the largest hull gauge of ``prods``, the (n, n, L) rows of
         the pairwise products of the n generators whose columns these are):
-        the float an LP for every pair gives, with LPs only for the pairs
-        whose :meth:`upper` bound could still set it; each new basis tightens
-        the bounds.  A gauge <= 1 cannot change the clamped defect, so the
-        maximum starts at 1; a product off the span keeps bound inf.
+        the float an LP for every pair gives, with one LP a pair in decreasing
+        :meth:`upper` bound order until a bound cannot set it.  Most of these
+        pairs lie on T's boundary, where no new basis would skip an LP.  A
+        gauge <= 1 cannot change the clamped defect, so the maximum starts at
+        1; a product off the span keeps bound inf.
         """
         prods = _real_rows(prods.reshape(-1, prods.shape[-1])).T
         upper = self.upper(prods)
         best = 1.0
-        while True:
-            p = int(np.argmax(upper))
+        for p in np.argsort(-upper, kind="stable"):
             if upper[p] < best - _SCREEN_MARGIN * (1.0 + best):
-                return best
-            spanned = _spanned(self.cols, upper[p], prods[:, p])
-            upper[p] = -math.inf
-            known = len(self.pinvs)
-            value = self.gauge(prods[:, p], spanned)
+                break
+            value = _hull_gauge_lp(self.cols, prods[:, p],
+                                   _spanned(self.cols, upper[p], prods[:, p]))[0]
             if value == math.inf:
                 return value
             best = max(best, value)
-            if len(self.pinvs) > known:
-                np.minimum(upper, _decomposition_bounds(
-                    self.basis_cols[-1], self.pinvs[-1], prods), out=upper)
+        return best
 
 
 def submultiplicative_hull(s, r, max_products=512):
     """Finite disked hull T with S <= r*T and T*T inside (1+defect)*T.
 
-    Expands products of (1/r) S level by level.  A product already inside the
-    hull built so far adds nothing and is dropped; products decayed below the
-    norm cut are kept as terminal generators but not extended.  Membership is
-    screened with the certificates of the LPs solved so far (:class:`_HullStack`)
-    before an LP is solved, and the closure reuses them.  The closure defect
-    is measured on all pairwise products of the final generators, so the
-    certificate does not depend on the expansion strategy.
+    Expands products of (1/r) S level by level, each level's children formed
+    by one products and one norms call.  A child already inside the hull built
+    so far adds nothing and is dropped; children decayed below the norm cut
+    are kept as terminal generators but not extended.  Each is screened with
+    the LPs' certificates (:class:`_HullStack`) before an LP is solved.  The
+    closure defect is measured on all pairwise products of the final
+    generators, so the certificate does not depend on the expansion strategy.
     """
     s = bounded_set(s)
     if not r > 0:
@@ -581,16 +578,21 @@ def submultiplicative_hull(s, r, max_products=512):
             raise CapExceeded(f"hull product overflows {where}",
                               decay_profile) from None
 
-    first_norms = norms(desc, gens).tolist()
-    for n in first_norms:
-        note(1, n)
-    frontier = [row for row, n in zip(gens, first_norms) if n >= _DECAY_CUT]
+    first_norms = norms(desc, gens)
+    note(1, first_norms.max().item())
+    frontier = gens[first_norms >= _DECAY_CUT]
     level = 1
-    while frontier:
+    while len(frontier):
         level += 1
+        where = f"at product length {level}"
+        try:
+            batches = [grown(frontier[:, None], gens, where)]
+        except CapExceeded:
+            # word by word: the profile notes the children before the overflow
+            batches = (grown(p, gens, where) for p in frontier)
         new_frontier = []
-        for p in frontier:
-            children = grown(p, gens, f"at product length {level}")
+        for children in batches:
+            children = children.reshape(-1, children.shape[-1])
             for q, nq in zip(children, norms(desc, children).tolist()):
                 note(level, nq)
                 x = _real_rows(q)
@@ -602,11 +604,9 @@ def submultiplicative_hull(s, r, max_products=512):
                     continue
                 new_frontier.append(q)
                 if len(generators) > max_products:
-                    raise CapExceeded(
-                        f"hull cap {max_products} reached at product length {level}",
-                        decay_profile,
-                    )
-        frontier = new_frontier
+                    raise CapExceeded(f"hull cap {max_products} reached {where}",
+                                      decay_profile)
+        frontier = np.array(new_frontier)
 
     # S <= r*T by construction: the scaled generators are T's first ones
     hull = FiniteHull(tuple(generators))

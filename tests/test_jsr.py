@@ -75,8 +75,8 @@ def closure_max(generators):
 def all_pairs_closure_max(mats):
     """max(1, max over pairs of the hull gauge of a b): one plain LP a pair.
 
-    Independent of the kernel's bound-and-solve loop: every product gets its
-    own scipy LP over the hull's real coordinates, and an infeasible LP (a
+    Independent of the kernel's sorted-bound closure pass: every product gets
+    its own scipy LP over the hull's real coordinates, and an infeasible LP (a
     product off the generators' span) reads inf.
     """
     from scipy.optimize import linprog
@@ -328,6 +328,17 @@ class TestHull:
                 submultiplicative_hull(s, r=1.0, max_products=64)
         assert err.value.decay_profile == {1: 1e200}
 
+    def test_overflow_in_a_later_word_keeps_the_earlier_children(self):
+        # at length 2 the first word, E12, has two zero children, and the
+        # second, 1e160 E11, overflows with itself: the profile notes the
+        # first word's children
+        s = bounded_set([matrix_element([[0.0, 1.0], [0.0, 0.0]]),
+                         matrix_element([[1e160, 0.0], [0.0, 0.0]])])
+        with pytest.raises(CapExceeded,
+                           match="overflows at product length 2") as err:
+            submultiplicative_hull(s, r=1.0, max_products=64)
+        assert err.value.decay_profile == {1: 1e160, 2: 0.0}
+
     def test_cap_exceeded_reports_decay(self):
         s = bounded_set([scale(0.5, g) for g in GOLDEN])
         with pytest.raises(CapExceeded) as err:
@@ -351,7 +362,7 @@ class TestHull:
 
 
 class TestClosureDifferential:
-    """The bound-and-solve closure loop against a plain all-pairs LP loop."""
+    """The sorted-bound closure pass against a plain all-pairs LP loop."""
 
     @staticmethod
     def matrices(cert):
@@ -535,6 +546,53 @@ class TestScreenedExpansion:
         monkeypatch.setattr(jsr._HullStack, "closure_max", lambda self, gens: 1.0)
         submultiplicative_hull(s, r, 512)
         assert 0 < len(calls) <= 0.75 * reference
+
+
+class TestHullKernelCalls:
+    """What family 411's hull asks of the kernels, beyond its LPs."""
+
+    def test_closure_keeps_the_expansions_certificates(self, monkeypatch):
+        # the closure solves its pairs with no pseudo-inverse, rank or basis
+        # of its own, and records no dual or basis
+        est, cert = hull_family(411)
+        closure, seen = jsr._HullStack.closure_max, {}
+        pinv, rank = np.linalg.pinv, np.linalg.matrix_rank
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                seen[name] = seen.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def watched(self, prods):
+            before = self.pinvs.copy(), self.duals.copy()
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "pinv", counted("pinv", pinv))
+                m.setattr(np.linalg, "matrix_rank", counted("rank", rank))
+                best = closure(self, prods)
+            assert np.array_equal(self.pinvs, before[0])
+            assert np.array_equal(self.duals, before[1])
+            seen["closures"] = seen.get("closures", 0) + 1
+            return best
+
+        monkeypatch.setattr(jsr._HullStack, "closure_max", watched)
+        again = submultiplicative_hull(family_set(411), 1.1 * est.upper, 512)
+        assert again.closure_defect == cert.closure_defect
+        assert seen == {"closures": 1}
+
+    def test_expansion_norms_each_level_at_once(self, monkeypatch):
+        # family 411's products reach length 7: one norms call per length,
+        # the first on the two generators
+        est, _cert = hull_family(411)
+        rows = []
+
+        def counting(desc, coords):
+            rows.append(len(coords))
+            return norms(desc, coords)
+
+        monkeypatch.setattr(jsr, "norms", counting)
+        submultiplicative_hull(family_set(411), 1.1 * est.upper, 512)
+        assert len(rows) == 7 and rows[0] == 2
 
 
 class TestLpPaths:
