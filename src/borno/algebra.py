@@ -693,19 +693,27 @@ def _solve_lp(c, a_eq, b_eq, a_ub=None, b_ub=None):
     :func:`_highs` returns another solver class, and passes a model only when
     the constraint matrix or the costs differ from its previous LP's; else it
     changes the row bounds alone.  Building an instance, passing it options
-    and a model took about as long as the solve.  Every solve still starts
-    cold: the instance's basis and solution are cleared first, so the bits
-    are those of a new instance.  Warm-started from the previous LP's basis,
-    the hull closure LPs end in other last bits, which changed the closure
-    defect of every hull measured and left one optimum infeasible.
+    and a model took about as long as the solve.  A caller that solves many
+    LPs on one matrix can build the matrix and costs once
+    (:func:`_gauge_lp`; :class:`jsr._HullStack` keeps them per column set);
+    each LP still compares their bytes with the kept model's.  Every solve
+    still starts cold: the instance's basis and solution are cleared first,
+    so the bits are those of a new instance.  Warm-started from the previous
+    LP's basis, the hull closure LPs end in other last bits, which changed the
+    closure defect of every hull measured and left one optimum infeasible.
+    The objective is read with ``getObjectiveValue``, the double linprog
+    reports, without copying the whole info struct.
     """
     core, options = _highs()
     c = np.asarray(c, dtype=np.float64)
-    a = np.asarray(a_eq if a_ub is None else np.concatenate([a_ub, a_eq]),
-                   dtype=np.float64)
-    n_ub = 0 if a_ub is None else len(a_ub)
-    lower = np.concatenate([np.full(n_ub, -np.inf), b_eq])
-    upper = b_eq if a_ub is None else np.concatenate([b_ub, b_eq])
+    if a_ub is None:
+        n_ub, a = 0, np.asarray(a_eq, dtype=np.float64)
+        lower = upper = np.asarray(b_eq, dtype=np.float64)
+    else:
+        n_ub = len(a_ub)
+        a = np.asarray(np.concatenate([a_ub, a_eq]), dtype=np.float64)
+        lower = np.concatenate([np.full(n_ub, -np.inf), b_eq])
+        upper = np.concatenate([b_ub, b_eq])
     solver = getattr(_LP, "solver", None)
     if type(solver) is not core._Highs:
         solver = _LP.solver = core._Highs()
@@ -726,10 +734,11 @@ def _solve_lp(c, a_eq, b_eq, a_ub=None, b_ub=None):
     solution = solver.getSolution()
     x = np.array(solution.col_value)
     slack = upper - np.array(solution.row_value)
-    if not (np.all(x >= -LP_TOL) and np.all(slack[:n_ub] >= -LP_TOL)
-            and np.all(np.abs(slack[n_ub:]) <= LP_TOL)):
+    # x >= 0, slack >= 0 and equality slack <= 0, each within LP_TOL, in one
+    # reduction (a nan fails)
+    if not np.concatenate([x, slack, -slack[n_ub:]]).min() >= -LP_TOL:
         raise NumericalFailure(f"LP optimum is infeasible by more than {LP_TOL}")
-    return x, solver.getInfo().objective_function_value, np.array(solution.row_dual)
+    return x, solver.getObjectiveValue(), np.array(solution.row_dual)
 
 
 def _highs_lp(core, c, a, lower, upper):
@@ -740,8 +749,9 @@ def _highs_lp(core, c, a, lower, upper):
     matrix = lp.a_matrix_
     matrix.num_row_, matrix.num_col_ = lp.num_row_, lp.num_col_ = a.shape
     matrix.format_ = core.MatrixFormat.kColwise
-    matrix.start_ = np.searchsorted(col, np.arange(a.shape[1] + 1))
-    matrix.index_, matrix.value_ = row, a[row, col]
+    # lists: HiGHS copies them about twice as fast as numpy arrays
+    matrix.start_ = np.searchsorted(col, np.arange(a.shape[1] + 1)).tolist()
+    matrix.index_, matrix.value_ = row.tolist(), a[row, col].tolist()
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, np.zeros(len(c)), np.full(len(c), np.inf)
     lp.row_lower_, lp.row_upper_ = lower, upper
     return lp
@@ -762,10 +772,18 @@ def _check_primal(cols, lam, target, context):
         raise NumericalFailure(f"{context} primal misses its target")
 
 
-def _hull_gauge_lp(cols, target, spanned=False):
+def _gauge_lp(cols):
+    """The costs and constraint matrix of :func:`_hull_gauge_lp` over
+    ``cols``: lambda = p - q with p, q >= 0, minimize 1.(p + q) subject to
+    ``[cols, -cols] @ (p, q) = target``."""
+    return np.ones(2 * cols.shape[1]), np.concatenate([cols, -cols], axis=1)
+
+
+def _hull_gauge_lp(cols, target, spanned=False, lp=None):
     """min sum |lambda_i| with cols @ lambda = target over real lambda.
 
-    ``cols`` holds the hull generators' real coordinates as columns.  Returns
+    ``cols`` holds the hull generators' real coordinates as columns, and
+    ``lp`` is their :func:`_gauge_lp`, if the caller keeps it.  Returns
     ``(value, lambda, y)`` with the LP's dual ``y``: ``|cols^T y| <= 1`` and
     ``y . target = value``.  A target off the columns' span, which least
     squares misses, gives ``(inf, None, None)``.  ``spanned`` says that the
@@ -776,9 +794,7 @@ def _hull_gauge_lp(cols, target, spanned=False):
                                target):
         return math.inf, None, None
     n = cols.shape[1]
-    # lambda = p - q with p, q >= 0; minimize 1.(p + q)
-    x, value, dual = _solve_lp(np.ones(2 * n), np.concatenate([cols, -cols], axis=1),
-                               target)
+    x, value, dual = _solve_lp(*(lp or _gauge_lp(cols)), target)
     lam = x[:n] - x[n:]
     _check_primal(cols, lam, target, "gauge LP")
     return value, lam, dual

@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .algebra import (
     products,
     spectral_radii,
     unvec,
+    _gauge_lp,
     _hull_gauge_lp,
     _real_rows,
 )
@@ -396,18 +398,31 @@ _INSIDE_TOL = 1e-12
 _SCREEN_MARGIN = 1e-6
 
 
-def _decomposition_bounds(cols, pinv, targets):
+def _norm(a, axis=None):
+    """``np.linalg.norm(a, axis=axis)`` with no square overflowing: ``a`` is
+    scaled by a power of two near its largest |entry| (per column with
+    ``axis=0``).  The scaling is exact, so the bits are numpy's wherever its
+    squares neither overflow nor underflow; a norm above the largest float
+    reads inf."""
+    shift = np.frexp(np.abs(a).max(axis=axis))[1]
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.linalg.norm(np.ldexp(a, -shift), axis=axis), shift)
+
+
+def _decomposition_bounds(cols, pinv, targets, sizes):
     """||z||_1 of the decomposition z = ``pinv @ targets`` over ``cols`` of
     each target column, or inf where ``cols @ z`` misses its target by more
     than half the span tolerance of :func:`_hull_gauge_lp`; ``cols`` and its
-    pseudo-inverse ``pinv`` may be stacks.
+    pseudo-inverse ``pinv`` may be stacks, and ``sizes`` are the targets'
+    norms (:func:`_norm`).
 
     A decomposition that fits is a feasible point of the target's gauge LP,
     so its ||z||_1 bounds the gauge.  Where :func:`_spanned` also holds, the
-    LP's own span test accepts the target too.
+    LP's own span test accepts the target too.  A decomposition or miss that
+    overflows (inf or nan) shows no fit.
     """
     z = pinv @ targets
-    tol = RANK_TOL * (1.0 + np.linalg.norm(targets, axis=0))
+    tol = RANK_TOL * (1.0 + sizes)
     fits = np.linalg.norm(cols @ z - targets, axis=-2) <= 0.5 * tol
     return np.where(fits, np.abs(z).sum(axis=-2), math.inf)
 
@@ -417,19 +432,46 @@ def _decomposition_bounds(cols, pinv, targets):
 _SPAN_WITNESS = 1e4
 
 
-def _spanned(cols, bound, target):
-    """Whether a decomposition z of ``target`` over ``cols`` that fits, with
-    ||z||_1 = ``bound`` (:func:`_decomposition_bounds`), shows that least
-    squares, the span test of :func:`_hull_gauge_lp`, accepts ``target``.
+def _spanned(cols_norm, bound, size):
+    """Whether a decomposition z of a target of norm ``size`` over columns of
+    Frobenius norm ``cols_norm`` (both by :func:`_norm`, which cannot
+    overflow) that fits, with ||z||_1 = ``bound``
+    (:func:`_decomposition_bounds`), shows that least squares, the span test
+    of :func:`_hull_gauge_lp`, accepts the target.
 
     A fit leaves half the span tolerance to least squares, whose rounding
     grows like eps ||cols|| ||z||: on nearly dependent stacks it was seen to
     miss such targets from ||cols||_2 ||z||_1 / (1 + ||target||) = 9e5 on,
     so a fit counts only up to ``_SPAN_WITNESS``.  An infinite bound, no
-    fit, shows nothing.
+    fit, or an infinite norm shows nothing.
     """
-    return bool(bound * np.linalg.norm(cols)
-                <= _SPAN_WITNESS * (1.0 + np.linalg.norm(target)))
+    return bool(bound * cols_norm <= _SPAN_WITNESS * (1.0 + size))
+
+
+def _pinv_rank(a):
+    """The pseudo-inverse and rank of a matrix from one SVD with vectors:
+    ``np.linalg.pinv``'s steps, and ``np.linalg.matrix_rank``'s threshold on
+    the same singular values.  ``matrix_rank`` takes them from an SVD without
+    vectors, whose last bits may differ, so a singular value at the threshold
+    could be counted otherwise; on the rank-deficient stacks tested the
+    counts agree.  The rank only sizes the bases :meth:`_HullStack.gauge`
+    records, so a bound never depends on it for soundness."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    peak = s.max(initial=0.0)
+    rank = int(np.count_nonzero(s > peak * (max(a.shape) * np.finfo(s.dtype).eps)))
+    large = s > 1e-15 * peak
+    inverse = np.divide(1.0, s, where=large, out=s)
+    inverse[~large] = 0.0
+    return vt.T @ (inverse[:, None] * u.T), rank
+
+
+class _Shared(NamedTuple):
+    """What the LPs and screens of one column set G share."""
+
+    lp: tuple  # the gauge LP's costs and matrix [G, -G] (algebra._gauge_lp)
+    norm: float  # ||G||_F, by _norm
+    pinv: np.ndarray  # pinv(G) and rank(G) from one SVD (_pinv_rank)
+    rank: int
 
 
 class _HullStack:
@@ -448,12 +490,17 @@ class _HullStack:
     Each screen keeps ``_SCREEN_MARGIN`` from the threshold, far above the LP
     solver's error, so a screened decision is the one the LP would make.
     Only the expansion's LPs record certificates; :meth:`closure_max` reads them.
+
+    What the LPs and screens of one column set share (:attr:`shared`) is
+    computed when first needed and dropped by :meth:`append`.  It is
+    recomputed from scratch, never updated in place, so it is what a fresh
+    computation on the current columns gives (the rank: see
+    :func:`_pinv_rank`).
     """
 
     def __init__(self, columns):
         self.cols = np.stack(columns, axis=1)
-        # pinv(cols) and rank(cols), computed when first needed
-        self._pinv = self._rank = None
+        self._shared = None
         # whether a decomposition of the last screened target is _spanned
         self.fits = False
         dim = self.cols.shape[0]
@@ -465,33 +512,44 @@ class _HullStack:
 
     def append(self, column):
         self.cols = np.concatenate([self.cols, column[:, None]], axis=1)
-        self._pinv = self._rank = None
+        self._shared = None
 
-    def upper(self, targets):
+    @property
+    def shared(self):
+        if self._shared is None:
+            self._shared = _Shared(_gauge_lp(self.cols), float(_norm(self.cols)),
+                                   *_pinv_rank(self.cols))
+        return self._shared
+
+    def upper(self, targets, sizes):
         """Per target column, the least ||z||_1 of a decomposition z that
-        reproduces it over all columns or over one recorded basis."""
-        if self._pinv is None:
-            self._pinv = np.linalg.pinv(self.cols)
-        bound = _decomposition_bounds(self.cols, self._pinv, targets)
+        reproduces it over all columns or over one recorded basis; ``sizes``
+        are the targets' norms (:func:`_norm`)."""
         # bases in batches of about _CHUNK targets' worth, as in the search
         step = max(1, _CHUNK // targets.shape[1])
-        for b in range(0, len(self.pinvs), step):
-            np.minimum(bound, _decomposition_bounds(
-                self.basis_cols[b:b + step], self.pinvs[b:b + step], targets
-            ).min(axis=0), out=bound)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = _decomposition_bounds(self.cols, self.shared.pinv, targets,
+                                          sizes)
+            for b in range(0, len(self.pinvs), step):
+                np.minimum(bound, _decomposition_bounds(
+                    self.basis_cols[b:b + step], self.pinvs[b:b + step],
+                    targets, sizes).min(axis=0), out=bound)
         return bound
 
-    def screen(self, target):
+    def screen(self, target, size=None):
         """True (inside) or False (outside) when a certificate decides, else
         None; :attr:`fits` says whether a decomposition of ``target`` shows it
-        :func:`_spanned`."""
+        :func:`_spanned`.  ``size`` holds the target's norm (:func:`_norm`),
+        if the caller has it."""
+        if size is None:
+            size = _norm(target[:, None], axis=0)
         self.fits = False
         if len(self.duals):
             lower = (self.duals @ target) / np.abs(self.duals @ self.cols).max(axis=1)
             if lower.max() > 1.0 + _SCREEN_MARGIN:
                 return False
-        bound = self.upper(target[:, None])[0]
-        self.fits = _spanned(self.cols, bound, target)
+        bound = self.upper(target[:, None], size)[0]
+        self.fits = _spanned(self.shared.norm, bound, size[0])
         if bound <= 1.0 - _SCREEN_MARGIN:
             return True
         return None
@@ -501,12 +559,11 @@ class _HullStack:
         ``spanned`` says a decomposition shows it :func:`_spanned`.  Records
         the LP's dual and its basis: the rank-many columns with the largest
         |lambda|."""
-        value, lam, dual = _hull_gauge_lp(self.cols, target, spanned)
+        value, lam, dual = _hull_gauge_lp(self.cols, target, spanned,
+                                          self.shared.lp)
         if lam is None:
             return value
-        if self._rank is None:
-            self._rank = np.linalg.matrix_rank(self.cols)
-        basis = np.argsort(-np.abs(lam), kind="stable")[:self._rank]
+        basis = np.argsort(-np.abs(lam), kind="stable")[:self.shared.rank]
         cols = np.zeros((1,) + self.pinvs.shape[1:])
         cols[0, :, :len(basis)] = self.cols[:, basis]
         if not (self.basis_cols == cols).all(axis=(1, 2)).any():
@@ -517,8 +574,8 @@ class _HullStack:
             self.duals = np.concatenate([self.duals, dual[None]])
         return value
 
-    def inside(self, target):
-        decided = self.screen(target)
+    def inside(self, target, size=None):
+        decided = self.screen(target, size)
         if decided is not None:
             return decided
         return self.gauge(target, self.fits) <= 1.0 + _INSIDE_TOL
@@ -533,13 +590,14 @@ class _HullStack:
         1; a product off the span keeps bound inf.
         """
         prods = _real_rows(prods.reshape(-1, prods.shape[-1])).T
-        upper = self.upper(prods)
-        best = 1.0
+        sizes = _norm(prods, axis=0)
+        upper = self.upper(prods, sizes)
+        shared, best = self.shared, 1.0
         for p in np.argsort(-upper, kind="stable"):
             if upper[p] < best - _SCREEN_MARGIN * (1.0 + best):
                 break
-            value = _hull_gauge_lp(self.cols, prods[:, p],
-                                   _spanned(self.cols, upper[p], prods[:, p]))[0]
+            value = _hull_gauge_lp(self.cols, prods[:, p], _spanned(
+                shared.norm, upper[p], sizes[p]), shared.lp)[0]
             if value == math.inf:
                 return value
             best = max(best, value)
@@ -593,13 +651,15 @@ def submultiplicative_hull(s, r, max_products=512):
         new_frontier = []
         for children in batches:
             children = children.reshape(-1, children.shape[-1])
-            for q, nq in zip(children, norms(desc, children).tolist()):
+            reals = _real_rows(children)
+            sizes = _norm(reals.T, axis=0)
+            for i, nq in enumerate(norms(desc, children).tolist()):
                 note(level, nq)
-                x = _real_rows(q)
-                if nq >= _DECAY_CUT and stack.inside(x):
+                if nq >= _DECAY_CUT and stack.inside(reals[i], sizes[i:i + 1]):
                     continue
+                q = children[i]
                 generators.append(unvec(desc, q))
-                stack.append(x)
+                stack.append(reals[i])
                 if nq < _DECAY_CUT:
                     continue
                 new_frontier.append(q)

@@ -393,6 +393,59 @@ class TestHighsLoader:
             scipy_dir, "optimize", "_highspy")
         assert isinstance(core.HighsOptions(), core.HighsOptions)
 
+    def test_kept_models_take_linprogs_bits(self, monkeypatch):
+        # gauge targets on one [G, -G], given new row bounds only; a grouped
+        # LP with inequality rows between them; a second matrix; the first
+        # again, also as a copy, known by its bytes.  Only a changed model is
+        # passed to HiGHS.
+        import types
+
+        from scipy.optimize import linprog
+
+        import borno.algebra as algebra
+
+        core, options = algebra._highs()
+        passed = []
+
+        class Counting(core._Highs):
+            def passModel(self, lp):
+                passed.append(1)
+                return super().passModel(lp)
+
+        counting = types.SimpleNamespace(**{**vars(core), "_Highs": Counting})
+        monkeypatch.setattr(algebra, "_highs", lambda: (counting, options))
+        rng = np.random.default_rng(8)
+        first, second = rng.standard_normal((4, 5)), rng.standard_normal((4, 3))
+        member = np.array([[1.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0, 1.0]])
+        grouped = (np.eye(11)[-1],
+                   np.concatenate([first, -first, np.zeros((4, 1))], axis=1),
+                   first @ rng.standard_normal(5),
+                   np.concatenate([member, member, [[-1.0], [-2.5]]], axis=1),
+                   np.zeros(2))
+        lps = [algebra._gauge_lp(first), algebra._gauge_lp(second)]
+        copy = tuple(np.array(x) for x in lps[0])
+        steps = [(lps[0], first)] * 3 + [grouped] + [(lps[1], second)] * 2 + [
+            (lps[0], first), (copy, first), (lps[0], first), (copy, first),
+            "scale the copy in place", (copy, 2 * first)]
+        for step in steps:
+            if isinstance(step, str):
+                copy[1][:] *= 2.0  # changed in place: its bytes differ
+                continue
+            if len(step) == 2:
+                (c, a), cols = step
+                step = (c, a, cols @ rng.standard_normal(cols.shape[1]))
+            c, a_eq, b_eq, a_ub, b_ub = step + (None,) * (5 - len(step))
+            x, fun, duals = algebra._solve_lp(*step)
+            res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                          method="highs")
+            ref = np.concatenate([res.ineqlin.marginals, res.eqlin.marginals])
+            assert x.tobytes() == res.x.tobytes()
+            assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes()
+            assert duals.tobytes() == ref.tobytes()
+        # the first matrix, the grouped LP, the second, the first again, the
+        # scaled copy
+        assert len(passed) == 5
+
 
 class TestCoordinates:
     def test_vec_unvec_roundtrip(self):

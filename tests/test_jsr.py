@@ -339,6 +339,18 @@ class TestHull:
             submultiplicative_hull(s, r=1.0, max_products=64)
         assert err.value.decay_profile == {1: 1e160, 2: 0.0}
 
+    def test_huge_children_are_screened_without_overflow(self):
+        # at length 2 the first word, [[0.5]], has the children 0.25 and
+        # 5e159, both inside the hull of [[0.5]] and [[1e160]], whose norms
+        # would overflow if squared unscaled; the second word overflows
+        s = bounded_set([matrix_element([[0.5]]), matrix_element([[1e160]])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapExceeded) as err:
+                submultiplicative_hull(s, r=1.0, max_products=64)
+        assert str(err.value) == ("hull product overflows at product length "
+                                  "2; decay profile {1: 1e+160, 2: 5e+159}")
+
     def test_cap_exceeded_reports_decay(self):
         s = bounded_set([scale(0.5, g) for g in GOLDEN])
         with pytest.raises(CapExceeded) as err:
@@ -795,6 +807,129 @@ class TestLpPaths:
                           for e in ([True] if spanned else [False, "lstsq"])]
 
 
+class TestHullStackCache:
+    """What a column stack computes once per column set for its LPs and
+    screens."""
+
+    @staticmethod
+    def check(stack):
+        """The kept values against a fresh computation on the current
+        columns, bit for bit."""
+        cols, shared = stack.cols, stack.shared
+        assert shared.norm == np.linalg.norm(cols)
+        assert np.array_equal(shared.pinv, np.linalg.pinv(cols))
+        assert shared.rank == np.linalg.matrix_rank(cols)
+        assert np.array_equal(shared.lp[0], np.ones(2 * cols.shape[1]))
+        assert np.array_equal(shared.lp[1], np.concatenate([cols, -cols], axis=1))
+
+    def test_family_411_solves_62_lps_through_solve_lp(self, monkeypatch):
+        # the parent's count: an LP that bypassed algebra._solve_lp would
+        # escape the tracer and this count
+        est, cert = hull_family(411)
+        solve, calls = borno.algebra._solve_lp, []
+
+        def counting(*args):
+            calls.append(len(args))
+            return solve(*args)
+
+        monkeypatch.setattr(borno.algebra, "_solve_lp", counting)
+        again = submultiplicative_hull(family_set(411), 1.1 * est.upper, 512)
+        assert again.closure_defect == cert.closure_defect
+        assert calls == [3] * 62
+
+    def test_each_append_drops_what_it_changes(self, monkeypatch):
+        # family 411's hull: the shared values, read just before each append
+        # and each LP, are a fresh computation's after it
+        est, cert = hull_family(411)
+        append, gauge = jsr._HullStack.append, jsr._HullStack.gauge
+        events = []
+
+        def checked(method, name):
+            def wrapper(self, *args):
+                self.shared  # cached before the call
+                before = self.cols.shape[1]
+                result = method(self, *args)
+                events.append((name, self.cols.shape[1] != before))
+                TestHullStackCache.check(self)
+                return result
+            return wrapper
+
+        monkeypatch.setattr(jsr._HullStack, "append", checked(append, "append"))
+        monkeypatch.setattr(jsr._HullStack, "gauge", checked(gauge, "gauge"))
+        again = submultiplicative_hull(family_set(411), 1.1 * est.upper, 512)
+        assert again.closure_defect == cert.closure_defect
+        # every append grew the stack; no LP changed its columns
+        assert ("append", True) in events and ("gauge", False) in events
+        assert all(changed == (name == "append") for name, changed in events)
+
+    def test_closure_factors_nothing_again(self, monkeypatch):
+        # family 411's closure reads the pseudo-inverse and rank the last
+        # screen took on the final columns, and factors no basis
+        est, cert = hull_family(411)
+        closure, pinv_rank, seen = jsr._HullStack.closure_max, jsr._pinv_rank, []
+
+        def watched(self, prods):
+            with monkeypatch.context() as m:
+                m.setattr(jsr, "_pinv_rank",
+                          lambda a: seen.append(a.shape) or pinv_rank(a))
+                return closure(self, prods)
+
+        monkeypatch.setattr(jsr._HullStack, "closure_max", watched)
+        again = submultiplicative_hull(family_set(411), 1.1 * est.upper, 512)
+        assert again.closure_defect == cert.closure_defect
+        assert seen == []
+
+    def test_a_fresh_stack_and_a_grown_one_agree(self):
+        rng = np.random.default_rng(3)
+        stack = jsr._HullStack(list(rng.standard_normal((3, 6))))
+        self.check(stack)
+        for _ in range(4):
+            stack.append(rng.standard_normal(6))
+            self.check(stack)
+            stack.gauge(stack.cols @ rng.standard_normal(stack.cols.shape[1]))
+            self.check(stack)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 8),
+           count=st.integers(1, 12),
+           kind=st.sampled_from(["deficient", "dependent"]),
+           gap=st.integers(0, 17), magnitude=st.integers(-8, 8))
+    def test_rank_deficient_stacks_agree(self, seed, dim, count, kind, gap,
+                                         magnitude):
+        # singular values at noise level, near the rank threshold: the rank
+        # from pinv's SVD is still matrix_rank's on these
+        cols, targets, _basis = span_case(seed, dim, count, kind, gap,
+                                          magnitude)
+        stack = jsr._HullStack(list(cols.T))
+        self.check(stack)
+        stack.append(targets[:, 0])
+        self.check(stack)
+
+
+class TestNorm:
+    """``jsr._norm``: numpy's norm with no square overflowing."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 8),
+           count=st.integers(1, 9), magnitude=st.integers(-120, 120))
+    def test_numpys_bits_where_no_square_overflows(self, seed, rows, count,
+                                                   magnitude):
+        a = np.random.default_rng(seed).standard_normal((rows, count))
+        a *= 10.0 ** magnitude
+        assert jsr._norm(a) == np.linalg.norm(a)
+        assert np.array_equal(jsr._norm(a, axis=0), np.linalg.norm(a, axis=0))
+        assert jsr._norm(a[:, 0]) == np.linalg.norm(a[:, 0])
+
+    def test_huge_entries_keep_a_finite_norm(self):
+        a = np.array([[3e200, 1.0], [4e200, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert jsr._norm(a) == pytest.approx(5e200, rel=1e-15)
+            assert np.allclose(jsr._norm(a, axis=0), [5e200, 1.0], rtol=1e-15)
+            assert jsr._norm(np.array([1.5e308, 1.5e308])) == math.inf
+            assert np.array_equal(jsr._norm(np.zeros((2, 2)), axis=0), [0, 0])
+
+
 def span_case(seed, dim, count, kind, gap, magnitude):
     """(columns, targets, basis) of a seeded span test: a ``dim`` x ``count``
     stack that is rank-deficient, has its last column within 10^-gap of the
@@ -838,12 +973,14 @@ class TestSpanWitness:
     def test_spanned_targets_pass_the_span_test(self, seed, dim, count, kind,
                                                 gap, magnitude):
         cols, targets, basis = span_case(seed, dim, count, kind, gap, magnitude)
+        sizes = jsr._norm(targets, axis=0)
         for bounds in (
-                jsr._decomposition_bounds(cols, np.linalg.pinv(cols), targets),
+                jsr._decomposition_bounds(cols, np.linalg.pinv(cols), targets,
+                                          sizes),
                 jsr._decomposition_bounds(basis, np.linalg.pinv(basis),
-                                          targets)[0]):
+                                          targets, sizes)[0]):
             for bound, target in zip(bounds, targets.T):
-                if jsr._spanned(cols, bound, target):
+                if jsr._spanned(jsr._norm(cols), bound, jsr._norm(target)):
                     lam = np.linalg.lstsq(cols, target, rcond=None)[0]
                     assert not borno.algebra._misses(cols, lam, target)
 
@@ -852,12 +989,12 @@ class TestSpanWitness:
         # fits, yet least squares misses it, and _spanned rejects the fit
         cols, targets, basis = span_case(5, 4, 4, "dependent", 6, -2)
         target = targets[:, 7]
-        bound = jsr._decomposition_bounds(basis, np.linalg.pinv(basis),
-                                          targets)[0][7]
+        bound = jsr._decomposition_bounds(basis, np.linalg.pinv(basis), targets,
+                                          jsr._norm(targets, axis=0))[0][7]
         assert bound < math.inf
         lam = np.linalg.lstsq(cols, target, rcond=None)[0]
         assert borno.algebra._misses(cols, lam, target)
-        assert not jsr._spanned(cols, bound, target)
+        assert not jsr._spanned(jsr._norm(cols), bound, jsr._norm(target))
 
 
 class TestGridMax:
